@@ -32,7 +32,7 @@ from .synth import (
     RirParams,
     build_dataset,
     load_manifest,
-    make_example,
+    render_example,
     synth_rir,
 )
 from .wavio import read_wav, write_wav
@@ -55,11 +55,11 @@ __all__ = [
     "ere",
     "fft_convolve",
     "load_manifest",
-    "make_example",
     "metric_report",
     "mse",
     "octave_bands",
     "read_wav",
+    "render_example",
     "schroeder_t60",
     "spectral_deconvolve",
     "stft",

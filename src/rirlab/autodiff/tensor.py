@@ -67,12 +67,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
     def sum(self) -> "Tensor":
         out = Tensor(np.sum(self.data))
         record(out, (self,), lambda g: (np.full(self.data.shape, float(g)),))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .dsp import Signal, StftConfig, octave_bands, spectral_deconvolve
+from .dsp import Signal, octave_bands, spectral_deconvolve
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -71,9 +71,8 @@ def _eval_setup(manifest: DatasetManifest, profile_name: str):
         if profile_name == "auto"
         else get_profile(profile_name)
     )
-    stft_cfg = StftConfig(profile.stft_window, profile.stft_hop, "hann")
-    partition = octave_bands(manifest.sample_rate, profile.stft_window, list(profile.band_centers))
-    return stft_cfg, partition
+    cfg = profile.train
+    return cfg.stft(), octave_bands(manifest.sample_rate, cfg.stft_window, list(cfg.band_centers))
 
 
 def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
@@ -90,7 +89,7 @@ def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
             updates[key] = value.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
             updates[key] = int(value)
-        elif isinstance(current, float) or current is None:
+        elif isinstance(current, float):
             updates[key] = float(value)
         elif isinstance(current, str):
             updates[key] = value
@@ -101,6 +100,7 @@ def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
+    sample_rate = profile.estimator.sample_rate
     clean_signals = None
     if args.clean_dir:
         wavs = sorted(Path(args.clean_dir).glob("*.wav"))
@@ -109,10 +109,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         clean_signals = []
         for wav in wavs:
             sig = read_wav(wav)
-            if sig.sample_rate != profile.sample_rate:
+            if sig.sample_rate != sample_rate:
                 raise InvalidInputError(
                     f"{wav} is {sig.sample_rate} Hz, profile {profile.name} expects "
-                    f"{profile.sample_rate} Hz (resampling is unsupported)"
+                    f"{sample_rate} Hz (resampling is unsupported)"
                 )
             clean_signals.append(sig)
     splits = tuple(float(x) for x in args.splits.split(","))
@@ -122,8 +122,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         out_dir=args.out,
         n_examples=args.n,
         ranges=profile.ranges,
-        sample_rate=profile.sample_rate,
-        example_len=profile.example_len,
+        sample_rate=sample_rate,
+        example_len=profile.estimator.input_len,
         splits=splits,
         seed=args.seed,
         clean_signals=clean_signals,
@@ -204,8 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         )
     truths = [read_wav(manifest.path(e.rir)) for e in entries]
-    pairs = list(zip(estimates, truths))
-    report = metrics.metric_report(pairs, stft_cfg, partition)
+    report = metrics.metric_report(list(zip(estimates, truths)), stft_cfg, partition)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -214,14 +213,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     per_example = out.with_name(out.stem + "_examples.csv")
     with open(per_example, "w") as fh:
         fh.write("example,reverberant,edr_loss,ere_err_db,drr_err_db,mse\n")
-        for i, (entry, (est, truth)) in enumerate(zip(entries, pairs)):
-            loss, _ = metrics.edr_loss(est, truth, stft_cfg, partition)
-            ere_err = float(abs(metrics.ere(est) - metrics.ere(truth)))
-            drr_err = float(abs(metrics.drr(est) - metrics.drr(truth)))
-            fh.write(
-                f"{i},{entry.reverberant},{loss!r},{ere_err!r},{drr_err!r},"
-                f"{metrics.mse(est, truth)!r}\n"
-            )
+        for i, (entry, (loss, ere_err, drr_err, mse)) in enumerate(zip(entries, report.examples)):
+            fh.write(f"{i},{entry.reverberant},{loss!r},{ere_err!r},{drr_err!r},{mse!r}\n")
     print(f"report: {out}")
     print(f"per-example: {per_example}")
     return 0

@@ -176,6 +176,8 @@ class MetricReport:
     mse: float
     n_pairs: int
     merged: tuple[tuple[float, float], ...] = ()
+    # (edr_loss, ere_err_db, drr_err_db, mse) per pair, in pair order.
+    examples: tuple[tuple[float, float, float, float], ...] = ()
 
 
 def metric_report(
@@ -185,17 +187,18 @@ def metric_report(
 
     Per band: log10 of the mean decay-relief loss across pairs, and the mean
     absolute error of band-restricted early energy in dB. Plus broadband
-    DRR mean absolute error and mean waveform MSE.
+    DRR mean absolute error and mean waveform MSE. ``examples`` holds one
+    row per pair: decay-relief loss, absolute broadband ERE and DRR errors
+    in dB, and waveform MSE.
     """
     if not pairs:
         raise InvalidInputError("metric_report needs at least one pair")
     band_losses = []
     ere_errors = []
-    drr_errors = []
-    mses = []
+    examples = []
     for estimated, truth in pairs:
         _check_pair(estimated, truth)
-        _, per_band = edr_loss(estimated, truth, cfg, partition)
+        loss, per_band = edr_loss(estimated, truth, cfg, partition)
         band_losses.append(per_band)
         ere_errors.append(
             np.abs(
@@ -203,17 +206,24 @@ def metric_report(
                 - banded_early_energy_db(truth, cfg, partition)
             )
         )
-        drr_errors.append(abs(drr(estimated) - drr(truth)))
-        mses.append(mse(estimated, truth))
+        examples.append(
+            (
+                loss,
+                float(abs(ere(estimated) - ere(truth))),
+                float(abs(drr(estimated) - drr(truth))),
+                mse(estimated, truth),
+            )
+        )
     mean_band_loss = np.mean(band_losses, axis=0)
     return MetricReport(
         centers=partition.centers,
         per_band_log_edr_loss=np.log10(np.maximum(mean_band_loss, ENERGY_FLOOR)),
         per_band_ere_mae=np.mean(ere_errors, axis=0),
-        drr_mae=float(np.mean(drr_errors)),
-        mse=float(np.mean(mses)),
+        drr_mae=float(np.mean([row[2] for row in examples])),
+        mse=float(np.mean([row[3] for row in examples])),
         n_pairs=len(pairs),
         merged=partition.merged,
+        examples=tuple(examples),
     )
 
 

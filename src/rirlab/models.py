@@ -39,7 +39,28 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv1dLayer:
+class Layer:
+    """One named step of a network. By default it holds no parameters or
+    buffers and keeps the [channels, length] shape of its input."""
+
+    param_names: tuple[str, ...] = ()
+
+    def forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
+        raise NotImplementedError
+
+    def out_shape(self, channels: int, length: int) -> tuple[int, int]:
+        return channels, length
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return [(name, getattr(self, name)) for name in self.param_names]
+
+    def buffers(self) -> list[tuple[str, object, str]]:
+        return []
+
+
+class Conv1dLayer(Layer):
+    param_names = ("weight", "bias")
+
     def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int, padding: int):
         self.stride, self.padding = stride, padding
         self.weight = Tensor(
@@ -59,14 +80,10 @@ class Conv1dLayer:
             raise InvalidConfigError(f"kernel {k} longer than padded input {padded}")
         return out_ch, (padded - k) // self.stride + 1
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-    def buffers(self):
-        return []
+class ConvTranspose1dLayer(Layer):
+    param_names = ("weight", "bias")
 
-
-class ConvTranspose1dLayer:
     def __init__(
         self, rng, in_ch, out_ch, kernel, stride, padding, output_padding=0
     ):
@@ -95,14 +112,10 @@ class ConvTranspose1dLayer:
             raise InvalidConfigError(f"transposed conv collapses length {length} to {out_len}")
         return out_ch, out_len
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-    def buffers(self):
-        return []
+class BatchNorm1dLayer(Layer):
+    param_names = ("gamma", "beta")
 
-
-class BatchNorm1dLayer:
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
@@ -116,64 +129,60 @@ class BatchNorm1dLayer:
             raise InvalidConfigError(f"batchnorm over {self.gamma.shape[0]} channels got {channels}")
         return channels, length
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
     def buffers(self):
         return [("running_mean", self.state, "running_mean"), ("running_var", self.state, "running_var")]
 
 
-class PReLULayer:
+class PReLULayer(Layer):
+    param_names = ("slope",)
+
     def __init__(self, channels: int):
         self.slope = Tensor(np.full(channels, 0.25), requires_grad=True)
 
     def forward(self, x, train, update_stats):
         return ad.prelu(x, self.slope)
 
-    def out_shape(self, channels, length):
-        return channels, length
 
-    def params(self):
-        return [("slope", self.slope)]
-
-    def buffers(self):
-        return []
-
-
-class LeakyReLULayer:
-    def __init__(self, slope: float = 0.2):
-        self.negative_slope = slope
-
+class LeakyReLULayer(Layer):
     def forward(self, x, train, update_stats):
-        return ad.leaky_relu(x, self.negative_slope)
-
-    def out_shape(self, channels, length):
-        return channels, length
-
-    def params(self):
-        return []
-
-    def buffers(self):
-        return []
+        return ad.leaky_relu(x)
 
 
-class TanhLayer:
+class TanhLayer(Layer):
     def forward(self, x, train, update_stats):
         return ad.tanh(x)
 
+
+class FlattenLinearLayer(Layer):
+    """Flattens [B, C, L] to [B, C*L] and maps it to [B, out_features]."""
+
+    param_names = ("weight", "bias")
+
+    def __init__(self, rng, in_features: int, out_features: int):
+        self.weight = Tensor(
+            _uniform_init(rng, (in_features, out_features), in_features), requires_grad=True
+        )
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+
+    def forward(self, x, train, update_stats):
+        return ad.linear(ad.flatten(x), self.weight, self.bias)
+
     def out_shape(self, channels, length):
-        return channels, length
-
-    def params(self):
-        return []
-
-    def buffers(self):
-        return []
+        in_features, out_features = self.weight.shape
+        if channels * length != in_features:
+            raise InvalidConfigError(f"expected {in_features} features, got {channels * length}")
+        return out_features, 1
 
 
 # ---------------------------------------------------------------------------
 # Configs
 # ---------------------------------------------------------------------------
+
+
+def _drop_legacy_keys(doc: dict) -> dict:
+    """Copy of a config echo without the unread "scale" key that older
+    checkpoints carry."""
+    return {key: value for key, value in doc.items() if key != "scale"}
 
 
 @dataclass(frozen=True)
@@ -190,14 +199,13 @@ class EstimatorConfig:
     encoder: tuple[dict, ...]
     decoder: tuple[dict, ...]
     collapse: dict
-    scale: str = "full"
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatorConfig":
-        doc = dict(doc)
+        doc = _drop_legacy_keys(doc)
         doc["encoder"] = tuple(doc["encoder"])
         doc["decoder"] = tuple(doc["decoder"])
         return cls(**doc)
@@ -210,14 +218,13 @@ class DiscriminatorConfig:
     rir_len: int
     condition_len: int
     blocks: tuple[dict, ...]
-    scale: str = "full"
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DiscriminatorConfig":
-        doc = dict(doc)
+        doc = _drop_legacy_keys(doc)
         doc["blocks"] = tuple(doc["blocks"])
         return cls(**doc)
 
@@ -243,7 +250,6 @@ def full_estimator_config() -> EstimatorConfig:
             {"out_channels": 64, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
         ),
         collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
-        scale="full",
     )
 
 
@@ -267,7 +273,6 @@ def toy_estimator_config() -> EstimatorConfig:
             {"out_channels": 8, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
         ),
         collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
-        scale="toy",
     )
 
 
@@ -281,7 +286,6 @@ def full_discriminator_config() -> DiscriminatorConfig:
             {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
             {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
         ),
-        scale="full",
     )
 
 
@@ -295,7 +299,6 @@ def toy_discriminator_config() -> DiscriminatorConfig:
             {"out_channels": 32, "kernel": 8, "stride": 4, "padding": 2},
             {"out_channels": 32, "kernel": 4, "stride": 2, "padding": 1},
         ),
-        scale="toy",
     )
 
 
@@ -312,7 +315,7 @@ class Network:
     def __init__(self, config, seed: int):
         self.config = config
         self.seed = int(seed)
-        self.layers: list[tuple[str, object]] = []
+        self.layers: list[tuple[str, Layer]] = []
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -365,7 +368,7 @@ class Estimator(Network):
                 Conv1dLayer(rng, 1, c.first_channels, c.first_kernel, c.first_stride, c.first_padding),
             )
         )
-        self.layers.append(("enc0_act", LeakyReLULayer(0.2)))
+        self.layers.append(("enc0_act", LeakyReLULayer()))
         in_ch = c.first_channels
         for i, blk in enumerate(c.encoder, start=1):
             self.layers.append(
@@ -374,7 +377,7 @@ class Estimator(Network):
                     Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
                 )
             )
-            self.layers.append((f"enc{i}_act", LeakyReLULayer(0.2)))
+            self.layers.append((f"enc{i}_act", LeakyReLULayer()))
             in_ch = blk["out_channels"]
         for i, blk in enumerate(c.decoder, start=1):
             self.layers.append(
@@ -434,18 +437,10 @@ class Discriminator(Network):
                     Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
                 )
             )
-            self.layers.append((f"blk{i}_act", LeakyReLULayer(0.2)))
+            self.layers.append((f"blk{i}_act", LeakyReLULayer()))
             in_ch = blk["out_channels"]
         channels, length = self._trace(2, config.rir_len)
-        features = channels * length
-        self._head_weight = Tensor(_uniform_init(rng, (features, 1), features), requires_grad=True)
-        self._head_bias = Tensor(np.zeros(1), requires_grad=True)
-
-    def named_parameters(self):
-        out = super().named_parameters()
-        out.append(("head.weight", self._head_weight))
-        out.append(("head.bias", self._head_bias))
-        return out
+        self.layers.append(("head", FlattenLinearLayer(rng, channels * length, 1)))
 
     def forward(self, rir: Tensor, condition: Tensor, train: bool) -> Tensor:
         if rir.shape != condition.shape:
@@ -456,9 +451,7 @@ class Discriminator(Network):
             raise InvalidInputError(
                 f"discriminator expects length {self.config.rir_len}, got {rir.shape[2]}"
             )
-        x = ad.concat_channels(rir, condition)
-        x = self._run(x, train, update_stats=True)
-        return ad.linear(ad.flatten(x), self._head_weight, self._head_bias)
+        return self._run(ad.concat_channels(rir, condition), train, update_stats=True)
 
 
 def build_estimator(cfg: EstimatorConfig, seed: int) -> Estimator:
@@ -533,30 +526,41 @@ def save_checkpoint(net: Network, path: str | Path) -> Path:
     return path
 
 
+_NETWORKS = {
+    "estimator": (Estimator, EstimatorConfig),
+    "discriminator": (Discriminator, DiscriminatorConfig),
+}
+
+
 def load_checkpoint(path: str | Path) -> Network:
     """Rebuild the network from its embedded config and restore parameters
     bit-exactly."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_MAGIC:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise InvalidConfigError(f"{path} is not a checkpoint file") from exc
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
             raise InvalidConfigError(f"{path} is not a checkpoint file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise InvalidConfigError(f"unsupported checkpoint version {header.get('version')}")
-        if header["kind"] == "estimator":
-            net: Network = Estimator(EstimatorConfig.from_dict(header["config"]), header["seed"])
-        elif header["kind"] == "discriminator":
-            net = Discriminator(DiscriminatorConfig.from_dict(header["config"]), header["seed"])
-        else:
-            raise InvalidConfigError(f"unknown network kind {header['kind']!r}")
+        kind = header.get("kind")
+        if kind not in _NETWORKS:
+            raise InvalidConfigError(f"unknown network kind {kind!r}")
+        net_cls, cfg_cls = _NETWORKS[kind]
+        try:
+            net: Network = net_cls(cfg_cls.from_dict(header["config"]), header["seed"])
+            records = [(rec["name"], tuple(rec["shape"])) for rec in header["records"]]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise InvalidConfigError(f"{path} has an invalid {kind} header: {exc!r}") from exc
         loaded = {}
-        for rec in header["records"]:
-            shape = tuple(rec["shape"])
+        for name, shape in records:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise InvalidConfigError(f"{path} is truncated at record {rec['name']}")
-            loaded[rec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise InvalidConfigError(f"{path} is truncated at record {name}")
+            loaded[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
     for name, tensor in net.named_parameters():
         if name not in loaded:

@@ -22,64 +22,38 @@ from .models import (
 from .synth import RirParamRanges
 from .training import TrainConfig
 
-FULL_BAND_CENTERS = (16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0)
 # 4000 Hz would sit at Nyquist for the 8 kHz profile, so the toy ladder stops at 2000.
 TOY_BAND_CENTERS = (16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0)
 
 
 @dataclass(frozen=True)
 class Profile:
+    """A named scale. Sample rate and input length live in the estimator
+    config, the STFT and band setup in the train config."""
+
     name: str
-    sample_rate: int
-    example_len: int
-    rir_len: int
-    stft_window: int
-    stft_hop: int
-    band_centers: tuple[float, ...]
     ranges: RirParamRanges
     train: TrainConfig
     estimator: EstimatorConfig
     discriminator: DiscriminatorConfig
 
+    @property
+    def rir_len(self) -> int:
+        return self.estimator.rir_len
+
 
 _FULL = Profile(
     name="full",
-    sample_rate=16000,
-    example_len=16000,
-    rir_len=4096,
-    stft_window=256,
-    stft_hop=128,
-    band_centers=FULL_BAND_CENTERS,
     ranges=RirParamRanges(
         t60=(0.1, 0.5), drr=(2.0, 12.0), n_early=(2, 12), direct_delay=(0, 32), rir_len=4096
     ),
-    train=TrainConfig(
-        lambda_edr=1.0,
-        lambda_mse=50.0,
-        batch_size=128,
-        epochs=200,
-        lr_init=8e-5,
-        lr_decay=0.7,
-        lr_every=40,
-        seed=0,
-        generator_loss_form="non_saturating",
-        scale="full",
-        stft_window=256,
-        stft_hop=128,
-        band_centers=FULL_BAND_CENTERS,
-    ),
+    train=TrainConfig(),
     estimator=full_estimator_config(),
     discriminator=full_discriminator_config(),
 )
 
 _TOY = Profile(
     name="toy",
-    sample_rate=8000,
-    example_len=8000,
-    rir_len=256,
-    stft_window=64,
-    stft_hop=32,
-    band_centers=TOY_BAND_CENTERS,
     ranges=RirParamRanges(
         t60=(0.06, 0.15), drr=(3.0, 10.0), n_early=(0, 6), direct_delay=(0, 8), rir_len=256
     ),
@@ -89,11 +63,7 @@ _TOY = Profile(
         batch_size=16,
         epochs=60,
         lr_init=1e-3,
-        lr_decay=0.7,
         lr_every=20,
-        seed=0,
-        generator_loss_form="non_saturating",
-        scale="toy",
         stft_window=64,
         stft_hop=32,
         band_centers=TOY_BAND_CENTERS,
@@ -114,6 +84,6 @@ def get_profile(name: str) -> Profile:
 def profile_for_sample_rate(sample_rate: int) -> Profile:
     """Pick the profile whose sample rate matches a manifest."""
     for profile in PROFILES.values():
-        if profile.sample_rate == sample_rate:
+        if profile.estimator.sample_rate == sample_rate:
             return profile
     raise InvalidInputError(f"no profile uses sample rate {sample_rate}")

@@ -141,8 +141,9 @@ def synth_rir(params: RirParams, sample_rate: int) -> Signal:
     return out
 
 
-def _render_example(clean: Signal, rir: Signal, example_len: int) -> tuple[Signal, Signal]:
-    """Convolve, truncate, and normalize; returns (reverberant, scaled clean).
+def render_example(clean: Signal, rir: Signal, example_len: int) -> tuple[Signal, Signal]:
+    """One example: clean speech convolved with rir, truncated to example_len
+    and peak-normalized to 0.95; returns (reverberant, scaled clean).
 
     The clean signal is rescaled by the same factor that brings the truncated
     convolution to a 0.95 peak, so deconvolving the pair recovers the
@@ -158,13 +159,6 @@ def _render_example(clean: Signal, rir: Signal, example_len: int) -> tuple[Signa
         raise InvalidInputError("convolution is identically zero; cannot peak-normalize")
     scale = REVERB_PEAK / peak
     return Signal(conv * scale, clean.sample_rate), Signal(clean.samples * scale, clean.sample_rate)
-
-
-def make_example(clean: Signal, rir: Signal, example_len: int) -> tuple[Signal, Signal]:
-    """One training pair: reverberant speech truncated to example_len and
-    peak-normalized to 0.95, with the impulse response passed through."""
-    reverberant, _ = _render_example(clean, rir, example_len)
-    return reverberant, rir
 
 
 def speech_like(rng: np.random.Generator, n_samples: int, sample_rate: int) -> Signal:
@@ -355,7 +349,7 @@ def build_dataset(
         params = ranges.sample(rng, entry_seed)
         rir = synth_rir(params, sample_rate)
         clean = _clean_segment(rng, clean_signals, active_len, example_len, sample_rate)
-        reverberant, clean_scaled = _render_example(clean, rir, example_len)
+        reverberant, clean_scaled = render_example(clean, rir, example_len)
 
         base = f"ex_{i:05d}"
         write_wav(out_dir / f"{base}_reverb.wav", reverberant)

@@ -50,11 +50,11 @@ class TrainConfig:
     lr_every: int = 40
     seed: int = 0
     generator_loss_form: str = "non_saturating"
-    scale: str = "full"
     stft_window: int = 256
     stft_hop: int = 128
-    band_centers: tuple[float, ...] = (16, 32, 63, 125, 250, 500, 1000, 2000, 4000)
-    grad_clip: float | None = None
+    band_centers: tuple[float, ...] = (
+        16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0
+    )
 
     def __post_init__(self):
         if self.lambda_edr < 0 or self.lambda_mse < 0:
@@ -128,14 +128,6 @@ def _check_finite(losses: dict[str, float], context: str) -> None:
         raise TrainingDivergedError(f"non-finite loss ({', '.join(bad)}) at {context}")
 
 
-def _clip_grads(grads: list[np.ndarray | None], max_norm: float) -> list[np.ndarray | None]:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads if g is not None))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return [None if g is None else g * scale for g in grads]
-
-
 def train_step(
     estimator: Estimator,
     discriminator: Discriminator,
@@ -167,10 +159,8 @@ def train_step(
     _check_finite({"l_d": l_d.item()}, context)
     discriminator.zero_grad()
     ad.backward(l_d)
-    d_grads = [p.grad for p in discriminator.parameters()]
-    if cfg.grad_clip is not None:
-        d_grads = _clip_grads(d_grads, cfg.grad_clip)
-    ad.rmsprop_step(discriminator.parameters(), d_grads, disc_opt)
+    d_params = discriminator.parameters()
+    ad.rmsprop_step(d_params, [p.grad for p in d_params], disc_opt)
 
     # Estimator half-step.
     fake = estimator.forward(rev_t, train=True, update_stats=True)
@@ -198,10 +188,8 @@ def train_step(
     estimator.zero_grad()
     discriminator.zero_grad()
     ad.backward(total)
-    e_grads = [p.grad for p in estimator.parameters()]
-    if cfg.grad_clip is not None:
-        e_grads = _clip_grads(e_grads, cfg.grad_clip)
-    ad.rmsprop_step(estimator.parameters(), e_grads, est_opt)
+    e_params = estimator.parameters()
+    ad.rmsprop_step(e_params, [p.grad for p in e_params], est_opt)
     return losses
 
 

@@ -38,8 +38,8 @@ def toy_context(tmp_path_factory) -> dict:
             out_dir=tmp_path_factory.mktemp("accept_ds"),
             n_examples=250,
             ranges=profile.ranges,
-            sample_rate=profile.sample_rate,
-            example_len=profile.example_len,
+            sample_rate=profile.estimator.sample_rate,
+            example_len=profile.estimator.input_len,
             splits=(0.8, 0.1, 0.1),
             seed=42,
         )
@@ -367,7 +367,9 @@ class TestCriterion6ToyTrainingConvergence:
         dataset, profile = ctx["dataset"], ctx["profile"]
         stft_cfg = profile.train.stft()
         partition = octave_bands(
-            profile.sample_rate, profile.stft_window, list(profile.band_centers)
+            profile.estimator.sample_rate,
+            profile.train.stft_window,
+            list(profile.train.band_centers),
         )
         net = load_checkpoint(ctx["result"].best_path)
         test_entries = dataset.split_entries("test")
@@ -385,9 +387,9 @@ class TestCriterion6ToyTrainingConvergence:
             return float(np.mean(edr_losses)), float(np.mean(ere_errs))
 
         model_edr, model_ere = scores([estimate(net, r) for r in revs])
-        zeros = Signal(np.zeros(profile.rir_len), profile.sample_rate)
+        zeros = Signal(np.zeros(profile.estimator.rir_len), profile.estimator.sample_rate)
         zeros_edr, zeros_ere = scores([zeros] * len(truths))
-        mean_rir = Signal(train_rirs.mean(axis=0), profile.sample_rate)
+        mean_rir = Signal(train_rirs.mean(axis=0), profile.estimator.sample_rate)
         mean_edr, mean_ere = scores([mean_rir] * len(truths))
 
         assert model_edr < zeros_edr and model_edr < mean_edr
@@ -405,7 +407,9 @@ class TestCriterion7RelativeOrdering:
         dataset, profile = ctx["dataset"], ctx["profile"]
         stft_cfg = profile.train.stft()
         partition = octave_bands(
-            profile.sample_rate, profile.stft_window, list(profile.band_centers)
+            profile.estimator.sample_rate,
+            profile.train.stft_window,
+            list(profile.train.band_centers),
         )
         test_entries = dataset.split_entries("test")
         truths = [read_wav(dataset.path(e.rir)) for e in test_entries]
@@ -419,7 +423,7 @@ class TestCriterion7RelativeOrdering:
                             read_wav(dataset.path(e.reverberant)),
                             read_wav(dataset.clean_path(e)),
                             eps=1e-12,
-                            out_len=profile.rir_len,
+                            out_len=profile.estimator.rir_len,
                         ),
                         t,
                     )

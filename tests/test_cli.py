@@ -165,6 +165,14 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_wav_as_checkpoint_exits_2(self, tmp_path, cli_dataset, capsys):
+        wav = next(cli_dataset.glob("*_reverb.wav"))
+        code = main(
+            ["estimate", "--ckpt", str(wav), "--in", str(wav), "--out", str(tmp_path / "o.wav")]
+        )
+        assert code == 2
+        assert "not a checkpoint" in capsys.readouterr().err
+
     def test_sample_rate_mismatch_exits_2_with_expected_rate(self, tmp_path, cli_run, capsys):
         wrong = tmp_path / "wrong.wav"
         wavfile.write(wrong, 16000, np.zeros(16000, dtype=np.float32))
@@ -267,8 +275,8 @@ class TestPlotData:
         est = estimate(load_checkpoint(cli_run / "best.ckpt"),
                        read_wav(cli_dataset / entry["reverberant"]))
         profile = get_profile("toy")
-        cfg = StftConfig(profile.stft_window, profile.stft_hop, "hann")
-        partition = octave_bands(8000, profile.stft_window, list(profile.band_centers))
+        cfg = StftConfig(profile.train.stft_window, profile.train.stft_hop, "hann")
+        partition = octave_bands(8000, profile.train.stft_window, list(profile.train.band_centers))
         # independent totals: direct bin sums of |STFT|^2 over all frames
         spec_truth = np.abs(stft(truth, cfg)) ** 2
         spec_est = np.abs(stft(est, cfg)) ** 2

@@ -243,9 +243,18 @@ class TestMetricReport:
         truth2 = Signal(rng.uniform(-1, 1, 256), SR)
         est1 = Signal(truth1.samples + 0.01, SR)
         est2 = Signal(truth2.samples - 0.02, SR)
-        report = metric_report([(est1, truth1), (est2, truth2)], CFG, PART)
+        pairs = [(est1, truth1), (est2, truth2)]
+        report = metric_report(pairs, CFG, PART)
         expected = 0.5 * (mse(est1, truth1) + mse(est2, truth2))
         assert report.mse == pytest.approx(expected, rel=1e-12)
+        assert len(report.examples) == len(pairs)
+        for row, (est, truth) in zip(report.examples, pairs):
+            assert row == (
+                edr_loss(est, truth, CFG, PART)[0],
+                abs(ere(est) - ere(truth)),
+                abs(drr(est) - drr(truth)),
+                mse(est, truth),
+            )
 
     def test_csv_shape_and_column_order(self):
         rng = np.random.default_rng(12)

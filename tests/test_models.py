@@ -1,6 +1,8 @@
 """Network construction, shape arithmetic, inference, and checkpoints."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -150,6 +152,36 @@ class TestEstimate:
             estimate(net, Signal(np.zeros(8000), 16000))
 
 
+def _state_digest(net) -> str:
+    """sha256 over every parameter and buffer: name, then float64 bytes."""
+    h = hashlib.sha256()
+    records = [(name, t.data) for name, t in net.named_parameters()]
+    records += [(name, getattr(holder, attr)) for name, holder, attr in net.named_buffers()]
+    for name, arr in records:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestInitialization:
+    def test_seeded_estimator_state_is_pinned(self):
+        net = build_estimator(toy_estimator_config(), seed=0)
+        assert _state_digest(net) == "db5214a441c24fdb"
+
+    def test_seeded_discriminator_state_is_pinned(self):
+        net = build_discriminator(toy_discriminator_config(), seed=1)
+        assert [name for name, _ in net.named_parameters()][-2:] == ["head.weight", "head.bias"]
+        assert _state_digest(net) == "b3b1fd19a6296b02"
+
+
+def _edit_header(path, edit) -> None:
+    """Rewrite a checkpoint's JSON header line in place, keeping the blobs."""
+    line, blobs = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blobs)
+
+
 class TestCheckpoints:
     def test_round_trip_bit_identical_forward(self, tmp_path):
         net = build_estimator(toy_estimator_config(), seed=9)
@@ -174,3 +206,28 @@ class TestCheckpoints:
         bad.write_text('{"format": "something-else"}\n')
         with pytest.raises(InvalidConfigError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("kind"),
+            lambda h: h["config"].update(dropout=0.5),
+            lambda h: h.update(config=[]),
+            lambda h: h["records"][0].pop("shape"),
+        ],
+        ids=["missing_kind", "unknown_config_key", "config_not_object", "record_without_shape"],
+    )
+    def test_reject_malformed_header(self, tmp_path, edit):
+        path = save_checkpoint(build_discriminator(toy_discriminator_config(), seed=1),
+                               tmp_path / "d.ckpt")
+        _edit_header(path, edit)
+        with pytest.raises(InvalidConfigError):
+            load_checkpoint(path)
+
+    def test_legacy_scale_key_still_loads(self, tmp_path):
+        net = build_estimator(toy_estimator_config(), seed=4)
+        path = save_checkpoint(net, tmp_path / "e.ckpt")
+        _edit_header(path, lambda h: h["config"].update(scale="toy"))
+        loaded = load_checkpoint(path)
+        assert loaded.config == net.config
+        assert _state_digest(loaded) == _state_digest(net)

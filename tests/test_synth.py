@@ -15,7 +15,7 @@ from rirlab.synth import (
     RirParams,
     build_dataset,
     load_manifest,
-    make_example,
+    render_example,
     speech_like,
     split_counts,
     synth_rir,
@@ -93,11 +93,10 @@ class TestMakeExample:
         clean = Signal(rng.standard_normal(1000), 8000)
         impulse = np.zeros(64)
         impulse[0] = 1.0
-        reverberant, rir_out = make_example(clean, Signal(impulse, 8000), 1000)
+        reverberant, _ = render_example(clean, Signal(impulse, 8000), 1000)
         assert len(reverberant) == 1000
         expected = clean.samples * (0.95 / np.max(np.abs(clean.samples)))
         np.testing.assert_allclose(reverberant.samples, expected, atol=1e-12)
-        np.testing.assert_array_equal(rir_out.samples, impulse)
 
     def test_one_second_example_at_16k(self):
         rng = np.random.default_rng(1)
@@ -107,7 +106,7 @@ class TestMakeExample:
                       rir_len=4096, seed=9),
             16000,
         )
-        reverberant, _ = make_example(clean, rir, 16000)
+        reverberant, _ = render_example(clean, rir, 16000)
         assert len(reverberant) == 16000
         assert np.max(np.abs(reverberant.samples)) == pytest.approx(0.95, abs=1e-12)
 
@@ -115,13 +114,13 @@ class TestMakeExample:
         clean = Signal(np.zeros(500), 8000)
         rir = Signal(np.r_[1.0, np.zeros(15)], 8000)
         with pytest.raises(InvalidInputError):
-            make_example(clean, rir, 500)
+            render_example(clean, rir, 500)
 
     def test_short_clean_rejected(self):
         clean = Signal(np.ones(100), 8000)
         rir = Signal(np.r_[1.0, np.zeros(15)], 8000)
         with pytest.raises(InvalidInputError):
-            make_example(clean, rir, 500)
+            render_example(clean, rir, 500)
 
 
 class TestSplitCounts:

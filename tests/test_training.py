@@ -29,8 +29,8 @@ def tiny_dataset(tmp_path_factory, toy_profile):
         out_dir=tmp_path_factory.mktemp("tinyds"),
         n_examples=12,
         ranges=toy_profile.ranges,
-        sample_rate=toy_profile.sample_rate,
-        example_len=toy_profile.example_len,
+        sample_rate=toy_profile.estimator.sample_rate,
+        example_len=toy_profile.estimator.input_len,
         splits=(0.7, 0.2, 0.1),
         seed=9,
     )
@@ -44,11 +44,13 @@ def step_setup(toy_profile):
     est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
     disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
     basis = ad.make_dft_basis(cfg.stft())
-    partition = octave_bands(toy_profile.sample_rate, cfg.stft_window, list(cfg.band_centers))
+    partition = octave_bands(
+        toy_profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
+    )
     rng = np.random.default_rng(0)
     batch = (
-        rng.uniform(-0.9, 0.9, (4, toy_profile.example_len)),
-        rng.uniform(-0.9, 0.9, (4, toy_profile.rir_len)),
+        rng.uniform(-0.9, 0.9, (4, toy_profile.estimator.input_len)),
+        rng.uniform(-0.9, 0.9, (4, toy_profile.estimator.rir_len)),
     )
     return cfg, estimator, discriminator, est_opt, disc_opt, basis, partition, batch
 
@@ -186,8 +188,8 @@ class TestTrain:
             out_dir=tmp_path / "noval",
             n_examples=4,
             ranges=toy_profile.ranges,
-            sample_rate=toy_profile.sample_rate,
-            example_len=toy_profile.example_len,
+            sample_rate=toy_profile.estimator.sample_rate,
+            example_len=toy_profile.estimator.input_len,
             splits=(1.0, 0.0, 0.0),
             seed=1,
         )
