@@ -37,18 +37,23 @@ def conv1d(
     if K > Lp:
         raise ShapeMismatchError(f"kernel {K} longer than padded input {Lp}")
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    windows = sliding_window_view(x_pad, K, axis=2)[:, :, ::stride, :]
+    windows = sliding_window_view(x_pad, K, axis=2)[:, :, ::stride, :]  # [B,Cin,Lout,K]
     Lout = windows.shape[2]
-    out_data = np.einsum("bilk,oik->bol", windows, weight.data, optimize=True)
+    # im2col: one row of Cin*K taps per output position, shared by the
+    # forward and the weight-gradient GEMMs.
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
+    out_data = np.ascontiguousarray(
+        (cols @ weight.data.reshape(Cout, Cin * K).T).reshape(B, Lout, Cout).transpose(0, 2, 1)
+    )
     if bias is not None:
         if bias.shape != (Cout,):
             raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
-        out_data = out_data + bias.data[None, :, None]
+        out_data += bias.data[None, :, None]
     out = Tensor(out_data)
 
     def backward_fn(g):
         gw = (
-            np.einsum("bol,bilk->oik", g, windows, optimize=True)
+            (g.transpose(0, 2, 1).reshape(B * Lout, Cout).T @ cols).reshape(Cout, Cin, K)
             if weight.requires_grad
             else None
         )
@@ -144,11 +149,11 @@ class BatchNormState:
 
 
 def batchnorm1d(
-    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool,
-    update_stats: bool = True,
+    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool
 ) -> Tensor:
     """Per-channel normalization of [B,C,L]; batch statistics in train mode
-    (batch of >= 2 required), running statistics in eval mode."""
+    (batch of >= 2 required), which also update the running statistics, and
+    running statistics in eval mode."""
     B, C, L = _as_3d(x, "batchnorm1d input")
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeMismatchError(f"gamma/beta must be ({C},), got {gamma.shape}/{beta.shape}")
@@ -157,10 +162,9 @@ def batchnorm1d(
             raise InvalidInputError("batchnorm1d needs a batch of at least 2 in train mode")
         mean = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
-        if update_stats:
-            m = state.momentum
-            state.running_mean = (1 - m) * state.running_mean + m * mean
-            state.running_var = (1 - m) * state.running_var + m * var
+        m = state.momentum
+        state.running_mean = (1 - m) * state.running_mean + m * mean
+        state.running_var = (1 - m) * state.running_var + m * var
     else:
         mean, var = state.running_mean, state.running_var
     inv = 1.0 / np.sqrt(var + state.eps)

@@ -24,25 +24,50 @@ class RmspropState:
         return cls(lr=lr, rho=rho, eps=eps, square_avg=[np.zeros_like(p.data) for p in params])
 
 
+CHUNK = 1 << 15  # elements per block: two scratch blocks stay in cache
+
+
 def rmsprop_step(
     params: list[Tensor], grads: list[np.ndarray | None], state: RmspropState
 ) -> None:
     """acc <- rho*acc + (1-rho)*g^2;  p <- p - lr*g/(sqrt(acc) + eps).
 
     A None gradient decays its accumulator and leaves the parameter alone.
-    Updates happen in place on the parameter tensors and the state.
+    Updates happen in place on the parameter tensors and the state. Each
+    parameter is walked in blocks of CHUNK elements, so every pass over a
+    block reads it from cache; the operations and their rounding order are
+    those of the expressions above, evaluated left to right.
     """
     if len(params) != len(grads) or len(params) != len(state.square_avg):
         raise ShapeMismatchError(
             f"got {len(params)} params, {len(grads)} grads, {len(state.square_avg)} accumulators"
         )
+    rho, one_minus_rho, lr, eps = state.rho, 1.0 - state.rho, state.lr, state.eps
+    scratch1, scratch2 = np.empty(CHUNK), np.empty(CHUNK)
     for p, g, acc in zip(params, grads, state.square_avg):
         if acc.shape != p.data.shape:
             raise ShapeMismatchError(f"accumulator {acc.shape} does not match param {p.shape}")
-        acc *= state.rho
         if g is None:
+            acc *= rho
             continue
         if g.shape != p.data.shape:
             raise ShapeMismatchError(f"gradient {g.shape} does not match param {p.shape}")
-        acc += (1.0 - state.rho) * g * g
-        p.data -= state.lr * g / (np.sqrt(acc) + state.eps)
+        # reshape(-1) is a view of a contiguous array and a copy of any
+        # other; a copy is written back after the blocks below.
+        p_flat, acc_flat, g_flat = p.data.reshape(-1), acc.reshape(-1), g.reshape(-1)
+        for start in range(0, g_flat.size, CHUNK):
+            stop = min(start + CHUNK, g_flat.size)
+            gc, ac, pc = g_flat[start:stop], acc_flat[start:stop], p_flat[start:stop]
+            t1, t2 = scratch1[: stop - start], scratch2[: stop - start]
+            ac *= rho
+            np.multiply(gc, one_minus_rho, out=t1)
+            t1 *= gc
+            ac += t1
+            np.sqrt(ac, out=t1)
+            t1 += eps
+            np.multiply(gc, lr, out=t2)
+            t2 /= t1
+            pc -= t2
+        for whole, flat in ((p.data, p_flat), (acc, acc_flat)):
+            if not np.may_share_memory(whole, flat):
+                whole[...] = flat.reshape(whole.shape)

@@ -1,15 +1,22 @@
 """Reverse-mode differentiation: tensors and the recording tape.
 
-Forward operators append (output id, inputs, backward closure) records to a
-global tape whenever gradients are enabled and any input requires them.
-backward() sweeps the records in reverse, accumulates adjoints additively
-across fan-out, deposits .grad on leaf tensors, and consumes the tape; a
-second backward without new recorded work is an error.
+Forward operators append (output id, inputs, backward closure) records to the
+calling thread's tape whenever its grad mode is on and any input requires
+gradients. The tape and the grad mode are per thread, so a no_grad block in
+one thread never switches recording off or on in another.
+
+backward(loss) sweeps the records in reverse, accumulates adjoints additively
+across fan-out and deposits .grad on leaf tensors. It consumes only the
+records it reaches from loss; records of other graphs stay on the tape for a
+later backward. A second backward on the same loss finds no record that
+produces it, which is an error; so is a backward whose graph reaches a tensor
+whose record an earlier backward consumed.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -23,13 +30,14 @@ _ids = itertools.count()
 class Tensor:
     """A float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id")
+    __slots__ = ("data", "requires_grad", "grad", "node_id", "recorded")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node_id = next(_ids)
+        self.recorded = False  # set once a tape record produces this tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,28 +97,37 @@ class Tape:
         self.entries.clear()
 
 
-_tape = Tape()
-_grad_enabled = True
+class _ThreadState(threading.local):
+    """Each thread starts with an empty tape and grad mode on."""
+
+    def __init__(self):
+        self.tape = Tape()
+        self.grad_enabled = True
+
+
+_state = _ThreadState()
 
 
 def active_tape() -> Tape:
-    return _tape
+    """The calling thread's tape."""
+    return _state.tape
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    """Whether the calling thread records operations."""
+    return _state.grad_enabled
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (eval-mode forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording in the calling thread inside the block
+    (eval-mode forwards)."""
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
@@ -119,26 +136,50 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None
     backward_fn maps the upstream gradient array to one gradient array (or
     None) per input, in order.
     """
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    state = _state
+    if state.grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape.entries.append((out.node_id, tuple(inputs), backward_fn))
+        out.recorded = True
+        state.tape.entries.append((out.node_id, tuple(inputs), backward_fn))
 
 
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; deposits .grad on leaf tensors.
 
     Gradients accumulate additively when a tensor feeds several consumers.
-    The tape is consumed: calling backward again before recording new work
-    raises.
+    The records reachable from loss are removed from the tape; the others
+    stay. Calling backward on a loss that no record on the tape produces,
+    such as the same loss a second time, raises. So does a graph that reaches
+    a tensor whose record is gone (consumed by an earlier backward, or
+    cleared): it would otherwise be taken for a leaf and its inputs would get
+    no gradient. Both checks run before any .grad is touched.
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not _tape.entries:
-        raise InvalidInputError("tape is empty; backward was already called or nothing was recorded")
+    tape = _state.tape
+    produced = {out_id for out_id, _, _ in tape.entries}
+    if loss.node_id not in produced:
+        raise InvalidInputError(
+            "no record on the tape produces this loss; backward was already called "
+            "or nothing was recorded"
+        )
 
-    produced = {out_id for out_id, _, _ in _tape.entries}
+    reached = {loss.node_id}
+    mine, kept = [], []
+    for entry in reversed(tape.entries):
+        if entry[0] in reached:
+            mine.append(entry)
+            reached.update(t.node_id for t in entry[1])
+        else:
+            kept.append(entry)
+    if any(t.recorded and t.node_id not in produced for _, inputs, _ in mine for t in inputs):
+        raise InvalidInputError(
+            "this graph reaches a tensor whose record is no longer on the tape; "
+            "an earlier backward consumed it or the tape was cleared"
+        )
+
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for out_id, inputs, backward_fn in reversed(_tape.entries):
+    for out_id, inputs, backward_fn in mine:
         g = grads.pop(out_id, None)
         if g is None:
             continue
@@ -155,4 +196,5 @@ def backward(loss: Tensor) -> None:
                 grads[tensor.node_id] = gi if acc is None else acc + gi
             else:
                 tensor.grad = gi.copy() if tensor.grad is None else tensor.grad + gi
-    _tape.clear()
+    kept.reverse()
+    tape.entries = kept

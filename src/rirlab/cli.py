@@ -170,16 +170,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimate_for_entry(method: str, net, manifest: DatasetManifest, entry, eps: float) -> Signal:
-    truth_path = manifest.path(entry.rir)
+def _estimate_for_entry(
+    method: str, net, manifest: DatasetManifest, entry, eps: float
+) -> tuple[Signal, Signal]:
+    """(estimate, ground truth) for one manifest entry; each file is read once."""
+    truth = read_wav(manifest.path(entry.rir))
     if method == "identity":
-        return read_wav(truth_path)
-    if method == "baseline":
-        reverberant = read_wav(manifest.path(entry.reverberant))
-        clean = read_wav(manifest.clean_path(entry))
-        return spectral_deconvolve(reverberant, clean, eps, entry.params.rir_len)
+        return truth, truth
     reverberant = read_wav(manifest.path(entry.reverberant))
-    return estimate(net, _fit_length(reverberant, net.config.input_len))
+    if method == "baseline":
+        clean = read_wav(manifest.clean_path(entry))
+        return spectral_deconvolve(reverberant, clean, eps, entry.params.rir_len), truth
+    return estimate(net, _fit_length(reverberant, net.config.input_len)), truth
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -198,13 +200,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     stft_cfg, partition = _eval_setup(manifest, args.profile)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        estimates = list(
+        pairs = list(
             pool.map(
                 lambda e: _estimate_for_entry(method, net, manifest, e, args.eps), entries
             )
         )
-    truths = [read_wav(manifest.path(e.rir)) for e in entries]
-    report = metrics.metric_report(list(zip(estimates, truths)), stft_cfg, partition)
+    report = metrics.metric_report(pairs, stft_cfg, partition)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

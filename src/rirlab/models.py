@@ -45,7 +45,7 @@ class Layer:
 
     param_names: tuple[str, ...] = ()
 
-    def forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
+    def forward(self, x: Tensor, train: bool) -> Tensor:
         raise NotImplementedError
 
     def out_shape(self, channels: int, length: int) -> tuple[int, int]:
@@ -68,7 +68,7 @@ class Conv1dLayer(Layer):
         )
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
-    def forward(self, x, train, update_stats):
+    def forward(self, x, train):
         return ad.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def out_shape(self, channels: int, length: int) -> tuple[int, int]:
@@ -93,7 +93,7 @@ class ConvTranspose1dLayer(Layer):
         )
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
-    def forward(self, x, train, update_stats):
+    def forward(self, x, train):
         return ad.conv_transpose1d(
             x,
             self.weight,
@@ -121,8 +121,8 @@ class BatchNorm1dLayer(Layer):
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.state = ad.BatchNormState.for_channels(channels)
 
-    def forward(self, x, train, update_stats):
-        return ad.batchnorm1d(x, self.gamma, self.beta, self.state, train, update_stats)
+    def forward(self, x, train):
+        return ad.batchnorm1d(x, self.gamma, self.beta, self.state, train)
 
     def out_shape(self, channels, length):
         if channels != self.gamma.shape[0]:
@@ -139,17 +139,17 @@ class PReLULayer(Layer):
     def __init__(self, channels: int):
         self.slope = Tensor(np.full(channels, 0.25), requires_grad=True)
 
-    def forward(self, x, train, update_stats):
+    def forward(self, x, train):
         return ad.prelu(x, self.slope)
 
 
 class LeakyReLULayer(Layer):
-    def forward(self, x, train, update_stats):
+    def forward(self, x, train):
         return ad.leaky_relu(x)
 
 
 class TanhLayer(Layer):
-    def forward(self, x, train, update_stats):
+    def forward(self, x, train):
         return ad.tanh(x)
 
 
@@ -164,7 +164,7 @@ class FlattenLinearLayer(Layer):
         )
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
-    def forward(self, x, train, update_stats):
+    def forward(self, x, train):
         return ad.linear(ad.flatten(x), self.weight, self.bias)
 
     def out_shape(self, channels, length):
@@ -341,9 +341,9 @@ class Network:
         for t in self.parameters():
             t.zero_grad()
 
-    def _run(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
+    def _run(self, x: Tensor, train: bool) -> Tensor:
         for _, layer in self.layers:
-            x = layer.forward(x, train, update_stats)
+            x = layer.forward(x, train)
         return x
 
     def _trace(self, channels: int, length: int) -> tuple[int, int]:
@@ -415,12 +415,12 @@ class Estimator(Network):
                 f"expected [1, {c.rir_len}]"
             )
 
-    def forward(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
+    def forward(self, x: Tensor, train: bool) -> Tensor:
         if x.data.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_len:
             raise InvalidInputError(
                 f"estimator expects [B, 1, {self.config.input_len}], got {x.shape}"
             )
-        return self._run(x, train, update_stats)
+        return self._run(x, train)
 
 
 class Discriminator(Network):
@@ -451,7 +451,7 @@ class Discriminator(Network):
             raise InvalidInputError(
                 f"discriminator expects length {self.config.rir_len}, got {rir.shape[2]}"
             )
-        return self._run(ad.concat_channels(rir, condition), train, update_stats=True)
+        return self._run(ad.concat_channels(rir, condition), train)
 
 
 def build_estimator(cfg: EstimatorConfig, seed: int) -> Estimator:

@@ -140,57 +140,68 @@ def train_step(
     context: str = "step",
 ) -> StepLosses:
     """One alternation: a discriminator update on real/fake pairs with the
-    fake detached, then an estimator update on the composite loss."""
+    fake detached, then an estimator update on the composite loss.
+
+    The estimator runs forward once, before the discriminator update, which
+    leaves the estimator's parameters alone; both half-steps use that output.
+    Every tape record the step adds is consumed by its two backward sweeps,
+    or dropped if the step raises.
+    """
     rev, rir = batch
     cond = make_condition(
         rev, discriminator.config.condition_len, discriminator.config.rir_len
     )
     rev_t = Tensor(rev[:, None, :])
     rir_t = Tensor(rir[:, None, :])
+    tape = ad.active_tape()
+    mark = len(tape)
+    try:
+        fake = estimator.forward(rev_t, train=True)
 
-    # Discriminator half-step: descend the negation of its objective.
-    with ad.no_grad():
-        fake_detached = estimator.forward(rev_t, train=True, update_stats=False).detach()
-    real_logits = discriminator.forward(rir_t, Tensor(cond), train=True)
-    fake_logits = discriminator.forward(fake_detached, Tensor(cond), train=True)
-    ones = np.ones(real_logits.shape)
-    zeros = np.zeros(fake_logits.shape)
-    l_d = ad.bce_logit_loss(real_logits, ones) + ad.bce_logit_loss(fake_logits, zeros)
-    _check_finite({"l_d": l_d.item()}, context)
-    discriminator.zero_grad()
-    ad.backward(l_d)
-    d_params = discriminator.parameters()
-    ad.rmsprop_step(d_params, [p.grad for p in d_params], disc_opt)
+        # Discriminator half-step: descend the negation of its objective.
+        real_logits = discriminator.forward(rir_t, Tensor(cond), train=True)
+        fake_logits = discriminator.forward(fake.detach(), Tensor(cond), train=True)
+        ones = np.ones(real_logits.shape)
+        zeros = np.zeros(fake_logits.shape)
+        l_d = ad.bce_logit_loss(real_logits, ones) + ad.bce_logit_loss(fake_logits, zeros)
+        _check_finite({"l_d": l_d.item()}, context)
+        discriminator.zero_grad()
+        ad.backward(l_d)
+        d_params = discriminator.parameters()
+        ad.rmsprop_step(d_params, [p.grad for p in d_params], disc_opt)
 
-    # Estimator half-step.
-    fake = estimator.forward(rev_t, train=True, update_stats=True)
-    adv_logits = discriminator.forward(fake, Tensor(cond), train=True)
-    if cfg.generator_loss_form == "non_saturating":
-        l_cgan = ad.bce_logit_loss(adv_logits, np.ones(adv_logits.shape))
-    else:
-        l_cgan = -1.0 * ad.bce_logit_loss(adv_logits, np.zeros(adv_logits.shape))
-    l_edr = ad.mse_loss(
-        ad.framed_band_energy(fake, basis, partition),
-        ad.framed_band_energy(rir_t, basis, partition),
-    )
-    l_mse = ad.mse_loss(fake, rir_t)
-    total = l_cgan + cfg.lambda_edr * l_edr + cfg.lambda_mse * l_mse
-    losses = StepLosses(
-        l_edr=l_edr.item(),
-        l_mse=l_mse.item(),
-        l_cgan=l_cgan.item(),
-        l_e_total=total.item(),
-        l_d=l_d.item(),
-    )
-    _check_finite(
-        {"l_edr": losses.l_edr, "l_mse": losses.l_mse, "l_cgan": losses.l_cgan}, context
-    )
-    estimator.zero_grad()
-    discriminator.zero_grad()
-    ad.backward(total)
-    e_params = estimator.parameters()
-    ad.rmsprop_step(e_params, [p.grad for p in e_params], est_opt)
-    return losses
+        # Estimator half-step.
+        adv_logits = discriminator.forward(fake, Tensor(cond), train=True)
+        if cfg.generator_loss_form == "non_saturating":
+            l_cgan = ad.bce_logit_loss(adv_logits, np.ones(adv_logits.shape))
+        else:
+            l_cgan = -1.0 * ad.bce_logit_loss(adv_logits, np.zeros(adv_logits.shape))
+        l_edr = ad.mse_loss(
+            ad.framed_band_energy(fake, basis, partition),
+            ad.framed_band_energy(rir_t, basis, partition),
+        )
+        l_mse = ad.mse_loss(fake, rir_t)
+        total = l_cgan + cfg.lambda_edr * l_edr + cfg.lambda_mse * l_mse
+        losses = StepLosses(
+            l_edr=l_edr.item(),
+            l_mse=l_mse.item(),
+            l_cgan=l_cgan.item(),
+            l_e_total=total.item(),
+            l_d=l_d.item(),
+        )
+        _check_finite(
+            {"l_edr": losses.l_edr, "l_mse": losses.l_mse, "l_cgan": losses.l_cgan}, context
+        )
+        estimator.zero_grad()
+        discriminator.zero_grad()
+        ad.backward(total)
+        e_params = estimator.parameters()
+        ad.rmsprop_step(e_params, [p.grad for p in e_params], est_opt)
+        return losses
+    finally:
+        # Records added before the step are never reached from its losses,
+        # so they stay at the front of the tape.
+        del tape.entries[mark:]
 
 
 def validation_edr(

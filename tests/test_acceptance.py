@@ -126,14 +126,13 @@ class TestCriterion1GradientIntegrity:
             target_b = rng.standard_normal((Bn, C, Ln))
             out = ad.batchnorm1d(
                 xb, gamma, beta, ad.BatchNormState.for_channels(C), train=True,
-                update_stats=False,
             )
             ad.backward(ad.mse_loss(out, Tensor(target_b)))
 
             def f_bn():
                 o = ad.batchnorm1d(
                     Tensor(xb.data), Tensor(gamma.data), Tensor(beta.data),
-                    ad.BatchNormState.for_channels(C), train=True, update_stats=False,
+                    ad.BatchNormState.for_channels(C), train=True,
                 )
                 return float(np.mean((o.data - target_b) ** 2))
 

@@ -1,6 +1,8 @@
 """Engine tests: forward oracles, finite-difference gradients, tape
 semantics, and the optimizer's closed forms."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,36 @@ class TestConv1d:
             ad.conv1d(x, Tensor(np.zeros((3, 4, 2))))
         with pytest.raises(ShapeMismatchError):
             ad.conv1d(x, Tensor(np.zeros((3, 2, 9))))
+
+    def test_long_strided_kernel_against_loop_and_finite_differences(self):
+        # The first estimator layer's shape class: one input channel, a kernel
+        # much longer than the stride, padding on both sides.
+        rng = np.random.default_rng(21)
+        cin, k, stride, padding = 1, 33, 5, 16
+        x = Tensor(rng.standard_normal((2, cin, 40)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, cin, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        out = ad.conv1d(x, w, b, stride, padding)
+
+        x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
+        lout = (x_pad.shape[2] - k) // stride + 1
+        expected = np.zeros((2, 3, lout))
+        for bi in range(2):
+            for o in range(3):
+                for t in range(lout):
+                    window = x_pad[bi, :, t * stride : t * stride + k]
+                    expected[bi, o, t] = np.sum(window * w.data[o]) + b.data[o]
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+
+        target = rng.standard_normal(out.shape)
+        ad.backward(ad.mse_loss(out, Tensor(target)))
+
+        def f():
+            o = ad.conv1d(Tensor(x.data), Tensor(w.data), Tensor(b.data), stride, padding)
+            return float(np.mean((o.data - target) ** 2))
+
+        assert relative_error(w.grad, numeric_grad(f, w.data)) < 1e-6
 
 
 class TestConvTranspose1d:
@@ -175,14 +207,14 @@ class TestBatchNorm:
         beta = Tensor(rng.standard_normal(2), requires_grad=True)
         target = rng.standard_normal((3, 2, 6))
         out = ad.batchnorm1d(
-            x, gamma, beta, ad.BatchNormState.for_channels(2), train=True, update_stats=False
+            x, gamma, beta, ad.BatchNormState.for_channels(2), train=True
         )
         ad.backward(ad.mse_loss(out, Tensor(target)))
 
         def f():
             o = ad.batchnorm1d(
                 Tensor(x.data), Tensor(gamma.data), Tensor(beta.data),
-                ad.BatchNormState.for_channels(2), train=True, update_stats=False,
+                ad.BatchNormState.for_channels(2), train=True,
             )
             return float(np.mean((o.data - target) ** 2))
 
@@ -361,6 +393,79 @@ class TestBackward:
         ad.backward(y.sum())
         np.testing.assert_array_equal(x.grad, np.ones(3))
 
+    def test_backward_keeps_records_of_other_losses(self):
+        rng = np.random.default_rng(14)
+        w1 = Tensor(rng.standard_normal((2, 1, 3)), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((2, 1, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 1, 8)))
+        target = rng.standard_normal((2, 2, 8))
+
+        def loss_of(w):
+            return ad.mse_loss(ad.tanh(ad.conv1d(x, w, padding=1)), Tensor(target))
+
+        loss1, loss2 = loss_of(w1), loss_of(w2)
+        n2 = len(ad.active_tape()) // 2
+        ad.backward(loss1)
+        assert len(ad.active_tape()) == n2
+        assert w2.grad is None
+        ad.backward(loss2)
+        assert len(ad.active_tape()) == 0
+
+        alone = Tensor(w2.data.copy(), requires_grad=True)
+        ad.backward(loss_of(alone))
+        np.testing.assert_array_equal(w2.grad, alone.grad)
+
+    def test_backward_through_consumed_intermediate_is_an_error(self):
+        # loss1 and loss2 share y. backward(loss1) consumes y's records, so
+        # backward(loss2) cannot reach w; it must raise, not treat y as a leaf.
+        rng = np.random.default_rng(17)
+        w = Tensor(rng.standard_normal((2, 1, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 1, 8)))
+        y = ad.tanh(ad.conv1d(x, w, padding=1))
+        loss1 = ad.mse_loss(y, Tensor(rng.standard_normal((2, 2, 8))))
+        loss2 = ad.mse_loss(y, Tensor(rng.standard_normal((2, 2, 8))))
+        ad.backward(loss1)
+        w_grad, n_left = w.grad.copy(), len(ad.active_tape())
+        with pytest.raises(InvalidInputError):
+            ad.backward(loss2)
+        np.testing.assert_array_equal(w.grad, w_grad)
+        assert y.grad is None
+        assert len(ad.active_tape()) == n_left
+
+
+class TestThreadLocalGradMode:
+    def test_interleaved_no_grad_blocks_in_two_threads(self):
+        # A enters no_grad, B enters no_grad, A exits, B exits. With one
+        # process-wide flag, B's exit would restore the "off" it saw on entry.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with ad.no_grad():
+                a_in.set()
+                assert b_in.wait(5)
+            x = Tensor(np.ones(2), requires_grad=True)
+            x + x  # recorded on A's own tape
+            seen["a_tape"] = len(ad.active_tape())
+            a_out.set()
+
+        def thread_b():
+            assert a_in.wait(5)
+            with ad.no_grad():
+                b_in.set()
+                assert a_out.wait(5)
+                seen["b_grad_after_a_exit"] = ad.is_grad_enabled()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a_tape": 1, "b_grad_after_a_exit": False}
+        assert ad.is_grad_enabled() is True
+        assert len(ad.active_tape()) == 0
+
 
 class TestRmsprop:
     def test_zero_gradient_decays_accumulator_only(self):
@@ -397,3 +502,39 @@ class TestRmsprop:
         state = ad.RmspropState.for_params([p], lr=0.1)
         with pytest.raises(ShapeMismatchError):
             ad.rmsprop_step([p], [np.zeros(4)], state)
+
+    def test_blocked_update_bit_identical_to_closed_form(self):
+        # 100,003 elements cross several block boundaries and end in a
+        # partial block; the second parameter has no gradient.
+        rng = np.random.default_rng(15)
+        lr, rho, eps = 3e-4, 0.99, 1e-8
+        big = Tensor(rng.standard_normal(100_003))
+        frozen = Tensor(rng.standard_normal((4, 5)))
+        state = ad.RmspropState.for_params([big, frozen], lr=lr, rho=rho, eps=eps)
+        state.square_avg[1][:] = rng.uniform(0.0, 1.0, (4, 5))
+        p_ref, acc_ref = big.data.copy(), np.zeros(100_003)
+        frozen_ref, acc_frozen_ref = frozen.data.copy(), state.square_avg[1].copy()
+        for _ in range(2):
+            g = rng.standard_normal(100_003)
+            ad.rmsprop_step([big, frozen], [g, None], state)
+            acc_ref *= rho
+            acc_ref += (1.0 - rho) * g * g
+            p_ref -= lr * g / (np.sqrt(acc_ref) + eps)
+            acc_frozen_ref *= rho
+        np.testing.assert_array_equal(big.data, p_ref)
+        np.testing.assert_array_equal(state.square_avg[0], acc_ref)
+        np.testing.assert_array_equal(frozen.data, frozen_ref)
+        np.testing.assert_array_equal(state.square_avg[1], acc_frozen_ref)
+
+    def test_non_contiguous_parameter_updated_in_place(self):
+        # A transposed array cannot be flattened without a copy; the update
+        # must still land in the parameter and the accumulator.
+        rng = np.random.default_rng(16)
+        p = Tensor(rng.standard_normal((3, 5)).T)
+        state = ad.RmspropState(lr=0.1, rho=0.9, square_avg=[np.ones((3, 5)).T])
+        assert not p.data.flags.c_contiguous and not state.square_avg[0].flags.c_contiguous
+        g = rng.standard_normal((5, 3))
+        p_ref = p.data - 0.1 * g / (np.sqrt(0.9 + 0.1 * g * g) + state.eps)
+        ad.rmsprop_step([p], [g], state)
+        np.testing.assert_allclose(state.square_avg[0], 0.9 + 0.1 * g * g, rtol=1e-15)
+        np.testing.assert_allclose(p.data, p_ref, rtol=1e-15)

@@ -204,6 +204,20 @@ class TestEvaluate:
         assert float(drr_mae) == 0.0
         assert float(mse) == 0.0
 
+    def test_identity_reads_each_truth_once(self, tmp_path, cli_dataset, monkeypatch):
+        from rirlab import cli
+
+        reads = []
+        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        code = main(
+            ["evaluate", "--manifest", str(cli_dataset / "manifest.json"), "--split", "train",
+             "--method", "identity", "--out", str(tmp_path / "ident.csv")]
+        )
+        assert code == 0
+        manifest = json.loads((cli_dataset / "manifest.json").read_text())
+        truths = [e["rir"] for e in manifest["entries"] if e["split"] == "train"]
+        assert sorted(Path(p).name for p in reads) == sorted(Path(t).name for t in truths)
+
     def test_baseline_near_exact_on_synthetic_data(self, tmp_path, cli_dataset):
         out = tmp_path / "base.csv"
         code = main(

@@ -85,7 +85,7 @@ class TestTrainStep:
         # discriminator half-step leaves the estimator untouched
         est_before = _param_digest(est)
         with ad.no_grad():
-            fake = est.forward(Tensor(rev[:, None, :]), train=True, update_stats=False).detach()
+            fake = est.forward(Tensor(rev[:, None, :]), train=True).detach()
         real_logits = disc.forward(Tensor(rir[:, None, :]), Tensor(cond), train=True)
         fake_logits = disc.forward(fake, Tensor(cond), train=True)
         l_d = ad.bce_logit_loss(real_logits, np.ones(real_logits.shape)) + ad.bce_logit_loss(
@@ -137,6 +137,85 @@ class TestTrainStep:
                 est, disc, (rev, batch[1]), cfg, eo, do, basis, part,
                 context="epoch 3 step 1",
             )
+
+
+def _two_forward_step(est, disc, batch, cfg, eo, do, basis, part):
+    """The step as written before it shared one estimator forward: a no_grad
+    estimator forward for the discriminator half-step, with the batchnorm
+    running statistics restored after it, then a second forward with grad."""
+    rev, rir = batch
+    cond = make_condition(rev, disc.config.condition_len, disc.config.rir_len)
+    rev_t, rir_t = Tensor(rev[:, None, :]), Tensor(rir[:, None, :])
+    saved = [(holder, attr, getattr(holder, attr)) for _, holder, attr in est.named_buffers()]
+    with ad.no_grad():
+        fake_detached = est.forward(rev_t, train=True).detach()
+    for holder, attr, value in saved:
+        setattr(holder, attr, value)
+    real_logits = disc.forward(rir_t, Tensor(cond), train=True)
+    fake_logits = disc.forward(fake_detached, Tensor(cond), train=True)
+    l_d = ad.bce_logit_loss(real_logits, np.ones(real_logits.shape)) + ad.bce_logit_loss(
+        fake_logits, np.zeros(fake_logits.shape)
+    )
+    disc.zero_grad()
+    ad.backward(l_d)
+    ad.rmsprop_step(disc.parameters(), [p.grad for p in disc.parameters()], do)
+
+    fake = est.forward(rev_t, train=True)
+    adv_logits = disc.forward(fake, Tensor(cond), train=True)
+    l_cgan = ad.bce_logit_loss(adv_logits, np.ones(adv_logits.shape))
+    l_edr = ad.mse_loss(
+        ad.framed_band_energy(fake, basis, part), ad.framed_band_energy(rir_t, basis, part)
+    )
+    l_mse = ad.mse_loss(fake, rir_t)
+    total = l_cgan + cfg.lambda_edr * l_edr + cfg.lambda_mse * l_mse
+    est.zero_grad()
+    disc.zero_grad()
+    ad.backward(total)
+    ad.rmsprop_step(est.parameters(), [p.grad for p in est.parameters()], eo)
+    return training.StepLosses(
+        l_edr=l_edr.item(), l_mse=l_mse.item(), l_cgan=l_cgan.item(),
+        l_e_total=total.item(), l_d=l_d.item(),
+    )
+
+
+def _state_bytes(net, opt):
+    arrays = [p.data for p in net.parameters()]
+    arrays += [getattr(holder, attr) for _, holder, attr in net.named_buffers()]
+    return [a.tobytes() for a in arrays + opt.square_avg]
+
+
+class TestSingleEstimatorForward:
+    def test_bit_identical_to_two_forward_reference(self, step_setup, toy_profile):
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        ref_est = build_estimator(toy_profile.estimator, seed=cfg.seed)
+        ref_disc = build_discriminator(toy_profile.discriminator, seed=cfg.seed + 1)
+        ref_eo = ad.RmspropState.for_params(ref_est.parameters(), lr=cfg.lr_init)
+        ref_do = ad.RmspropState.for_params(ref_disc.parameters(), lr=cfg.lr_init)
+        for _ in range(2):
+            got = train_step(est, disc, batch, cfg, eo, do, basis, part)
+            want = _two_forward_step(ref_est, ref_disc, batch, cfg, ref_eo, ref_do, basis, part)
+            assert got == want
+        assert _state_bytes(est, eo) == _state_bytes(ref_est, ref_eo)
+        assert _state_bytes(disc, do) == _state_bytes(ref_disc, ref_do)
+
+    def test_estimator_forward_runs_once_per_step(self, step_setup, monkeypatch):
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        calls = []
+        forward = est.forward
+        monkeypatch.setattr(est, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert len(calls) == 2
+
+    def test_tape_empty_after_step_and_after_divergence(self, step_setup):
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert len(ad.active_tape()) == 0
+        rev = batch[0].copy()
+        rev[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            train_step(est, disc, (rev, batch[1]), cfg, eo, do, basis, part)
+        assert len(ad.active_tape()) == 0
 
 
 class TestTrainConfig:
