@@ -20,6 +20,22 @@ def _as_3d(x: Tensor, name: str) -> tuple[int, int, int]:
     return x.shape
 
 
+def _overlap_add(y: np.ndarray, weight: np.ndarray, stride: int, length: int) -> np.ndarray:
+    """Transposed-convolution kernel, shared by conv1d's input gradient and
+    conv_transpose1d's forward: y [B,Ci,N] through weight [Ci,Co,K], each
+    input position's K taps added in at stride -> [B,Co,length], where
+    length >= (N-1)*stride + K."""
+    cols = np.einsum("bil,iok->bolk", y, weight, optimize=True)
+    out = np.zeros((y.shape[0], weight.shape[1], length))
+    for k in range(weight.shape[2]):
+        out[:, :, k : k + stride * y.shape[2] : stride] += cols[:, :, :, k]
+    return out
+
+
+# The correlate direction (conv1d's forward, conv_transpose1d's input
+# gradient) keeps two kernels with equal results: an im2col GEMM measured
+# faster than an einsum for the former, led by the long one-channel first
+# conv, and slower for the latter, led by the decoder's short kernels.
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
@@ -60,11 +76,7 @@ def conv1d(
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gcols = np.einsum("bol,oik->bilk", g, weight.data, optimize=True)
-            gxp = np.zeros((B, Cin, Lp))
-            for k in range(K):
-                gxp[:, :, k : k + stride * Lout : stride] += gcols[:, :, :, k]
-            gx = gxp[:, :, padding : padding + L]
+            gx = _overlap_add(g, weight.data, stride, Lp)[:, :, padding : padding + L]
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     record(out, (x, weight, bias) if bias is not None else (x, weight), backward_fn)
@@ -98,10 +110,7 @@ def conv_transpose1d(
     if L_out < 1:
         raise ShapeMismatchError(f"output length {L_out} is not positive")
 
-    cols = np.einsum("bil,iok->bolk", x.data, weight.data, optimize=True)
-    full = np.zeros((B, Cout, L_full))
-    for k in range(K):
-        full[:, :, k : k + stride * L : stride] += cols[:, :, :, k]
+    full = _overlap_add(x.data, weight.data, stride, L_full)
     out_data = np.zeros((B, Cout, L_out))
     span = min(L_full, padding + L_out) - padding
     if span > 0:

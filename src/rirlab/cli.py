@@ -65,13 +65,9 @@ def _load_estimator(path: str) -> Estimator:
     return net
 
 
-def _eval_setup(manifest: DatasetManifest, profile_name: str):
-    profile = (
-        profile_for_sample_rate(manifest.sample_rate)
-        if profile_name == "auto"
-        else get_profile(profile_name)
-    )
-    cfg = profile.train
+def _eval_setup(manifest: DatasetManifest):
+    """STFT and bands of the profile whose sample rate matches the manifest."""
+    cfg = profile_for_sample_rate(manifest.sample_rate).train
     return cfg.stft(), octave_bands(manifest.sample_rate, cfg.stft_window, list(cfg.band_centers))
 
 
@@ -84,17 +80,13 @@ def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
         key, value = raw.split("=", 1)
         if key not in fields:
             raise InvalidInputError(f"unknown train config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
-            updates[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            updates[key] = int(value)
-        elif isinstance(current, float):
-            updates[key] = float(value)
-        elif isinstance(current, str):
-            updates[key] = value
-        else:
+        kind = type(getattr(cfg, key))
+        if kind not in (int, float, str):
             raise InvalidInputError(f"key {key!r} cannot be overridden from the command line")
+        try:
+            updates[key] = kind(value)
+        except ValueError as exc:
+            raise InvalidInputError(f"override {raw!r}: cannot read {value!r} as {kind.__name__}") from exc
     return dataclasses.replace(cfg, **updates)
 
 
@@ -115,7 +107,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
                     f"{sample_rate} Hz (resampling is unsupported)"
                 )
             clean_signals.append(sig)
-    splits = tuple(float(x) for x in args.splits.split(","))
+    try:
+        splits = tuple(float(x) for x in args.splits.split(","))
+    except ValueError:
+        splits = ()
     if len(splits) != 3:
         raise InvalidInputError(f"--splits needs three comma-separated fractions, got {args.splits}")
     manifest = build_dataset(
@@ -138,8 +133,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     manifest = load_manifest(args.manifest)
     cfg = _apply_overrides(profile.train, args.set or [])
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = {
@@ -197,7 +190,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             f"unknown method {args.method!r}, expected model:CKPT, baseline, or identity"
         )
-    stft_cfg, partition = _eval_setup(manifest, args.profile)
+    stft_cfg, partition = _eval_setup(manifest)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         pairs = list(
@@ -232,7 +225,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     truth = read_wav(manifest.path(entry.rir))
     reverberant = read_wav(manifest.path(entry.reverberant))
     est = estimate(net, _fit_length(reverberant, net.config.input_len))
-    stft_cfg, partition = _eval_setup(manifest, args.profile)
+    stft_cfg, partition = _eval_setup(manifest)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--profile", default="toy", choices=["full", "toy"])
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="train config override")
     p.set_defaults(func=cmd_train)
 
@@ -293,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, help="model:CKPT, baseline, or identity")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--eps", type=float, default=1e-12, help="baseline deconvolution regularizer")
-    p.add_argument("--profile", default="auto", choices=["auto", "full", "toy"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot-data", help="export decay curves and waveforms as CSV")
@@ -301,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--example", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--profile", default="auto", choices=["auto", "full", "toy"])
     p.set_defaults(func=cmd_plot_data)
     return parser
 

@@ -1,15 +1,19 @@
 """Estimator and discriminator networks assembled from autodiff operators.
 
-The estimator is an encoder-decoder: a long first convolution extracts
-response features from reverberant speech, strided convolutions compress
-them, and transposed-convolution blocks (with batchnorm and PReLU) expand
-back to an impulse response, ending in a single-channel collapse and tanh.
-The discriminator scores a candidate response conditioned on the opening
-samples of the reverberant speech, concatenated channel-wise.
+The estimator is an encoder-decoder: a conv + LeakyReLU encoder, whose
+first long convolution extracts response features from reverberant speech
+and whose strided convolutions compress them, then transposed-convolution
+blocks (with batchnorm and PReLU) that expand back to an impulse response,
+ending in a single-channel collapse and tanh. The discriminator scores a
+candidate response conditioned on the opening samples of the reverberant
+speech, concatenated channel-wise, with a conv + LeakyReLU stack built by
+the same code as the encoder.
 
 Layer schedules live in the config objects, not in code, so alternative
-architectures are data changes. Checkpoints embed the config echo and
-round-trip parameters bit-exactly.
+architectures are data changes. A schedule is checked at build time by
+running its layers on an empty batch, so the operators own all shape
+arithmetic. Checkpoints embed the config echo and round-trip parameters
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dsp import Signal
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = "rirlab-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -40,16 +44,12 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 
 
 class Layer:
-    """One named step of a network. By default it holds no parameters or
-    buffers and keeps the [channels, length] shape of its input."""
+    """One named step of a network. By default it holds no parameters or buffers."""
 
     param_names: tuple[str, ...] = ()
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         raise NotImplementedError
-
-    def out_shape(self, channels: int, length: int) -> tuple[int, int]:
-        return channels, length
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [(name, getattr(self, name)) for name in self.param_names]
@@ -70,15 +70,6 @@ class Conv1dLayer(Layer):
 
     def forward(self, x, train):
         return ad.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def out_shape(self, channels: int, length: int) -> tuple[int, int]:
-        out_ch, in_ch, k = self.weight.shape
-        if channels != in_ch:
-            raise InvalidConfigError(f"expected {in_ch} input channels, got {channels}")
-        padded = length + 2 * self.padding
-        if k > padded:
-            raise InvalidConfigError(f"kernel {k} longer than padded input {padded}")
-        return out_ch, (padded - k) // self.stride + 1
 
 
 class ConvTranspose1dLayer(Layer):
@@ -103,15 +94,6 @@ class ConvTranspose1dLayer(Layer):
             output_padding=self.output_padding,
         )
 
-    def out_shape(self, channels, length):
-        in_ch, out_ch, k = self.weight.shape
-        if channels != in_ch:
-            raise InvalidConfigError(f"expected {in_ch} input channels, got {channels}")
-        out_len = (length - 1) * self.stride - 2 * self.padding + k + self.output_padding
-        if out_len < 1:
-            raise InvalidConfigError(f"transposed conv collapses length {length} to {out_len}")
-        return out_ch, out_len
-
 
 class BatchNorm1dLayer(Layer):
     param_names = ("gamma", "beta")
@@ -123,11 +105,6 @@ class BatchNorm1dLayer(Layer):
 
     def forward(self, x, train):
         return ad.batchnorm1d(x, self.gamma, self.beta, self.state, train)
-
-    def out_shape(self, channels, length):
-        if channels != self.gamma.shape[0]:
-            raise InvalidConfigError(f"batchnorm over {self.gamma.shape[0]} channels got {channels}")
-        return channels, length
 
     def buffers(self):
         return [("running_mean", self.state, "running_mean"), ("running_var", self.state, "running_var")]
@@ -167,12 +144,6 @@ class FlattenLinearLayer(Layer):
     def forward(self, x, train):
         return ad.linear(ad.flatten(x), self.weight, self.bias)
 
-    def out_shape(self, channels, length):
-        in_features, out_features = self.weight.shape
-        if channels * length != in_features:
-            raise InvalidConfigError(f"expected {in_features} features, got {channels * length}")
-        return out_features, 1
-
 
 # ---------------------------------------------------------------------------
 # Configs
@@ -187,15 +158,12 @@ def _drop_legacy_keys(doc: dict) -> dict:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Declarative encoder-decoder schedule; validated at build time."""
+    """Declarative encoder-decoder schedule; validated at build time.
+    encoder[0] is the long first convolution over the one-channel input."""
 
     sample_rate: int
     input_len: int
     rir_len: int
-    first_channels: int
-    first_kernel: int
-    first_stride: int
-    first_padding: int
     encoder: tuple[dict, ...]
     decoder: tuple[dict, ...]
     collapse: dict
@@ -206,6 +174,14 @@ class EstimatorConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatorConfig":
         doc = _drop_legacy_keys(doc)
+        if "first_channels" in doc:  # older headers keep the first conv apart from the encoder
+            first = {
+                "out_channels": doc.pop("first_channels"),
+                "kernel": doc.pop("first_kernel"),
+                "stride": doc.pop("first_stride"),
+                "padding": doc.pop("first_padding"),
+            }
+            doc["encoder"] = [first, *doc["encoder"]]
         doc["encoder"] = tuple(doc["encoder"])
         doc["decoder"] = tuple(doc["decoder"])
         return cls(**doc)
@@ -234,11 +210,8 @@ def full_estimator_config() -> EstimatorConfig:
         sample_rate=16000,
         input_len=16000,
         rir_len=4096,
-        first_channels=512,
-        first_kernel=8193,
-        first_stride=250,
-        first_padding=4096,
         encoder=(
+            {"out_channels": 512, "kernel": 8193, "stride": 250, "padding": 4096},
             {"out_channels": 1024, "kernel": 5, "stride": 2, "padding": 2},
             {"out_channels": 1024, "kernel": 5, "stride": 2, "padding": 2},
         ),
@@ -258,11 +231,8 @@ def toy_estimator_config() -> EstimatorConfig:
         sample_rate=8000,
         input_len=8000,
         rir_len=256,
-        first_channels=32,
-        first_kernel=513,
-        first_stride=500,
-        first_padding=256,
         encoder=(
+            {"out_channels": 32, "kernel": 513, "stride": 500, "padding": 256},
             {"out_channels": 64, "kernel": 5, "stride": 2, "padding": 2},
             {"out_channels": 64, "kernel": 5, "stride": 2, "padding": 2},
         ),
@@ -346,13 +316,31 @@ class Network:
             x = layer.forward(x, train)
         return x
 
+    def _conv_stack(self, rng: np.random.Generator, prefix: str, in_ch: int, blocks) -> int:
+        """Append one conv + LeakyReLU pair per block; returns the output channels."""
+        for i, blk in enumerate(blocks):
+            self.layers.append(
+                (
+                    f"{prefix}{i}_conv",
+                    Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
+                )
+            )
+            self.layers.append((f"{prefix}{i}_act", LeakyReLULayer()))
+            in_ch = blk["out_channels"]
+        return in_ch
+
     def _trace(self, channels: int, length: int) -> tuple[int, int]:
-        for name, layer in self.layers:
-            try:
-                channels, length = layer.out_shape(channels, length)
-            except InvalidConfigError as exc:
-                raise InvalidConfigError(f"layer {name}: {exc}") from exc
-        return channels, length
+        """[channels, length] after the layers built so far, found by running
+        them in eval mode on an empty batch, so the operators' own shape
+        checks judge the schedule."""
+        x = Tensor(np.zeros((0, channels, length)))
+        with ad.no_grad():
+            for name, layer in self.layers:
+                try:
+                    x = layer.forward(x, train=False)
+                except (InvalidConfigError, ShapeMismatchError) as exc:
+                    raise InvalidConfigError(f"layer {name}: {exc}") from exc
+        return x.shape[1], x.shape[2]
 
 
 class Estimator(Network):
@@ -362,23 +350,7 @@ class Estimator(Network):
         super().__init__(config, seed)
         rng = np.random.default_rng(seed)
         c = config
-        self.layers.append(
-            (
-                "enc0_conv",
-                Conv1dLayer(rng, 1, c.first_channels, c.first_kernel, c.first_stride, c.first_padding),
-            )
-        )
-        self.layers.append(("enc0_act", LeakyReLULayer()))
-        in_ch = c.first_channels
-        for i, blk in enumerate(c.encoder, start=1):
-            self.layers.append(
-                (
-                    f"enc{i}_conv",
-                    Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
-                )
-            )
-            self.layers.append((f"enc{i}_act", LeakyReLULayer()))
-            in_ch = blk["out_channels"]
+        in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
         for i, blk in enumerate(c.decoder, start=1):
             self.layers.append(
                 (
@@ -429,16 +401,7 @@ class Discriminator(Network):
     def __init__(self, config: DiscriminatorConfig, seed: int):
         super().__init__(config, seed)
         rng = np.random.default_rng(seed)
-        in_ch = 2  # candidate response + conditioning channel
-        for i, blk in enumerate(config.blocks):
-            self.layers.append(
-                (
-                    f"blk{i}_conv",
-                    Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
-                )
-            )
-            self.layers.append((f"blk{i}_act", LeakyReLULayer()))
-            in_ch = blk["out_channels"]
+        self._conv_stack(rng, "blk", 2, config.blocks)  # candidate + condition channels
         channels, length = self._trace(2, config.rir_len)
         self.layers.append(("head", FlattenLinearLayer(rng, channels * length, 1)))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .dsp import Signal, fft_convolve
-from .errors import InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError
 from .wavio import read_wav, write_wav
 
 SPLITS = ("train", "val", "test")
@@ -177,6 +177,10 @@ def speech_like(rng: np.random.Generator, n_samples: int, sample_rate: int) -> S
     return Signal(sig / np.max(np.abs(sig)), sample_rate)
 
 
+# The RirParams fields a manifest entry stores; rir_len comes from the files.
+_PARAM_KEYS = ("t60", "drr_target", "n_early_reflections", "direct_delay", "seed")
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     reverberant: str
@@ -217,13 +221,7 @@ class DatasetManifest:
                     "reverberant": e.reverberant,
                     "rir": e.rir,
                     "split": e.split,
-                    "params": {
-                        "t60": e.params.t60,
-                        "drr_target": e.params.drr_target,
-                        "n_early_reflections": e.params.n_early_reflections,
-                        "direct_delay": e.params.direct_delay,
-                        "seed": e.params.seed,
-                    },
+                    "params": {key: getattr(e.params, key) for key in _PARAM_KEYS},
                 }
                 for e in self.entries
             ],
@@ -236,45 +234,35 @@ class DatasetManifest:
         return path
 
 
-def load_manifest(path: str | Path, rir_len: int | None = None) -> DatasetManifest:
-    """Load a manifest; rir_len is recovered from the first entry's file if
-    not supplied (entry params store everything else)."""
+def load_manifest(path: str | Path) -> DatasetManifest:
+    """Load a manifest; rir_len is recovered from the first entry's file
+    (entry params store everything else). A file that is not a JSON
+    manifest raises InvalidConfigError."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    root = path.parent
-    entries = []
-    for item in doc["entries"]:
-        p = item["params"]
-        if rir_len is None:
-            rir_len = len(read_wav(root / item["rir"]))
-        entries.append(
-            ManifestEntry(
-                reverberant=item["reverberant"],
-                rir=item["rir"],
-                split=item["split"],
-                params=RirParams(
-                    t60=p["t60"],
-                    drr_target=p["drr_target"],
-                    n_early_reflections=p["n_early_reflections"],
-                    direct_delay=p["direct_delay"],
-                    rir_len=rir_len,
-                    seed=p["seed"],
-                ),
-            )
-        )
-    return DatasetManifest(
-        sample_rate=doc["sample_rate"],
-        example_len=doc["example_len"],
-        seed=doc["seed"],
-        entries=tuple(entries),
-        root=root,
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise InvalidConfigError(f"{path} is not a JSON manifest") from exc
+    try:
+        header = {key: doc[key] for key in ("sample_rate", "example_len", "seed")}
+        rows = [
+            (item["reverberant"], item["rir"], item["split"], {key: item["params"][key] for key in _PARAM_KEYS})
+            for item in doc["entries"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
+    rir_len = len(read_wav(path.parent / doc["entries"][0]["rir"])) if rows else 0
+    entries = tuple(
+        ManifestEntry(reverberant, rir, split, RirParams(**params, rir_len=rir_len))
+        for reverberant, rir, split, params in rows
     )
+    return DatasetManifest(**header, entries=entries, root=path.parent)
 
 
 def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
     """Largest-remainder apportionment of n examples across three splits."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidInputError(f"split fractions must sum to 1, got {fractions}")
+    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
+        raise InvalidInputError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
     exact = [n * f for f in fractions]
     base = [int(np.floor(x)) for x in exact]
     leftover = n - sum(base)

@@ -61,6 +61,8 @@ class TrainConfig:
             raise InvalidInputError("loss weights must be >= 0")
         if self.batch_size < 2:
             raise InvalidInputError("batch_size must be >= 2 (batchnorm constraint)")
+        if self.epochs < 1 or self.lr_every < 1:
+            raise InvalidInputError("epochs and lr_every must be >= 1")
         if self.generator_loss_form not in GENERATOR_LOSS_FORMS:
             raise InvalidInputError(
                 f"generator_loss_form must be one of {GENERATOR_LOSS_FORMS}"

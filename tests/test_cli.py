@@ -90,6 +90,14 @@ class TestSynth:
         )
         assert code == 0
 
+    def test_non_numeric_splits_exit_2(self, tmp_path, capsys):
+        code = main(
+            ["synth", "--out", str(tmp_path / "ds"), "--n", "4", "--profile", "toy",
+             "--splits", "a,b,c"]
+        )
+        assert code == 2
+        assert "--splits" in capsys.readouterr().err
+
     def test_wrong_rate_clean_dir_exits_2(self, tmp_path):
         clean_dir = tmp_path / "clean16k"
         clean_dir.mkdir()
@@ -133,6 +141,34 @@ class TestTrain:
              "--out", str(tmp_path / "r"), "--profile", "toy", "--set", "nonsense=1"]
         )
         assert code == 2
+
+    def test_non_integer_override_exits_2(self, tmp_path, cli_dataset, capsys):
+        code = main(
+            ["train", "--manifest", str(cli_dataset / "manifest.json"),
+             "--out", str(tmp_path / "r"), "--profile", "toy", "--set", "epochs=abc"]
+        )
+        assert code == 2
+        assert "epochs=abc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: "not json {",
+            lambda m: json.dumps({k: v for k, v in m.items() if k != "sample_rate"}),
+            lambda m: json.dumps({k: v for k, v in m.items() if k != "entries"}),
+            lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "params": None}]}),
+        ],
+        ids=["not_json", "missing_sample_rate", "missing_entries", "entry_without_params"],
+    )
+    def test_malformed_manifest_exits_2(self, tmp_path, cli_dataset, capsys, edit):
+        manifest = json.loads((cli_dataset / "manifest.json").read_text())
+        bad = tmp_path / "manifest.json"
+        bad.write_text(edit(manifest))
+        code = main(
+            ["train", "--manifest", str(bad), "--out", str(tmp_path / "r"), "--profile", "toy"]
+        )
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path):
         code = main(

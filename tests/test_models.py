@@ -67,9 +67,26 @@ class TestEstimator:
             build_estimator(cfg, seed=0)
 
     def test_impossible_layer_arithmetic_reported(self):
-        cfg = dataclasses.replace(toy_estimator_config(), first_kernel=9001, first_padding=0)
+        base = toy_estimator_config()
+        first = {**base.encoder[0], "kernel": 9001, "padding": 0}
+        cfg = dataclasses.replace(base, encoder=(first, *base.encoder[1:]))
         with pytest.raises(InvalidConfigError, match="enc0_conv"):
             build_estimator(cfg, seed=0)
+
+    def test_output_padding_not_below_stride_rejected_at_build(self):
+        # padding 4 and output_padding 4 keep dec1's output length, but the
+        # transposed conv needs output_padding < stride (4).
+        base = toy_estimator_config()
+        dec1 = {**base.decoder[0], "padding": 4, "output_padding": 4}
+        cfg = dataclasses.replace(base, decoder=(dec1, *base.decoder[1:]))
+        with pytest.raises(InvalidConfigError, match="dec1_tconv"):
+            build_estimator(cfg, seed=0)
+
+    def test_building_full_networks_records_nothing(self):
+        build_estimator(full_estimator_config(), seed=0)
+        build_discriminator(full_discriminator_config(), seed=1)
+        assert len(ad.active_tape()) == 0
+        assert ad.is_grad_enabled()
 
     def test_wrong_input_length_rejected(self):
         net = build_estimator(toy_estimator_config(), seed=0)
@@ -223,6 +240,25 @@ class TestCheckpoints:
         _edit_header(path, edit)
         with pytest.raises(InvalidConfigError):
             load_checkpoint(path)
+
+    def test_legacy_first_conv_keys_still_load(self, tmp_path):
+        net = build_estimator(toy_estimator_config(), seed=4)
+        path = save_checkpoint(net, tmp_path / "e.ckpt")
+
+        def split_first_conv(header):
+            config = header["config"]
+            first = config["encoder"].pop(0)
+            config.update(
+                first_channels=first["out_channels"],
+                first_kernel=first["kernel"],
+                first_stride=first["stride"],
+                first_padding=first["padding"],
+            )
+
+        _edit_header(path, split_first_conv)
+        loaded = load_checkpoint(path)
+        assert loaded.config == net.config
+        assert _state_digest(loaded) == _state_digest(net)
 
     def test_legacy_scale_key_still_loads(self, tmp_path):
         net = build_estimator(toy_estimator_config(), seed=4)

@@ -134,6 +134,8 @@ class TestSplitCounts:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(InvalidInputError):
             split_counts(10, (0.5, 0.2, 0.2))
+        with pytest.raises(InvalidInputError):
+            split_counts(6, (0.5, 0.6, -0.1))
 
 
 def _tree_digest(root: Path) -> dict:

@@ -236,6 +236,10 @@ class TestTrainConfig:
             TrainConfig(batch_size=1)
         with pytest.raises(InvalidInputError):
             TrainConfig(generator_loss_form="hinge")
+        with pytest.raises(InvalidInputError):
+            TrainConfig(epochs=0)
+        with pytest.raises(InvalidInputError):
+            TrainConfig(lr_every=0)
 
 
 class TestTrain:
