@@ -1,6 +1,8 @@
 """Differentiable operators: exactly the set the estimator, discriminator,
 and losses need. All forward functions record their backward closure on the
-tape; all math is float64."""
+tape. Each op computes and allocates in the dtype of its tensor inputs
+(float32 or float64), and an op whose tensor operands differ in dtype
+raises."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp import BandPartition, StftConfig, make_window
 from ..errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
-from .tensor import Tensor, record
+from .tensor import Tensor, check_same_dtype, record
 
 
 def _as_3d(x: Tensor, name: str) -> tuple[int, int, int]:
@@ -26,7 +28,7 @@ def _overlap_add(y: np.ndarray, weight: np.ndarray, stride: int, length: int) ->
     input position's K taps added in at stride -> [B,Co,length], where
     length >= (N-1)*stride + K."""
     cols = np.einsum("bil,iok->bolk", y, weight, optimize=True)
-    out = np.zeros((y.shape[0], weight.shape[1], length))
+    out = np.zeros((y.shape[0], weight.shape[1], length), dtype=y.dtype)
     for k in range(weight.shape[2]):
         out[:, :, k : k + stride * y.shape[2] : stride] += cols[:, :, :, k]
     return out
@@ -47,6 +49,7 @@ def conv1d(
             f"conv1d weight {weight.shape} incompatible with input {x.shape}"
         )
     Cout, _, K = weight.shape
+    check_same_dtype("conv1d", x, weight, bias)
     if stride < 1:
         raise InvalidConfigError(f"stride must be >= 1, got {stride}")
     Lp = L + 2 * padding
@@ -99,6 +102,7 @@ def conv_transpose1d(
             f"conv_transpose1d weight {weight.shape} incompatible with input {x.shape}"
         )
     _, Cout, K = weight.shape
+    check_same_dtype("conv_transpose1d", x, weight, bias)
     if stride < 1:
         raise InvalidConfigError(f"stride must be >= 1, got {stride}")
     if output_padding >= stride:
@@ -111,7 +115,7 @@ def conv_transpose1d(
         raise ShapeMismatchError(f"output length {L_out} is not positive")
 
     full = _overlap_add(x.data, weight.data, stride, L_full)
-    out_data = np.zeros((B, Cout, L_out))
+    out_data = np.zeros((B, Cout, L_out), dtype=x.data.dtype)
     span = min(L_full, padding + L_out) - padding
     if span > 0:
         out_data[:, :, :span] = full[:, :, padding : padding + span]
@@ -122,7 +126,7 @@ def conv_transpose1d(
     out = Tensor(out_data)
 
     def backward_fn(g):
-        gfull = np.zeros((B, Cout, L_full))
+        gfull = np.zeros((B, Cout, L_full), dtype=g.dtype)
         if span > 0:
             gfull[:, :, padding : padding + span] = g[:, :, :span]
         gwin = sliding_window_view(gfull, K, axis=2)[:, :, ::stride, :][:, :, :L, :]
@@ -166,6 +170,13 @@ def batchnorm1d(
     B, C, L = _as_3d(x, "batchnorm1d input")
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeMismatchError(f"gamma/beta must be ({C},), got {gamma.shape}/{beta.shape}")
+    check_same_dtype("batchnorm1d", x, gamma, beta)
+    stat_dtypes = {state.running_mean.dtype, state.running_var.dtype}
+    if stat_dtypes != {x.data.dtype}:
+        raise InvalidInputError(
+            f"batchnorm1d running statistics are {sorted(d.name for d in stat_dtypes)}, "
+            f"the input is {x.data.dtype.name}"
+        )
     if train:
         if B < 2:
             raise InvalidInputError("batchnorm1d needs a batch of at least 2 in train mode")
@@ -212,6 +223,7 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
     B, C, L = _as_3d(x, "prelu input")
     if slope.shape != (C,):
         raise ShapeMismatchError(f"prelu slope must be ({C},), got {slope.shape}")
+    check_same_dtype("prelu", x, slope)
     mask = x.data > 0
     s = slope.data[None, :, None]
     out = Tensor(np.where(mask, x.data, s * x.data))
@@ -275,19 +287,21 @@ def framed_band_energy(x: Tensor, basis: DftBasis, partition: BandPartition) -> 
     if L < W:
         raise InvalidInputError(f"input length {L} shorter than analysis window {W}")
     T = (L - W) // hop + 1
+    dtype = x.data.dtype
+    real, imag = basis.real.astype(dtype, copy=False), basis.imag.astype(dtype, copy=False)
     frames = sliding_window_view(x.data[:, 0, :], W, axis=1)[:, ::hop, :][:, :T]  # [B,T,W]
-    re = frames @ basis.real.T  # [B,T,bins]
-    im = frames @ basis.imag.T
+    re = frames @ real.T  # [B,T,bins]
+    im = frames @ imag.T
     power = re**2 + im**2
-    band_m = partition.band_matrix(basis.real.shape[0])  # [bands x bins]
+    band_m = partition.band_matrix(real.shape[0]).astype(dtype, copy=False)  # [bands x bins]
     band = np.swapaxes(power @ band_m.T, 1, 2)  # [B,bands,T]
     out = Tensor(np.flip(np.cumsum(np.flip(band, axis=2), axis=2), axis=2))
 
     def backward_fn(g):
         gband = np.swapaxes(np.cumsum(g, axis=2), 1, 2)  # [B,T,bands]
         gpower = gband @ band_m
-        gframes = (2.0 * re * gpower) @ basis.real + (2.0 * im * gpower) @ basis.imag
-        gx = np.zeros((B, L))
+        gframes = (2.0 * re * gpower) @ real + (2.0 * im * gpower) @ imag
+        gx = np.zeros((B, L), dtype=dtype)
         for t in range(T):
             gx[:, t * hop : t * hop + W] += gframes[:, t]
         return (gx[:, None, :],)
@@ -300,6 +314,7 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference as a scalar tensor."""
     if a.shape != b.shape:
         raise ShapeMismatchError(f"mse_loss shapes differ: {a.shape} vs {b.shape}")
+    check_same_dtype("mse_loss", a, b)
     diff = a.data - b.data
     n = diff.size
     out = Tensor(np.mean(diff**2))
@@ -317,7 +332,7 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 def bce_logit_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Binary cross-entropy on raw logits via the stable softplus form, so
     saturated sigmoids never hit log(0)."""
-    y = np.asarray(targets, dtype=np.float64)
+    y = np.asarray(targets, dtype=logits.data.dtype)
     if y.shape != logits.shape:
         raise ShapeMismatchError(f"targets {y.shape} must match logits {logits.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -340,6 +355,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     Bb, Cb, Lb = _as_3d(b, "concat input b")
     if (Ba, La) != (Bb, Lb):
         raise ShapeMismatchError(f"concat batch/length differ: {a.shape} vs {b.shape}")
+    check_same_dtype("concat_channels", a, b)
     out = Tensor(np.concatenate([a.data, b.data], axis=1))
     record(out, (a, b), lambda g: (g[:, :Ca], g[:, Ca:]))
     return out
@@ -357,6 +373,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """[B,F] @ [F,O] (+ bias[O])."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeMismatchError(f"linear shapes incompatible: {x.shape} @ {weight.shape}")
+    check_same_dtype("linear", x, weight, bias)
     out_data = x.data @ weight.data
     if bias is not None:
         out_data = out_data + bias.data[None, :]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from .tensor import Tensor
+from .tensor import Tensor, check_same_dtype
 
 
 @dataclass
@@ -33,9 +33,10 @@ def rmsprop_step(
     """acc <- rho*acc + (1-rho)*g^2;  p <- p - lr*g/(sqrt(acc) + eps).
 
     A None gradient decays its accumulator and leaves the parameter alone.
-    Updates happen in place on the parameter tensors and the state. Each
-    parameter is walked in blocks of CHUNK elements, so every pass over a
-    block reads it from cache; the operations and their rounding order are
+    Updates happen in place on the parameter tensors and the state, in the
+    parameters' dtype, which all of them share (they come from one network).
+    Each parameter is walked in blocks of CHUNK elements, so every pass over
+    a block reads it from cache; the operations and their rounding order are
     those of the expressions above, evaluated left to right.
     """
     if len(params) != len(grads) or len(params) != len(state.square_avg):
@@ -43,7 +44,9 @@ def rmsprop_step(
             f"got {len(params)} params, {len(grads)} grads, {len(state.square_avg)} accumulators"
         )
     rho, one_minus_rho, lr, eps = state.rho, 1.0 - state.rho, state.lr, state.eps
-    scratch1, scratch2 = np.empty(CHUNK), np.empty(CHUNK)
+    check_same_dtype("rmsprop_step", *params)
+    dtype = params[0].data.dtype if params else np.float64
+    scratch1, scratch2 = np.empty(CHUNK, dtype), np.empty(CHUNK, dtype)
     for p, g, acc in zip(params, grads, state.square_avg):
         if acc.shape != p.data.shape:
             raise ShapeMismatchError(f"accumulator {acc.shape} does not match param {p.shape}")

@@ -27,13 +27,18 @@ from ..errors import InvalidInputError, ShapeMismatchError
 _ids = itertools.count()
 
 
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
-    """A float64 array with an optional gradient slot."""
+    """A float32 or float64 array with an optional gradient slot. Data of
+    any other dtype (ints, bools, lists) is turned into float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "node_id", "recorded")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node_id = next(_ids)
@@ -63,12 +68,15 @@ class Tensor:
             raise ShapeMismatchError("add expects a Tensor operand")
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add shapes differ: {self.shape} vs {other.shape}")
+        check_same_dtype("add", self, other)
         out = Tensor(self.data + other.data)
         record(out, (self, other), lambda g: (g, g))
         return out
 
     def __mul__(self, scalar: float) -> "Tensor":
-        c = float(scalar)
+        # A scalar of the data's own dtype: NumPy before 2.0 turns a float32
+        # 0-d array times a Python float into float64.
+        c = self.data.dtype.type(scalar)
         out = Tensor(self.data * c)
         record(out, (self,), lambda g: (g * c,))
         return out
@@ -77,11 +85,21 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         out = Tensor(np.sum(self.data))
-        record(out, (self,), lambda g: (np.full(self.data.shape, float(g)),))
+        record(out, (self,), lambda g: (np.full(self.data.shape, g, dtype=self.data.dtype),))
         return out
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def check_same_dtype(op: str, *tensors: "Tensor | None") -> None:
+    """Raise unless every given tensor holds the same dtype: a float32 array
+    meeting a float64 one would be promoted and leave the BLAS fast path."""
+    dtypes = {t.data.dtype for t in tensors if t is not None}
+    if len(dtypes) > 1:
+        raise InvalidInputError(
+            f"{op} operands mix dtypes {sorted(d.name for d in dtypes)}; cast them to one"
+        )
 
 
 class Tape:
@@ -190,6 +208,10 @@ def backward(loss: Tensor) -> None:
             if gi.shape != tensor.data.shape:
                 raise ShapeMismatchError(
                     f"gradient shape {gi.shape} does not match tensor shape {tensor.data.shape}"
+                )
+            if gi.dtype != tensor.data.dtype:
+                raise InvalidInputError(
+                    f"gradient dtype {gi.dtype} does not match tensor dtype {tensor.data.dtype}"
                 )
             if tensor.node_id in produced:
                 acc = grads.get(tensor.node_id)

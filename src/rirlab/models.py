@@ -12,8 +12,10 @@ the same code as the encoder.
 Layer schedules live in the config objects, not in code, so alternative
 architectures are data changes. A schedule is checked at build time by
 running its layers on an empty batch, so the operators own all shape
-arithmetic. Checkpoints embed the config echo and round-trip parameters
-bit-exactly.
+arithmetic. Each config names the dtype, float64 or float32, that its
+network holds every parameter and buffer in and computes in; the full
+profile's networks are float32 and the toy profile's float64. Checkpoints
+embed the config echo and round-trip parameters bit-exactly.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff.tensor import FLOAT_DTYPES
 from .dsp import Signal
 from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = "rirlab-checkpoint"
 CHECKPOINT_VERSION = 1
+DTYPES = tuple(dtype.name for dtype in FLOAT_DTYPES)  # the config dtype values
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,11 @@ def _drop_legacy_keys(doc: dict) -> dict:
     return {key: value for key, value in doc.items() if key != "scale"}
 
 
+def _check_dtype(dtype: str) -> None:
+    if dtype not in DTYPES:
+        raise InvalidConfigError(f"dtype must be one of {DTYPES}, got {dtype!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Declarative encoder-decoder schedule; validated at build time.
@@ -167,6 +176,10 @@ class EstimatorConfig:
     encoder: tuple[dict, ...]
     decoder: tuple[dict, ...]
     collapse: dict
+    dtype: str = "float64"
+
+    def __post_init__(self):
+        _check_dtype(self.dtype)
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))
@@ -194,6 +207,10 @@ class DiscriminatorConfig:
     rir_len: int
     condition_len: int
     blocks: tuple[dict, ...]
+    dtype: str = "float64"
+
+    def __post_init__(self):
+        _check_dtype(self.dtype)
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))
@@ -223,6 +240,7 @@ def full_estimator_config() -> EstimatorConfig:
             {"out_channels": 64, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
         ),
         collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
+        dtype="float32",
     )
 
 
@@ -256,6 +274,7 @@ def full_discriminator_config() -> DiscriminatorConfig:
             {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
             {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
         ),
+        dtype="float32",
     )
 
 
@@ -278,14 +297,33 @@ def toy_discriminator_config() -> DiscriminatorConfig:
 
 
 class Network:
-    """An ordered stack of named layers with parameter bookkeeping."""
+    """An ordered stack of named layers with parameter bookkeeping, held and
+    run in the config's dtype."""
 
     kind = "network"
 
     def __init__(self, config, seed: int):
         self.config = config
         self.seed = int(seed)
+        self.dtype = np.dtype(config.dtype)
         self.layers: list[tuple[str, Layer]] = []
+
+    def _add(self, name: str, layer: Layer) -> None:
+        """Append a layer, casting its parameters and buffers to the network's
+        dtype. They are drawn in float64, so a float32 network equals the
+        float64 network of the same seed, rounded."""
+        for _, tensor in layer.params():
+            tensor.data = tensor.data.astype(self.dtype, copy=False)
+        for _, holder, attr in layer.buffers():
+            setattr(holder, attr, getattr(holder, attr).astype(self.dtype, copy=False))
+        self.layers.append((name, layer))
+
+    def _entry(self, x: Tensor) -> Tensor:
+        """x in the network's dtype. Only an input that carries no gradient is
+        cast; one that does must already match, or the first op raises."""
+        if x.data.dtype == self.dtype or x.requires_grad:
+            return x
+        return Tensor(x.data.astype(self.dtype))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -319,13 +357,11 @@ class Network:
     def _conv_stack(self, rng: np.random.Generator, prefix: str, in_ch: int, blocks) -> int:
         """Append one conv + LeakyReLU pair per block; returns the output channels."""
         for i, blk in enumerate(blocks):
-            self.layers.append(
-                (
-                    f"{prefix}{i}_conv",
-                    Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
-                )
+            self._add(
+                f"{prefix}{i}_conv",
+                Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
             )
-            self.layers.append((f"{prefix}{i}_act", LeakyReLULayer()))
+            self._add(f"{prefix}{i}_act", LeakyReLULayer())
             in_ch = blk["out_channels"]
         return in_ch
 
@@ -333,7 +369,7 @@ class Network:
         """[channels, length] after the layers built so far, found by running
         them in eval mode on an empty batch, so the operators' own shape
         checks judge the schedule."""
-        x = Tensor(np.zeros((0, channels, length)))
+        x = Tensor(np.zeros((0, channels, length), dtype=self.dtype))
         with ad.no_grad():
             for name, layer in self.layers:
                 try:
@@ -352,33 +388,29 @@ class Estimator(Network):
         c = config
         in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
         for i, blk in enumerate(c.decoder, start=1):
-            self.layers.append(
-                (
-                    f"dec{i}_tconv",
-                    ConvTranspose1dLayer(
-                        rng,
-                        in_ch,
-                        blk["out_channels"],
-                        blk["kernel"],
-                        blk["stride"],
-                        blk["padding"],
-                        blk["output_padding"],
-                    ),
-                )
-            )
-            self.layers.append((f"dec{i}_bn", BatchNorm1dLayer(blk["out_channels"])))
-            self.layers.append((f"dec{i}_act", PReLULayer(blk["out_channels"])))
-            in_ch = blk["out_channels"]
-        col = c.collapse
-        self.layers.append(
-            (
-                "out_tconv",
+            self._add(
+                f"dec{i}_tconv",
                 ConvTranspose1dLayer(
-                    rng, in_ch, 1, col["kernel"], col["stride"], col["padding"], col["output_padding"]
+                    rng,
+                    in_ch,
+                    blk["out_channels"],
+                    blk["kernel"],
+                    blk["stride"],
+                    blk["padding"],
+                    blk["output_padding"],
                 ),
             )
+            self._add(f"dec{i}_bn", BatchNorm1dLayer(blk["out_channels"]))
+            self._add(f"dec{i}_act", PReLULayer(blk["out_channels"]))
+            in_ch = blk["out_channels"]
+        col = c.collapse
+        self._add(
+            "out_tconv",
+            ConvTranspose1dLayer(
+                rng, in_ch, 1, col["kernel"], col["stride"], col["padding"], col["output_padding"]
+            ),
         )
-        self.layers.append(("out_act", TanhLayer()))
+        self._add("out_act", TanhLayer())
 
         channels, length = self._trace(1, c.input_len)
         if (channels, length) != (1, c.rir_len):
@@ -392,7 +424,7 @@ class Estimator(Network):
             raise InvalidInputError(
                 f"estimator expects [B, 1, {self.config.input_len}], got {x.shape}"
             )
-        return self._run(x, train)
+        return self._run(self._entry(x), train)
 
 
 class Discriminator(Network):
@@ -403,7 +435,7 @@ class Discriminator(Network):
         rng = np.random.default_rng(seed)
         self._conv_stack(rng, "blk", 2, config.blocks)  # candidate + condition channels
         channels, length = self._trace(2, config.rir_len)
-        self.layers.append(("head", FlattenLinearLayer(rng, channels * length, 1)))
+        self._add("head", FlattenLinearLayer(rng, channels * length, 1))
 
     def forward(self, rir: Tensor, condition: Tensor, train: bool) -> Tensor:
         if rir.shape != condition.shape:
@@ -414,7 +446,7 @@ class Discriminator(Network):
             raise InvalidInputError(
                 f"discriminator expects length {self.config.rir_len}, got {rir.shape[2]}"
             )
-        return self._run(ad.concat_channels(rir, condition), train)
+        return self._run(ad.concat_channels(self._entry(rir), self._entry(condition)), train)
 
 
 def build_estimator(cfg: EstimatorConfig, seed: int) -> Estimator:
@@ -470,8 +502,9 @@ def _state_records(net: Network) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(net: Network, path: str | Path) -> Path:
-    """Single-file checkpoint: JSON header line (version, kind, config echo,
-    record names/shapes) followed by raw little-endian float64 blobs."""
+    """Single-file checkpoint: JSON header line (version, kind, config echo
+    with its dtype, record names/shapes) followed by raw little-endian blobs
+    in the network's dtype."""
     records = _state_records(net)
     header = {
         "format": CHECKPOINT_MAGIC,
@@ -481,11 +514,12 @@ def save_checkpoint(net: Network, path: str | Path) -> Path:
         "config": net.config.to_dict(),
         "records": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
     }
+    blob = net.dtype.newbyteorder("<")  # "<f8" or "<f4"
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for _, arr in records:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=blob).tobytes())
     return path
 
 
@@ -497,7 +531,8 @@ _NETWORKS = {
 
 def load_checkpoint(path: str | Path) -> Network:
     """Rebuild the network from its embedded config and restore parameters
-    bit-exactly."""
+    bit-exactly. A config echo without a dtype (older checkpoints) is
+    float64."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
@@ -517,13 +552,14 @@ def load_checkpoint(path: str | Path) -> Network:
             records = [(rec["name"], tuple(rec["shape"])) for rec in header["records"]]
         except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidConfigError(f"{path} has an invalid {kind} header: {exc!r}") from exc
+        blob = net.dtype.newbyteorder("<")
         loaded = {}
         for name, shape in records:
             count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            buf = fh.read(count * blob.itemsize)
+            if len(buf) != count * blob.itemsize:
                 raise InvalidConfigError(f"{path} is truncated at record {name}")
-            loaded[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            loaded[name] = np.frombuffer(buf, dtype=blob).reshape(shape).astype(net.dtype)
 
     for name, tensor in net.named_parameters():
         if name not in loaded:

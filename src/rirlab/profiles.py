@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError
 from .models import (
     DiscriminatorConfig,
     EstimatorConfig,
@@ -29,13 +29,22 @@ TOY_BAND_CENTERS = (16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0)
 @dataclass(frozen=True)
 class Profile:
     """A named scale. Sample rate and input length live in the estimator
-    config, the STFT and band setup in the train config."""
+    config, the STFT and band setup in the train config. The response length
+    is written in three configs, which must agree."""
 
     name: str
     ranges: RirParamRanges
     train: TrainConfig
     estimator: EstimatorConfig
     discriminator: DiscriminatorConfig
+
+    def __post_init__(self):
+        lengths = (self.ranges.rir_len, self.estimator.rir_len, self.discriminator.rir_len)
+        if len(set(lengths)) != 1:
+            raise InvalidConfigError(
+                f"profile {self.name}: ranges, estimator and discriminator rir_len "
+                f"differ: {lengths}"
+            )
 
     @property
     def rir_len(self) -> int:

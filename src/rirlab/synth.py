@@ -179,6 +179,7 @@ def speech_like(rng: np.random.Generator, n_samples: int, sample_rate: int) -> S
 
 # The RirParams fields a manifest entry stores; rir_len comes from the files.
 _PARAM_KEYS = ("t60", "drr_target", "n_early_reflections", "direct_delay", "seed")
+_FLOAT_PARAMS = ("t60", "drr_target")  # the other keys hold integers
 
 
 @dataclass(frozen=True)
@@ -251,6 +252,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
+    for reverberant, _, _, params in rows:
+        for key, value in params.items():
+            kinds = (int, float) if key in _FLOAT_PARAMS else (int,)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise InvalidConfigError(
+                    f"{path}: entry {reverberant} has {key}={value!r}, expected "
+                    f"{'a number' if key in _FLOAT_PARAMS else 'an integer'}"
+                )
     rir_len = len(read_wav(path.parent / doc["entries"][0]["rir"])) if rows else 0
     entries = tuple(
         ManifestEntry(reverberant, rir, split, RirParams(**params, rir_len=rir_len))
@@ -324,9 +333,9 @@ def build_dataset(
         raise InvalidInputError(
             f"rir_len {ranges.rir_len} must be shorter than example_len {example_len}"
         )
+    counts = split_counts(n_examples, splits)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = split_counts(n_examples, splits)
     labels = [s for s, c in zip(SPLITS, counts) for _ in range(c)]
     active_len = example_len - ranges.rir_len + 1
 

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
 from .dsp import Signal, StftConfig, octave_bands
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .models import (
     Discriminator,
     DiscriminatorConfig,
@@ -154,7 +154,7 @@ def train_step(
         rev, discriminator.config.condition_len, discriminator.config.rir_len
     )
     rev_t = Tensor(rev[:, None, :])
-    rir_t = Tensor(rir[:, None, :])
+    rir_t = Tensor(rir[:, None, :].astype(estimator.dtype, copy=False))  # meets fake in the losses
     tape = ad.active_tape()
     mark = len(tape)
     try:
@@ -250,8 +250,13 @@ def train(
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
     last.ckpt into out_dir; epoch shuffling, initialization and the
     learning-rate schedule are all pure functions of the config and seed.
-    On divergence the log is flushed before the error propagates.
+    On divergence the log is flushed before the error propagates. The two
+    networks must share one dtype.
     """
+    if est_cfg.dtype != disc_cfg.dtype:
+        raise InvalidConfigError(
+            f"estimator dtype {est_cfg.dtype} and discriminator dtype {disc_cfg.dtype} differ"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_rev, train_rir = _load_split(manifest, "train")

@@ -538,3 +538,161 @@ class TestRmsprop:
         ad.rmsprop_step([p], [g], state)
         np.testing.assert_allclose(state.square_avg[0], 0.9 + 0.1 * g * g, rtol=1e-15)
         np.testing.assert_allclose(p.data, p_ref, rtol=1e-15)
+
+
+def _bn_state(dtype, mean, var):
+    return ad.BatchNormState(mean.astype(dtype), var.astype(dtype))
+
+
+# Each case: (input shapes, forward over tensors). Every input carries a
+# gradient; ops with a non-scalar output are reduced to a scalar by an MSE
+# against a fixed random target of the same dtype.
+DTYPE_CASES = {
+    "conv1d": (
+        [(2, 3, 20), (4, 3, 5), (4,)],
+        lambda x, w, b: ad.conv1d(x, w, b, stride=2, padding=1),
+    ),
+    "conv_transpose1d": (
+        [(2, 3, 9), (3, 4, 6), (4,)],
+        lambda x, w, b: ad.conv_transpose1d(x, w, b, stride=3, padding=1, output_padding=1),
+    ),
+    "batchnorm1d_train": (
+        [(3, 4, 7), (4,), (4,)],
+        lambda x, g, b: ad.batchnorm1d(
+            x, g, b, _bn_state(x.data.dtype, np.zeros(4), np.ones(4)), train=True
+        ),
+    ),
+    "batchnorm1d_eval": (
+        [(3, 4, 7), (4,), (4,)],
+        lambda x, g, b: ad.batchnorm1d(
+            x, g, b, _bn_state(x.data.dtype, np.linspace(-0.2, 0.2, 4), np.linspace(0.5, 2.0, 4)),
+            train=False,
+        ),
+    ),
+    "prelu": ([(2, 3, 8), (3,)], ad.prelu),
+    "leaky_relu": ([(2, 3, 8)], ad.leaky_relu),
+    "tanh": ([(2, 3, 8)], ad.tanh),
+    "framed_band_energy": ([(2, 1, 64)], lambda x: ad.framed_band_energy(x, BASIS, PART)),
+    "mse_loss": ([(3, 5), (3, 5)], ad.mse_loss),
+    "bce_logit_loss": (
+        [(6, 1)],
+        lambda z: ad.bce_logit_loss(z, np.array([[0.0], [1.0], [1.0], [0.0], [1.0], [0.0]])),
+    ),
+    "linear": ([(3, 5), (5, 2), (2,)], ad.linear),
+}
+
+
+def _run_case(name, dtype):
+    shapes, fn = DTYPE_CASES[name]
+    rng = np.random.default_rng(21)
+    inputs = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+    out = fn(*inputs)
+    loss = out
+    if out.size != 1:
+        loss = ad.mse_loss(out, Tensor(rng.standard_normal(out.shape).astype(dtype)))
+    ad.backward(loss)
+    return out, inputs
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+    def test_op_matches_float64_in_float32(self, name):
+        out32, in32 = _run_case(name, np.float32)
+        out64, in64 = _run_case(name, np.float64)
+        assert out32.data.dtype == np.float32 and out64.data.dtype == np.float64
+        np.testing.assert_allclose(out32.data, out64.data, rtol=1e-4)
+        for t32, t64 in zip(in32, in64):
+            assert t32.grad.dtype == np.float32
+            np.testing.assert_allclose(t32.grad, t64.grad, rtol=1e-4)
+
+    def test_tensor_keeps_float_dtypes_and_promotes_the_rest(self):
+        assert Tensor(np.zeros(3, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.zeros(3)).data.dtype == np.float64
+        assert Tensor(np.arange(3)).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor(np.zeros(3, dtype=np.float16)).data.dtype == np.float64
+
+    def test_sum_gradient_keeps_dtype(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        ad.backward(x.sum())
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3), dtype=np.float32))
+
+    def test_scalar_multiple_keeps_dtype(self):
+        # A 0-d float32 loss times a Python float stays float32, forward and
+        # backward (NumPy before 2.0 promotes such a product to float64).
+        x = Tensor(np.float32(2.5), requires_grad=True)
+        y = -1.0 * x
+        assert y.data.dtype == np.float32 and y.item() == -2.5
+        ad.backward(y)
+        assert x.grad.dtype == np.float32 and x.grad == -1.0
+
+    def test_rmsprop_updates_float32_in_float32(self):
+        rng = np.random.default_rng(3)
+        p = Tensor(rng.standard_normal(70_001).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal(70_001).astype(np.float32)
+        state = ad.RmspropState.for_params([p], lr=0.01)
+        expected_acc = (np.float32(1 - 0.99) * g) * g
+        expected_p = p.data - (g * np.float32(0.01)) / (np.sqrt(expected_acc) + np.float32(1e-8))
+        ad.rmsprop_step([p], [g], state)
+        assert p.data.dtype == np.float32 and state.square_avg[0].dtype == np.float32
+        np.testing.assert_array_equal(state.square_avg[0], expected_acc)
+        np.testing.assert_array_equal(p.data, expected_p)
+
+
+def _pair(shape_a, shape_b):
+    rng = np.random.default_rng(4)
+    return (
+        Tensor(rng.standard_normal(shape_a).astype(np.float32), requires_grad=True),
+        Tensor(rng.standard_normal(shape_b), requires_grad=True),
+    )
+
+
+class TestMixedDtypes:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ad.conv1d(*_pair((1, 2, 8), (3, 2, 3))),
+            lambda: ad.conv_transpose1d(*_pair((1, 2, 8), (2, 3, 3))),
+            lambda: ad.batchnorm1d(*_pair((2, 3, 4), (3,)), Tensor(np.zeros(3)),
+                                   ad.BatchNormState.for_channels(3), train=True),
+            lambda: ad.prelu(*_pair((1, 3, 4), (3,))),
+            lambda: ad.linear(*_pair((2, 3), (3, 4))),
+            lambda: ad.concat_channels(*_pair((1, 2, 4), (1, 1, 4))),
+            lambda: ad.mse_loss(*_pair((2, 3), (2, 3))),
+            lambda: Tensor.__add__(*_pair((2, 3), (2, 3))),
+        ],
+        ids=["conv1d", "conv_transpose1d", "batchnorm1d", "prelu", "linear", "concat_channels",
+             "mse_loss", "add"],
+    )
+    def test_op_with_mixed_operands_raises(self, call):
+        with pytest.raises(InvalidInputError, match="mix dtypes"):
+            call()
+        assert len(ad.active_tape()) == 0
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batchnorm_state_of_another_dtype_raises(self, train):
+        x, gamma, beta = (Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
+                          for s in ((2, 3, 4), (3,), (3,)))
+        state = ad.BatchNormState.for_channels(3)
+        with pytest.raises(InvalidInputError, match="running statistics"):
+            ad.batchnorm1d(x, gamma, beta, state, train=train)
+        assert state.running_mean.dtype == np.float64 and len(ad.active_tape()) == 0
+
+    def test_rmsprop_rejects_parameters_of_mixed_dtypes(self):
+        params = list(_pair((3,), (3,)))
+        grads = [np.ones(3, dtype=np.float32), np.ones(3)]
+        state = ad.RmspropState.for_params(params, lr=0.1)
+        before = [p.data.copy() for p in params]
+        with pytest.raises(InvalidInputError, match="mix dtypes"):
+            ad.rmsprop_step(params, grads, state)
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p.data, b)
+
+    def test_backward_rejects_gradient_of_another_dtype(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = Tensor(x.data * 2)
+        ad.record(y, (x,), lambda g: (g.astype(np.float64) * 2,))
+        with pytest.raises(InvalidInputError, match="gradient dtype float64"):
+            ad.backward(y.sum())
+        assert x.grad is None

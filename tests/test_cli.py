@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,15 @@ class TestSynth:
         )
         assert code == 2
         assert "--splits" in capsys.readouterr().err
+
+    def test_bad_splits_leave_no_directory(self, tmp_path):
+        out = tmp_path / "ds"
+        code = main(
+            ["synth", "--out", str(out), "--n", "4", "--profile", "toy",
+             "--splits", "0.5,0.6,-0.1"]
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_wrong_rate_clean_dir_exits_2(self, tmp_path):
         clean_dir = tmp_path / "clean16k"
@@ -253,6 +263,22 @@ class TestEvaluate:
         manifest = json.loads((cli_dataset / "manifest.json").read_text())
         truths = [e["rir"] for e in manifest["entries"] if e["split"] == "train"]
         assert sorted(Path(p).name for p in reads) == sorted(Path(t).name for t in truths)
+
+    @pytest.mark.parametrize(
+        "key, value", [("t60", "x"), ("drr_target", None), ("direct_delay", 1.5), ("seed", True)]
+    )
+    def test_mistyped_entry_param_exits_2(self, tmp_path, cli_dataset, capsys, key, value):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["entries"][-1]["params"][key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(
+            ["evaluate", "--manifest", str(data / "manifest.json"), "--split", "test",
+             "--method", "identity", "--out", str(tmp_path / "ident.csv")]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_baseline_near_exact_on_synthetic_data(self, tmp_path, cli_dataset):
         out = tmp_path / "base.csv"

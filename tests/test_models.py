@@ -231,8 +231,10 @@ class TestCheckpoints:
             lambda h: h["config"].update(dropout=0.5),
             lambda h: h.update(config=[]),
             lambda h: h["records"][0].pop("shape"),
+            lambda h: h["config"].update(dtype="float16"),
         ],
-        ids=["missing_kind", "unknown_config_key", "config_not_object", "record_without_shape"],
+        ids=["missing_kind", "unknown_config_key", "config_not_object", "record_without_shape",
+             "unknown_dtype"],
     )
     def test_reject_malformed_header(self, tmp_path, edit):
         path = save_checkpoint(build_discriminator(toy_discriminator_config(), seed=1),
@@ -266,4 +268,81 @@ class TestCheckpoints:
         _edit_header(path, lambda h: h["config"].update(scale="toy"))
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
+        assert _state_digest(loaded) == _state_digest(net)
+
+
+def _state(net) -> list[tuple[str, np.ndarray]]:
+    records = [(name, t.data) for name, t in net.named_parameters()]
+    return records + [(name, getattr(holder, attr)) for name, holder, attr in net.named_buffers()]
+
+
+def _float32(cfg):
+    return dataclasses.replace(cfg, dtype="float32")
+
+
+class TestDtype:
+    def test_full_configs_ask_for_float32_and_toy_for_float64(self):
+        assert full_estimator_config().dtype == full_discriminator_config().dtype == "float32"
+        assert toy_estimator_config().dtype == toy_discriminator_config().dtype == "float64"
+
+    @pytest.mark.parametrize(
+        "build, cfg, seed",
+        [
+            (build_estimator, toy_estimator_config(), 0),
+            (build_discriminator, toy_discriminator_config(), 1),
+        ],
+        ids=["estimator", "discriminator"],
+    )
+    def test_float32_network_is_the_float64_network_rounded(self, build, cfg, seed):
+        net64, net32 = build(cfg, seed=seed), build(_float32(cfg), seed=seed)
+        assert net32.dtype == np.float32
+        for (n64, a64), (n32, a32) in zip(_state(net64), _state(net32)):
+            assert n64 == n32 and a32.dtype == np.float32
+            np.testing.assert_array_equal(a32, a64.astype(np.float32))
+
+    def test_inputs_without_gradient_are_cast_at_entry(self):
+        net = build_estimator(_float32(toy_estimator_config()), seed=2)
+        x = np.random.default_rng(2).uniform(-0.9, 0.9, (2, 1, 8000))
+        with ad.no_grad():
+            out = net.forward(Tensor(x), train=False)
+            ref = net.forward(Tensor(x.astype(np.float32)), train=False)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, ref.data)
+        disc = build_discriminator(_float32(toy_discriminator_config()), seed=3)
+        zeros = Tensor(np.zeros((2, 1, 256)))
+        logits = disc.forward(zeros, zeros, train=True)
+        assert logits.data.dtype == np.float32
+
+    def test_input_with_gradient_is_not_cast(self):
+        net = build_estimator(_float32(toy_estimator_config()), seed=2)
+        x = Tensor(np.zeros((2, 1, 8000)), requires_grad=True)
+        with pytest.raises(InvalidInputError, match="mix dtypes"):
+            net.forward(x, train=True)
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(InvalidConfigError, match="dtype"):
+            dataclasses.replace(toy_estimator_config(), dtype="float16")
+        with pytest.raises(InvalidConfigError, match="dtype"):
+            dataclasses.replace(toy_discriminator_config(), dtype="int32")
+
+    def test_float32_checkpoint_round_trips_at_half_the_size(self, tmp_path):
+        net64 = build_estimator(toy_estimator_config(), seed=5)
+        net32 = build_estimator(_float32(toy_estimator_config()), seed=5)
+        net32.forward(Tensor(np.random.default_rng(5).standard_normal((4, 1, 8000))), train=True)
+        path64 = save_checkpoint(net64, tmp_path / "e64.ckpt")
+        path32 = save_checkpoint(net32, tmp_path / "e32.ckpt")
+        assert path32.stat().st_size < 0.55 * path64.stat().st_size
+        loaded = load_checkpoint(path32)
+        assert loaded.config == net32.config and loaded.dtype == np.float32
+        for (n1, a1), (n2, a2) in zip(_state(net32), _state(loaded)):
+            assert n1 == n2 and a2.dtype == np.float32
+            np.testing.assert_array_equal(a1, a2)
+        assert json.loads(path32.read_bytes().split(b"\n", 1)[0])["config"]["dtype"] == "float32"
+
+    def test_legacy_header_without_dtype_loads_as_float64(self, tmp_path):
+        net = build_discriminator(toy_discriminator_config(), seed=6)
+        path = save_checkpoint(net, tmp_path / "d.ckpt")
+        _edit_header(path, lambda h: h["config"].pop("dtype"))
+        loaded = load_checkpoint(path)
+        assert loaded.config == net.config and loaded.dtype == np.float64
         assert _state_digest(loaded) == _state_digest(net)

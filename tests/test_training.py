@@ -11,8 +11,8 @@ from rirlab import autodiff as ad
 from rirlab import training
 from rirlab.autodiff import Tensor
 from rirlab.dsp import octave_bands
-from rirlab.errors import InvalidInputError, TrainingDivergedError
-from rirlab.models import build_discriminator, build_estimator, make_condition
+from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from rirlab.models import build_discriminator, build_estimator, load_checkpoint, make_condition
 from rirlab.profiles import get_profile
 from rirlab.synth import build_dataset
 from rirlab.training import TrainConfig, train, train_step
@@ -279,3 +279,48 @@ class TestTrain:
         with pytest.raises(InvalidInputError):
             train(manifest, toy_profile.estimator, toy_profile.discriminator,
                   toy_profile.train, tmp_path / "run")
+
+
+class TestFloat32Training:
+    def test_full_profile_step_stays_float32(self):
+        profile = get_profile("full")
+        cfg = dataclasses.replace(profile.train, batch_size=2)
+        estimator = build_estimator(profile.estimator, seed=0)
+        discriminator = build_discriminator(profile.discriminator, seed=1)
+        est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
+        disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
+        partition = octave_bands(
+            profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
+        )
+        rng = np.random.default_rng(1)
+        batch = (
+            rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)),
+            rng.uniform(-0.9, 0.9, (2, profile.rir_len)),
+        )
+        losses = train_step(estimator, discriminator, batch, cfg, est_opt, disc_opt,
+                            ad.make_dft_basis(cfg.stft()), partition)
+        assert all(np.isfinite(v) for v in dataclasses.astuple(losses))
+        for net, opt in ((estimator, est_opt), (discriminator, disc_opt)):
+            for name, p in net.named_parameters():
+                assert p.data.dtype == np.float32, name
+                assert p.grad is not None and p.grad.dtype == np.float32, name
+            assert all(acc.dtype == np.float32 for acc in opt.square_avg)
+            for name, holder, attr in net.named_buffers():
+                assert getattr(holder, attr).dtype == np.float32, name
+        assert len(ad.active_tape()) == 0
+
+    def test_float32_toy_run_writes_float32_checkpoints(self, tmp_path, toy_profile, tiny_dataset):
+        est_cfg = dataclasses.replace(toy_profile.estimator, dtype="float32")
+        disc_cfg = dataclasses.replace(toy_profile.discriminator, dtype="float32")
+        cfg = dataclasses.replace(toy_profile.train, epochs=2)
+        result = train(tiny_dataset, est_cfg, disc_cfg, cfg, tmp_path / "r")
+        assert all(np.isfinite(rec.val_edr) for rec in result.log.records)
+        best = load_checkpoint(result.best_path)
+        assert best.config == est_cfg
+        assert all(p.data.dtype == np.float32 for p in best.parameters())
+
+    def test_mixed_network_dtypes_rejected(self, tmp_path, toy_profile, tiny_dataset):
+        disc_cfg = dataclasses.replace(toy_profile.discriminator, dtype="float32")
+        with pytest.raises(InvalidConfigError, match="dtype"):
+            train(tiny_dataset, toy_profile.estimator, disc_cfg, toy_profile.train, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
