@@ -250,7 +250,6 @@ class DftBasis:
 
     window_size: int
     hop: int
-    window: str
     real: np.ndarray  # [bins x window_size]
     imag: np.ndarray
 
@@ -263,7 +262,6 @@ def make_dft_basis(cfg: StftConfig) -> DftBasis:
     return DftBasis(
         window_size=cfg.window_size,
         hop=cfg.hop,
-        window=cfg.window,
         real=np.cos(angle) * win[None, :],
         imag=-np.sin(angle) * win[None, :],
     )

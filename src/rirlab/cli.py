@@ -6,8 +6,10 @@
     rirlab evaluate  --manifest M [--split S] --method {model:CKPT|baseline|identity} --out CSV
     rirlab plot-data --ckpt C --manifest M --example I --out DIR
 
-Exit codes: 0 success, 2 argument/validation problems, 3 I/O failures,
-4 numerical divergence. RIRLAB_THREADS caps evaluate's worker pool.
+A checkpoint (C, CKPT) holds one trained estimator. WAVs are written as
+float32 and read as float32 or PCM16. Exit codes: 0 success, 2
+argument/validation problems, 3 I/O failures, 4 numerical divergence.
+RIRLAB_THREADS caps evaluate's worker pool.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedFormatError,
 )
-from .models import Estimator, estimate, load_checkpoint
+from .models import estimate, load_checkpoint
 from .profiles import get_profile, profile_for_sample_rate
 from .synth import DatasetManifest, build_dataset, load_manifest
 from .training import TrainConfig, train
 from .wavio import read_wav, write_wav
 
 USAGE_ERRORS = (InvalidInputError, InvalidConfigError, UnsupportedFormatError, ShapeMismatchError)
+DECONVOLVE_EPS = 1e-12  # the baseline's spectral-division regularizer
 
 
 def _worker_count() -> int:
@@ -56,13 +59,6 @@ def _fit_length(signal: Signal, n: int) -> Signal:
     padded = np.zeros(n)
     padded[: len(signal)] = signal.samples
     return Signal(padded, signal.sample_rate)
-
-
-def _load_estimator(path: str) -> Estimator:
-    net = load_checkpoint(path)
-    if not isinstance(net, Estimator):
-        raise InvalidInputError(f"{path} holds a {net.kind}, expected an estimator checkpoint")
-    return net
 
 
 def _eval_setup(manifest: DatasetManifest):
@@ -133,14 +129,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     manifest = load_manifest(args.manifest)
     cfg = _apply_overrides(profile.train, args.set or [])
+    for split in ("train", "val"):  # fail before the run directory is written
+        if not manifest.split_entries(split):
+            raise InvalidInputError(f"manifest has no entries in split {split!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = {
         "profile": profile.name,
         "manifest": str(Path(args.manifest).resolve()),
         "train": dataclasses.asdict(cfg),
-        "estimator": profile.estimator.to_dict(),
-        "discriminator": profile.discriminator.to_dict(),
+        "estimator": dataclasses.asdict(profile.estimator),
+        "discriminator": dataclasses.asdict(profile.discriminator),
     }
     (out_dir / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
     result = train(manifest, profile.estimator, profile.discriminator, cfg, out_dir)
@@ -151,20 +150,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    net = _load_estimator(args.ckpt)
+    net = load_checkpoint(args.ckpt)
     sig = read_wav(args.input)
     if sig.sample_rate != net.config.sample_rate:
         raise InvalidInputError(
             f"{args.input} is {sig.sample_rate} Hz, the model expects {net.config.sample_rate} Hz"
         )
     rir = estimate(net, _fit_length(sig, net.config.input_len))
-    write_wav(args.out, rir, fmt="float32")
+    write_wav(args.out, rir)
     print(f"wrote {args.out} ({len(rir)} samples)")
     return 0
 
 
 def _estimate_for_entry(
-    method: str, net, manifest: DatasetManifest, entry, eps: float
+    method: str, net, manifest: DatasetManifest, entry
 ) -> tuple[Signal, Signal]:
     """(estimate, ground truth) for one manifest entry; each file is read once."""
     truth = read_wav(manifest.path(entry.rir))
@@ -173,7 +172,7 @@ def _estimate_for_entry(
     reverberant = read_wav(manifest.path(entry.reverberant))
     if method == "baseline":
         clean = read_wav(manifest.clean_path(entry))
-        return spectral_deconvolve(reverberant, clean, eps, entry.params.rir_len), truth
+        return spectral_deconvolve(reverberant, clean, DECONVOLVE_EPS, entry.params.rir_len), truth
     return estimate(net, _fit_length(reverberant, net.config.input_len)), truth
 
 
@@ -183,7 +182,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not entries:
         raise InvalidInputError(f"split {args.split!r} is empty")
     if args.method.startswith("model:"):
-        method, net = "model", _load_estimator(args.method.split(":", 1)[1])
+        method, net = "model", load_checkpoint(args.method.split(":", 1)[1])
     elif args.method in ("baseline", "identity"):
         method, net = args.method, None
     else:
@@ -193,11 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     stft_cfg, partition = _eval_setup(manifest)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        pairs = list(
-            pool.map(
-                lambda e: _estimate_for_entry(method, net, manifest, e, args.eps), entries
-            )
-        )
+        pairs = list(pool.map(lambda e: _estimate_for_entry(method, net, manifest, e), entries))
     report = metrics.metric_report(pairs, stft_cfg, partition)
 
     out = Path(args.out)
@@ -221,7 +216,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             f"example index {args.example} out of range [0, {len(manifest.entries) - 1}]"
         )
     entry = manifest.entries[args.example]
-    net = _load_estimator(args.ckpt)
+    net = load_checkpoint(args.ckpt)
     truth = read_wav(manifest.path(entry.rir))
     reverberant = read_wav(manifest.path(entry.reverberant))
     est = estimate(net, _fit_length(reverberant, net.config.input_len))
@@ -284,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--method", required=True, help="model:CKPT, baseline, or identity")
     p.add_argument("--out", required=True, help="summary CSV path")
-    p.add_argument("--eps", type=float, default=1e-12, help="baseline deconvolution regularizer")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot-data", help="export decay curves and waveforms as CSV")

@@ -48,7 +48,6 @@ class EdrMatrix:
     """
 
     values: np.ndarray  # [bands x frames]
-    partition: BandPartition
     frame_times: np.ndarray  # seconds, window centers
 
     def in_db(self, floor: float = ENERGY_FLOOR) -> np.ndarray:
@@ -67,7 +66,7 @@ def edr(rir: Signal, cfg: StftConfig, partition: BandPartition) -> EdrMatrix:
     band_energy = partition.band_matrix(cfg.n_bins) @ power.T  # [bands x frames]
     values = np.flip(np.cumsum(np.flip(band_energy, axis=1), axis=1), axis=1)
     times = cfg.frame_times(values.shape[1], rir.sample_rate)
-    return EdrMatrix(values=values, partition=partition, frame_times=times)
+    return EdrMatrix(values=values, frame_times=times)
 
 
 def edr_loss(
@@ -110,20 +109,10 @@ def drr(rir: Signal) -> float:
     return 10.0 * np.log10(direct / max(rest, ENERGY_FLOOR))
 
 
-def mse(estimated: Signal, truth: Signal, peak_normalize: bool = False) -> float:
-    """Mean squared sample difference.
-
-    With peak_normalize both signals are scaled to unit peak first; the
-    default compares raw amplitudes.
-    """
+def mse(estimated: Signal, truth: Signal) -> float:
+    """Mean squared sample difference of the raw amplitudes."""
     _check_pair(estimated, truth)
-    est, tru = estimated.samples, truth.samples
-    if peak_normalize:
-        est_peak, tru_peak = np.max(np.abs(est)), np.max(np.abs(tru))
-        if est_peak == 0 or tru_peak == 0:
-            raise InvalidInputError("cannot peak-normalize an all-zero signal")
-        est, tru = est / est_peak, tru / tru_peak
-    return float(np.mean((tru - est) ** 2))
+    return float(np.mean((truth.samples - estimated.samples) ** 2))
 
 
 def schroeder_t60(rir: Signal) -> float:

@@ -14,13 +14,15 @@ architectures are data changes. A schedule is checked at build time by
 running its layers on an empty batch, so the operators own all shape
 arithmetic. Each config names the dtype, float64 or float32, that its
 network holds every parameter and buffer in and computes in; the full
-profile's networks are float32 and the toy profile's float64. Checkpoints
-embed the config echo and round-trip parameters bit-exactly.
+profile's networks are float32 and the toy profile's float64. A checkpoint
+holds one estimator, the product of training: its config echo and its
+parameters and buffers, which round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -165,10 +167,30 @@ def _check_dtype(dtype: str) -> None:
         raise InvalidConfigError(f"dtype must be one of {DTYPES}, got {dtype!r}")
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """value must be an integer (JSON true and false are not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+_BLOCK_MINIMUMS = {"out_channels": 1, "kernel": 1, "stride": 1, "padding": 0, "output_padding": 0}
+
+
+def _check_blocks(name: str, blocks) -> None:
+    """Each schedule block is an object whose layer sizes are integers in range."""
+    for i, blk in enumerate(blocks):
+        if not isinstance(blk, dict):
+            raise InvalidConfigError(f"{name}[{i}] must be an object, got {blk!r}")
+        for key, value in blk.items():
+            if key in _BLOCK_MINIMUMS:
+                _check_count(f"{name}[{i}].{key}", value, _BLOCK_MINIMUMS[key])
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Declarative encoder-decoder schedule; validated at build time.
-    encoder[0] is the long first convolution over the one-channel input."""
+    """Declarative encoder-decoder schedule. Its sizes are checked when it is
+    made, its shape arithmetic when the network is built. encoder[0] is the
+    long first convolution over the one-channel input."""
 
     sample_rate: int
     input_len: int
@@ -180,9 +202,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(asdict(self)))
+        for name in ("sample_rate", "input_len", "rir_len"):
+            _check_count(name, getattr(self, name), 1)
+        _check_blocks("encoder", self.encoder)
+        _check_blocks("decoder", self.decoder)
+        _check_blocks("collapse", (self.collapse,))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatorConfig":
@@ -211,15 +235,9 @@ class DiscriminatorConfig:
 
     def __post_init__(self):
         _check_dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(asdict(self)))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DiscriminatorConfig":
-        doc = _drop_legacy_keys(doc)
-        doc["blocks"] = tuple(doc["blocks"])
-        return cls(**doc)
+        _check_count("rir_len", self.rir_len, 1)
+        _check_count("condition_len", self.condition_len, 1)
+        _check_blocks("blocks", self.blocks)
 
 
 def full_estimator_config() -> EstimatorConfig:
@@ -501,17 +519,17 @@ def _state_records(net: Network) -> list[tuple[str, np.ndarray]]:
     return records
 
 
-def save_checkpoint(net: Network, path: str | Path) -> Path:
-    """Single-file checkpoint: JSON header line (version, kind, config echo
-    with its dtype, record names/shapes) followed by raw little-endian blobs
-    in the network's dtype."""
+def save_checkpoint(net: Estimator, path: str | Path) -> Path:
+    """Single-file checkpoint: JSON header line (version, kind, seed, config
+    echo with its dtype, record names/shapes) followed by raw little-endian
+    blobs in the network's dtype."""
     records = _state_records(net)
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "kind": net.kind,
         "seed": net.seed,
-        "config": net.config.to_dict(),
+        "config": asdict(net.config),
         "records": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
     }
     blob = net.dtype.newbyteorder("<")  # "<f8" or "<f4"
@@ -523,16 +541,11 @@ def save_checkpoint(net: Network, path: str | Path) -> Path:
     return path
 
 
-_NETWORKS = {
-    "estimator": (Estimator, EstimatorConfig),
-    "discriminator": (Discriminator, DiscriminatorConfig),
-}
-
-
-def load_checkpoint(path: str | Path) -> Network:
-    """Rebuild the network from its embedded config and restore parameters
-    bit-exactly. A config echo without a dtype (older checkpoints) is
-    float64."""
+def load_checkpoint(path: str | Path) -> Estimator:
+    """Rebuild the estimator from its embedded config and restore parameters
+    bit-exactly. A header that does not describe an estimator raises
+    InvalidConfigError before any blob is read. A config echo without a
+    dtype (older checkpoints) is float64."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
@@ -543,35 +556,38 @@ def load_checkpoint(path: str | Path) -> Network:
             raise InvalidConfigError(f"{path} is not a checkpoint file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise InvalidConfigError(f"unsupported checkpoint version {header.get('version')}")
-        kind = header.get("kind")
-        if kind not in _NETWORKS:
-            raise InvalidConfigError(f"unknown network kind {kind!r}")
-        net_cls, cfg_cls = _NETWORKS[kind]
+        if header.get("kind") != Estimator.kind:
+            raise InvalidConfigError(
+                f"{path} holds a {header.get('kind')!r} network, expected an estimator"
+            )
         try:
-            net: Network = net_cls(cfg_cls.from_dict(header["config"]), header["seed"])
-            records = [(rec["name"], tuple(rec["shape"])) for rec in header["records"]]
+            _check_count("seed", header["seed"], 0)
+            net = Estimator(EstimatorConfig.from_dict(header["config"]), header["seed"])
+            records = [(rec["name"], rec["shape"]) for rec in header["records"]]
         except (AttributeError, KeyError, TypeError) as exc:
-            raise InvalidConfigError(f"{path} has an invalid {kind} header: {exc!r}") from exc
+            raise InvalidConfigError(f"{path} has an invalid estimator header: {exc!r}") from exc
+        for name, shape in records:
+            if not isinstance(name, str) or not isinstance(shape, list):
+                raise InvalidConfigError(f"{path} has an invalid record {name!r}: shape {shape!r}")
+            for size in shape:
+                _check_count(f"record {name} shape", size, 0)
         blob = net.dtype.newbyteorder("<")
         loaded = {}
         for name, shape in records:
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             buf = fh.read(count * blob.itemsize)
             if len(buf) != count * blob.itemsize:
                 raise InvalidConfigError(f"{path} is truncated at record {name}")
             loaded[name] = np.frombuffer(buf, dtype=blob).reshape(shape).astype(net.dtype)
 
-    for name, tensor in net.named_parameters():
+    params = [(name, tensor, "data") for name, tensor in net.named_parameters()]
+    for name, holder, attr in params + net.named_buffers():
         if name not in loaded:
-            raise InvalidConfigError(f"checkpoint missing parameter {name}")
-        if loaded[name].shape != tensor.data.shape:
+            raise InvalidConfigError(f"checkpoint missing record {name}")
+        expected = getattr(holder, attr).shape
+        if loaded[name].shape != expected:
             raise InvalidConfigError(
-                f"checkpoint parameter {name} has shape {loaded[name].shape}, "
-                f"expected {tensor.data.shape}"
+                f"checkpoint record {name} has shape {loaded[name].shape}, expected {expected}"
             )
-        tensor.data = loaded[name]
-    for name, holder, attr in net.named_buffers():
-        if name not in loaded:
-            raise InvalidConfigError(f"checkpoint missing buffer {name}")
         setattr(holder, attr, loaded[name])
     return net

@@ -25,7 +25,6 @@ from .wavio import read_wav, write_wav
 SPLITS = ("train", "val", "test")
 DECAY_RATE = 6.908  # ln(10^3): amplitude envelope exponent for a 60 dB fall per t60
 REVERB_PEAK = 0.95
-EARLY_WINDOW_S = 0.080
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def synth_rir(params: RirParams, sample_rate: int) -> Signal:
     window[lo:hi] = True
     ratio = 10.0 ** (params.drr_target / 10.0)
 
-    early_end = min(n - 1, d + int(EARLY_WINDOW_S * sample_rate))
+    early_end = min(n - 1, d + int(metrics.EARLY_WINDOW_S * sample_rate))
     if params.n_early_reflections > 0 and early_end >= d + 1:
         positions = rng.choice(
             np.arange(d + 1, early_end + 1),

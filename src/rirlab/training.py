@@ -33,8 +33,6 @@ from .models import (
 from .synth import DatasetManifest
 from .wavio import read_wav
 
-GENERATOR_LOSS_FORMS = ("non_saturating", "saturating")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -49,7 +47,6 @@ class TrainConfig:
     lr_decay: float = 0.7
     lr_every: int = 40
     seed: int = 0
-    generator_loss_form: str = "non_saturating"
     stft_window: int = 256
     stft_hop: int = 128
     band_centers: tuple[float, ...] = (
@@ -63,10 +60,6 @@ class TrainConfig:
             raise InvalidInputError("batch_size must be >= 2 (batchnorm constraint)")
         if self.epochs < 1 or self.lr_every < 1:
             raise InvalidInputError("epochs and lr_every must be >= 1")
-        if self.generator_loss_form not in GENERATOR_LOSS_FORMS:
-            raise InvalidInputError(
-                f"generator_loss_form must be one of {GENERATOR_LOSS_FORMS}"
-            )
 
     def lr_at(self, epoch: int) -> float:
         return self.lr_init * self.lr_decay ** (epoch // self.lr_every)
@@ -120,8 +113,6 @@ class TrainResult:
     best_epoch: int
     best_val_edr: float
     best_path: Path
-    last_path: Path
-    run_dir: Path
 
 
 def _check_finite(losses: dict[str, float], context: str) -> None:
@@ -172,12 +163,9 @@ def train_step(
         d_params = discriminator.parameters()
         ad.rmsprop_step(d_params, [p.grad for p in d_params], disc_opt)
 
-        # Estimator half-step.
+        # Estimator half-step, with the non-saturating generator loss.
         adv_logits = discriminator.forward(fake, Tensor(cond), train=True)
-        if cfg.generator_loss_form == "non_saturating":
-            l_cgan = ad.bce_logit_loss(adv_logits, np.ones(adv_logits.shape))
-        else:
-            l_cgan = -1.0 * ad.bce_logit_loss(adv_logits, np.zeros(adv_logits.shape))
+        l_cgan = ad.bce_logit_loss(adv_logits, ones)
         l_edr = ad.mse_loss(
             ad.framed_band_energy(fake, basis, partition),
             ad.framed_band_energy(rir_t, basis, partition),
@@ -248,19 +236,20 @@ def train(
     """Full training run over a manifest's train split.
 
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
-    last.ckpt into out_dir; epoch shuffling, initialization and the
-    learning-rate schedule are all pure functions of the config and seed.
-    On divergence the log is flushed before the error propagates. The two
-    networks must share one dtype.
+    last.ckpt into out_dir, which is created only once both splits have
+    loaded; epoch shuffling, initialization and the learning-rate schedule
+    are all pure functions of the config and seed. On divergence the log is
+    flushed before the error propagates. The two networks must share one
+    dtype.
     """
     if est_cfg.dtype != disc_cfg.dtype:
         raise InvalidConfigError(
             f"estimator dtype {est_cfg.dtype} and discriminator dtype {disc_cfg.dtype} differ"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_rev, train_rir = _load_split(manifest, "train")
     val_rev, val_rir = _load_split(manifest, "val")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     estimator = build_estimator(est_cfg, seed=cfg.seed)
     discriminator = build_discriminator(disc_cfg, seed=cfg.seed + 1)
@@ -276,7 +265,6 @@ def train(
     )
     best_epoch, best_val = -1, np.inf
     best_path = out_dir / "best.ckpt"
-    last_path = out_dir / "last.ckpt"
     n_train = train_rev.shape[0]
 
     try:
@@ -330,12 +318,7 @@ def train(
         log.save(out_dir / "log.csv")
         raise
 
-    save_checkpoint(estimator, last_path)
+    save_checkpoint(estimator, out_dir / "last.ckpt")
     return TrainResult(
-        log=log,
-        best_epoch=best_epoch,
-        best_val_edr=float(best_val),
-        best_path=best_path,
-        last_path=last_path,
-        run_dir=out_dir,
+        log=log, best_epoch=best_epoch, best_val_edr=float(best_val), best_path=best_path
     )

@@ -1,4 +1,4 @@
-"""Mono WAV reading and writing (PCM16 and IEEE float32)."""
+"""Mono WAV files: written as IEEE float32; read as float32 or PCM16."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from scipy.io import wavfile
 
 from .dsp import Signal
 from .errors import UnsupportedFormatError
-
-FORMATS = ("float32", "pcm16")
 
 
 def read_wav(path: str | Path) -> Signal:
@@ -35,17 +33,7 @@ def read_wav(path: str | Path) -> Signal:
     return Signal(samples, rate)
 
 
-def write_wav(path: str | Path, signal: Signal, fmt: str = "float32") -> None:
-    """Write a Signal to a mono WAV file.
-
-    float32 round-trips exactly through read_wav; pcm16 clips to [-1, 1]
-    and quantizes, so the round-trip error is bounded by 1/32768.
-    """
-    if fmt not in FORMATS:
-        raise UnsupportedFormatError(f"unsupported write format {fmt!r}, expected {FORMATS}")
-    if fmt == "float32":
-        data = signal.samples.astype("<f4")
-    else:
-        quantized = np.round(np.clip(signal.samples, -1.0, 1.0) * 32768.0)
-        data = np.clip(quantized, -32768, 32767).astype("<i2")
-    wavfile.write(str(path), signal.sample_rate, data)
+def write_wav(path: str | Path, signal: Signal) -> None:
+    """Write a Signal to a mono IEEE float32 WAV file; a float32 signal
+    round-trips exactly through read_wav."""
+    wavfile.write(str(path), signal.sample_rate, signal.samples.astype("<f4"))

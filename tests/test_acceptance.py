@@ -479,7 +479,7 @@ class TestCriterion8DeterminismPersistence:
 
         rng = np.random.default_rng(3)
         samples = rng.uniform(-1, 1, 777).astype(np.float32).astype(np.float64)
-        write_wav(tmp_path / "rt.wav", Signal(samples, 16000), fmt="float32")
+        write_wav(tmp_path / "rt.wav", Signal(samples, 16000))
         np.testing.assert_array_equal(read_wav(tmp_path / "rt.wav").samples, samples)
         print(
             "[PASS] criterion 8: byte-identical repeat runs, bit-identical checkpoint "

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import MALFORMED_HEADERS, edit_header
 from scipy.io import wavfile
 
 from rirlab.cli import main
@@ -180,6 +181,27 @@ class TestTrain:
         assert code == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_empty_val_split_leaves_no_run_directory(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--n", "4", "--profile", "toy", "--seed", "1",
+                     "--splits", "1,0,0"]) == 0
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy"])
+        assert code == 2
+        assert "'val'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generator_loss_form_is_not_a_key(self, tmp_path, cli_dataset, capsys):
+        code = main(
+            ["train", "--manifest", str(cli_dataset / "manifest.json"),
+             "--out", str(tmp_path / "r"), "--profile", "toy",
+             "--set", "generator_loss_form=saturating"]
+        )
+        assert code == 2
+        assert "generator_loss_form" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_manifest_exits_3(self, tmp_path):
         code = main(
             ["train", "--manifest", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r"),
@@ -218,6 +240,20 @@ class TestEstimate:
         )
         assert code == 2
         assert "not a checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_malformed_checkpoint_header_exits_2(
+        self, tmp_path, cli_dataset, cli_run, capsys, edit
+    ):
+        ckpt = tmp_path / "bad.ckpt"
+        shutil.copyfile(cli_run / "best.ckpt", ckpt)
+        edit_header(ckpt, edit)
+        wav = next(cli_dataset.glob("*_reverb.wav"))
+        out = tmp_path / "o.wav"
+        code = main(["estimate", "--ckpt", str(ckpt), "--in", str(wav), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_sample_rate_mismatch_exits_2_with_expected_rate(self, tmp_path, cli_run, capsys):
         wrong = tmp_path / "wrong.wav"
@@ -303,6 +339,29 @@ class TestEvaluate:
         manifest = json.loads((cli_dataset / "manifest.json").read_text())
         n_test = sum(1 for e in manifest["entries"] if e["split"] == "test")
         assert len(lines) == 1 + n_test
+
+    def test_report_bytes_do_not_depend_on_thread_count(
+        self, tmp_path, cli_dataset, cli_run, monkeypatch
+    ):
+        # The train split has 10 entries, so several workers run at once.
+        outputs = []
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("RIRLAB_THREADS", threads)
+            out = tmp_path / threads / "model.csv"
+            code = main(
+                ["evaluate", "--manifest", str(cli_dataset / "manifest.json"), "--split",
+                 "train", "--method", f"model:{cli_run / 'best.ckpt'}", "--out", str(out)]
+            )
+            assert code == 0
+            outputs.append((out.read_bytes(), (out.parent / "model_examples.csv").read_bytes()))
+        assert len(outputs[0][1].splitlines()) == 1 + 10
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_eps_is_not_an_option(self, tmp_path, cli_dataset):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--manifest", str(cli_dataset / "manifest.json"),
+                  "--method", "baseline", "--out", str(tmp_path / "b.csv"), "--eps", "1e-9"])
+        assert exc.value.code == 2
 
     def test_unknown_method_exits_2(self, tmp_path, cli_dataset):
         code = main(

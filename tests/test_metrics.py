@@ -188,12 +188,6 @@ class TestMse:
             acc += (y - x) ** 2
         assert mse(Signal(a, SR), Signal(b, SR)) == pytest.approx(acc / 77, rel=1e-12)
 
-    def test_peak_normalize_flag(self):
-        a = Signal(np.array([0.5, 0.0]), SR)
-        b = Signal(np.array([1.0, 0.0]), SR)
-        assert mse(a, b) > 0
-        assert mse(a, b, peak_normalize=True) == 0.0
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             mse(Signal(np.ones(5), SR), Signal(np.ones(6), SR))

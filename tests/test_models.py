@@ -6,12 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from conftest import MALFORMED_HEADERS, edit_header
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rirlab import autodiff as ad
 from rirlab.autodiff import Tensor
 from rirlab.dsp import Signal
 from rirlab.errors import InvalidConfigError, InvalidInputError
 from rirlab.models import (
+    EstimatorConfig,
     build_discriminator,
     build_estimator,
     estimate,
@@ -191,14 +195,6 @@ class TestInitialization:
         assert _state_digest(net) == "b3b1fd19a6296b02"
 
 
-def _edit_header(path, edit) -> None:
-    """Rewrite a checkpoint's JSON header line in place, keeping the blobs."""
-    line, blobs = path.read_bytes().split(b"\n", 1)
-    header = json.loads(line)
-    edit(header)
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blobs)
-
-
 class TestCheckpoints:
     def test_round_trip_bit_identical_forward(self, tmp_path):
         net = build_estimator(toy_estimator_config(), seed=9)
@@ -211,12 +207,25 @@ class TestCheckpoints:
         np.testing.assert_array_equal(estimate(net, sig).samples, estimate(loaded, sig).samples)
 
     def test_round_trip_preserves_every_record(self, tmp_path):
-        net = build_discriminator(toy_discriminator_config(), seed=10)
-        path = save_checkpoint(net, tmp_path / "d.ckpt")
+        net = build_estimator(toy_estimator_config(), seed=10)
+        net.forward(Tensor(np.random.default_rng(10).standard_normal((2, 1, 8000))), train=True)
+        path = save_checkpoint(net, tmp_path / "e.ckpt")
         loaded = load_checkpoint(path)
-        for (n1, p1), (n2, p2) in zip(net.named_parameters(), loaded.named_parameters()):
-            assert n1 == n2
-            np.testing.assert_array_equal(p1.data, p2.data)
+        assert [n for n, _ in _state(net)] == [n for n, _ in _state(loaded)]
+        for (_, a1), (_, a2) in zip(_state(net), _state(loaded)):
+            np.testing.assert_array_equal(a1, a2)
+
+    @pytest.mark.parametrize("cfg", [toy_estimator_config(), full_estimator_config()],
+                             ids=["toy", "full"])
+    def test_config_echo_round_trips_through_json(self, cfg):
+        assert EstimatorConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+    def test_discriminator_kind_rejected(self, tmp_path):
+        path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
+                               tmp_path / "e.ckpt")
+        edit_header(path, lambda h: h.update(kind="discriminator"))
+        with pytest.raises(InvalidConfigError, match="'discriminator'"):
+            load_checkpoint(path)
 
     def test_reject_non_checkpoint_file(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -224,22 +233,11 @@ class TestCheckpoints:
         with pytest.raises(InvalidConfigError):
             load_checkpoint(bad)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda h: h.pop("kind"),
-            lambda h: h["config"].update(dropout=0.5),
-            lambda h: h.update(config=[]),
-            lambda h: h["records"][0].pop("shape"),
-            lambda h: h["config"].update(dtype="float16"),
-        ],
-        ids=["missing_kind", "unknown_config_key", "config_not_object", "record_without_shape",
-             "unknown_dtype"],
-    )
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
     def test_reject_malformed_header(self, tmp_path, edit):
-        path = save_checkpoint(build_discriminator(toy_discriminator_config(), seed=1),
-                               tmp_path / "d.ckpt")
-        _edit_header(path, edit)
+        path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
+                               tmp_path / "e.ckpt")
+        edit_header(path, edit)
         with pytest.raises(InvalidConfigError):
             load_checkpoint(path)
 
@@ -257,7 +255,7 @@ class TestCheckpoints:
                 first_padding=first["padding"],
             )
 
-        _edit_header(path, split_first_conv)
+        edit_header(path, split_first_conv)
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
         assert _state_digest(loaded) == _state_digest(net)
@@ -265,10 +263,64 @@ class TestCheckpoints:
     def test_legacy_scale_key_still_loads(self, tmp_path):
         net = build_estimator(toy_estimator_config(), seed=4)
         path = save_checkpoint(net, tmp_path / "e.ckpt")
-        _edit_header(path, lambda h: h["config"].update(scale="toy"))
+        edit_header(path, lambda h: h["config"].update(scale="toy"))
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
         assert _state_digest(loaded) == _state_digest(net)
+
+
+def _header_paths(node, prefix=()):
+    """Every key path in a JSON document: dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _header_paths(child, prefix + (key,))
+
+
+# Small values only, so that no edited header asks for a large allocation.
+HEADER_VALUES = st.one_of(
+    st.integers(-4, 64),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(-4, 64), max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """(path to overwrite, parsed header, blob bytes) of a toy estimator."""
+    root = tmp_path_factory.mktemp("ckpt")
+    path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1), root / "e.ckpt")
+    line, blobs = path.read_bytes().split(b"\n", 1)
+    return root / "edited.ckpt", json.loads(line), blobs
+
+
+class TestCheckpointHeaderProperty:
+    @settings(max_examples=100, database=None, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_edited_header_loads_or_raises_invalid_config(self, toy_checkpoint, data):
+        out, header, blobs = toy_checkpoint
+        header = json.loads(json.dumps(header))
+        *parents, key = data.draw(st.sampled_from(list(_header_paths(header))))
+        node = header
+        for step in parents:
+            node = node[step]
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(HEADER_VALUES)
+        out.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blobs)
+        try:
+            net = load_checkpoint(out)
+        except InvalidConfigError:
+            return
+        assert net.kind == "estimator"
 
 
 def _state(net) -> list[tuple[str, np.ndarray]]:
@@ -340,9 +392,9 @@ class TestDtype:
         assert json.loads(path32.read_bytes().split(b"\n", 1)[0])["config"]["dtype"] == "float32"
 
     def test_legacy_header_without_dtype_loads_as_float64(self, tmp_path):
-        net = build_discriminator(toy_discriminator_config(), seed=6)
-        path = save_checkpoint(net, tmp_path / "d.ckpt")
-        _edit_header(path, lambda h: h["config"].pop("dtype"))
+        net = build_estimator(toy_estimator_config(), seed=6)
+        path = save_checkpoint(net, tmp_path / "e.ckpt")
+        edit_header(path, lambda h: h["config"].pop("dtype"))
         loaded = load_checkpoint(path)
         assert loaded.config == net.config and loaded.dtype == np.float64
         assert _state_digest(loaded) == _state_digest(net)
