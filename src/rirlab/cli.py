@@ -9,14 +9,16 @@
 A checkpoint (C, CKPT) holds one trained estimator. WAVs are written as
 float32 and read as float32 or PCM16. Exit codes: 0 success, 2
 argument/validation problems, 3 I/O failures, 4 numerical divergence.
-RIRLAB_THREADS caps evaluate's worker pool.
+RIRLAB_THREADS caps evaluate's worker pool, which reads the WAVs and runs
+the baseline and identity methods. The model's forwards run on the calling
+thread, EVAL_BATCH examples at a time, so they share BLAS's own threads
+instead of competing for them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +35,7 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedFormatError,
 )
-from .models import estimate, load_checkpoint
+from .models import estimate, estimate_batch, load_checkpoint
 from .profiles import get_profile, profile_for_sample_rate
 from .synth import DatasetManifest, build_dataset, load_manifest
 from .training import TrainConfig, train
@@ -41,6 +43,7 @@ from .wavio import read_wav, write_wav
 
 USAGE_ERRORS = (InvalidInputError, InvalidConfigError, UnsupportedFormatError, ShapeMismatchError)
 DECONVOLVE_EPS = 1e-12  # the baseline's spectral-division regularizer
+EVAL_BATCH = 4  # model examples per evaluate forward; larger chunks ran slower
 
 
 def _worker_count() -> int:
@@ -129,11 +132,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     manifest = load_manifest(args.manifest)
     cfg = _apply_overrides(profile.train, args.set or [])
-    for split in ("train", "val"):  # fail before the run directory is written
-        if not manifest.split_entries(split):
-            raise InvalidInputError(f"manifest has no entries in split {split!r}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     echo = {
         "profile": profile.name,
         "manifest": str(Path(args.manifest).resolve()),
@@ -141,8 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "estimator": dataclasses.asdict(profile.estimator),
         "discriminator": dataclasses.asdict(profile.discriminator),
     }
-    (out_dir / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
-    result = train(manifest, profile.estimator, profile.discriminator, cfg, out_dir)
+    result = train(manifest, profile.estimator, profile.discriminator, cfg, out_dir, echo)
     print(f"best epoch: {result.best_epoch}")
     print(f"best validation edr loss: {result.best_val_edr!r}")
     print(f"run dir: {out_dir}")
@@ -165,7 +163,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def _estimate_for_entry(
     method: str, net, manifest: DatasetManifest, entry
 ) -> tuple[Signal, Signal]:
-    """(estimate, ground truth) for one manifest entry; each file is read once."""
+    """(estimate, ground truth) for one manifest entry; each file is read once.
+    For the model it is (input fitted to the model's length, ground truth):
+    cmd_evaluate runs the model's forwards itself, in batches."""
     truth = read_wav(manifest.path(entry.rir))
     if method == "identity":
         return truth, truth
@@ -173,7 +173,7 @@ def _estimate_for_entry(
     if method == "baseline":
         clean = read_wav(manifest.clean_path(entry))
         return spectral_deconvolve(reverberant, clean, DECONVOLVE_EPS, entry.params.rir_len), truth
-    return estimate(net, _fit_length(reverberant, net.config.input_len)), truth
+    return _fit_length(reverberant, net.config.input_len), truth
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -193,6 +193,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         pairs = list(pool.map(lambda e: _estimate_for_entry(method, net, manifest, e), entries))
+    if net is not None:
+        estimates = []
+        for start in range(0, len(pairs), EVAL_BATCH):
+            estimates += estimate_batch(net, [rev for rev, _ in pairs[start : start + EVAL_BATCH]])
+        pairs = [(est, truth) for est, (_, truth) in zip(estimates, pairs)]
     report = metrics.metric_report(pairs, stft_cfg, partition)
 
     out = Path(args.out)

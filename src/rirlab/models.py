@@ -22,9 +22,10 @@ parameters and buffers, which round-trip bit-exactly.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -44,11 +45,6 @@ DTYPES = tuple(dtype.name for dtype in FLOAT_DTYPES)  # the config dtype values
 # ---------------------------------------------------------------------------
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class Layer:
     """One named step of a network. By default it holds no parameters or buffers."""
 
@@ -65,30 +61,28 @@ class Layer:
 
 
 class Conv1dLayer(Layer):
+    """Takes its initial [out_ch, in_ch, kernel] weight; the bias starts at zero."""
+
     param_names = ("weight", "bias")
 
-    def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int, padding: int):
+    def __init__(self, weight: np.ndarray, stride: int, padding: int):
         self.stride, self.padding = stride, padding
-        self.weight = Tensor(
-            _uniform_init(rng, (out_ch, in_ch, kernel), in_ch * kernel), requires_grad=True
-        )
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(weight.shape[0]), requires_grad=True)
 
     def forward(self, x, train):
         return ad.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class ConvTranspose1dLayer(Layer):
+    """Takes its initial [in_ch, out_ch, kernel] weight; the bias starts at zero."""
+
     param_names = ("weight", "bias")
 
-    def __init__(
-        self, rng, in_ch, out_ch, kernel, stride, padding, output_padding=0
-    ):
+    def __init__(self, weight: np.ndarray, stride: int, padding: int, output_padding: int = 0):
         self.stride, self.padding, self.output_padding = stride, padding, output_padding
-        self.weight = Tensor(
-            _uniform_init(rng, (in_ch, out_ch, kernel), in_ch * kernel), requires_grad=True
-        )
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(weight.shape[1]), requires_grad=True)
 
     def forward(self, x, train):
         return ad.conv_transpose1d(
@@ -137,15 +131,14 @@ class TanhLayer(Layer):
 
 
 class FlattenLinearLayer(Layer):
-    """Flattens [B, C, L] to [B, C*L] and maps it to [B, out_features]."""
+    """Flattens [B, C, L] to [B, C*L] and maps it to [B, out_features] with
+    its initial [C*L, out_features] weight; the bias starts at zero."""
 
     param_names = ("weight", "bias")
 
-    def __init__(self, rng, in_features: int, out_features: int):
-        self.weight = Tensor(
-            _uniform_init(rng, (in_features, out_features), in_features), requires_grad=True
-        )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+    def __init__(self, weight: np.ndarray):
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(weight.shape[1]), requires_grad=True)
 
     def forward(self, x, train):
         return ad.linear(ad.flatten(x), self.weight, self.bias)
@@ -326,10 +319,19 @@ class Network:
         self.dtype = np.dtype(config.dtype)
         self.layers: list[tuple[str, Layer]] = []
 
+    def _weight(self, rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int):
+        """An initial weight, drawn uniformly from +-1/sqrt(fan_in) in float64
+        so that a float32 network equals the float64 network of the same seed,
+        rounded. Without a generator nothing is drawn: the weight is left
+        unset, in the network's dtype, for a checkpoint to fill."""
+        if rng is None:
+            return np.empty(shape, self.dtype)
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
     def _add(self, name: str, layer: Layer) -> None:
         """Append a layer, casting its parameters and buffers to the network's
-        dtype. They are drawn in float64, so a float32 network equals the
-        float64 network of the same seed, rounded."""
+        dtype."""
         for _, tensor in layer.params():
             tensor.data = tensor.data.astype(self.dtype, copy=False)
         for _, holder, attr in layer.buffers():
@@ -372,13 +374,12 @@ class Network:
             x = layer.forward(x, train)
         return x
 
-    def _conv_stack(self, rng: np.random.Generator, prefix: str, in_ch: int, blocks) -> int:
+    def _conv_stack(self, rng, prefix: str, in_ch: int, blocks) -> int:
         """Append one conv + LeakyReLU pair per block; returns the output channels."""
         for i, blk in enumerate(blocks):
-            self._add(
-                f"{prefix}{i}_conv",
-                Conv1dLayer(rng, in_ch, blk["out_channels"], blk["kernel"], blk["stride"], blk["padding"]),
-            )
+            shape = (blk["out_channels"], in_ch, blk["kernel"])
+            weight = self._weight(rng, shape, in_ch * blk["kernel"])
+            self._add(f"{prefix}{i}_conv", Conv1dLayer(weight, blk["stride"], blk["padding"]))
             self._add(f"{prefix}{i}_act", LeakyReLULayer())
             in_ch = blk["out_channels"]
         return in_ch
@@ -398,36 +399,22 @@ class Network:
 
 
 class Estimator(Network):
+    """With draw=False the weights are not drawn from the seed but left unset,
+    for load_checkpoint to fill."""
+
     kind = "estimator"
 
-    def __init__(self, config: EstimatorConfig, seed: int):
+    def __init__(self, config: EstimatorConfig, seed: int, draw: bool = True):
         super().__init__(config, seed)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         c = config
         in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
         for i, blk in enumerate(c.decoder, start=1):
-            self._add(
-                f"dec{i}_tconv",
-                ConvTranspose1dLayer(
-                    rng,
-                    in_ch,
-                    blk["out_channels"],
-                    blk["kernel"],
-                    blk["stride"],
-                    blk["padding"],
-                    blk["output_padding"],
-                ),
-            )
+            self._add(f"dec{i}_tconv", self._tconv(rng, in_ch, blk))
             self._add(f"dec{i}_bn", BatchNorm1dLayer(blk["out_channels"]))
             self._add(f"dec{i}_act", PReLULayer(blk["out_channels"]))
             in_ch = blk["out_channels"]
-        col = c.collapse
-        self._add(
-            "out_tconv",
-            ConvTranspose1dLayer(
-                rng, in_ch, 1, col["kernel"], col["stride"], col["padding"], col["output_padding"]
-            ),
-        )
+        self._add("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1}))
         self._add("out_act", TanhLayer())
 
         channels, length = self._trace(1, c.input_len)
@@ -436,6 +423,11 @@ class Estimator(Network):
                 f"estimator schedule maps [1, {c.input_len}] to [{channels}, {length}], "
                 f"expected [1, {c.rir_len}]"
             )
+
+    def _tconv(self, rng, in_ch: int, blk: dict) -> ConvTranspose1dLayer:
+        out_ch, kernel = blk["out_channels"], blk["kernel"]
+        weight = self._weight(rng, (in_ch, out_ch, kernel), in_ch * kernel)
+        return ConvTranspose1dLayer(weight, blk["stride"], blk["padding"], blk["output_padding"])
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         if x.data.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_len:
@@ -453,7 +445,8 @@ class Discriminator(Network):
         rng = np.random.default_rng(seed)
         self._conv_stack(rng, "blk", 2, config.blocks)  # candidate + condition channels
         channels, length = self._trace(2, config.rir_len)
-        self._add("head", FlattenLinearLayer(rng, channels * length, 1))
+        features = channels * length
+        self._add("head", FlattenLinearLayer(self._weight(rng, (features, 1), features)))
 
     def forward(self, rir: Tensor, condition: Tensor, train: bool) -> Tensor:
         if rir.shape != condition.shape:
@@ -492,20 +485,31 @@ def make_condition(reverberant: np.ndarray, condition_len: int, rir_len: int) ->
     return cond
 
 
+def estimate_batch(net: Estimator, reverberant: Sequence[Signal]) -> list[Signal]:
+    """Eval-mode inference on waveforms of exactly input_len samples, in one
+    batched forward. Eval mode normalizes with the running statistics, so
+    each estimate depends on its own input only."""
+    if not reverberant:
+        return []
+    for sig in reverberant:
+        if len(sig) != net.config.input_len:
+            raise InvalidInputError(
+                f"input must have {net.config.input_len} samples, got {len(sig)}; "
+                "pad or crop upstream"
+            )
+        if sig.sample_rate != net.config.sample_rate:
+            raise InvalidInputError(
+                f"input sample rate {sig.sample_rate} != model rate {net.config.sample_rate}"
+            )
+    batch = np.stack([sig.samples for sig in reverberant])[:, None, :]
+    with ad.no_grad():
+        out = net.forward(Tensor(batch), train=False)
+    return [Signal(row[0], net.config.sample_rate) for row in out.data]
+
+
 def estimate(net: Estimator, reverberant: Signal) -> Signal:
     """Eval-mode inference on one waveform of exactly input_len samples."""
-    if len(reverberant) != net.config.input_len:
-        raise InvalidInputError(
-            f"input must have {net.config.input_len} samples, got {len(reverberant)}; "
-            "pad or crop upstream"
-        )
-    if reverberant.sample_rate != net.config.sample_rate:
-        raise InvalidInputError(
-            f"input sample rate {reverberant.sample_rate} != model rate {net.config.sample_rate}"
-        )
-    with ad.no_grad():
-        out = net.forward(Tensor(reverberant.samples[None, None, :]), train=False)
-    return Signal(out.data[0, 0], net.config.sample_rate)
+    return estimate_batch(net, [reverberant])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +546,12 @@ def save_checkpoint(net: Estimator, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> Estimator:
-    """Rebuild the estimator from its embedded config and restore parameters
-    bit-exactly. A header that does not describe an estimator raises
-    InvalidConfigError before any blob is read. A config echo without a
-    dtype (older checkpoints) is float64."""
+    """Rebuild the estimator from its embedded config, without drawing an
+    initialization, and read each blob straight into its parameter or
+    buffer, bit-exactly. A header that does not describe an estimator, or
+    whose records are not the estimator's, raises InvalidConfigError before
+    any blob is read. A config echo without a dtype (older checkpoints) is
+    float64."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
@@ -562,32 +568,32 @@ def load_checkpoint(path: str | Path) -> Estimator:
             )
         try:
             _check_count("seed", header["seed"], 0)
-            net = Estimator(EstimatorConfig.from_dict(header["config"]), header["seed"])
+            net = Estimator(EstimatorConfig.from_dict(header["config"]), header["seed"], draw=False)
             records = [(rec["name"], rec["shape"]) for rec in header["records"]]
         except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidConfigError(f"{path} has an invalid estimator header: {exc!r}") from exc
+        state = dict(_state_records(net))
+        seen = set()
         for name, shape in records:
             if not isinstance(name, str) or not isinstance(shape, list):
                 raise InvalidConfigError(f"{path} has an invalid record {name!r}: shape {shape!r}")
             for size in shape:
                 _check_count(f"record {name} shape", size, 0)
-        blob = net.dtype.newbyteorder("<")
-        loaded = {}
-        for name, shape in records:
-            count = math.prod(shape)
-            buf = fh.read(count * blob.itemsize)
-            if len(buf) != count * blob.itemsize:
+            if name not in state or name in seen:
+                raise InvalidConfigError(f"checkpoint record {name!r} is unknown or repeated")
+            seen.add(name)
+            if tuple(shape) != state[name].shape:
+                raise InvalidConfigError(
+                    f"checkpoint record {name} has shape {tuple(shape)}, "
+                    f"expected {state[name].shape}"
+                )
+        missing = state.keys() - seen
+        if missing:
+            raise InvalidConfigError(f"checkpoint missing record {min(missing)}")
+        for name, _ in records:
+            arr = state[name]  # filled in place, in the network's dtype
+            if fh.readinto(arr) != arr.nbytes:
                 raise InvalidConfigError(f"{path} is truncated at record {name}")
-            loaded[name] = np.frombuffer(buf, dtype=blob).reshape(shape).astype(net.dtype)
-
-    params = [(name, tensor, "data") for name, tensor in net.named_parameters()]
-    for name, holder, attr in params + net.named_buffers():
-        if name not in loaded:
-            raise InvalidConfigError(f"checkpoint missing record {name}")
-        expected = getattr(holder, attr).shape
-        if loaded[name].shape != expected:
-            raise InvalidConfigError(
-                f"checkpoint record {name} has shape {loaded[name].shape}, expected {expected}"
-            )
-        setattr(holder, attr, loaded[name])
+            if sys.byteorder == "big":  # blobs are little-endian
+                arr.byteswap(inplace=True)
     return net

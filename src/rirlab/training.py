@@ -10,6 +10,7 @@ eval mode; the best-scoring epoch's checkpoint is kept.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -217,13 +218,32 @@ def validation_edr(
     return float(np.mean(losses))
 
 
-def _load_split(manifest: DatasetManifest, split: str) -> tuple[np.ndarray, np.ndarray]:
+def _stack_wavs(paths: list[Path], length: int, name: str) -> np.ndarray:
+    """[len(paths), length] samples of WAVs that must each hold the
+    estimator's length, named name."""
+    rows = []
+    for path in paths:
+        samples = read_wav(path).samples
+        if len(samples) != length:
+            raise InvalidInputError(
+                f"{path} has {len(samples)} samples, the estimator's {name} is {length}"
+            )
+        rows.append(samples)
+    return np.stack(rows)
+
+
+def _load_split(
+    manifest: DatasetManifest, split: str, est_cfg: EstimatorConfig
+) -> tuple[np.ndarray, np.ndarray]:
     entries = manifest.split_entries(split)
     if not entries:
         raise InvalidInputError(f"manifest has no entries in split {split!r}")
-    rev = np.stack([read_wav(manifest.path(e.reverberant)).samples for e in entries])
-    rir = np.stack([read_wav(manifest.path(e.rir)).samples for e in entries])
-    return rev, rir
+    rev = [manifest.path(e.reverberant) for e in entries]
+    rir = [manifest.path(e.rir) for e in entries]
+    return (
+        _stack_wavs(rev, est_cfg.input_len, "input_len"),
+        _stack_wavs(rir, est_cfg.rir_len, "rir_len"),
+    )
 
 
 def train(
@@ -232,24 +252,27 @@ def train(
     disc_cfg: DiscriminatorConfig,
     cfg: TrainConfig,
     out_dir: str | Path,
+    echo: dict | None = None,
 ) -> TrainResult:
     """Full training run over a manifest's train split.
 
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
     last.ckpt into out_dir, which is created only once both splits have
-    loaded; epoch shuffling, initialization and the learning-rate schedule
-    are all pure functions of the config and seed. On divergence the log is
-    flushed before the error propagates. The two networks must share one
-    dtype.
+    loaded, along with the echo, if given, as config.json; epoch shuffling,
+    initialization and the learning-rate schedule are all pure functions of
+    the config and seed. On divergence the log is flushed before the error
+    propagates. The two networks must share one dtype.
     """
     if est_cfg.dtype != disc_cfg.dtype:
         raise InvalidConfigError(
             f"estimator dtype {est_cfg.dtype} and discriminator dtype {disc_cfg.dtype} differ"
         )
-    train_rev, train_rir = _load_split(manifest, "train")
-    val_rev, val_rir = _load_split(manifest, "val")
+    train_rev, train_rir = _load_split(manifest, "train", est_cfg)
+    val_rev, val_rir = _load_split(manifest, "val", est_cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if echo is not None:
+        (out_dir / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
 
     estimator = build_estimator(est_cfg, seed=cfg.seed)
     discriminator = build_discriminator(disc_cfg, seed=cfg.seed + 1)

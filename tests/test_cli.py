@@ -192,6 +192,44 @@ class TestTrain:
         assert "'val'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_wav_of_wrong_length_exits_2_without_run_directory(
+        self, tmp_path, cli_dataset, capsys
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        second = [e for e in manifest["entries"] if e["split"] == "train"][1]
+        wavfile.write(data / second["rir"], 8000, np.zeros(100, dtype=np.float32))
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert Path(second["rir"]).name in err and "100" in err and "256" in err
+        assert not out.exists()
+
+    def test_other_profile_dataset_exits_2_without_run_directory(self, tmp_path, capsys):
+        data = tmp_path / "full"
+        assert main(["synth", "--out", str(data), "--n", "3", "--profile", "full", "--seed", "1",
+                     "--splits", "0.5,0.5,0"]) == 0
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy"])
+        assert code == 2
+        assert "16000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_wav_exits_3_without_run_directory(self, tmp_path, cli_dataset):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / [e for e in manifest["entries"] if e["split"] == "val"][0]["rir"]).unlink()
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy"])
+        assert code == 3
+        assert not out.exists()
+
     def test_generator_loss_form_is_not_a_key(self, tmp_path, cli_dataset, capsys):
         code = main(
             ["train", "--manifest", str(cli_dataset / "manifest.json"),
@@ -356,6 +394,45 @@ class TestEvaluate:
             outputs.append((out.read_bytes(), (out.parent / "model_examples.csv").read_bytes()))
         assert len(outputs[0][1].splitlines()) == 1 + 10
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    # 5 and 6 test examples leave a last chunk of 1 and of 2.
+    @pytest.mark.parametrize("n_test", [5, 6])
+    @pytest.mark.parametrize("profile", ["toy", "full"])
+    def test_batched_model_estimates_equal_single_estimates(
+        self, tmp_path, monkeypatch, profile, n_test
+    ):
+        from rirlab import cli
+        from rirlab.models import build_estimator, estimate, load_checkpoint, save_checkpoint
+        from rirlab.profiles import get_profile
+        from rirlab.synth import load_manifest
+
+        assert n_test % cli.EVAL_BATCH in (1, 2)
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--n", str(n_test), "--profile", profile,
+                     "--seed", "3", "--splits", "0,0,1"]) == 0
+        ckpt = save_checkpoint(build_estimator(get_profile(profile).estimator, seed=4),
+                               tmp_path / "e.ckpt")
+        scored = []
+        metric_report = cli.metrics.metric_report
+
+        def spy(pairs, *args):
+            scored.extend(pairs)
+            return metric_report(pairs, *args)
+
+        monkeypatch.setattr(cli.metrics, "metric_report", spy)
+        assert main(["evaluate", "--manifest", str(data / "manifest.json"), "--method",
+                     f"model:{ckpt}", "--out", str(tmp_path / "model.csv")]) == 0
+
+        net = load_checkpoint(ckpt)
+        manifest = load_manifest(data / "manifest.json")
+        entries = manifest.split_entries("test")
+        assert len(scored) == len(entries) == n_test
+        for entry, (batched, _) in zip(entries, scored):
+            single = estimate(net, read_wav(manifest.path(entry.reverberant))).samples
+            if profile == "full":  # float32
+                np.testing.assert_array_equal(batched.samples, single)
+            else:  # float64: the GEMMs may round differently with the batch size
+                np.testing.assert_allclose(batched.samples, single, rtol=1e-12, atol=1e-15)
 
     def test_eps_is_not_an_option(self, tmp_path, cli_dataset):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from rirlab.models import (
     build_discriminator,
     build_estimator,
     estimate,
+    estimate_batch,
     full_discriminator_config,
     full_estimator_config,
     load_checkpoint,
@@ -172,6 +173,14 @@ class TestEstimate:
         with pytest.raises(InvalidInputError):
             estimate(net, Signal(np.zeros(8000), 16000))
 
+    def test_batch_checks_every_input(self):
+        net = build_estimator(toy_estimator_config(), seed=8)
+        good = Signal(np.zeros(8000), 8000)
+        assert estimate_batch(net, []) == []
+        for bad in (Signal(np.zeros(4000), 8000), Signal(np.zeros(8000), 16000)):
+            with pytest.raises(InvalidInputError):
+                estimate_batch(net, [good, good, bad])
+
 
 def _state_digest(net) -> str:
     """sha256 over every parameter and buffer: name, then float64 bytes."""
@@ -219,6 +228,21 @@ class TestCheckpoints:
                              ids=["toy", "full"])
     def test_config_echo_round_trips_through_json(self, cfg):
         assert EstimatorConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch, dtype):
+        net = build_estimator(dataclasses.replace(toy_estimator_config(), dtype=dtype), seed=12)
+        net.forward(Tensor(np.random.default_rng(12).standard_normal((2, 1, 8000))), train=True)
+        path = save_checkpoint(net, tmp_path / "e.ckpt")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        for (n1, a1), (n2, a2) in zip(_state(net), _state(loaded)):
+            assert n1 == n2 and a2.dtype == a1.dtype
+            np.testing.assert_array_equal(a1, a2)
 
     def test_discriminator_kind_rejected(self, tmp_path):
         path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
@@ -321,6 +345,46 @@ class TestCheckpointHeaderProperty:
         except InvalidConfigError:
             return
         assert net.kind == "estimator"
+
+
+def _blob_boundaries(header) -> list[int]:
+    """Byte offsets, within the blobs, at which each record starts and ends."""
+    itemsize = np.dtype(header["config"]["dtype"]).itemsize
+    offsets = [0]
+    for rec in header["records"]:
+        offsets.append(offsets[-1] + itemsize * int(np.prod(rec["shape"])))
+    return offsets
+
+
+class TestCheckpointBlobProperty:
+    @settings(max_examples=100, database=None, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_truncated_checkpoint_raises_invalid_config(self, toy_checkpoint, data):
+        out, header, blobs = toy_checkpoint
+        line = json.dumps(header).encode("utf-8") + b"\n"
+        edges = [len(line) + at + step for at in _blob_boundaries(header) for step in (-1, 0, 1)]
+        cut = data.draw(
+            st.one_of(
+                st.integers(0, len(line) + len(blobs) - 1),
+                st.sampled_from([at for at in edges if at < len(line) + len(blobs)]),
+            )
+        )
+        out.write_bytes((line + blobs)[:cut])
+        with pytest.raises(InvalidConfigError):
+            load_checkpoint(out)
+
+    @settings(max_examples=50, database=None, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_flipped_blob_byte_still_loads(self, toy_checkpoint, data):
+        out, header, blobs = toy_checkpoint
+        line = json.dumps(header).encode("utf-8") + b"\n"
+        mutated = bytearray(blobs)
+        mutated[data.draw(st.integers(0, len(blobs) - 1))] ^= data.draw(st.integers(1, 255))
+        out.write_bytes(line + mutated)
+        net = load_checkpoint(out)
+        # The blobs are read as they are: saving again gives back the same bytes.
+        resaved = save_checkpoint(net, out.with_name("resaved.ckpt"))
+        assert resaved.read_bytes() == line + mutated
 
 
 def _state(net) -> list[tuple[str, np.ndarray]]:
