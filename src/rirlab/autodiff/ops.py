@@ -34,10 +34,12 @@ def _overlap_add(y: np.ndarray, weight: np.ndarray, stride: int, length: int) ->
     return out
 
 
-# The correlate direction (conv1d's forward, conv_transpose1d's input
-# gradient) keeps two kernels with equal results: an im2col GEMM measured
-# faster than an einsum for the former, led by the long one-channel first
-# conv, and slower for the latter, led by the decoder's short kernels.
+# The correlate direction (conv1d's forward and weight gradient,
+# conv_transpose1d's two gradients) runs as im2col GEMMs. conv1d lays its
+# columns out [B*Lout, Cin*K] and conv_transpose1d [Cout*K, B*L]: each
+# layout, with its GEMMs' operand order, gives the bits of the code it
+# replaced on every shape of both profiles. Either one transposed changes
+# the last bits of some of the toy profile's small float64 GEMMs.
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
@@ -130,16 +132,21 @@ def conv_transpose1d(
         if span > 0:
             gfull[:, :, padding : padding + span] = g[:, :, :span]
         gwin = sliding_window_view(gfull, K, axis=2)[:, :, ::stride, :][:, :, :L, :]
-        gx = (
-            np.einsum("bolk,iok->bil", gwin, weight.data, optimize=True)
-            if x.requires_grad
-            else None
-        )
-        gw = (
-            np.einsum("bil,bolk->iok", x.data, gwin, optimize=True)
-            if weight.requires_grad
-            else None
-        )
+        cols = np.ascontiguousarray(gwin.transpose(1, 3, 0, 2)).reshape(Cout * K, B * L)
+        del gfull, gwin
+        gx = None
+        if x.requires_grad:
+            gx = (weight.data.reshape(Cin, Cout * K) @ cols).reshape(Cin, B, L).transpose(1, 0, 2)
+        gw = None
+        if weight.requires_grad:
+            # cols @ x^T written through a transposed view: numpy runs that
+            # GEMM as it is and the gradient comes out C-contiguous, so
+            # neither backward nor rmsprop_step has to copy it. The GEMM
+            # x^T-first (x2 @ cols.T) is C-contiguous too, but it rounds
+            # differently from this one on some toy float64 shapes.
+            gw = np.empty((Cin, Cout * K), dtype=g.dtype)
+            np.matmul(cols, x.data.transpose(0, 2, 1).reshape(B * L, Cin), out=gw.T)
+            gw = gw.reshape(Cin, Cout, K)
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
@@ -188,10 +195,16 @@ def batchnorm1d(
     else:
         mean, var = state.running_mean, state.running_var
     inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
-    out = Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None])
+
+    def normalized():
+        return (x.data - mean[None, :, None]) * inv[None, :, None]
+
+    out = Tensor(gamma.data[None, :, None] * normalized() + beta.data[None, :, None])
 
     def backward_fn(g):
+        # xhat is recomputed from x rather than kept from the forward, so
+        # the record holds no activation-sized array of its own.
+        xhat = normalized()
         gbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
         ggamma = (g * xhat).sum(axis=(0, 2)) if gamma.requires_grad else None
         gx = None
@@ -212,9 +225,9 @@ def batchnorm1d(
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, slope * x.data))
-    record(out, (x,), lambda g: (np.where(mask, g, slope * g),))
+    out = Tensor(np.where(x.data > 0, x.data, slope * x.data))
+    # The mask is recomputed from x rather than kept from the forward.
+    record(out, (x,), lambda g: (np.where(x.data > 0, g, slope * g),))
     return out
 
 
@@ -224,11 +237,11 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
     if slope.shape != (C,):
         raise ShapeMismatchError(f"prelu slope must be ({C},), got {slope.shape}")
     check_same_dtype("prelu", x, slope)
-    mask = x.data > 0
     s = slope.data[None, :, None]
-    out = Tensor(np.where(mask, x.data, s * x.data))
+    out = Tensor(np.where(x.data > 0, x.data, s * x.data))
 
     def backward_fn(g):
+        mask = x.data > 0  # recomputed rather than kept from the forward
         gx = np.where(mask, g, s * g) if x.requires_grad else None
         gs = (g * x.data * (~mask)).sum(axis=(0, 2)) if slope.requires_grad else None
         return (gx, gs)

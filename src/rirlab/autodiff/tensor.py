@@ -8,9 +8,12 @@ one thread never switches recording off or on in another.
 backward(loss) sweeps the records in reverse, accumulates adjoints additively
 across fan-out and deposits .grad on leaf tensors. It consumes only the
 records it reaches from loss; records of other graphs stay on the tape for a
-later backward. A second backward on the same loss finds no record that
-produces it, which is an error; so is a backward whose graph reaches a tensor
-whose record an earlier backward consumed.
+later backward. Each consumed record is dropped, with its closure and the
+arrays the closure holds, as soon as its closure has run, so activations are
+freed during the sweep rather than when it ends. A second backward on the
+same loss finds no record that produces it, which is an error; so is a
+backward whose graph reaches a tensor whose record an earlier backward
+consumed.
 """
 
 from __future__ import annotations
@@ -152,7 +155,11 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None
     """Register out = f(inputs) on the tape if any input carries gradients.
 
     backward_fn maps the upstream gradient array to one gradient array (or
-    None) per input, in order.
+    None) per input, in order. It must not modify the upstream gradient.
+    backward may store a returned array as a leaf's .grad without copying
+    it (the upstream gradient and its views are copied), so backward_fn must
+    return fresh arrays: never one that it keeps for later, nor a view of a
+    tensor's .data.
     """
     state = _state
     if state.grad_enabled and any(t.requires_grad for t in inputs):
@@ -165,12 +172,23 @@ def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; deposits .grad on leaf tensors.
 
     Gradients accumulate additively when a tensor feeds several consumers.
-    The records reachable from loss are removed from the tape; the others
-    stay. Calling backward on a loss that no record on the tape produces,
-    such as the same loss a second time, raises. So does a graph that reaches
-    a tensor whose record is gone (consumed by an earlier backward, or
-    cleared): it would otherwise be taken for a leaf and its inputs would get
-    no gradient. Both checks run before any .grad is touched.
+    The records that loss does not reach go back onto the tape before the
+    sweep starts; each reached record is dropped, with its closure, once its
+    closure has run. Calling backward on a loss that no record on the tape
+    produces, such as the same loss a second time, raises. So does a graph
+    that reaches a tensor whose record is gone (consumed by an earlier
+    backward, or cleared): it would otherwise be taken for a leaf and its
+    inputs would get no gradient. Both checks run before any .grad is
+    touched.
+
+    A gradient that reaches a leaf whose .grad is None becomes that .grad
+    as the closure returned it; it is copied only if it is the closure's
+    upstream gradient or a view of it, or if another leaf already holds the
+    same array. If a closure raises, or returns a gradient of the wrong
+    shape or dtype, the error propagates: the tape then holds only the
+    records that loss does not reach, all of this graph's records are gone,
+    and the leaves reached before the failing record keep the gradients
+    deposited so far.
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -195,28 +213,51 @@ def backward(loss: Tensor) -> None:
             "this graph reaches a tensor whose record is no longer on the tape; "
             "an earlier backward consumed it or the tape was cleared"
         )
-
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for out_id, inputs, backward_fn in mine:
-        g = grads.pop(out_id, None)
-        if g is None:
-            continue
-        input_grads = backward_fn(g)
-        for tensor, gi in zip(inputs, input_grads):
-            if gi is None or not tensor.requires_grad:
-                continue
-            if gi.shape != tensor.data.shape:
-                raise ShapeMismatchError(
-                    f"gradient shape {gi.shape} does not match tensor shape {tensor.data.shape}"
-                )
-            if gi.dtype != tensor.data.dtype:
-                raise InvalidInputError(
-                    f"gradient dtype {gi.dtype} does not match tensor dtype {tensor.data.dtype}"
-                )
-            if tensor.node_id in produced:
-                acc = grads.get(tensor.node_id)
-                grads[tensor.node_id] = gi if acc is None else acc + gi
-            else:
-                tensor.grad = gi.copy() if tensor.grad is None else tensor.grad + gi
     kept.reverse()
     tape.entries = kept
+    mine.reverse()  # so pop() takes the latest record first
+
+    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    stored: set[int] = set()  # ids of the arrays deposited uncopied as .grad
+    while mine:
+        # Rebinding these names drops the previous record, its closure and
+        # its upstream gradient before the next closure runs.
+        out_id, inputs, backward_fn = mine.pop()
+        g = grads.pop(out_id, None)
+        if g is not None:
+            _deposit(inputs, backward_fn(g), g, grads, produced, stored)
+
+
+def _deposit(
+    inputs: tuple[Tensor, ...],
+    input_grads: Sequence[np.ndarray | None],
+    g: np.ndarray,
+    grads: dict[int, np.ndarray],
+    produced: set[int],
+    stored: set[int],
+) -> None:
+    """Add one closure's input gradients to the adjoints of recorded inputs
+    and to the .grad of leaves."""
+    for tensor, gi in zip(inputs, input_grads):
+        if gi is None or not tensor.requires_grad:
+            continue
+        if gi.shape != tensor.data.shape:
+            raise ShapeMismatchError(
+                f"gradient shape {gi.shape} does not match tensor shape {tensor.data.shape}"
+            )
+        if gi.dtype != tensor.data.dtype:
+            raise InvalidInputError(
+                f"gradient dtype {gi.dtype} does not match tensor dtype {tensor.data.dtype}"
+            )
+        if tensor.node_id in produced:
+            acc = grads.get(tensor.node_id)
+            grads[tensor.node_id] = gi if acc is None else acc + gi
+        elif tensor.grad is not None:
+            tensor.grad = tensor.grad + gi
+        else:
+            # g and its views may still reach other records, and one array
+            # may reach two leaves (add returns (g, g)): those are copied.
+            if id(gi) in stored or np.may_share_memory(gi, g):
+                gi = gi.copy()
+            tensor.grad = gi
+            stored.add(id(gi))

@@ -237,7 +237,10 @@ class DatasetManifest:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a manifest; rir_len is recovered from the first entry's file
     (entry params store everything else). A file that is not a JSON
-    manifest raises InvalidConfigError."""
+    manifest raises InvalidConfigError, and so, before any WAV is read, does
+    an entry whose file names are not strings, whose split is not one of
+    SPLITS or whose params have the wrong type, or an example_len that is
+    not an integer >= 1."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -251,7 +254,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
-    for reverberant, _, _, params in rows:
+    example_len = header["example_len"]
+    if isinstance(example_len, bool) or not isinstance(example_len, int) or example_len < 1:
+        raise InvalidConfigError(f"{path}: example_len={example_len!r}, expected an integer >= 1")
+    for reverberant, rir, split, params in rows:
+        for key, value in (("reverberant", reverberant), ("rir", rir)):
+            if not isinstance(value, str):
+                raise InvalidConfigError(f"{path}: entry has {key}={value!r}, expected a file name")
+        if split not in SPLITS:
+            raise InvalidConfigError(
+                f"{path}: entry {reverberant} has split={split!r}, expected one of {SPLITS}"
+            )
         for key, value in params.items():
             kinds = (int, float) if key in _FLOAT_PARAMS else (int,)
             if isinstance(value, bool) or not isinstance(value, kinds):

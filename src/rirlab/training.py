@@ -139,7 +139,9 @@ def train_step(
     The estimator runs forward once, before the discriminator update, which
     leaves the estimator's parameters alone; both half-steps use that output.
     Every tape record the step adds is consumed by its two backward sweeps,
-    or dropped if the step raises.
+    or dropped if the step raises. The estimator's gradients are cleared
+    when the step starts, so the previous step's are not held through the
+    forward, and this step's stay readable after it returns.
     """
     rev, rir = batch
     cond = make_condition(
@@ -149,6 +151,7 @@ def train_step(
     rir_t = Tensor(rir[:, None, :].astype(estimator.dtype, copy=False))  # meets fake in the losses
     tape = ad.active_tape()
     mark = len(tape)
+    estimator.zero_grad()
     try:
         fake = estimator.forward(rev_t, train=True)
 
@@ -183,7 +186,6 @@ def train_step(
         _check_finite(
             {"l_edr": losses.l_edr, "l_mse": losses.l_mse, "l_cgan": losses.l_cgan}, context
         )
-        estimator.zero_grad()
         discriminator.zero_grad()
         ad.backward(total)
         e_params = estimator.parameters()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,25 @@ from scipy.io import wavfile
 from .dsp import Signal
 from .errors import UnsupportedFormatError
 
+# What scipy's WAV parser raises on a file that is cut short, is not RIFF,
+# uses another codec, or has a corrupt header: a missing fmt or data chunk
+# surfaces as UnboundLocalError, a zero block size as ZeroDivisionError, a
+# bad float sample width as TypeError. OSError is not among them.
+_PARSE_ERRORS = (ValueError, TypeError, ZeroDivisionError, UnboundLocalError, struct.error)
+
 
 def read_wav(path: str | Path) -> Signal:
     """Read a mono WAV file into a float64 Signal.
 
     PCM16 samples are scaled to [-1, 1) by 1/32768; float32 samples are
-    taken as-is. Anything else (multi-channel, other codecs) is rejected.
+    taken as-is. Anything else (multi-channel, other codecs, a file that is
+    not a readable WAV) raises UnsupportedFormatError; a file that cannot be
+    opened raises OSError.
     """
-    rate, data = wavfile.read(str(path))
+    try:
+        rate, data = wavfile.read(str(path))
+    except _PARSE_ERRORS as exc:
+        raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim != 1:
         raise UnsupportedFormatError(
             f"{path}: expected mono audio, got {data.ndim} dimensions"

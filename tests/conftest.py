@@ -1,9 +1,11 @@
-"""Shared test helpers: gradient checking and checkpoint header edits."""
+"""Shared test helpers: gradient checking, JSON document edits and checkpoint
+header edits."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rirlab.autodiff import active_tape
 
@@ -35,6 +37,29 @@ def numeric_grad(f, arr, h=1e-5):
 def relative_error(analytic, numeric):
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return np.linalg.norm(analytic - numeric) / denom
+
+
+def json_paths(node, prefix=()):
+    """Every key path in a JSON document: dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+# Small values only, so that no edited document asks for a large allocation.
+SMALL_JSON_VALUES = st.one_of(
+    st.integers(-4, 64),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(-4, 64), max_size=3),
+)
 
 
 def edit_header(path, edit) -> None:

@@ -2,12 +2,14 @@
 semantics, and the optimizer's closed forms."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import numeric_grad, relative_error
 from rirlab import autodiff as ad
+from rirlab import models
 from rirlab.autodiff import Tensor
 from rirlab.dsp import Signal, StftConfig, octave_bands
 from rirlab.errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
@@ -431,6 +433,121 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, w_grad)
         assert y.grad is None
         assert len(ad.active_tape()) == n_left
+
+
+def _full_decoder_tconv_cases():
+    """(layer, input shape) of each full-profile decoder tconv at batch 4,
+    found by running the layers on an empty batch."""
+    net = models.Estimator(models.full_estimator_config(), seed=0, draw=False)
+    h, cases = Tensor(np.zeros((0, 1, net.config.input_len), dtype=net.dtype)), []
+    with ad.no_grad():
+        for _, layer in net.layers:
+            if isinstance(layer, models.ConvTranspose1dLayer):
+                cases.append((layer, (4,) + h.shape[1:]))
+            h = layer.forward(h, False)
+    return cases
+
+
+class TestBackwardMemory:
+    """backward drops each record once used and stores closures' gradients
+    uncopied, except where a copy keeps two gradients from sharing memory."""
+
+    def test_record_is_dropped_before_earlier_records_run(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        seen = []
+        y = Tensor(x.data * 3.0)
+        ad.record(y, (x,), lambda g: (seen.append(alive() is None) or g * 3.0,))
+        held = np.full(4, 2.0)
+        alive = weakref.ref(held)
+        z = Tensor(y.data * held)
+        ad.record(z, (y,), lambda g, h=held: (g * h,))
+        del held
+        ad.backward(z.sum())
+        assert seen == [True]
+        np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
+
+    def test_fresh_closure_gradient_becomes_grad_uncopied(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        fresh = []
+        y = Tensor(x.data * 2.0)
+        ad.record(y, (x,), lambda g: (fresh.append(g * 2.0) or fresh[-1],))
+        ad.backward(y.sum())
+        assert x.grad is fresh[0]
+
+    # These three also hold at the parent of the uncopied path, which copied
+    # every leaf gradient; they pin the copies that path must still make.
+    def test_add_of_two_leaves_gives_independent_grads(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        ad.backward((a + b).sum())
+        assert a.grad is not b.grad
+        a.grad += 5.0
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    @pytest.mark.parametrize("op", ["concat_channels", "flatten"])
+    def test_leaf_grad_shares_no_memory_with_upstream_gradient(self, op):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.standard_normal((2, 1, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        out = ad.concat_channels(a, b) if op == "concat_channels" else ad.flatten(b)
+        upstream = rng.standard_normal(out.shape)
+        loss, sent = Tensor(np.zeros(())), []
+        ad.record(loss, (out,), lambda g: (sent.append(upstream.copy()) or sent[-1],))
+        ad.backward(loss)
+        (g,) = sent  # the upstream gradient of the op under test
+        leaves = (a, b) if op == "concat_channels" else (b,)
+        for leaf in leaves:
+            assert not np.may_share_memory(leaf.grad, g)
+        if op == "concat_channels":
+            np.testing.assert_array_equal(a.grad, upstream[:, :1])
+            np.testing.assert_array_equal(b.grad, upstream[:, 1:])
+        else:
+            np.testing.assert_array_equal(b.grad, upstream.reshape(b.shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_transpose1d_weight_gradient_contiguous_and_equal_to_einsum(self, dtype):
+        rng = np.random.default_rng(22)
+        for layer, shape in _full_decoder_tconv_cases():
+            x = Tensor(rng.standard_normal(shape).astype(dtype))
+            w = Tensor(rng.standard_normal(layer.weight.shape).astype(dtype), requires_grad=True)
+            out = ad.conv_transpose1d(
+                x, w, stride=layer.stride, padding=layer.padding,
+                output_padding=layer.output_padding,
+            )
+            g = rng.standard_normal(out.shape).astype(dtype)
+            _, gw = ad.active_tape().entries.pop()[2](g)
+            assert gw.flags["C_CONTIGUOUS"]
+            # Reference check: the einsum this GEMM replaced, bit for bit.
+            K, stride, padding = w.shape[2], layer.stride, layer.padding
+            L_full = (x.shape[2] - 1) * stride + K
+            gfull = np.zeros(out.shape[:2] + (L_full,), dtype=dtype)
+            span = min(L_full, padding + out.shape[2]) - padding
+            gfull[:, :, padding : padding + span] = g[:, :, :span]
+            gwin = np.lib.stride_tricks.sliding_window_view(gfull, K, axis=2)
+            gwin = gwin[:, :, ::stride, :][:, :, : x.shape[2], :]
+            want = np.einsum("bil,bolk->iok", x.data, gwin, optimize=True)
+            np.testing.assert_array_equal(gw, want)
+
+    def test_failing_closure_leaves_only_unreached_records(self):
+        other_leaf = Tensor(np.ones(2), requires_grad=True)
+        other = other_leaf * 2.0  # another graph's record
+        x = Tensor(np.ones(3), requires_grad=True)
+        v = Tensor(np.ones(3), requires_grad=True)
+        y = x * 3.0
+
+        def boom(g):
+            raise RuntimeError("boom")
+
+        z = Tensor(y.data.copy())
+        ad.record(z, (y,), boom)
+        loss = (z + v).sum()
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.backward(loss)
+        assert [entry[0] for entry in ad.active_tape().entries] == [other.node_id]
+        np.testing.assert_array_equal(v.grad, np.ones(3))  # reached before boom
+        assert x.grad is None
+        with pytest.raises(InvalidInputError):
+            ad.backward(loss)
 
 
 class TestThreadLocalGradMode:

@@ -3,14 +3,19 @@
 import hashlib
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import MALFORMED_HEADERS, edit_header
+from conftest import MALFORMED_HEADERS, SMALL_JSON_VALUES, edit_header, json_paths
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from rirlab import cli, synth
 from rirlab.cli import main
+from rirlab.synth import load_manifest
 from rirlab.wavio import read_wav
 
 
@@ -27,6 +32,22 @@ def cli_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_ds")
     assert main(["synth", "--out", str(out), "--n", "12", "--profile", "toy", "--seed", "5"]) == 0
     return out
+
+
+def _malformed_wav(wav: bytes, kind: str) -> bytes:
+    """A file that scipy cannot parse as a WAV we read, made from a valid one."""
+    if kind == "truncated":
+        return wav[:30]  # cut inside the fmt chunk
+    if kind == "not_riff":
+        return b"plain text, not audio\n" * 4
+    if kind == "empty":
+        return b""
+    mu_law = bytearray(wav)  # format tag 7 in the fmt chunk
+    struct.pack_into("<H", mu_law, mu_law.index(b"fmt ") + 8, 7)
+    return bytes(mu_law)
+
+
+MALFORMED_WAVS = ["truncated", "not_riff", "empty", "mu_law"]
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +314,22 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", MALFORMED_WAVS)
+    def test_malformed_wav_exits_2(self, tmp_path, cli_dataset, cli_run, capsys, kind):
+        bad = tmp_path / "in.wav"
+        bad.write_bytes(_malformed_wav(next(cli_dataset.glob("*_reverb.wav")).read_bytes(), kind))
+        out = tmp_path / "o.wav"
+        code = main(["estimate", "--ckpt", str(cli_run / "best.ckpt"), "--in", str(bad),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not a readable WAV")
+        assert not out.exists()
+
+    def test_missing_input_exits_3(self, tmp_path, cli_run):
+        code = main(["estimate", "--ckpt", str(cli_run / "best.ckpt"),
+                     "--in", str(tmp_path / "absent.wav"), "--out", str(tmp_path / "o.wav")])
+        assert code == 3
+
     def test_sample_rate_mismatch_exits_2_with_expected_rate(self, tmp_path, cli_run, capsys):
         wrong = tmp_path / "wrong.wav"
         wavfile.write(wrong, 16000, np.zeros(16000, dtype=np.float32))
@@ -353,6 +390,44 @@ class TestEvaluate:
         )
         assert code == 2
         assert key in capsys.readouterr().err
+
+    def test_entry_naming_a_non_wav_file_exits_2(self, tmp_path, cli_dataset, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        (data / "notes.txt").write_text("not audio\n")
+        manifest = json.loads((data / "manifest.json").read_text())
+        next(e for e in manifest["entries"] if e["split"] == "test")["rir"] = "notes.txt"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(
+            ["evaluate", "--manifest", str(data / "manifest.json"), "--split", "test",
+             "--method", "identity", "--out", str(tmp_path / "ident.csv")]
+        )
+        assert code == 2
+        assert "notes.txt: not a readable WAV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rir", 3), ("reverberant", None), ("split", 3), ("split", "training"),
+         ("example_len", 1.5), ("example_len", 0), ("example_len", True)],
+    )
+    def test_mistyped_manifest_field_exits_2_before_reading_wavs(
+        self, tmp_path, cli_dataset, capsys, monkeypatch, field, value
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (manifest if field == "example_len" else manifest["entries"][-1])[field] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        reads = []
+        for module in (cli, synth):
+            monkeypatch.setattr(module, "read_wav", lambda path: reads.append(path))
+        code = main(
+            ["evaluate", "--manifest", str(data / "manifest.json"), "--split", "test",
+             "--method", "identity", "--out", str(tmp_path / "ident.csv")]
+        )
+        assert code == 2
+        assert f"{field}={value!r}" in capsys.readouterr().err
+        assert reads == []
 
     def test_baseline_near_exact_on_synthetic_data(self, tmp_path, cli_dataset):
         out = tmp_path / "base.csv"
@@ -521,3 +596,57 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path), "--n", "4", "--profile", "huge"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory, cli_dataset):
+    """A copy of the CLI dataset that the property tests write edited files into."""
+    root = tmp_path_factory.mktemp("fuzz") / "ds"
+    shutil.copytree(cli_dataset, root)
+    return root
+
+
+class TestMalformedInputProperties:
+    """Edited inputs either load or raise an error that the CLI maps to exit
+    code 2 (cli.USAGE_ERRORS) or 3 (OSError); never anything else."""
+
+    # A cut inside the samples loads the samples that are left, with a warning.
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @settings(max_examples=150, database=None, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_flipped_wav_loads_or_raises_usage_error(self, fuzz_dataset, data):
+        name = data.draw(st.sampled_from(["ex_00000_rir.wav", "ex_00000_reverb.wav"]))
+        wav = bytearray((fuzz_dataset / name).read_bytes())
+        cut = data.draw(st.booleans())
+        if cut:
+            wav = wav[: data.draw(st.integers(0, len(wav) - 1))]
+        for _ in range(data.draw(st.integers(0 if cut else 1, 3)) if wav else 0):
+            # Half the flips land in the header, where the parser branches.
+            head = st.integers(0, min(len(wav), 64) - 1)
+            at = data.draw(head | st.integers(0, len(wav) - 1))
+            wav[at] = data.draw(st.integers(0, 255))
+        edited = fuzz_dataset / "edited.wav"
+        edited.write_bytes(bytes(wav))
+        try:
+            read_wav(edited)
+        except (*cli.USAGE_ERRORS, OSError):
+            pass
+
+    @settings(max_examples=150, database=None, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_edited_manifest_loads_or_raises_usage_error(self, fuzz_dataset, data):
+        manifest = json.loads((fuzz_dataset / "manifest.json").read_text())
+        *parents, key = data.draw(st.sampled_from(list(json_paths(manifest))))
+        node = manifest
+        for step in parents:
+            node = node[step]
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(SMALL_JSON_VALUES)
+        edited = fuzz_dataset / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        try:
+            load_manifest(edited)
+        except (*cli.USAGE_ERRORS, OSError):
+            pass

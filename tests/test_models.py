@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import MALFORMED_HEADERS, edit_header
+from conftest import MALFORMED_HEADERS, SMALL_JSON_VALUES, edit_header, json_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,29 +293,6 @@ class TestCheckpoints:
         assert _state_digest(loaded) == _state_digest(net)
 
 
-def _header_paths(node, prefix=()):
-    """Every key path in a JSON document: dict keys and list indices."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _header_paths(child, prefix + (key,))
-
-
-# Small values only, so that no edited header asks for a large allocation.
-HEADER_VALUES = st.one_of(
-    st.integers(-4, 64),
-    st.floats(),
-    st.text(max_size=4),
-    st.none(),
-    st.lists(st.integers(-4, 64), max_size=3),
-)
-
-
 @pytest.fixture(scope="module")
 def toy_checkpoint(tmp_path_factory):
     """(path to overwrite, parsed header, blob bytes) of a toy estimator."""
@@ -331,14 +308,14 @@ class TestCheckpointHeaderProperty:
     def test_edited_header_loads_or_raises_invalid_config(self, toy_checkpoint, data):
         out, header, blobs = toy_checkpoint
         header = json.loads(json.dumps(header))
-        *parents, key = data.draw(st.sampled_from(list(_header_paths(header))))
+        *parents, key = data.draw(st.sampled_from(list(json_paths(header))))
         node = header
         for step in parents:
             node = node[step]
         if data.draw(st.booleans()):
             del node[key]
         else:
-            node[key] = data.draw(HEADER_VALUES)
+            node[key] = data.draw(SMALL_JSON_VALUES)
         out.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blobs)
         try:
             net = load_checkpoint(out)

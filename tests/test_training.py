@@ -201,6 +201,22 @@ class TestSingleEstimatorForward:
         train_step(est, disc, batch, cfg, eo, do, basis, part)
         assert len(calls) == 2
 
+    def test_estimator_gradients_cleared_before_its_forward(self, step_setup, monkeypatch):
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert all(p.grad is not None for p in est.parameters())
+        seen = []
+        forward = est.forward
+
+        def checked(*args, **kwargs):
+            seen.append([p.grad is None for p in est.parameters()])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(est, "forward", checked)
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert len(seen) == 1 and all(seen[0])
+        assert all(p.grad is not None for p in est.parameters())
+
     def test_tape_empty_after_step_and_after_divergence(self, step_setup):
         cfg, est, disc, eo, do, basis, part, batch = step_setup
         train_step(est, disc, batch, cfg, eo, do, basis, part)
