@@ -282,8 +282,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
     """Largest-remainder apportionment of n examples across three splits."""
-    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidInputError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
+    if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise InvalidInputError(f"split fractions must be in [0, 1] and sum to 1, got {fractions}")
     exact = [n * f for f in fractions]
     base = [int(np.floor(x)) for x in exact]
     leftover = n - sum(base)
@@ -341,6 +341,11 @@ def build_dataset(
     """
     if n_examples < 3:
         raise InvalidInputError(f"need at least 3 examples, got {n_examples}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]
+    if empty:
+        raise InvalidInputError(f"clean signals at positions {empty} hold no samples")
     if ranges.rir_len >= example_len:
         raise InvalidInputError(
             f"rir_len {ranges.rir_len} must be shorter than example_len {example_len}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -18,18 +19,42 @@ from .errors import UnsupportedFormatError
 _PARSE_ERRORS = (ValueError, TypeError, ZeroDivisionError, UnboundLocalError, struct.error)
 
 
+def _check_data_chunk(fid) -> None:
+    """Raise ValueError if the file holds fewer bytes than its data chunk's
+    header declares, and rewind. scipy would load such a file with only a
+    WavFileWarning, returning the samples that are there."""
+    riff = fid.read(4)
+    if riff == b"RF64":  # the data size is kept in the ds64 chunk that follows
+        fid.seek(28)
+        rf64_size = struct.unpack("<Q", fid.read(8))[0]
+    order = ">" if riff == b"RIFX" else "<"
+    fid.seek(12)
+    while riff in (b"RIFF", b"RIFX", b"RF64") and len(head := fid.read(8)) == 8:
+        size = struct.unpack(order + "I", head[4:])[0]
+        if head[:4] == b"data":
+            declared = rf64_size if riff == b"RF64" else size
+            present = os.fstat(fid.fileno()).st_size - fid.tell()
+            if present < declared:
+                raise ValueError(f"its data chunk holds {present} of {declared} bytes")
+            break
+        fid.seek(size + size % 2, os.SEEK_CUR)
+    fid.seek(0)
+
+
 def read_wav(path: str | Path) -> Signal:
     """Read a mono WAV file into a float64 Signal.
 
     PCM16 samples are scaled to [-1, 1) by 1/32768; float32 samples are
-    taken as-is. Anything else (multi-channel, other codecs, a file that is
-    not a readable WAV) raises UnsupportedFormatError; a file that cannot be
-    opened raises OSError.
+    taken as-is. Anything else (multi-channel, other codecs, a data chunk
+    cut short, a file that is not a readable WAV) raises
+    UnsupportedFormatError; a file that cannot be opened raises OSError.
     """
-    try:
-        rate, data = wavfile.read(str(path))
-    except _PARSE_ERRORS as exc:
-        raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    with open(path, "rb") as fid:
+        try:
+            _check_data_chunk(fid)
+            rate, data = wavfile.read(fid)
+        except _PARSE_ERRORS as exc:
+            raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim != 1:
         raise UnsupportedFormatError(
             f"{path}: expected mono audio, got {data.ndim} dimensions"

@@ -259,6 +259,83 @@ class TestActivations:
         assert relative_error(x.grad, numeric_grad(f, x.data)) < 1e-6
 
 
+ACTIVATION_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-39, -1e-39,
+                       5e-324, -5e-324, 3.0, -2.0]
+
+
+def _bits(a):
+    return a.view({np.float32: np.uint32, np.float64: np.uint64}[a.dtype.type])
+
+
+def _activation_inputs(dtype, shape=(3, 4, 40)):
+    """x and an upstream gradient holding +-0, +-inf, NaN and subnormals
+    (the float64 ones flush to zero in float32)."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(shape).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    specials = np.array(ACTIVATION_SPECIALS, dtype=dtype)
+    x.reshape(-1)[: specials.size] = specials
+    g.reshape(-1)[-specials.size :] = specials
+    g.reshape(-1)[: specials.size] = specials[::-1]
+    return x, g
+
+
+def _closure(out):
+    """The backward closure that the op just recorded for out."""
+    node_id, _, backward_fn = ad.active_tape().entries[-1]
+    assert node_id == out.node_id
+    return backward_fn
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestActivationBits:
+    """The activations give the bits of np.where selecting between x (or g)
+    and slope times it, without calling np.where. The bit comparisons are
+    reference checks, which the np.where kernels passed as well."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.25, 1.7, -0.3, 0.0])
+    def test_prelu_matches_where_reference(self, dtype, slope):
+        x, g = _activation_inputs(dtype)
+        slopes = np.array([slope, 0.25, slope, -0.3], dtype=dtype)
+        xt, st = Tensor(x, requires_grad=True), Tensor(slopes, requires_grad=True)
+        out = ad.prelu(xt, st)
+        gx, gs = _closure(out)(g)
+        s = slopes[None, :, None]
+        mask = x > 0
+        for got, want in (
+            (out.data, np.where(mask, x, s * x)),
+            (gx, np.where(mask, g, s * g)),
+            (gs, (g * x * (~mask)).sum(axis=(0, 2))),
+        ):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [None, 0.25, 1.7, -0.3, 0.0])
+    def test_leaky_relu_matches_where_reference(self, dtype, slope):
+        x, g = _activation_inputs(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = ad.leaky_relu(xt) if slope is None else ad.leaky_relu(xt, slope)
+        (gx,) = _closure(out)(g)
+        s = 0.2 if slope is None else slope  # the default slope
+        mask = x > 0
+        for got, want in ((out.data, np.where(mask, x, s * x)), (gx, np.where(mask, g, s * g))):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_activations_do_not_call_where(self, monkeypatch):
+        x, g = _activation_inputs(np.float32, shape=(2, 3, 8))
+        slope = Tensor(np.full(3, 0.25, dtype=np.float32), requires_grad=True)
+
+        def where(*args, **kwargs):
+            raise AssertionError("np.where in an activation kernel")
+
+        monkeypatch.setattr(np, "where", where)
+        for op in (ad.leaky_relu, lambda t: ad.prelu(t, slope)):
+            out = op(Tensor(x, requires_grad=True))
+            _closure(out)(g)
+
 class TestFramedBandEnergy:
     def test_matches_fft_edr(self):
         rng = np.random.default_rng(9)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.io import wavfile
 
 from rirlab import cli, synth
 from rirlab.cli import main
+from rirlab.errors import UnsupportedFormatError
 from rirlab.synth import load_manifest
 from rirlab.wavio import read_wav
 
@@ -38,6 +40,8 @@ def _malformed_wav(wav: bytes, kind: str) -> bytes:
     """A file that scipy cannot parse as a WAV we read, made from a valid one."""
     if kind == "truncated":
         return wav[:30]  # cut inside the fmt chunk
+    if kind == "cut_in_samples":
+        return wav[: len(wav) // 2]  # scipy loads what is left, with a warning
     if kind == "not_riff":
         return b"plain text, not audio\n" * 4
     if kind == "empty":
@@ -47,7 +51,7 @@ def _malformed_wav(wav: bytes, kind: str) -> bytes:
     return bytes(mu_law)
 
 
-MALFORMED_WAVS = ["truncated", "not_riff", "empty", "mu_law"]
+MALFORMED_WAVS = ["truncated", "cut_in_samples", "not_riff", "empty", "mu_law"]
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +132,34 @@ class TestSynth:
              "--splits", "0.5,0.6,-0.1"]
         )
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("splits", ["nan,0,1", "0,1,nan", "inf,0,0", "0.5,0.5,-inf"])
+    def test_non_finite_splits_exit_2_without_directory(self, tmp_path, capsys, splits):
+        out = tmp_path / "ds"
+        code = main(["synth", "--out", str(out), "--n", "4", "--profile", "toy",
+                     "--splits", splits])
+        assert code == 2
+        assert "split fractions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_without_directory(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = main(["synth", "--out", str(out), "--n", "4", "--profile", "toy", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_clean_wav_exits_2_without_directory(self, tmp_path, capsys):
+        clean_dir = tmp_path / "clean"
+        clean_dir.mkdir()
+        wavfile.write(clean_dir / "a.wav", 8000, np.ones(100, dtype=np.float32))
+        wavfile.write(clean_dir / "b.wav", 8000, np.zeros(0, dtype=np.float32))
+        out = tmp_path / "ds"
+        code = main(["synth", "--out", str(out), "--n", "4", "--profile", "toy",
+                     "--clean-dir", str(clean_dir)])
+        assert code == 2
+        assert "positions [1] hold no samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_wrong_rate_clean_dir_exits_2(self, tmp_path):
@@ -598,6 +630,31 @@ class TestArgumentErrors:
         assert exc.value.code == 2
 
 
+def _as_rf64(wav: bytes) -> bytes:
+    """The same samples in an RF64 file: the data size moves to a ds64 chunk."""
+    body = wav[12:]
+    at = body.index(b"data") + 4
+    size = struct.unpack_from("<I", body, at)[0]
+    body = body[:at] + b"\xff\xff\xff\xff" + body[at + 4 :]
+    ds64 = b"ds64" + struct.pack("<IQQQI", 28, 36 + 4 + len(body), size, size // 4, 0)
+    return b"RF64\xff\xff\xff\xffWAVE" + ds64 + body
+
+
+class TestReadWavDataChunk:
+    @pytest.mark.parametrize("rf64", [False, True], ids=["riff", "rf64"])
+    def test_whole_file_loads_and_cut_samples_raise(self, tmp_path, cli_dataset, rf64):
+        original = next(cli_dataset.glob("*_rir.wav"))
+        wav = original.read_bytes()
+        if rf64:
+            wav = _as_rf64(wav)
+        whole, cut = tmp_path / "whole.wav", tmp_path / "cut.wav"
+        whole.write_bytes(wav)
+        cut.write_bytes(wav[:-6])
+        np.testing.assert_array_equal(read_wav(whole).samples, read_wav(original).samples)
+        with pytest.raises(UnsupportedFormatError, match="data chunk holds"):
+            read_wav(cut)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dataset(tmp_path_factory, cli_dataset):
     """A copy of the CLI dataset that the property tests write edited files into."""
@@ -610,7 +667,7 @@ class TestMalformedInputProperties:
     """Edited inputs either load or raise an error that the CLI maps to exit
     code 2 (cli.USAGE_ERRORS) or 3 (OSError); never anything else."""
 
-    # A cut inside the samples loads the samples that are left, with a warning.
+    # A flipped chunk id or RIFF size still loads whole samples, with a warning.
     @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
     @settings(max_examples=150, database=None, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -650,3 +707,90 @@ class TestMalformedInputProperties:
             load_manifest(edited)
         except (*cli.USAGE_ERRORS, OSError):
             pass
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, cli_dataset, cli_run):
+    """Paths the CLI property test passes: ones that work and malformed ones."""
+    root = tmp_path_factory.mktemp("argv")
+    reverb = next(cli_dataset.glob("*_reverb.wav"))
+    raw = reverb.read_bytes()
+    files = {"dir": root / "dir", "missing": root / "absent.wav", "cut": root / "cut.wav",
+             "empty_wav": root / "empty.wav", "stereo": root / "stereo.wav",
+             "rate": root / "rate.wav", "clean_empty": root / "clean_empty",
+             "clean_cut": root / "clean_cut"}
+    for key in ("dir", "clean_empty", "clean_cut"):
+        files[key].mkdir()
+    files["cut"].write_bytes(raw[: len(raw) // 2])
+    (files["clean_cut"] / "x.wav").write_bytes(raw[: len(raw) // 2])
+    wavfile.write(files["empty_wav"], 8000, np.zeros(0, dtype=np.float32))
+    wavfile.write(files["clean_empty"] / "x.wav", 8000, np.zeros(0, dtype=np.float32))
+    wavfile.write(files["stereo"], 8000, np.zeros((100, 2), dtype=np.float32))
+    wavfile.write(files["rate"], 16000, np.zeros(100, dtype=np.float32))
+    files.update(root=root, reverb=reverb, ckpt=cli_run / "best.ckpt",
+                 manifest=cli_dataset / "manifest.json")
+    return {key: str(value) for key, value in files.items()}
+
+
+FRESH = object()  # stands for an output path that does not exist yet
+
+
+def _argv_options(f: dict) -> dict:
+    """Per subcommand, each option's working value and its malformed ones."""
+    counts = ["-1", "0", "1.5", "abc", "", "nan"]
+    ckpts = [f["missing"], f["dir"], f["manifest"], f["reverb"]]
+    manifests = [f["missing"], f["dir"], f["reverb"], f["ckpt"]]
+    return {
+        "synth": {
+            "--out": (FRESH, [f["manifest"]]),
+            "--n": ("3", counts),
+            "--seed": ("1", ["-1", "x", "2.5"]),
+            "--splits": ("0.4,0.3,0.3", ["nan,0,1", "0,1,nan", "inf,0,0", "0.5,0.5,-inf",
+                                         "1,0", "a,b,c", "1e999,-1e999,1", "0.5,0.6,-0.1"]),
+            "--clean-dir": (None, [f["missing"], f["manifest"], f["root"], f["clean_empty"],
+                                   f["clean_cut"]]),
+        },
+        "estimate": {
+            "--ckpt": (f["ckpt"], ckpts),
+            "--in": (f["reverb"], [f["missing"], f["dir"], f["cut"], f["stereo"], f["rate"],
+                                   f["ckpt"], f["empty_wav"]]),
+            "--out": (FRESH, [f["dir"], f["missing"] + "/o.wav"]),
+        },
+        "evaluate": {
+            "--manifest": (f["manifest"], manifests),
+            "--split": ("test", ["val", "bogus", ""]),
+            "--method": ("identity", ["model:" + f["ckpt"], "baseline", "bogus", "model:",
+                                      *("model:" + path for path in ckpts)]),
+            "--out": (FRESH, [f["dir"], f["manifest"] + "/r.csv"]),
+        },
+        "plot-data": {
+            "--ckpt": (f["ckpt"], ckpts),
+            "--manifest": (f["manifest"], manifests),
+            "--example": ("0", [*counts, "12", "99"]),
+            "--out": (FRESH, [f["manifest"]]),
+        },
+    }
+
+
+class TestCliExitCodeProperty:
+    """Any mix of working and malformed argument values exits 0, 2 or 3:
+    never with a traceback."""
+
+    @settings(max_examples=100, database=None, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_malformed_argv_exits_0_2_or_3(self, argv_files, data):
+        command = data.draw(st.sampled_from(["synth", "estimate", "evaluate", "plot-data"]))
+        options = _argv_options(argv_files)[command]
+        bad = data.draw(st.sets(st.sampled_from(sorted(options)), min_size=1, max_size=2))
+        argv = [command] + (["--profile", "toy"] if command == "synth" else [])
+        for name, (good, malformed) in options.items():
+            value = data.draw(st.sampled_from(malformed)) if name in bad else good
+            if value is FRESH:
+                value = tempfile.mkdtemp(dir=argv_files["root"]) + "/out"
+            if value is not None:
+                argv += [name, value]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value
+            code = exc.code
+        assert code in (0, 2, 3), argv

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         sig = Signal(np.random.default_rng(9).uniform(-1, 1, 8000), 8000)
         np.testing.assert_array_equal(estimate(net, sig).samples, estimate(loaded, sig).samples)
+
+    def test_save_writes_records_without_copying_them(self, tmp_path):
+        net = build_estimator(toy_estimator_config(), seed=3)
+        largest = max(arr.nbytes for _, arr in _state(net))
+        tracemalloc.start()
+        try:
+            path = save_checkpoint(net, tmp_path / "e.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 2
+        blobs = b"".join(arr.astype("<f8").tobytes() for _, arr in _state(net))
+        assert path.read_bytes().split(b"\n", 1)[1] == blobs
 
     def test_round_trip_preserves_every_record(self, tmp_path):
         net = build_estimator(toy_estimator_config(), seed=10)
