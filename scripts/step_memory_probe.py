@@ -8,6 +8,8 @@ full-profile estimator and discriminator and runs STEPS
 ``training.train_step`` calls at batch BATCH on random inputs of seed 0.
 Prints one line of ``key=value`` pairs:
 
+- ``import_rss_mb``: the resident set once the package is imported and
+  before the networks are built, the fixed part of the peak;
 - ``peak_rss_mb``: the process's peak resident set (``ru_maxrss``), set-up
   included;
 - ``step_ms_p50`` and ``ms_per_example``: the median step time, and that
@@ -41,7 +43,12 @@ from rirlab.dsp import octave_bands  # noqa: E402
 from rirlab.profiles import get_profile  # noqa: E402
 
 
+def _rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def main() -> None:
+    import_mb = _rss_mb()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("batch", type=int)
     parser.add_argument("steps", type=int)
@@ -77,9 +84,9 @@ def main() -> None:
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     measured = slice(1 if args.steps > 1 else 0, None)
     p50 = statistics.median(step_ms[measured])
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(
-        f"batch={args.batch} steps={args.steps} peak_rss_mb={peak_mb:.1f} "
+        f"batch={args.batch} steps={args.steps} import_rss_mb={import_mb:.1f} "
+        f"peak_rss_mb={_rss_mb():.1f} "
         f"step_ms_p50={p50:.1f} ms_per_example={p50 / args.batch:.2f} "
         f"minor_faults_per_step={statistics.median(faults[measured]):.0f}"
     )

@@ -7,7 +7,8 @@
     rirlab plot-data --ckpt C --manifest M --example I --out DIR
 
 A checkpoint (C, CKPT) holds one trained estimator. WAVs are written as
-float32 and read as float32 or PCM16. Exit codes: 0 success, 2
+float32 and read as float32 or PCM16; estimate, evaluate and plot-data
+reject a WAV that holds no samples. Exit codes: 0 success, 2
 argument/validation problems, 3 I/O failures, 4 numerical divergence.
 RIRLAB_THREADS caps evaluate's worker pool, which reads the WAVs and runs
 the baseline and identity methods. The model's forwards run on the calling
@@ -54,6 +55,15 @@ def _worker_count() -> int:
         except ValueError as exc:
             raise InvalidInputError(f"RIRLAB_THREADS={env!r} is not an integer") from exc
     return os.cpu_count() or 1
+
+
+def _read_nonempty(path: str | Path) -> Signal:
+    """read_wav, rejecting a file that holds no samples: an estimate or a
+    score of nothing would be silence passed off as a result."""
+    signal = read_wav(path)
+    if len(signal) == 0:
+        raise InvalidInputError(f"{path}: the WAV file holds no samples")
+    return signal
 
 
 def _fit_length(signal: Signal, n: int) -> Signal:
@@ -149,7 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     net = load_checkpoint(args.ckpt)
-    sig = read_wav(args.input)
+    sig = _read_nonempty(args.input)
     if sig.sample_rate != net.config.sample_rate:
         raise InvalidInputError(
             f"{args.input} is {sig.sample_rate} Hz, the model expects {net.config.sample_rate} Hz"
@@ -166,13 +176,13 @@ def _estimate_for_entry(
     """(estimate, ground truth) for one manifest entry; each file is read once.
     For the model it is (input fitted to the model's length, ground truth):
     cmd_evaluate runs the model's forwards itself, in batches."""
-    truth = read_wav(manifest.path(entry.rir))
+    truth = _read_nonempty(manifest.path(entry.rir))
     if method == "identity":
         return truth, truth
-    reverberant = read_wav(manifest.path(entry.reverberant))
+    reverberant = _read_nonempty(manifest.path(entry.reverberant))
     if method == "baseline":
-        clean = read_wav(manifest.clean_path(entry))
-        return spectral_deconvolve(reverberant, clean, DECONVOLVE_EPS, entry.params.rir_len), truth
+        clean = _read_nonempty(manifest.path(entry.clean))
+        return spectral_deconvolve(reverberant, clean, DECONVOLVE_EPS, manifest.rir_len), truth
     return _fit_length(reverberant, net.config.input_len), truth
 
 
@@ -222,8 +232,8 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         )
     entry = manifest.entries[args.example]
     net = load_checkpoint(args.ckpt)
-    truth = read_wav(manifest.path(entry.rir))
-    reverberant = read_wav(manifest.path(entry.reverberant))
+    truth = _read_nonempty(manifest.path(entry.rir))
+    reverberant = _read_nonempty(manifest.path(entry.reverberant))
     est = estimate(net, _fit_length(reverberant, net.config.input_len))
     stft_cfg, partition = _eval_setup(manifest)
 

@@ -176,7 +176,8 @@ def speech_like(rng: np.random.Generator, n_samples: int, sample_rate: int) -> S
     return Signal(sig / np.max(np.abs(sig)), sample_rate)
 
 
-# The RirParams fields a manifest entry stores; rir_len comes from the files.
+# The RirParams fields a manifest entry stores; rir_len is stored once, in
+# the manifest's header.
 _PARAM_KEYS = ("t60", "drr_target", "n_early_reflections", "direct_delay", "seed")
 _FLOAT_PARAMS = ("t60", "drr_target")  # the other keys hold integers
 
@@ -185,6 +186,7 @@ _FLOAT_PARAMS = ("t60", "drr_target")  # the other keys hold integers
 class ManifestEntry:
     reverberant: str
     rir: str
+    clean: str
     split: str
     params: RirParams
 
@@ -195,6 +197,7 @@ class DatasetManifest:
 
     sample_rate: int
     example_len: int
+    rir_len: int
     seed: int
     entries: tuple[ManifestEntry, ...]
     root: Path = field(default=Path("."), compare=False)
@@ -207,19 +210,17 @@ class DatasetManifest:
     def path(self, relative: str) -> Path:
         return self.root / relative
 
-    def clean_path(self, entry: ManifestEntry) -> Path:
-        """The clean excitation stored alongside each reverberant file."""
-        return self.root / entry.reverberant.replace("_reverb.wav", "_clean.wav")
-
     def to_json(self) -> str:
         doc = {
             "sample_rate": self.sample_rate,
             "example_len": self.example_len,
+            "rir_len": self.rir_len,
             "seed": self.seed,
             "entries": [
                 {
                     "reverberant": e.reverberant,
                     "rir": e.rir,
+                    "clean": e.clean,
                     "split": e.split,
                     "params": {key: getattr(e.params, key) for key in _PARAM_KEYS},
                 }
@@ -235,12 +236,18 @@ class DatasetManifest:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load a manifest; rir_len is recovered from the first entry's file
-    (entry params store everything else). A file that is not a JSON
-    manifest raises InvalidConfigError, and so, before any WAV is read, does
-    an entry whose file names are not strings, whose split is not one of
-    SPLITS or whose params have the wrong type, or an example_len that is
-    not an integer >= 1."""
+    """Load a manifest without reading any WAV.
+
+    A file that is not a JSON manifest raises InvalidConfigError, and so
+    does an entry whose file names are not strings, whose split is not one
+    of SPLITS or whose params have the wrong type, or an example_len or
+    rir_len that is not an integer >= 1.
+
+    A manifest without ``rir_len`` (the format before it and the clean
+    paths were stored) still loads: each clean path is then the reverberant
+    one with ``_clean.wav`` for ``_reverb.wav``, and rir_len is the length
+    of the first entry's RIR file, read once all else is checked.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -248,17 +255,30 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise InvalidConfigError(f"{path} is not a JSON manifest") from exc
     try:
         header = {key: doc[key] for key in ("sample_rate", "example_len", "seed")}
+        legacy = "rir_len" not in doc
+        if not legacy:
+            header["rir_len"] = doc["rir_len"]
         rows = [
-            (item["reverberant"], item["rir"], item["split"], {key: item["params"][key] for key in _PARAM_KEYS})
+            (
+                item["reverberant"],
+                item["rir"],
+                None if legacy else item["clean"],
+                item["split"],
+                {key: item["params"][key] for key in _PARAM_KEYS},
+            )
             for item in doc["entries"]
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
-    example_len = header["example_len"]
-    if isinstance(example_len, bool) or not isinstance(example_len, int) or example_len < 1:
-        raise InvalidConfigError(f"{path}: example_len={example_len!r}, expected an integer >= 1")
-    for reverberant, rir, split, params in rows:
-        for key, value in (("reverberant", reverberant), ("rir", rir)):
+    for key in ("example_len",) + (() if legacy else ("rir_len",)):
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidConfigError(f"{path}: {key}={value!r}, expected an integer >= 1")
+    checked = []
+    for reverberant, rir, clean, split, params in rows:
+        if legacy and isinstance(reverberant, str):
+            clean = reverberant.replace("_reverb.wav", "_clean.wav")
+        for key, value in (("reverberant", reverberant), ("rir", rir), ("clean", clean)):
             if not isinstance(value, str):
                 raise InvalidConfigError(f"{path}: entry has {key}={value!r}, expected a file name")
         if split not in SPLITS:
@@ -272,10 +292,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                     f"{path}: entry {reverberant} has {key}={value!r}, expected "
                     f"{'a number' if key in _FLOAT_PARAMS else 'an integer'}"
                 )
-    rir_len = len(read_wav(path.parent / doc["entries"][0]["rir"])) if rows else 0
+        checked.append((reverberant, rir, clean, split, params))
+    if legacy:
+        header["rir_len"] = len(read_wav(path.parent / checked[0][1])) if checked else 0
     entries = tuple(
-        ManifestEntry(reverberant, rir, split, RirParams(**params, rir_len=rir_len))
-        for reverberant, rir, split, params in rows
+        ManifestEntry(*files_and_split, RirParams(**params, rir_len=header["rir_len"]))
+        for *files_and_split, params in checked
     )
     return DatasetManifest(**header, entries=entries, root=path.parent)
 
@@ -373,6 +395,7 @@ def build_dataset(
             ManifestEntry(
                 reverberant=f"{base}_reverb.wav",
                 rir=f"{base}_rir.wav",
+                clean=f"{base}_clean.wav",
                 split=labels[i],
                 params=params,
             )
@@ -381,6 +404,7 @@ def build_dataset(
     manifest = DatasetManifest(
         sample_rate=sample_rate,
         example_len=example_len,
+        rir_len=ranges.rir_len,
         seed=seed,
         entries=tuple(entries),
         root=out_dir,

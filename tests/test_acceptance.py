@@ -420,7 +420,7 @@ class TestCriterion7RelativeOrdering:
                     metrics.mse(
                         spectral_deconvolve(
                             read_wav(dataset.path(e.reverberant)),
-                            read_wav(dataset.clean_path(e)),
+                            read_wav(dataset.path(e.clean)),
                             eps=1e-12,
                             out_len=profile.estimator.rir_len,
                         ),

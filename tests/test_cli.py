@@ -37,11 +37,11 @@ def cli_dataset(tmp_path_factory):
 
 
 def _malformed_wav(wav: bytes, kind: str) -> bytes:
-    """A file that scipy cannot parse as a WAV we read, made from a valid one."""
+    """A file that read_wav rejects, made from a valid one."""
     if kind == "truncated":
         return wav[:30]  # cut inside the fmt chunk
     if kind == "cut_in_samples":
-        return wav[: len(wav) // 2]  # scipy loads what is left, with a warning
+        return wav[: len(wav) // 2]  # the data chunk holds fewer bytes than it declares
     if kind == "not_riff":
         return b"plain text, not audio\n" * 4
     if kind == "empty":
@@ -357,6 +357,16 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith(f"error: {bad}: not a readable WAV")
         assert not out.exists()
 
+    def test_empty_wav_exits_2_without_output(self, tmp_path, cli_run, capsys):
+        empty = tmp_path / "empty.wav"
+        wavfile.write(empty, 8000, np.zeros(0, dtype=np.float32))
+        out = tmp_path / "o.wav"
+        code = main(["estimate", "--ckpt", str(cli_run / "best.ckpt"), "--in", str(empty),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{empty}: the WAV file holds no samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_3(self, tmp_path, cli_run):
         code = main(["estimate", "--ckpt", str(cli_run / "best.ckpt"),
                      "--in", str(tmp_path / "absent.wav"), "--out", str(tmp_path / "o.wav")])
@@ -440,7 +450,8 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "field, value",
         [("rir", 3), ("reverberant", None), ("split", 3), ("split", "training"),
-         ("example_len", 1.5), ("example_len", 0), ("example_len", True)],
+         ("example_len", 1.5), ("example_len", 0), ("example_len", True), ("clean", 3),
+         ("rir_len", 0), ("rir_len", "256")],
     )
     def test_mistyped_manifest_field_exits_2_before_reading_wavs(
         self, tmp_path, cli_dataset, capsys, monkeypatch, field, value
@@ -448,7 +459,7 @@ class TestEvaluate:
         data = tmp_path / "ds"
         shutil.copytree(cli_dataset, data)
         manifest = json.loads((data / "manifest.json").read_text())
-        (manifest if field == "example_len" else manifest["entries"][-1])[field] = value
+        (manifest if field.endswith("_len") else manifest["entries"][-1])[field] = value
         (data / "manifest.json").write_text(json.dumps(manifest))
         reads = []
         for module in (cli, synth):
@@ -460,6 +471,28 @@ class TestEvaluate:
         assert code == 2
         assert f"{field}={value!r}" in capsys.readouterr().err
         assert reads == []
+
+    @pytest.mark.parametrize(
+        "method, key",
+        [("model", "reverberant"), ("model", "rir"), ("baseline", "clean"),
+         ("baseline", "reverberant"), ("identity", "rir")],
+    )
+    def test_empty_wav_exits_2_without_report(
+        self, tmp_path, cli_dataset, cli_run, capsys, method, key
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        name = next(e for e in manifest["entries"] if e["split"] == "test")[key]
+        wavfile.write(data / name, 8000, np.zeros(0, dtype=np.float32))
+        if method == "model":
+            method = f"model:{cli_run / 'best.ckpt'}"
+        out = tmp_path / "reports" / "r.csv"
+        code = main(["evaluate", "--manifest", str(data / "manifest.json"), "--method", method,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_baseline_near_exact_on_synthetic_data(self, tmp_path, cli_dataset):
         out = tmp_path / "base.csv"
@@ -609,6 +642,20 @@ class TestPlotData:
             expected_gap = 10 * np.log10(truth_total) - 10 * np.log10(est_total)
             assert gap == pytest.approx(expected_gap, abs=1e-9)
 
+    @pytest.mark.parametrize("key", ["reverberant", "rir"])
+    def test_empty_wav_exits_2_without_output(self, tmp_path, cli_dataset, cli_run, capsys, key):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        name = json.loads((data / "manifest.json").read_text())["entries"][0][key]
+        wavfile.write(data / name, 8000, np.zeros(0, dtype=np.float32))
+        out = tmp_path / "plots"
+        code = main(["plot-data", "--ckpt", str(cli_run / "best.ckpt"),
+                     "--manifest", str(data / "manifest.json"), "--example", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_example_exits_2(self, tmp_path, cli_dataset, cli_run):
         code = main(
             ["plot-data", "--ckpt", str(cli_run / "best.ckpt"),
@@ -667,8 +714,6 @@ class TestMalformedInputProperties:
     """Edited inputs either load or raise an error that the CLI maps to exit
     code 2 (cli.USAGE_ERRORS) or 3 (OSError); never anything else."""
 
-    # A flipped chunk id or RIFF size still loads whole samples, with a warning.
-    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
     @settings(max_examples=150, database=None, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_cut_or_flipped_wav_loads_or_raises_usage_error(self, fuzz_dataset, data):

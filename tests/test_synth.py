@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rirlab import metrics
+from rirlab import metrics, synth
 from rirlab.dsp import Signal, spectral_deconvolve
 from rirlab.errors import InvalidInputError, UnsupportedFormatError
 from rirlab.synth import (
@@ -168,7 +168,7 @@ class TestBuildDataset:
         manifest = build_dataset(tmp_path / "ds", 6, TOY_RANGES, 8000, 8000, seed=3)
         for entry in manifest.split_entries("test"):
             reverberant = read_wav(manifest.path(entry.reverberant))
-            clean = read_wav(manifest.clean_path(entry))
+            clean = read_wav(manifest.path(entry.clean))
             rir = read_wav(manifest.path(entry.rir))
             recovered = spectral_deconvolve(reverberant, clean, eps=1e-12, out_len=256)
             assert np.mean((recovered.samples - rir.samples) ** 2) < 1e-6
@@ -176,9 +176,11 @@ class TestBuildDataset:
     def test_manifest_schema(self, tmp_path):
         build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=4)
         doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        assert set(doc) == {"sample_rate", "example_len", "seed", "entries"}
+        assert set(doc) == {"sample_rate", "example_len", "rir_len", "seed", "entries"}
+        assert doc["rir_len"] == 256
         for item in doc["entries"]:
-            assert set(item) == {"reverberant", "rir", "split", "params"}
+            assert set(item) == {"reverberant", "rir", "clean", "split", "params"}
+            assert item["clean"] == item["reverberant"].replace("_reverb", "_clean")
             assert set(item["params"]) == {
                 "t60", "drr_target", "n_early_reflections", "direct_delay", "seed",
             }
@@ -190,6 +192,30 @@ class TestBuildDataset:
         assert loaded.example_len == manifest.example_len
         assert [e.params for e in loaded.entries] == [e.params for e in manifest.entries]
 
+    def test_manifest_loads_without_reading_wavs(self, tmp_path, monkeypatch):
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=5)
+        reads = []
+        monkeypatch.setattr(synth, "read_wav", lambda path: reads.append(path))
+        loaded = load_manifest(tmp_path / "ds" / "manifest.json")
+        assert reads == []
+        assert loaded == manifest
+        assert loaded.rir_len == 256 and loaded.entries[0].clean == "ex_00000_clean.wav"
+
+    def test_manifest_without_rir_len_and_clean_paths_loads_to_equal_entries(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=5)
+        path = tmp_path / "ds" / "manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["rir_len"]
+        for item in doc["entries"]:
+            del item["clean"]
+        path.write_text(json.dumps(doc))
+        reads = []
+        monkeypatch.setattr(synth, "read_wav", lambda p: reads.append(p) or read_wav(p))
+        assert load_manifest(path) == manifest
+        assert [p.name for p in reads] == ["ex_00000_rir.wav"]
+
     def test_user_clean_sources(self, tmp_path):
         rng = np.random.default_rng(6)
         clean = [Signal(rng.uniform(-0.5, 0.5, 20000), 8000)]
@@ -199,7 +225,7 @@ class TestBuildDataset:
         entry = manifest.entries[0]
         recovered = spectral_deconvolve(
             read_wav(manifest.path(entry.reverberant)),
-            read_wav(manifest.clean_path(entry)),
+            read_wav(manifest.path(entry.clean)),
             eps=1e-12,
             out_len=256,
         )
