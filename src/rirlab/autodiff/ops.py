@@ -40,6 +40,13 @@ def _overlap_add(y: np.ndarray, weight: np.ndarray, stride: int, length: int) ->
 # layout, with its GEMMs' operand order, gives the bits of the code it
 # replaced on every shape of both profiles. Either one transposed changes
 # the last bits of some of the toy profile's small float64 GEMMs.
+# conv1d's forward GEMM is weight-first, W [Cout, Cin*K] @ cols.T, so the
+# weight (10-21 MB on the full encoder) is the untransposed left operand that
+# BLAS packs cheaply, and the [Cout, B*Lout] result already is the output at
+# batch 1. It is bit-equal to cols @ W.T on every conv shape of both
+# profiles at batches 1 to 16, with one and two BLAS threads; columns laid
+# out C-contiguous [Cin*K, B*Lout] are not. The backward rebuilds the columns
+# from x_pad, so the record does not hold enc0's [B*64, 8193] columns.
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
@@ -57,24 +64,25 @@ def conv1d(
     Lp = L + 2 * padding
     if K > Lp:
         raise ShapeMismatchError(f"kernel {K} longer than padded input {Lp}")
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    windows = sliding_window_view(x_pad, K, axis=2)[:, :, ::stride, :]  # [B,Cin,Lout,K]
-    Lout = windows.shape[2]
-    # im2col: one row of Cin*K taps per output position, shared by the
-    # forward and the weight-gradient GEMMs.
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
-    out_data = np.ascontiguousarray(
-        (cols @ weight.data.reshape(Cout, Cin * K).T).reshape(B, Lout, Cout).transpose(0, 2, 1)
-    )
+    Lout = (Lp - K) // stride + 1
+
+    def im2col() -> np.ndarray:
+        """[B*Lout, Cin*K]: one row of Cin*K taps per output position."""
+        windows = sliding_window_view(x_pad, K, axis=2)[:, :, ::stride, :]  # [B,Cin,Lout,K]
+        return np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
+
+    out_data = weight.data.reshape(Cout, Cin * K) @ im2col().T  # [Cout, B*Lout]
+    out_data = np.ascontiguousarray(out_data.reshape(Cout, B, Lout).transpose(1, 0, 2))
     if bias is not None:
-        if bias.shape != (Cout,):
-            raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
         out_data += bias.data[None, :, None]
     out = Tensor(out_data)
 
     def backward_fn(g):
         gw = (
-            (g.transpose(0, 2, 1).reshape(B * Lout, Cout).T @ cols).reshape(Cout, Cin, K)
+            (g.transpose(0, 2, 1).reshape(B * Lout, Cout).T @ im2col()).reshape(Cout, Cin, K)
             if weight.requires_grad
             else None
         )
@@ -116,14 +124,14 @@ def conv_transpose1d(
     if L_out < 1:
         raise ShapeMismatchError(f"output length {L_out} is not positive")
 
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
     full = _overlap_add(x.data, weight.data, stride, L_full)
     out_data = np.zeros((B, Cout, L_out), dtype=x.data.dtype)
     span = min(L_full, padding + L_out) - padding
     if span > 0:
         out_data[:, :, :span] = full[:, :, padding : padding + span]
     if bias is not None:
-        if bias.shape != (Cout,):
-            raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
         out_data = out_data + bias.data[None, :, None]
     out = Tensor(out_data)
 
@@ -197,9 +205,16 @@ def batchnorm1d(
     inv = 1.0 / np.sqrt(var + state.eps)
 
     def normalized():
-        return (x.data - mean[None, :, None]) * inv[None, :, None]
+        """(x - mean) * inv, built in one buffer."""
+        t = x.data - mean[None, :, None]
+        t *= inv[None, :, None]
+        return t
 
-    out = Tensor(gamma.data[None, :, None] * normalized() + beta.data[None, :, None])
+    # The ops of gamma * xhat + beta, in their order, in xhat's buffer.
+    out_data = normalized()
+    out_data *= gamma.data[None, :, None]
+    out_data += beta.data[None, :, None]
+    out = Tensor(out_data)
 
     def backward_fn(g):
         # xhat is recomputed from x rather than kept from the forward, so

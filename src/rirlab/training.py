@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,8 +56,22 @@ class TrainConfig:
     )
 
     def __post_init__(self):
-        if self.lambda_edr < 0 or self.lambda_mse < 0:
-            raise InvalidInputError("loss weights must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key in ("lambda_edr", "lambda_mse"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{key} must be finite and >= 0, got {value!r}")
+        for key in ("lr_init", "lr_decay"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidInputError(f"{key} must be finite and > 0, got {value!r}")
+        try:
+            self.stft()
+        except InvalidConfigError as exc:
+            raise InvalidInputError(
+                f"stft_window={self.stft_window}, stft_hop={self.stft_hop}: {exc}"
+            ) from exc
         if self.batch_size < 2:
             raise InvalidInputError("batch_size must be >= 2 (batchnorm constraint)")
         if self.epochs < 1 or self.lr_every < 1:
@@ -221,17 +236,19 @@ def validation_edr(
 
 
 def _stack_wavs(paths: list[Path], length: int, name: str) -> np.ndarray:
-    """[len(paths), length] samples of WAVs that must each hold the
-    estimator's length, named name."""
-    rows = []
-    for path in paths:
+    """[len(paths), length] float32 samples of WAVs that must each hold the
+    estimator's length, named name. float32 holds every sample exactly: rirlab
+    writes float32 WAVs, and a PCM16 sample over 32768 has 16 significant
+    bits. A row is widened, exactly, where it meets a float64 computation."""
+    out = np.empty((len(paths), length), dtype=np.float32)
+    for row, path in zip(out, paths):
         samples = read_wav(path).samples
         if len(samples) != length:
             raise InvalidInputError(
                 f"{path} has {len(samples)} samples, the estimator's {name} is {length}"
             )
-        rows.append(samples)
-    return np.stack(rows)
+        row[:] = samples
+    return out
 
 
 def _load_split(
@@ -268,6 +285,11 @@ def train(
     if est_cfg.dtype != disc_cfg.dtype:
         raise InvalidConfigError(
             f"estimator dtype {est_cfg.dtype} and discriminator dtype {disc_cfg.dtype} differ"
+        )
+    if cfg.stft_window > est_cfg.rir_len:
+        raise InvalidInputError(
+            f"stft_window {cfg.stft_window} is longer than the estimator's rir_len "
+            f"{est_cfg.rir_len}"
         )
     train_rev, train_rir = _load_split(manifest, "train", est_cfg)
     val_rev, val_rir = _load_split(manifest, "val", est_cfg)

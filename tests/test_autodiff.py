@@ -2,6 +2,7 @@
 semantics, and the optimizer's closed forms."""
 
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -625,6 +626,111 @@ class TestBackwardMemory:
         assert x.grad is None
         with pytest.raises(InvalidInputError):
             ad.backward(loss)
+
+
+def _conv1d_cases():
+    """(layer, dtype, [Cin, L] input) of every conv1d layer of both
+    profiles' estimators and discriminators, found by running the layers on
+    an empty batch."""
+    nets = [
+        (models.Estimator(models.full_estimator_config(), seed=0, draw=False), 1),
+        (models.Estimator(models.toy_estimator_config(), seed=0, draw=False), 1),
+        (models.Discriminator(models.full_discriminator_config(), seed=0), 2),
+        (models.Discriminator(models.toy_discriminator_config(), seed=0), 2),
+    ]
+    cases = []
+    for net, channels in nets:
+        length = getattr(net.config, "input_len", net.config.rir_len)
+        h = Tensor(np.zeros((0, channels, length), dtype=net.dtype))
+        with ad.no_grad():
+            for _, layer in net.layers:
+                if isinstance(layer, models.FlattenLinearLayer):
+                    break
+                if isinstance(layer, models.Conv1dLayer):
+                    cases.append((layer, net.dtype, h.shape[1:]))
+                h = layer.forward(h, False)
+    return cases
+
+
+def _conv1d_reference(x, w, b, stride, padding):
+    """conv1d's forward as the input-first GEMM cols @ W.T, then transposed."""
+    (B, Cin, _), (Cout, _, K) = x.shape, w.shape
+    x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x_pad, K, axis=2)[:, :, ::stride, :]
+    Lout = windows.shape[2]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
+    out = (cols @ w.reshape(Cout, Cin * K).T).reshape(B, Lout, Cout).transpose(0, 2, 1)
+    return np.ascontiguousarray(out) + b[None, :, None]
+
+
+def _traced_peak(fn):
+    """(result, peak bytes that numpy allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestForwardReferences:
+    """The forwards that build each output in one buffer give the bits of
+    the formulations they replaced, and allocate less."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 4, 5, 16])
+    def test_conv1d_weight_first_gemm_equals_input_first(self, batch):
+        rng = np.random.default_rng(30 + batch)
+        for layer, dtype, (cin, length) in _conv1d_cases():
+            x = rng.standard_normal((batch, cin, length)).astype(dtype)
+            w = rng.standard_normal(layer.weight.shape).astype(dtype)
+            b = rng.standard_normal(layer.bias.shape).astype(dtype)
+            with ad.no_grad():
+                out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), layer.stride, layer.padding)
+            want = _conv1d_reference(x, w, b, layer.stride, layer.padding)
+            assert out.data.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(out.data, want, err_msg=f"{w.shape} at {batch}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batchnorm1d_equals_scale_of_normalized_plus_shift(self, dtype, train):
+        rng = np.random.default_rng(32)
+        x = (3.0 * rng.standard_normal((4, 6, 50)) + 1.5).astype(dtype)
+        gamma, beta = rng.standard_normal(6).astype(dtype), rng.standard_normal(6).astype(dtype)
+        mean, var = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
+        state = _bn_state(dtype, mean, var)
+        with ad.no_grad():
+            out = ad.batchnorm1d(Tensor(x), Tensor(gamma), Tensor(beta), state, train)
+        if train:
+            mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        else:
+            mean, var = mean.astype(dtype), var.astype(dtype)
+        inv = 1.0 / np.sqrt(var + state.eps)
+        want = gamma[None, :, None] * ((x - mean[None, :, None]) * inv[None, :, None])
+        want = want + beta[None, :, None]
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, want)
+
+    def test_batch1_conv1d_makes_no_transposed_output_copy(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((1, 1, 4096)))
+        w, b = Tensor(rng.standard_normal((256, 1, 3))), Tensor(rng.standard_normal(256))
+        with ad.no_grad():
+            out, peak = _traced_peak(lambda: ad.conv1d(x, w, b, stride=1, padding=1))
+        assert out.data.flags["C_CONTIGUOUS"]
+        # The output is 8 MB; the padded input and the columns add 0.1 MB.
+        assert peak < 1.25 * out.data.nbytes
+
+    def test_eval_batchnorm1d_builds_its_output_in_one_buffer(self):
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((4, 64, 4096)).astype(np.float32))
+        gamma = Tensor(rng.standard_normal(64).astype(np.float32))
+        beta = Tensor(rng.standard_normal(64).astype(np.float32))
+        state = _bn_state(np.float32, rng.standard_normal(64), rng.uniform(0.5, 2.0, 64))
+        with ad.no_grad():
+            out, peak = _traced_peak(lambda: ad.batchnorm1d(x, gamma, beta, state, False))
+        assert peak < 1.25 * out.data.nbytes
 
 
 class TestThreadLocalGradMode:

@@ -293,6 +293,23 @@ class TestTrain:
         assert "generator_loss_form" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        ["seed=-1", "lr_init=nan", "lr_init=-1", "lr_decay=0", "lambda_edr=nan",
+         "lambda_mse=inf", "stft_hop=0", "stft_window=0", "stft_window=512"],
+    )
+    def test_bad_override_value_exits_2_without_run_directory(
+        self, tmp_path, cli_dataset, capsys, override
+    ):
+        out = tmp_path / "r"
+        code = main(
+            ["train", "--manifest", str(cli_dataset / "manifest.json"),
+             "--out", str(out), "--profile", "toy", "--set", "epochs=1", "--set", override]
+        )
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_exits_3(self, tmp_path):
         code = main(
             ["train", "--manifest", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r"),

@@ -16,6 +16,7 @@ from rirlab.models import build_discriminator, build_estimator, load_checkpoint,
 from rirlab.profiles import get_profile
 from rirlab.synth import build_dataset
 from rirlab.training import TrainConfig, train, train_step
+from rirlab.wavio import read_wav
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +250,17 @@ class TestTrainConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(lr_every=0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", -1), ("seed", 1.0), ("seed", True), ("lambda_edr", float("nan")),
+         ("lambda_mse", float("inf")), ("lr_init", 0.0), ("lr_init", float("nan")),
+         ("lr_decay", -0.5), ("lr_decay", float("inf")), ("stft_hop", 0),
+         ("stft_hop", 512), ("stft_window", 100)],
+    )
+    def test_bad_value_names_its_key(self, key, value):
+        with pytest.raises(InvalidInputError, match=key):
+            TrainConfig(**{key: value})
+
 
 class TestTrain:
     def test_short_run_reproducibility_and_selection(self, tmp_path, toy_profile, tiny_dataset):
@@ -288,6 +300,15 @@ class TestTrain:
             train(manifest, toy_profile.estimator, toy_profile.discriminator,
                   toy_profile.train, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+
+    def test_splits_load_in_float32_with_the_wav_values(self, toy_profile, tiny_dataset):
+        rev, rir = training._load_split(tiny_dataset, "train", toy_profile.estimator)
+        assert rev.dtype == rir.dtype == np.float32
+        entries = tiny_dataset.split_entries("train")
+        for i, entry in enumerate(entries):
+            assert np.array_equal(rev[i], read_wav(tiny_dataset.path(entry.reverberant)).samples)
+            assert np.array_equal(rir[i], read_wav(tiny_dataset.path(entry.rir)).samples)
 
 
 class TestFloat32Training:
