@@ -22,15 +22,29 @@ def _as_3d(x: Tensor, name: str) -> tuple[int, int, int]:
     return x.shape
 
 
-def _overlap_add(y: np.ndarray, weight: np.ndarray, stride: int, length: int) -> np.ndarray:
+def _overlap_add(
+    y: np.ndarray, weight: np.ndarray, stride: int, offset: int, length: int
+) -> np.ndarray:
     """Transposed-convolution kernel, shared by conv1d's input gradient and
-    conv_transpose1d's forward: y [B,Ci,N] through weight [Ci,Co,K], each
-    input position's K taps added in at stride -> [B,Co,length], where
-    length >= (N-1)*stride + K."""
-    cols = np.einsum("bil,iok->bolk", y, weight, optimize=True)
-    out = np.zeros((y.shape[0], weight.shape[1], length), dtype=y.dtype)
-    for k in range(weight.shape[2]):
-        out[:, :, k : k + stride * y.shape[2] : stride] += cols[:, :, :, k]
+    conv_transpose1d's forward: y [B,Ci,N] through weight [Ci,Co,K], input
+    position n's tap k added in at n*stride + k. Returns the window
+    [offset, offset+length) of that sum as a fresh [B,Co,length] array;
+    positions no tap reaches are 0."""
+    (B, Ci, N), (_, Co, K) = y.shape, weight.shape
+    # The input's [Ci, B*N] copy is a temporary of this one expression, so it
+    # is freed before the adds below.
+    cols = (weight.reshape(Ci, Co * K).T @ y.transpose(1, 0, 2).reshape(Ci, B * N)).reshape(
+        Co, K, B, N
+    )
+    out = np.zeros((B, Co, length), dtype=y.dtype)
+    for k in range(K):
+        n0 = max(0, -((k - offset) // stride))  # first n with n*stride + k >= offset
+        n1 = min(N, (offset + length - 1 - k) // stride + 1)
+        if n1 > n0:
+            start = n0 * stride + k - offset
+            out[:, :, start : start + (n1 - n0) * stride : stride] += cols[
+                :, k, :, n0:n1
+            ].transpose(1, 0, 2)
     return out
 
 
@@ -47,6 +61,16 @@ def _overlap_add(y: np.ndarray, weight: np.ndarray, stride: int, length: int) ->
 # profiles at batches 1 to 16, with one and two BLAS threads; columns laid
 # out C-contiguous [Cin*K, B*Lout] are not. The backward rebuilds the columns
 # from x_pad, so the record does not hold enc0's [B*64, 8193] columns.
+# The scatter direction (conv_transpose1d's forward, conv1d's input gradient)
+# is _overlap_add, the col2im adjoint of that im2col (Dumoulin & Visin, 2016):
+# one GEMM W^T [Co*K, Ci] @ y [Ci, B*N] gives every tap of every input
+# position, and each tap's [B, Co, N] slice is added at stride straight into
+# the zeroed output window, so neither caller crops or copies. Each element
+# is 0 + tap_0 + tap_1 + ... in tap order; TestForwardReferences pins those
+# bits to a reference kernel on every layer shape. Laying the GEMM out
+# input-first ([B*N, Co*K], with channels-last adds and one transpose, or
+# adds through a transposed view) was slower on the full decoder's dec4 and
+# dec5.
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
@@ -89,7 +113,7 @@ def conv1d(
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gx = _overlap_add(g, weight.data, stride, Lp)[:, :, padding : padding + L]
+            gx = _overlap_add(g, weight.data, stride, padding, L)
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     record(out, (x, weight, bias) if bias is not None else (x, weight), backward_fn)
@@ -126,14 +150,11 @@ def conv_transpose1d(
 
     if bias is not None and bias.shape != (Cout,):
         raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
-    full = _overlap_add(x.data, weight.data, stride, L_full)
-    out_data = np.zeros((B, Cout, L_out), dtype=x.data.dtype)
-    span = min(L_full, padding + L_out) - padding
-    if span > 0:
-        out_data[:, :, :span] = full[:, :, padding : padding + span]
+    out_data = _overlap_add(x.data, weight.data, stride, padding, L_out)
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+        out_data += bias.data[None, :, None]
     out = Tensor(out_data)
+    span = min(L_full, padding + L_out) - padding
 
     def backward_fn(g):
         gfull = np.zeros((B, Cout, L_full), dtype=g.dtype)
@@ -385,7 +406,11 @@ def bce_logit_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     out = Tensor(np.mean(loss))
 
     def backward_fn(g):
-        sig = 1.0 / (1.0 + np.exp(-z))
+        # exp(-z) overflows to inf below z of about -88 in float32 (-709 in
+        # float64); 1/(1+inf) is then the right limit, 0.
+        with np.errstate(over="ignore"):
+            e = np.exp(-z)
+        sig = 1.0 / (1.0 + e)
         return (float(g) * (sig - y) / z.size,)
 
     record(out, (logits,), backward_fn)

@@ -3,6 +3,7 @@ semantics, and the optimizer's closed forms."""
 
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -389,6 +390,18 @@ class TestLosses:
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_gradient_at_extreme_logits_warns_nothing(self, dtype):
+        # exp(-z) overflows below z of about -88 in float32 and -709 in
+        # float64; the sigmoid's limit there, 0, is the right value.
+        z = Tensor(np.array([[-1000.0], [-100.0], [0.0], [100.0]], dtype=dtype), requires_grad=True)
+        y = np.array([[1.0], [1.0], [1.0], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.backward(ad.bce_logit_loss(z, y))
+        assert z.grad.dtype == dtype
+        np.testing.assert_array_equal(z.grad, np.array([[-1.0], [-1.0], [-0.5], [1.0]]) / 4)
+
     def test_bce_targets_validated(self):
         with pytest.raises(InvalidInputError):
             ad.bce_logit_loss(Tensor(np.zeros((2, 1))), np.full((2, 1), 0.5))
@@ -606,6 +619,33 @@ class TestBackwardMemory:
             want = np.einsum("bil,bolk->iok", x.data, gwin, optimize=True)
             np.testing.assert_array_equal(gw, want)
 
+    def test_conv1d_input_gradient_is_its_own_contiguous_buffer(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((2, 3, 40)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 5)))
+        out = ad.conv1d(x, w, stride=2, padding=2)
+        (gx, _) = ad.active_tape().entries.pop()[2](rng.standard_normal(out.shape))
+        assert gx.shape == x.shape
+        assert gx.flags["C_CONTIGUOUS"]
+        # Not a crop view of the [B, Cin, L + 2*padding] overlap-add.
+        assert gx.base is None or gx.base.nbytes == gx.nbytes
+
+    def test_no_grad_conv_transpose1d_frees_its_input_copy_before_the_output(self):
+        rng = np.random.default_rng(24)
+        (layer, shape) = _full_decoder_tconv_cases()[-2]  # dec5: [4, 64, 4096] -> same
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        w = Tensor(rng.standard_normal(layer.weight.shape).astype(np.float32))
+        with ad.no_grad():
+            out, peak = _traced_peak(
+                lambda: ad.conv_transpose1d(x, w, stride=layer.stride, padding=layer.padding)
+            )
+        assert out.shape == shape
+        Cout, K = w.shape[1:]
+        cols = Cout * K * shape[0] * shape[2] * 4  # the [Cout*K, B*L] GEMM result
+        # Columns plus the larger of the output and the input's [Cin, B*L]
+        # copy (both 4 MB): the two never live at once.
+        assert peak < cols + out.data.nbytes + x.data.nbytes / 2
+
     def test_failing_closure_leaves_only_unreached_records(self):
         other_leaf = Tensor(np.ones(2), requires_grad=True)
         other = other_leaf * 2.0  # another graph's record
@@ -628,8 +668,8 @@ class TestBackwardMemory:
             ad.backward(loss)
 
 
-def _conv1d_cases():
-    """(layer, dtype, [Cin, L] input) of every conv1d layer of both
+def _conv_layer_cases(layer_type=models.Conv1dLayer):
+    """(layer, dtype, [Cin, L] input) of every layer_type layer of both
     profiles' estimators and discriminators, found by running the layers on
     an empty batch."""
     nets = [
@@ -646,7 +686,7 @@ def _conv1d_cases():
             for _, layer in net.layers:
                 if isinstance(layer, models.FlattenLinearLayer):
                     break
-                if isinstance(layer, models.Conv1dLayer):
+                if isinstance(layer, layer_type):
                     cases.append((layer, net.dtype, h.shape[1:]))
                 h = layer.forward(h, False)
     return cases
@@ -661,6 +701,22 @@ def _conv1d_reference(x, w, b, stride, padding):
     cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
     out = (cols @ w.reshape(Cout, Cin * K).T).reshape(B, Lout, Cout).transpose(0, 2, 1)
     return np.ascontiguousarray(out) + b[None, :, None]
+
+
+def _overlap_add_reference(y, w, stride, offset, length):
+    """The overlap-add as einsum columns added into the uncropped result,
+    whose window [offset, offset+length) is then copied into zeros."""
+    (B, _, N), (_, Co, K) = y.shape, w.shape
+    cols = np.einsum("bil,iok->bolk", y, w, optimize=True)
+    L_full = (N - 1) * stride + K
+    full = np.zeros((B, Co, L_full), dtype=y.dtype)
+    for k in range(K):
+        full[:, :, k : k + stride * N : stride] += cols[:, :, :, k]
+    out = np.zeros((B, Co, length), dtype=y.dtype)
+    span = min(L_full, offset + length) - offset
+    if span > 0:
+        out[:, :, :span] = full[:, :, offset : offset + span]
+    return out
 
 
 def _traced_peak(fn):
@@ -682,7 +738,7 @@ class TestForwardReferences:
     @pytest.mark.parametrize("batch", [1, 2, 4, 5, 16])
     def test_conv1d_weight_first_gemm_equals_input_first(self, batch):
         rng = np.random.default_rng(30 + batch)
-        for layer, dtype, (cin, length) in _conv1d_cases():
+        for layer, dtype, (cin, length) in _conv_layer_cases():
             x = rng.standard_normal((batch, cin, length)).astype(dtype)
             w = rng.standard_normal(layer.weight.shape).astype(dtype)
             b = rng.standard_normal(layer.bias.shape).astype(dtype)
@@ -691,6 +747,52 @@ class TestForwardReferences:
             want = _conv1d_reference(x, w, b, layer.stride, layer.padding)
             assert out.data.flags["C_CONTIGUOUS"]
             np.testing.assert_array_equal(out.data, want, err_msg=f"{w.shape} at {batch}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 4, 5, 16])
+    def test_overlap_add_equals_einsum_on_every_layer_shape(self, batch, dtype):
+        rng = np.random.default_rng(40 + batch)
+        for layer, _, (cin, length) in _conv_layer_cases(models.ConvTranspose1dLayer):
+            x = rng.standard_normal((batch, cin, length)).astype(dtype)
+            w = rng.standard_normal(layer.weight.shape).astype(dtype)
+            b = rng.standard_normal(layer.bias.shape).astype(dtype)
+            with ad.no_grad():
+                out = ad.conv_transpose1d(
+                    Tensor(x), Tensor(w), Tensor(b), layer.stride, layer.padding,
+                    layer.output_padding,
+                )
+            want = _overlap_add_reference(x, w, layer.stride, layer.padding, out.shape[2])
+            want = want + b[None, :, None]
+            np.testing.assert_array_equal(out.data, want, err_msg=f"{w.shape} at {batch}")
+        for layer, _, (cin, length) in _conv_layer_cases():
+            x = Tensor(rng.standard_normal((batch, cin, length)).astype(dtype), requires_grad=True)
+            w = rng.standard_normal(layer.weight.shape).astype(dtype)
+            out = ad.conv1d(x, Tensor(w), stride=layer.stride, padding=layer.padding)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            (gx, _) = ad.active_tape().entries.pop()[2](g)
+            want = _overlap_add_reference(g, w, layer.stride, layer.padding, length)
+            np.testing.assert_array_equal(gx, want, err_msg=f"{w.shape} at {batch}")
+
+    @pytest.mark.parametrize(
+        "stride, padding, output_padding, n",
+        [
+            (3, 1, 2, 5),  # the window runs past the uncropped result
+            (2, 1, 1, 4),
+            (2, 2, 1, 1),  # padding >= stride: taps 0, 1 and 5 land outside
+            (2, 3, 0, 3),
+            (1, 4, 0, 2),
+        ],
+    )
+    def test_overlap_add_clips_taps_to_the_window(self, stride, padding, output_padding, n):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 3, n))
+        w = rng.standard_normal((3, 2, 6 if n == 1 else 9))
+        out = ad.conv_transpose1d(
+            Tensor(x), Tensor(w), stride=stride, padding=padding, output_padding=output_padding
+        )
+        want = _overlap_add_reference(x, w, stride, padding, out.shape[2])
+        assert out.data.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(out.data, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False])
