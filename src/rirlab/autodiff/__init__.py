@@ -1,8 +1,8 @@
 """Minimal reverse-mode differentiation engine."""
 
+from ..dsp import DftBasis, make_dft_basis
 from .ops import (
     BatchNormState,
-    DftBasis,
     batchnorm1d,
     bce_logit_loss,
     concat_channels,
@@ -12,7 +12,6 @@ from .ops import (
     framed_band_energy,
     leaky_relu,
     linear,
-    make_dft_basis,
     mse_loss,
     prelu,
     tanh,

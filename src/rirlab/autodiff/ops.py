@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp import BandPartition, StftConfig, make_window
+from ..dsp import BandPartition, DftBasis, band_power, decay_relief, framed_dft
 from ..errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
 from .tensor import Tensor, check_same_dtype, record
 
@@ -310,64 +310,27 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-@dataclass(frozen=True)
-class DftBasis:
-    """Fixed windowed-DFT matrices so framed spectra are plain matmuls."""
-
-    window_size: int
-    hop: int
-    real: np.ndarray  # [bins x window_size]
-    imag: np.ndarray
-
-
-def make_dft_basis(cfg: StftConfig) -> DftBasis:
-    win = make_window(cfg.window, cfg.window_size)
-    n = np.arange(cfg.window_size)
-    k = np.arange(cfg.n_bins)
-    angle = 2.0 * np.pi * np.outer(k, n) / cfg.window_size
-    return DftBasis(
-        window_size=cfg.window_size,
-        hop=cfg.hop,
-        real=np.cos(angle) * win[None, :],
-        imag=-np.sin(angle) * win[None, :],
-    )
-
-
 def framed_band_energy(x: Tensor, basis: DftBasis, partition: BandPartition) -> Tensor:
-    """Differentiable decay relief of [B,1,L]: windowed-DFT power summed per
-    octave band, then reverse-cumulated over frames -> [B, bands, frames].
-
-    Numerically equal to the FFT-based metric on the same config.
-    """
+    """Differentiable decay relief of [B,1,L]: dsp.band_power's per-band
+    frame power, reverse-cumulated over frames -> [B, bands, frames]. The
+    same kernel scores validation and evaluation, so the loss and the metric
+    agree bit for bit on the same samples, dtype and basis."""
     B, C, L = _as_3d(x, "framed_band_energy input")
     if C != 1:
         raise ShapeMismatchError(f"expected single-channel input, got {C} channels")
-    if partition.fft_size != basis.window_size:
-        raise InvalidConfigError(
-            f"partition fft_size {partition.fft_size} does not match basis window "
-            f"{basis.window_size}"
-        )
-    W, hop = basis.window_size, basis.hop
-    if L < W:
-        raise InvalidInputError(f"input length {L} shorter than analysis window {W}")
-    T = (L - W) // hop + 1
-    dtype = x.data.dtype
-    real, imag = basis.real.astype(dtype, copy=False), basis.imag.astype(dtype, copy=False)
-    frames = sliding_window_view(x.data[:, 0, :], W, axis=1)[:, ::hop, :][:, :T]  # [B,T,W]
-    re = frames @ real.T  # [B,T,bins]
-    im = frames @ imag.T
-    power = re**2 + im**2
-    band_m = partition.band_matrix(real.shape[0]).astype(dtype, copy=False)  # [bands x bins]
-    band = np.swapaxes(power @ band_m.T, 1, 2)  # [B,bands,T]
-    out = Tensor(np.flip(np.cumsum(np.flip(band, axis=2), axis=2), axis=2))
+    out = Tensor(decay_relief(band_power(x.data[:, 0, :], basis, partition)))
 
     def backward_fn(g):
+        # The framed spectra are recomputed rather than kept from the forward.
+        re, im = framed_dft(x.data[:, 0, :], basis)  # [B,T,bins]
+        dtype, (_, T, bins), cfg = x.data.dtype, re.shape, basis.cfg
         gband = np.swapaxes(np.cumsum(g, axis=2), 1, 2)  # [B,T,bands]
-        gpower = gband @ band_m
+        gpower = gband @ partition.band_matrix(bins).astype(dtype, copy=False)
+        real, imag = basis.real.astype(dtype, copy=False), basis.imag.astype(dtype, copy=False)
         gframes = (2.0 * re * gpower) @ real + (2.0 * im * gpower) @ imag
         gx = np.zeros((B, L), dtype=dtype)
         for t in range(T):
-            gx[:, t * hop : t * hop + W] += gframes[:, t]
+            gx[:, t * cfg.hop : t * cfg.hop + cfg.window_size] += gframes[:, t]
         return (gx[:, None, :],)
 
     record(out, (x,), backward_fn)

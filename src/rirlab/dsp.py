@@ -1,8 +1,9 @@
 """Deterministic signal-processing kernels.
 
-STFT framing, octave-band partitioning of FFT bins, FFT convolution and
-regularized spectral-division deconvolution. Everything here is a pure
-function of its inputs and safe to call concurrently.
+STFT framing, the windowed-DFT band-power kernel of every decay relief,
+octave-band partitioning of FFT bins, FFT convolution and regularized
+spectral-division deconvolution. Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -104,10 +105,10 @@ def make_window(kind: str, size: int) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Slice a waveform into [frames x window_size] with the config's hop."""
-    n_frames = cfg.frame_count(samples.size)
-    view = np.lib.stride_tricks.sliding_window_view(samples, cfg.window_size)
-    return view[:: cfg.hop][:n_frames]
+    """View waveforms [..., length] as [..., frames, window_size] frames."""
+    cfg.frame_count(samples.shape[-1])  # rejects a signal shorter than one window
+    view = np.lib.stride_tricks.sliding_window_view(samples, cfg.window_size, axis=-1)
+    return view[..., :: cfg.hop, :]
 
 
 def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
@@ -129,6 +130,49 @@ def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
     frames = frame_signal(signal.samples, cfg)
     win = make_window(cfg.window, cfg.window_size)
     return np.fft.rfft(frames * win, axis=-1)
+
+
+@dataclass(frozen=True)
+class DftBasis:
+    """The windowed one-sided DFT as [bins x window_size] matrices."""
+
+    cfg: StftConfig
+    real: np.ndarray
+    imag: np.ndarray
+
+
+def make_dft_basis(cfg: StftConfig) -> DftBasis:
+    win = make_window(cfg.window, cfg.window_size)
+    angle = 2.0 * np.pi * np.outer(np.arange(cfg.n_bins), np.arange(cfg.window_size))
+    angle /= cfg.window_size
+    return DftBasis(cfg=cfg, real=np.cos(angle) * win[None, :], imag=-np.sin(angle) * win[None, :])
+
+
+def framed_dft(samples: np.ndarray, basis: DftBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts, each [N, frames, bins], of the framed
+    spectra of samples [N, length], computed in the samples' dtype."""
+    frames = frame_signal(samples, basis.cfg)
+    return tuple(frames @ m.astype(samples.dtype, copy=False).T for m in (basis.real, basis.imag))
+
+
+def band_power(samples: np.ndarray, basis: DftBasis, partition: BandPartition) -> np.ndarray:
+    """Per-band frame power [N, bands, frames] of samples [N, length], in
+    their dtype: each frame's windowed-DFT power summed over each band's bins.
+    Each row depends on that row alone. The loss and every metric use it."""
+    if partition.fft_size != basis.cfg.window_size:
+        raise InvalidConfigError(
+            f"partition built for fft_size {partition.fft_size}, window is {basis.cfg.window_size}"
+        )
+    re, im = framed_dft(samples, basis)
+    power = re**2 + im**2
+    band_m = partition.band_matrix(power.shape[2]).astype(samples.dtype, copy=False)
+    return np.swapaxes(power @ band_m.T, 1, 2)
+
+
+def decay_relief(power: np.ndarray) -> np.ndarray:
+    """Energy remaining from each frame onward: the reverse cumulative sum of
+    band power over its last (frame) axis, a per-band Schroeder curve."""
+    return np.flip(np.cumsum(np.flip(power, axis=-1), axis=-1), axis=-1)
 
 
 @dataclass(frozen=True)

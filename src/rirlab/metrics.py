@@ -3,7 +3,8 @@
 Energy decay relief (per-band remaining energy over time), its squared-error
 loss, early reflection energy, direct-to-reverberant ratio, waveform MSE,
 backward-integration T60, and an aggregate report matching the evaluation
-CSV emitted by the CLI.
+CSV emitted by the CLI. Every banded value comes from one float64 call of
+``dsp.band_power``, the training loss's kernel, per signal or per pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import BandPartition, Signal, StftConfig, stft
+from .dsp import (
+    BandPartition,
+    DftBasis,
+    Signal,
+    StftConfig,
+    band_power,
+    decay_relief,
+    make_dft_basis,
+)
 from .errors import EstimationFailedError, InvalidConfigError, InvalidInputError
 
 ENERGY_FLOOR = 1e-12  # applied before every log10; bounds dB outputs at -120
@@ -28,15 +37,15 @@ def _check_pair(a: Signal, b: Signal) -> None:
         raise InvalidInputError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
-def _check_partition(signal: Signal, cfg: StftConfig, partition: BandPartition) -> None:
-    if partition.fft_size != cfg.window_size:
+def _band_power(signals: tuple[Signal, ...], basis: DftBasis, partition: BandPartition):
+    """dsp.band_power of the signals stacked as rows: [len(signals), bands, frames]."""
+    for signal in signals[1:]:
+        _check_pair(signals[0], signal)
+    if partition.sample_rate != signals[0].sample_rate:
         raise InvalidConfigError(
-            f"partition built for fft_size {partition.fft_size}, config window is {cfg.window_size}"
+            f"partition built for {partition.sample_rate} Hz, signal is {signals[0].sample_rate} Hz"
         )
-    if partition.sample_rate != signal.sample_rate:
-        raise InvalidConfigError(
-            f"partition built for {partition.sample_rate} Hz, signal is {signal.sample_rate} Hz"
-        )
+    return band_power(np.stack([signal.samples for signal in signals]), basis, partition)
 
 
 @dataclass(frozen=True)
@@ -57,16 +66,19 @@ class EdrMatrix:
 def edr(rir: Signal, cfg: StftConfig, partition: BandPartition) -> EdrMatrix:
     """Energy decay relief of an impulse response.
 
-    Per band and frame: sum of |STFT|^2 over the band's bins and over all
-    frames from that frame to the end (a per-band Schroeder curve).
+    Per band and frame: windowed-DFT power summed over the band's bins and
+    over all frames from that frame to the end (a per-band Schroeder curve).
     """
-    _check_partition(rir, cfg, partition)
-    spec = stft(rir, cfg)  # [frames x bins]
-    power = np.abs(spec) ** 2
-    band_energy = partition.band_matrix(cfg.n_bins) @ power.T  # [bands x frames]
-    values = np.flip(np.cumsum(np.flip(band_energy, axis=1), axis=1), axis=1)
-    times = cfg.frame_times(values.shape[1], rir.sample_rate)
-    return EdrMatrix(values=values, frame_times=times)
+    values = decay_relief(_band_power((rir,), make_dft_basis(cfg), partition)[0])
+    return EdrMatrix(values=values, frame_times=cfg.frame_times(values.shape[1], rir.sample_rate))
+
+
+def decay_relief_loss(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared difference of the decay reliefs of band powers
+    [..., bands, frames]: (mean over bands and frames, per-band frame-means)."""
+    diff = decay_relief(est) - decay_relief(truth)
+    per_band = np.mean(diff**2, axis=-1)
+    return np.mean(per_band, axis=-1), per_band
 
 
 def edr_loss(
@@ -77,10 +89,9 @@ def edr_loss(
     Returns (mean over bands and frames, per-band frame-means). Symmetric in
     its arguments and exactly zero for identical inputs.
     """
-    _check_pair(estimated, truth)
-    diff = edr(estimated, cfg, partition).values - edr(truth, cfg, partition).values
-    per_band = np.mean(diff**2, axis=1)
-    return float(np.mean(per_band)), per_band
+    power = _band_power((estimated, truth), make_dft_basis(cfg), partition)
+    total, per_band = decay_relief_loss(power[0], power[1])
+    return float(total), per_band
 
 
 def ere(rir: Signal) -> float:
@@ -141,19 +152,6 @@ def schroeder_t60(rir: Signal) -> float:
     return float(-60.0 / slope)
 
 
-def banded_early_energy_db(
-    signal: Signal, cfg: StftConfig, partition: BandPartition
-) -> np.ndarray:
-    """Per-band dB energy over frames whose window centers fall in [0, 80 ms]."""
-    _check_partition(signal, cfg, partition)
-    spec = stft(signal, cfg)
-    power = np.abs(spec) ** 2
-    times = cfg.frame_times(power.shape[0], signal.sample_rate)
-    early = times <= EARLY_WINDOW_S
-    band_energy = partition.band_matrix(cfg.n_bins) @ power[early].sum(axis=0)
-    return 10.0 * np.log10(np.maximum(band_energy, ENERGY_FLOOR))
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """Aggregate metrics over a set of (estimated, truth) pairs."""
@@ -182,22 +180,19 @@ def metric_report(
     """
     if not pairs:
         raise InvalidInputError("metric_report needs at least one pair")
-    band_losses = []
-    ere_errors = []
-    examples = []
+    basis = make_dft_basis(cfg)
+    band_losses, ere_errors, examples = [], [], []
     for estimated, truth in pairs:
-        _check_pair(estimated, truth)
-        loss, per_band = edr_loss(estimated, truth, cfg, partition)
+        power = _band_power((estimated, truth), basis, partition)  # [2, bands, frames]
+        loss, per_band = decay_relief_loss(power[0], power[1])
         band_losses.append(per_band)
-        ere_errors.append(
-            np.abs(
-                banded_early_energy_db(estimated, cfg, partition)
-                - banded_early_energy_db(truth, cfg, partition)
-            )
-        )
+        # Band-restricted early energy: frames whose window centers fall in [0, 80 ms].
+        early = cfg.frame_times(power.shape[2], truth.sample_rate) <= EARLY_WINDOW_S
+        early_db = 10.0 * np.log10(np.maximum(power[:, :, early].sum(axis=2), ENERGY_FLOOR))
+        ere_errors.append(np.abs(early_db[0] - early_db[1]))
         examples.append(
             (
-                loss,
+                float(loss),
                 float(abs(ere(estimated) - ere(truth))),
                 float(abs(drr(estimated) - drr(truth))),
                 mse(estimated, truth),

@@ -17,7 +17,7 @@ from conftest import numeric_grad, relative_error
 from rirlab import autodiff as ad
 from rirlab import cli, metrics, training
 from rirlab.autodiff import Tensor
-from rirlab.dsp import Signal, StftConfig, fft_convolve, octave_bands, spectral_deconvolve
+from rirlab.dsp import Signal, StftConfig, fft_convolve, octave_bands, spectral_deconvolve, stft
 from rirlab.models import build_estimator, estimate, load_checkpoint, save_checkpoint
 from rirlab.profiles import get_profile
 from rirlab.synth import build_dataset
@@ -274,7 +274,10 @@ class TestCriterion4EdrCorrectness:
         worst = 0.0
         for _ in range(20):
             x = rng.uniform(-1, 1, 320)
-            ref = metrics.edr(Signal(x, 8000), self.CFG, self.PART).values
+            # The FFT path: per-band |dsp.stft|^2, reverse-cumulated over frames.
+            power = np.abs(stft(Signal(x, 8000), self.CFG)) ** 2
+            band = self.PART.band_matrix(self.CFG.n_bins) @ power.T
+            ref = np.flip(np.cumsum(np.flip(band, axis=1), axis=1), axis=1)
             out = ad.framed_band_energy(Tensor(x[None, None, :]), basis, self.PART).data[0]
             worst = max(worst, float(np.max(np.abs(out - ref))))
         assert worst < 1e-8

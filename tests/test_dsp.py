@@ -6,12 +6,15 @@ import pytest
 from rirlab.dsp import (
     Signal,
     StftConfig,
+    band_power,
     fft_convolve,
+    make_dft_basis,
     octave_bands,
     spectral_deconvolve,
     stft,
 )
 from rirlab.errors import InvalidConfigError, InvalidInputError
+from rirlab.profiles import get_profile
 
 
 def dft_oracle(frame):
@@ -81,6 +84,28 @@ class TestStft:
         x = Signal(rng.standard_normal(500), 16000)
         cfg = StftConfig(128, 64, "hann")
         np.testing.assert_array_equal(stft(x, cfg), stft(x, cfg))
+
+
+class TestBandPower:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("profile_name", ["toy", "full"])
+    def test_each_row_equals_the_row_alone(self, profile_name, dtype):
+        # Validation scores a chunk of rows and metric_report a pair in one
+        # call; each row's bits must not depend on the rows beside it.
+        profile = get_profile(profile_name)
+        cfg = profile.train.stft()
+        part = octave_bands(
+            profile.estimator.sample_rate, cfg.window_size, list(profile.train.band_centers)
+        )
+        basis = make_dft_basis(cfg)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 4, 16):
+            rows = rng.uniform(-1, 1, (n, profile.estimator.rir_len)).astype(dtype)
+            power = band_power(rows, basis, part)
+            assert power.dtype == dtype
+            assert power.shape == (n, part.n_bands, cfg.frame_count(rows.shape[1]))
+            for i in range(n):
+                np.testing.assert_array_equal(power[i], band_power(rows[i : i + 1], basis, part)[0])
 
 
 class TestOctaveBands:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rirlab.dsp import Signal, StftConfig, octave_bands, stft
+from rirlab import metrics
+from rirlab.dsp import Signal, StftConfig, band_power, make_dft_basis, octave_bands, stft
 from rirlab.errors import EstimationFailedError, InvalidInputError
 from rirlab.metrics import (
     ENERGY_FLOOR,
-    banded_early_energy_db,
     drr,
     edr,
     edr_loss,
@@ -275,12 +275,39 @@ class TestMetricReport:
         with pytest.raises(InvalidInputError):
             metric_report([], CFG, PART)
 
+    def test_one_basis_per_report_and_one_kernel_call_per_pair(self, monkeypatch):
+        # A basis built per pair made the full-profile report 3x slower.
+        bases, rows = [], []
+
+        def counted_basis(cfg):
+            bases.append(cfg)
+            return make_dft_basis(cfg)
+
+        def counted_power(samples, basis, partition):
+            rows.append(samples.shape[0])
+            return band_power(samples, basis, partition)
+
+        monkeypatch.setattr(metrics, "make_dft_basis", counted_basis)
+        monkeypatch.setattr(metrics, "band_power", counted_power)
+        rng = np.random.default_rng(15)
+        pairs = [(Signal(rng.uniform(-1, 1, 256), SR), Signal(rng.uniform(-1, 1, 256), SR))
+                 for _ in range(3)]
+        metric_report(pairs, CFG, PART)
+        assert bases == [CFG]
+        assert rows == [2, 2, 2]
+
 
 class TestBandedEarlyEnergy:
     def test_windowed_energy_in_db(self):
+        # Against an estimate that is silent in the early frames, each band's
+        # early-energy error is the truth's early energy in dB above the
+        # -120 dB floor.
         rng = np.random.default_rng(14)
         x = Signal(rng.uniform(-1, 1, 4096), SR)
-        values = banded_early_energy_db(x, CFG, PART)
+        late = np.zeros(4096)
+        late[-1] = 1.0  # a peak for drr, long after 80 ms
+        report = metric_report([(Signal(late, SR), x)], CFG, PART)
+        values = report.per_band_ere_mae + 10 * np.log10(ENERGY_FLOOR)
         spec = stft(x, CFG)
         times = CFG.frame_times(spec.shape[0], SR)
         early = times <= 0.080

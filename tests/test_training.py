@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from rirlab import autodiff as ad
-from rirlab import training
+from rirlab import metrics, training
 from rirlab.autodiff import Tensor
-from rirlab.dsp import octave_bands
+from rirlab.dsp import Signal, octave_bands
 from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from rirlab.models import build_discriminator, build_estimator, load_checkpoint, make_condition
 from rirlab.profiles import get_profile
@@ -309,6 +309,43 @@ class TestTrain:
         for i, entry in enumerate(entries):
             assert np.array_equal(rev[i], read_wav(tiny_dataset.path(entry.reverberant)).samples)
             assert np.array_equal(rir[i], read_wav(tiny_dataset.path(entry.rir)).samples)
+
+
+class TestValidationEdr:
+    def test_mean_of_per_example_edr_loss(self, toy_profile):
+        # A float32 estimator on 11 examples in chunks of 4, so the last
+        # chunk is short.
+        est_cfg = dataclasses.replace(toy_profile.estimator, dtype="float32")
+        estimator = build_estimator(est_cfg, seed=3)
+        cfg, sr = toy_profile.train, est_cfg.sample_rate
+        partition = octave_bands(sr, cfg.stft_window, list(cfg.band_centers))
+        rng = np.random.default_rng(4)
+        rev = rng.uniform(-0.9, 0.9, (11, est_cfg.input_len)).astype(np.float32)
+        rir = rng.uniform(-0.9, 0.9, (11, est_cfg.rir_len)).astype(np.float32)
+        basis = ad.make_dft_basis(cfg.stft())
+        got = training.validation_edr(estimator, rev, rir, basis, partition, 4)
+        losses = []
+        with ad.no_grad():
+            for start in range(0, 11, 4):
+                chunk = Tensor(rev[start : start + 4, None, :])
+                est = estimator.forward(chunk, train=False).data[:, 0, :]
+                assert est.dtype == np.float32
+                for e, r in zip(est, rir[start : start + 4]):
+                    pair = (Signal(e, sr), Signal(r, sr))
+                    losses.append(metrics.edr_loss(*pair, cfg.stft(), partition)[0])
+        assert len(losses) == 11
+        assert got == pytest.approx(np.mean(losses), rel=1e-12)
+
+    def test_non_finite_validation_diverges_with_the_log_kept(
+        self, tmp_path, monkeypatch, toy_profile, tiny_dataset
+    ):
+        monkeypatch.setattr(training, "validation_edr", lambda *args: float("nan"))
+        cfg = dataclasses.replace(toy_profile.train, epochs=2)
+        with pytest.raises(TrainingDivergedError, match="epoch 0 validation"):
+            train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg,
+                  tmp_path / "r")
+        assert (tmp_path / "r" / "log.csv").read_text().count("\n") == 2
+        assert not (tmp_path / "r" / "best.ckpt").exists()
 
 
 class TestFloat32Training:
