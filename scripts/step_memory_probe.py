@@ -19,8 +19,8 @@ Prints one line of ``key=value`` pairs:
   them from the kernel.
 
 The first step is left out of the medians when STEPS > 1: it is the one that
-grows the heap. Run one probe at a time; at batch 128 it needs about
-2.5 GB.
+grows the heap. Run one probe at a time; its peak is about 245 MB at batch
+4, 640 MB at batch 32 and 1.9 GB at batch 128.
 """
 
 from __future__ import annotations

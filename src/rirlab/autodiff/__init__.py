@@ -4,6 +4,7 @@ from ..dsp import DftBasis, make_dft_basis
 from .ops import (
     BatchNormState,
     batchnorm1d,
+    batchnorm_prelu,
     bce_logit_loss,
     concat_channels,
     conv1d,
@@ -28,6 +29,7 @@ __all__ = [
     "active_tape",
     "backward",
     "batchnorm1d",
+    "batchnorm_prelu",
     "bce_logit_loss",
     "concat_channels",
     "conv1d",

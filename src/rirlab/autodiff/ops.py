@@ -2,7 +2,14 @@
 and losses need. All forward functions record their backward closure on the
 tape. Each op computes and allocates in the dtype of its tensor inputs
 (float32 or float64), and an op whose tensor operands differ in dtype
-raises."""
+raises.
+
+A record keeps as little as its backward needs: masks, im2col columns and
+normalized activations are recomputed from the op's input in backward
+rather than kept from the forward. batchnorm_prelu is prelu(batchnorm1d())
+as one op whose record holds one activation where the pair holds two; the
+estimator's decoder runs it, and batchnorm1d and prelu stay as the
+reference it is tested against, bit for bit."""
 
 from __future__ import annotations
 
@@ -197,25 +204,26 @@ class BatchNormState:
         return cls(running_mean=np.zeros(n_channels), running_var=np.ones(n_channels))
 
 
-def batchnorm1d(
-    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool
-) -> Tensor:
-    """Per-channel normalization of [B,C,L]; batch statistics in train mode
-    (batch of >= 2 required), which also update the running statistics, and
-    running statistics in eval mode."""
-    B, C, L = _as_3d(x, "batchnorm1d input")
+def _batchnorm_stats(
+    op: str, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, inv) that normalize x of [B,C,L]: batch statistics in train
+    mode (batch of >= 2 required), which also update the running
+    statistics, and running statistics in eval mode. Every check runs
+    before the running statistics change."""
+    B, C, L = _as_3d(x, f"{op} input")
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeMismatchError(f"gamma/beta must be ({C},), got {gamma.shape}/{beta.shape}")
-    check_same_dtype("batchnorm1d", x, gamma, beta)
+    check_same_dtype(op, x, gamma, beta)
     stat_dtypes = {state.running_mean.dtype, state.running_var.dtype}
     if stat_dtypes != {x.data.dtype}:
         raise InvalidInputError(
-            f"batchnorm1d running statistics are {sorted(d.name for d in stat_dtypes)}, "
+            f"{op} running statistics are {sorted(d.name for d in stat_dtypes)}, "
             f"the input is {x.data.dtype.name}"
         )
     if train:
         if B < 2:
-            raise InvalidInputError("batchnorm1d needs a batch of at least 2 in train mode")
+            raise InvalidInputError(f"{op} needs a batch of at least 2 in train mode")
         mean = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
         m = state.momentum
@@ -223,40 +231,60 @@ def batchnorm1d(
         state.running_var = (1 - m) * state.running_var + m * var
     else:
         mean, var = state.running_mean, state.running_var
-    inv = 1.0 / np.sqrt(var + state.eps)
+    return mean, 1.0 / np.sqrt(var + state.eps)
 
-    def normalized():
-        """(x - mean) * inv, built in one buffer."""
-        t = x.data - mean[None, :, None]
-        t *= inv[None, :, None]
-        return t
 
-    # The ops of gamma * xhat + beta, in their order, in xhat's buffer.
-    out_data = normalized()
-    out_data *= gamma.data[None, :, None]
-    out_data += beta.data[None, :, None]
-    out = Tensor(out_data)
+def _normalized(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """xhat = (x - mean) * inv, built in one buffer."""
+    t = x - mean[None, :, None]
+    t *= inv[None, :, None]
+    return t
 
-    def backward_fn(g):
-        # xhat is recomputed from x rather than kept from the forward, so
-        # the record holds no activation-sized array of its own.
-        xhat = normalized()
-        gbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
-        ggamma = (g * xhat).sum(axis=(0, 2)) if gamma.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            gxhat = g * gamma.data[None, :, None]
-            if train:
-                gx = inv[None, :, None] * (
-                    gxhat
-                    - gxhat.mean(axis=(0, 2), keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=(0, 2), keepdims=True)
-                )
-            else:
-                gx = gxhat * inv[None, :, None]
-        return (gx, ggamma, gbeta)
 
-    record(out, (x, gamma, beta), backward_fn)
+def _batchnorm_out(
+    x: np.ndarray, mean: np.ndarray, inv: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """The ops of gamma * xhat + beta, in their order, in xhat's buffer."""
+    t = _normalized(x, mean, inv)
+    t *= gamma[None, :, None]
+    t += beta[None, :, None]
+    return t
+
+
+def _batchnorm_grads(g, xhat, x: Tensor, gamma: Tensor, beta: Tensor, inv, train: bool):
+    """(gx, ggamma, gbeta) of batchnorm's output gradient g, given the
+    normalized input xhat. Callers recompute xhat from x rather than keep it
+    from the forward, so a record holds no activation-sized array of its
+    own."""
+    gbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
+    ggamma = (g * xhat).sum(axis=(0, 2)) if gamma.requires_grad else None
+    gx = None
+    if x.requires_grad:
+        gxhat = g * gamma.data[None, :, None]
+        if train:
+            gx = inv[None, :, None] * (
+                gxhat
+                - gxhat.mean(axis=(0, 2), keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=(0, 2), keepdims=True)
+            )
+        else:
+            gx = gxhat * inv[None, :, None]
+    return gx, ggamma, gbeta
+
+
+def batchnorm1d(
+    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool
+) -> Tensor:
+    """Per-channel normalization of [B,C,L]; batch statistics in train mode
+    (batch of >= 2 required), which also update the running statistics, and
+    running statistics in eval mode."""
+    mean, inv = _batchnorm_stats("batchnorm1d", x, gamma, beta, state, train)
+    out = Tensor(_batchnorm_out(x.data, mean, inv, gamma.data, beta.data))
+    record(
+        out,
+        (x, gamma, beta),
+        lambda g: _batchnorm_grads(g, _normalized(x.data, mean, inv), x, gamma, beta, inv, train),
+    )
     return out
 
 
@@ -284,22 +312,66 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return out
 
 
+def _check_prelu(op: str, x: Tensor, slope: Tensor) -> np.ndarray:
+    """The slope broadcast over [B,C,L] x, after checking both."""
+    B, C, L = _as_3d(x, f"{op} input")
+    if slope.shape != (C,):
+        raise ShapeMismatchError(f"{op} slope must be ({C},), got {slope.shape}")
+    check_same_dtype(op, x, slope)
+    return slope.data[None, :, None]
+
+
+def _prelu_grads(g, x: np.ndarray, s, slope: Tensor, want_gx: bool):
+    """(gx, gslope) of prelu's output gradient g at input x; the mask is
+    recomputed rather than kept from the forward."""
+    mask = x > 0
+    gx = _leaky_scale(g, mask, s) if want_gx else None
+    gs = (g * x * (~mask)).sum(axis=(0, 2)) if slope.requires_grad else None
+    return gx, gs
+
+
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """Leaky activation with one learnable slope per channel of [B,C,L]."""
-    B, C, L = _as_3d(x, "prelu input")
-    if slope.shape != (C,):
-        raise ShapeMismatchError(f"prelu slope must be ({C},), got {slope.shape}")
-    check_same_dtype("prelu", x, slope)
-    s = slope.data[None, :, None]
+    s = _check_prelu("prelu", x, slope)
     out = Tensor(_leaky_scale(x.data, x.data > 0, s))
+    record(out, (x, slope), lambda g: _prelu_grads(g, x.data, s, slope, x.requires_grad))
+    return out
+
+
+def batchnorm_prelu(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    slope: Tensor,
+    state: BatchNormState,
+    train: bool,
+) -> Tensor:
+    """prelu(batchnorm1d(x, gamma, beta, state, train), slope) as one op.
+
+    The output, the running statistics and the gradients of x, gamma, beta
+    and slope are those of the two ops, bit for bit: the same IEEE
+    operations run in the same order. The difference is what the record
+    holds. The two ops' records hold the batchnorm input and the batchnorm
+    output; this one holds only x, and its backward recomputes the
+    batchnorm output from x and the statistics of the forward.
+    """
+    s = _check_prelu("batchnorm_prelu", x, slope)
+    mean, inv = _batchnorm_stats("batchnorm_prelu", x, gamma, beta, state, train)
+    y = _batchnorm_out(x.data, mean, inv, gamma.data, beta.data)
+    out = Tensor(_leaky_scale(y, y > 0, s))
 
     def backward_fn(g):
-        mask = x.data > 0  # recomputed rather than kept from the forward
-        gx = _leaky_scale(g, mask, s) if x.requires_grad else None
-        gs = (g * x.data * (~mask)).sum(axis=(0, 2)) if slope.requires_grad else None
-        return (gx, gs)
+        # y = xhat * gamma + beta has the bits of _batchnorm_out's in-place
+        # ops on xhat's buffer, so xhat serves both backwards.
+        xhat = _normalized(x.data, mean, inv)
+        y = xhat * gamma.data[None, :, None]
+        y += beta.data[None, :, None]
+        gy, gs = _prelu_grads(g, y, s, slope, True)
+        del y
+        gx, ggamma, gbeta = _batchnorm_grads(gy, xhat, x, gamma, beta, inv, train)
+        return (gx, ggamma, gbeta, gs)
 
-    record(out, (x, slope), backward_fn)
+    record(out, (x, gamma, beta, slope), backward_fn)
     return out
 
 

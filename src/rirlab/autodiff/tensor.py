@@ -6,7 +6,9 @@ gradients. The tape and the grad mode are per thread, so a no_grad block in
 one thread never switches recording off or on in another.
 
 backward(loss) sweeps the records in reverse, accumulates adjoints additively
-across fan-out and deposits .grad on leaf tensors. It consumes only the
+across fan-out and deposits .grad on leaf tensors, or, given an on_leaf
+callback, hands each leaf's summed gradient to it as soon as the last record
+that feeds the leaf has run. It consumes only the
 records it reaches from loss; records of other graphs stay on the tape for a
 later backward. Each consumed record is dropped, with its closure and the
 arrays the closure holds, as soon as its closure has run, so activations are
@@ -168,8 +170,11 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None
         state.tape.entries.append((out.node_id, tuple(inputs), backward_fn))
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss; deposits .grad on leaf tensors.
+def backward(
+    loss: Tensor, on_leaf: Callable[[Tensor, np.ndarray], None] | None = None
+) -> None:
+    """Reverse sweep from a scalar loss; deposits .grad on leaf tensors, or
+    hands each leaf's gradient to on_leaf.
 
     Gradients accumulate additively when a tensor feeds several consumers.
     The records that loss does not reach go back onto the tape before the
@@ -179,16 +184,33 @@ def backward(loss: Tensor) -> None:
     that reaches a tensor whose record is gone (consumed by an earlier
     backward, or cleared): it would otherwise be taken for a leaf and its
     inputs would get no gradient. Both checks run before any .grad is
-    touched.
+    touched and before on_leaf is first called.
 
-    A gradient that reaches a leaf whose .grad is None becomes that .grad
-    as the closure returned it; it is copied only if it is the closure's
-    upstream gradient or a view of it, or if another leaf already holds the
-    same array. If a closure raises, or returns a gradient of the wrong
-    shape or dtype, the error propagates: the tape then holds only the
-    records that loss does not reach, all of this graph's records are gone,
-    and the leaves reached before the failing record keep the gradients
-    deposited so far.
+    Without on_leaf, a gradient that reaches a leaf whose .grad is None
+    becomes that .grad as the closure returned it; it is copied only if it
+    is the closure's upstream gradient or a view of it, or if another leaf
+    already holds the same array.
+
+    With on_leaf, no .grad is read or written. on_leaf(leaf, grad) is called
+    once for each leaf that a gradient reaches, with the sum of the
+    gradients of all its consumers, as soon as the last record that feeds
+    the leaf has run and been dropped; the sweep then drops the gradient.
+    So a caller can apply and discard each gradient while the sweep goes on,
+    and no full set of gradients is ever held. Leaves are handed over in the
+    order their last records run, and a record's leaves in its input order.
+    A leaf that loss does not reach, or that only None gradients reach, gets
+    no call. grad may be shared with other leaves or be a closure's upstream
+    gradient, so on_leaf must not modify it, and it must not change the
+    .data of a tensor that a record still to run reads: the leaves it is
+    handed are safe, as no record still to run takes them as input.
+
+    If a closure raises, returns a gradient of the wrong shape or dtype, or
+    on_leaf raises, the error propagates: the tape then holds only the
+    records that loss does not reach, and all of this graph's records are
+    gone. Without on_leaf, the leaves reached before the failure keep the
+    gradients deposited so far. With on_leaf, the calls already made stand
+    (the parameters a caller updated in them stay updated), and the
+    gradients of leaves not yet handed over are dropped.
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -217,15 +239,35 @@ def backward(loss: Tensor) -> None:
     tape.entries = kept
     mine.reverse()  # so pop() takes the latest record first
 
+    # Ids whose gradients sum in grads: recorded tensors, and with on_leaf
+    # the leaves too, each listed under the id of the last record to run
+    # that feeds it (the earliest-recorded one).
+    pooled, finishing = produced, {}
+    if on_leaf is not None:
+        leaves: set[int] = set()
+        for out_id, inputs, _ in mine:
+            for t in inputs:
+                if t.requires_grad and t.node_id not in produced and t.node_id not in leaves:
+                    leaves.add(t.node_id)
+                    finishing.setdefault(out_id, []).append(t)
+        pooled = produced | leaves
+
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     stored: set[int] = set()  # ids of the arrays deposited uncopied as .grad
     while mine:
-        # Rebinding these names drops the previous record, its closure and
-        # its upstream gradient before the next closure runs.
         out_id, inputs, backward_fn = mine.pop()
         g = grads.pop(out_id, None)
         if g is not None:
-            _deposit(inputs, backward_fn(g), g, grads, produced, stored)
+            _deposit(inputs, backward_fn(g), g, grads, pooled, stored)
+        # The record, its closure and its upstream gradient go before on_leaf
+        # gets the leaves the record completed, and each handed-over
+        # gradient goes before the next closure runs.
+        del inputs, backward_fn, g
+        for leaf in finishing.pop(out_id, ()):
+            grad = grads.pop(leaf.node_id, None)
+            if grad is not None:
+                on_leaf(leaf, grad)
+            del grad
 
 
 def _deposit(
@@ -233,11 +275,11 @@ def _deposit(
     input_grads: Sequence[np.ndarray | None],
     g: np.ndarray,
     grads: dict[int, np.ndarray],
-    produced: set[int],
+    pooled: set[int],
     stored: set[int],
 ) -> None:
-    """Add one closure's input gradients to the adjoints of recorded inputs
-    and to the .grad of leaves."""
+    """Add one closure's input gradients to grads for the ids in pooled and
+    to the .grad of other leaves."""
     for tensor, gi in zip(inputs, input_grads):
         if gi is None or not tensor.requires_grad:
             continue
@@ -249,7 +291,7 @@ def _deposit(
             raise InvalidInputError(
                 f"gradient dtype {gi.dtype} does not match tensor dtype {tensor.data.dtype}"
             )
-        if tensor.node_id in produced:
+        if tensor.node_id in pooled:
             acc = grads.get(tensor.node_id)
             grads[tensor.node_id] = gi if acc is None else acc + gi
         elif tensor.grad is not None:

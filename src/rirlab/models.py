@@ -3,11 +3,11 @@
 The estimator is an encoder-decoder: a conv + LeakyReLU encoder, whose
 first long convolution extracts response features from reverberant speech
 and whose strided convolutions compress them, then transposed-convolution
-blocks (with batchnorm and PReLU) that expand back to an impulse response,
-ending in a single-channel collapse and tanh. The discriminator scores a
-candidate response conditioned on the opening samples of the reverberant
-speech, concatenated channel-wise, with a conv + LeakyReLU stack built by
-the same code as the encoder.
+blocks (with batchnorm and PReLU, run as one op) that expand back to an
+impulse response, ending in a single-channel collapse and tanh. The
+discriminator scores a candidate response conditioned on the opening
+samples of the reverberant speech, concatenated channel-wise, with a
+conv + LeakyReLU stack built by the same code as the encoder.
 
 Layer schedules live in the config objects, not in code, so alternative
 architectures are data changes. A schedule is checked at build time by
@@ -34,6 +34,7 @@ from .autodiff import Tensor
 from .autodiff.tensor import FLOAT_DTYPES
 from .dsp import Signal
 from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
+from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = "rirlab-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -46,17 +47,21 @@ DTYPES = tuple(dtype.name for dtype in FLOAT_DTYPES)  # the config dtype values
 
 
 class Layer:
-    """One named step of a network. By default it holds no parameters or buffers."""
+    """One named step of a network. By default it holds no parameters or
+    buffers. A layer named name in its network records each parameter
+    attribute p as name.p."""
 
     param_names: tuple[str, ...] = ()
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         raise NotImplementedError
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(self, name)) for name in self.param_names]
+    def params(self, name: str) -> list[tuple[str, Tensor]]:
+        """(record name, tensor) of each parameter."""
+        return [(f"{name}.{p}", getattr(self, p)) for p in self.param_names]
 
-    def buffers(self) -> list[tuple[str, object, str]]:
+    def buffers(self, name: str) -> list[tuple[str, object, str]]:
+        """(record name, holder, attribute) of each buffer."""
         return []
 
 
@@ -95,29 +100,35 @@ class ConvTranspose1dLayer(Layer):
         )
 
 
-class BatchNorm1dLayer(Layer):
-    param_names = ("gamma", "beta")
+class BatchNormPReLULayer(Layer):
+    """Batchnorm, then PReLU with one learnable slope per channel, run as
+    the one op ad.batchnorm_prelu in train and eval mode. It stands for a
+    batchnorm layer and the PReLU layer after it: the network names it as
+    the batchnorm layer, and its slope keeps the PReLU layer's record name,
+    act_name.slope, so checkpoints hold the records of the two layers."""
 
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, act_name: str):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.state = ad.BatchNormState.for_channels(channels)
-
-    def forward(self, x, train):
-        return ad.batchnorm1d(x, self.gamma, self.beta, self.state, train)
-
-    def buffers(self):
-        return [("running_mean", self.state, "running_mean"), ("running_var", self.state, "running_var")]
-
-
-class PReLULayer(Layer):
-    param_names = ("slope",)
-
-    def __init__(self, channels: int):
         self.slope = Tensor(np.full(channels, 0.25), requires_grad=True)
+        self.state = ad.BatchNormState.for_channels(channels)
+        self.act_name = act_name
 
     def forward(self, x, train):
-        return ad.prelu(x, self.slope)
+        return ad.batchnorm_prelu(x, self.gamma, self.beta, self.slope, self.state, train)
+
+    def params(self, name):
+        return [
+            (f"{name}.gamma", self.gamma),
+            (f"{name}.beta", self.beta),
+            (f"{self.act_name}.slope", self.slope),
+        ]
+
+    def buffers(self, name):
+        return [
+            (f"{name}.running_mean", self.state, "running_mean"),
+            (f"{name}.running_var", self.state, "running_var"),
+        ]
 
 
 class LeakyReLULayer(Layer):
@@ -332,9 +343,9 @@ class Network:
     def _add(self, name: str, layer: Layer) -> None:
         """Append a layer, casting its parameters and buffers to the network's
         dtype."""
-        for _, tensor in layer.params():
+        for _, tensor in layer.params(name):
             tensor.data = tensor.data.astype(self.dtype, copy=False)
-        for _, holder, attr in layer.buffers():
+        for _, holder, attr in layer.buffers(name):
             setattr(holder, attr, getattr(holder, attr).astype(self.dtype, copy=False))
         self.layers.append((name, layer))
 
@@ -346,21 +357,13 @@ class Network:
         return Tensor(x.data.astype(self.dtype))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name, layer in self.layers:
-            for pname, tensor in layer.params():
-                out.append((f"{name}.{pname}", tensor))
-        return out
+        return [record for name, layer in self.layers for record in layer.params(name)]
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
     def named_buffers(self) -> list[tuple[str, object, str]]:
-        out = []
-        for name, layer in self.layers:
-            for bname, holder, attr in layer.buffers():
-                out.append((f"{name}.{bname}", holder, attr))
-        return out
+        return [record for name, layer in self.layers for record in layer.buffers(name)]
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.parameters())
@@ -411,8 +414,7 @@ class Estimator(Network):
         in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
         for i, blk in enumerate(c.decoder, start=1):
             self._add(f"dec{i}_tconv", self._tconv(rng, in_ch, blk))
-            self._add(f"dec{i}_bn", BatchNorm1dLayer(blk["out_channels"]))
-            self._add(f"dec{i}_act", PReLULayer(blk["out_channels"]))
+            self._add(f"dec{i}_bn", BatchNormPReLULayer(blk["out_channels"], f"dec{i}_act"))
             in_ch = blk["out_channels"]
         self._add("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1}))
         self._add("out_act", TanhLayer())
@@ -526,7 +528,8 @@ def _state_records(net: Network) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(net: Estimator, path: str | Path) -> Path:
     """Single-file checkpoint: JSON header line (version, kind, seed, config
     echo with its dtype, record names/shapes) followed by raw little-endian
-    blobs in the network's dtype."""
+    blobs in the network's dtype. The file is replaced whole: a write that
+    fails part-way leaves the previous checkpoint at path."""
     records = _state_records(net)
     header = {
         "format": CHECKPOINT_MAGIC,
@@ -538,7 +541,7 @@ def save_checkpoint(net: Estimator, path: str | Path) -> Path:
     }
     blob = net.dtype.newbyteorder("<")  # "<f8" or "<f4"
     path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for _, arr in records:
             fh.write(np.ascontiguousarray(arr, dtype=blob).data)  # no bytes copy

@@ -20,6 +20,7 @@ import numpy as np
 from . import metrics
 from .dsp import Signal, fft_convolve
 from .errors import InvalidConfigError, InvalidInputError
+from .fileio import atomic_write
 from .wavio import read_wav, write_wav
 
 SPLITS = ("train", "val", "test")
@@ -231,7 +232,8 @@ class DatasetManifest:
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(self.to_json() + "\n")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json() + "\n")
         return path
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from . import metrics
 from .autodiff import Tensor
 from .dsp import StftConfig, band_power, octave_bands
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from .fileio import atomic_write
 from .models import (
     Discriminator,
     DiscriminatorConfig,
@@ -120,7 +121,8 @@ class TrainLog:
         return out.getvalue()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
+        with atomic_write(path) as fh:
+            fh.write(self.to_csv())
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,31 @@ def _check_finite(losses: dict[str, float], context: str) -> None:
     bad = [name for name, value in losses.items() if not np.isfinite(value)]
     if bad:
         raise TrainingDivergedError(f"non-finite loss ({', '.join(bad)}) at {context}")
+
+
+def _backward_and_update(loss: Tensor, params: list[Tensor], opt: ad.RmspropState) -> None:
+    """backward(loss), with rmsprop_step run on each parameter of params as
+    soon as backward hands over its gradient, which is then dropped: no full
+    set of gradients is ever held, and no .grad is written. Gradients that
+    reach other leaves are dropped unused. The accumulator of a parameter
+    that loss does not reach decays, as rmsprop_step's does for a None
+    gradient. If the sweep raises, the parameters updated so far stay
+    updated."""
+    index = {p.node_id: i for i, p in enumerate(params)}
+    unreached = dict.fromkeys(range(len(params)))
+
+    def one(indices: list[int]) -> ad.RmspropState:
+        return replace(opt, square_avg=[opt.square_avg[i] for i in indices])
+
+    def update(leaf: Tensor, grad: np.ndarray) -> None:
+        i = index.get(leaf.node_id)
+        if i is not None:
+            del unreached[i]
+            ad.rmsprop_step([leaf], [grad], one([i]))
+
+    ad.backward(loss, on_leaf=update)
+    if unreached:
+        ad.rmsprop_step([params[i] for i in unreached], [None] * len(unreached), one(unreached))
 
 
 def train_step(
@@ -154,9 +181,16 @@ def train_step(
     The estimator runs forward once, before the discriminator update, which
     leaves the estimator's parameters alone; both half-steps use that output.
     Every tape record the step adds is consumed by its two backward sweeps,
-    or dropped if the step raises. The estimator's gradients are cleared
-    when the step starts, so the previous step's are not held through the
-    forward, and this step's stay readable after it returns.
+    or dropped if the step raises.
+
+    Each half-step's update consumes its gradients: rmsprop_step runs on
+    each parameter as soon as the backward sweep has summed its gradient,
+    and the gradient is dropped then, so a step never holds the full set
+    (about 70 MB on the full profile). The discriminator gradients of the
+    estimator sweep are dropped as they complete. The result is the bits of
+    a sweep followed by one rmsprop_step over all parameters. Both networks'
+    .grad are cleared when the step starts and no parameter holds a .grad
+    after it. If a sweep raises, the parameters it updated stay updated.
     """
     rev, rir = batch
     cond = make_condition(
@@ -167,6 +201,7 @@ def train_step(
     tape = ad.active_tape()
     mark = len(tape)
     estimator.zero_grad()
+    discriminator.zero_grad()
     try:
         fake = estimator.forward(rev_t, train=True)
 
@@ -177,10 +212,7 @@ def train_step(
         zeros = np.zeros(fake_logits.shape)
         l_d = ad.bce_logit_loss(real_logits, ones) + ad.bce_logit_loss(fake_logits, zeros)
         _check_finite({"l_d": l_d.item()}, context)
-        discriminator.zero_grad()
-        ad.backward(l_d)
-        d_params = discriminator.parameters()
-        ad.rmsprop_step(d_params, [p.grad for p in d_params], disc_opt)
+        _backward_and_update(l_d, discriminator.parameters(), disc_opt)
 
         # Estimator half-step, with the non-saturating generator loss.
         adv_logits = discriminator.forward(fake, Tensor(cond), train=True)
@@ -201,10 +233,7 @@ def train_step(
         _check_finite(
             {"l_edr": losses.l_edr, "l_mse": losses.l_mse, "l_cgan": losses.l_cgan}, context
         )
-        discriminator.zero_grad()
-        ad.backward(total)
-        e_params = estimator.parameters()
-        ad.rmsprop_step(e_params, [p.grad for p in e_params], est_opt)
+        _backward_and_update(total, estimator.parameters(), est_opt)
         return losses
     finally:
         # Records added before the step are never reached from its losses,
@@ -276,10 +305,12 @@ def train(
 
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
     last.ckpt into out_dir, which is created only once both splits have
-    loaded, along with the echo, if given, as config.json; epoch shuffling,
-    initialization and the learning-rate schedule are all pure functions of
-    the config and seed. On divergence the log is flushed before the error
-    propagates. The two networks must share one dtype.
+    loaded, along with the echo, if given, as config.json. Each file is
+    replaced whole (fileio.atomic_write), so a kill mid-write leaves its
+    previous version. Epoch shuffling, initialization and the learning-rate
+    schedule are all pure functions of the config and seed. On divergence
+    the log is flushed before the error propagates. The two networks must
+    share one dtype.
     """
     if est_cfg.dtype != disc_cfg.dtype:
         raise InvalidConfigError(
@@ -295,7 +326,8 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if echo is not None:
-        (out_dir / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
+        with atomic_write(out_dir / "config.json") as fh:
+            fh.write(json.dumps(echo, indent=2) + "\n")
 
     estimator = build_estimator(est_cfg, seed=cfg.seed)
     discriminator = build_discriminator(disc_cfg, seed=cfg.seed + 1)

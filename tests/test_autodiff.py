@@ -746,6 +746,99 @@ class TestBackwardMemory:
             ad.backward(loss)
 
 
+class TestBackwardOnLeaf:
+    """backward(loss, on_leaf) hands each leaf its summed gradient once, as
+    soon as the last record that feeds it has run, and writes no .grad."""
+
+    def _collect(self, loss):
+        calls = []
+        ad.backward(loss, on_leaf=lambda leaf, grad: calls.append((leaf, grad.copy())))
+        return calls
+
+    def test_leaf_with_two_consumers_gets_one_call_with_the_sum(self):
+        a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        calls = self._collect((a + a).sum())
+        assert len(calls) == 1 and calls[0][0] is a
+        np.testing.assert_array_equal(calls[0][1], np.full(3, 2.0))
+        assert a.grad is None
+
+    def test_discriminator_real_and_fake_forwards_give_one_call_per_parameter(self):
+        cfg = models.toy_discriminator_config()
+        rng = np.random.default_rng(43)
+        real, fake, cond = (rng.uniform(-0.9, 0.9, (3, 1, cfg.rir_len)) for _ in range(3))
+
+        def loss_of(net):
+            r = net.forward(Tensor(real), Tensor(cond), train=True)
+            f = net.forward(Tensor(fake), Tensor(cond), train=True)
+            return ad.bce_logit_loss(r, np.ones(r.shape)) + ad.bce_logit_loss(
+                f, np.zeros(f.shape)
+            )
+
+        net, ref = models.Discriminator(cfg, seed=1), models.Discriminator(cfg, seed=1)
+        calls = self._collect(loss_of(net))
+        ad.backward(loss_of(ref))
+        assert sorted(id(leaf) for leaf, _ in calls) == sorted(id(p) for p in net.parameters())
+        by_leaf = {id(leaf): grad for leaf, grad in calls}
+        for p, q in zip(net.parameters(), ref.parameters()):
+            assert p.grad is None
+            np.testing.assert_array_equal(by_leaf[id(p)], q.grad)
+
+    def test_unreached_leaves_get_no_call(self):
+        other_leaf = Tensor(np.ones(2), requires_grad=True)
+        other = other_leaf * 2.0  # another graph's record
+        x = Tensor(np.ones(3), requires_grad=True)
+        blocked = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(blocked.data.copy())
+        ad.record(y, (blocked,), lambda g: (None,))  # reached, but no gradient
+        calls = self._collect((x * 3.0 + y).sum())
+        assert [leaf for leaf, _ in calls] == [x]
+        np.testing.assert_array_equal(calls[0][1], np.full(3, 3.0))
+        assert [entry[0] for entry in ad.active_tape().entries] == [other.node_id]
+
+    def test_each_leaf_is_handed_over_once_its_last_record_has_run(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        v = Tensor(np.ones(2), requires_grad=True)
+        events = []
+
+        def op(name, x, scale):
+            out = Tensor(x.data * scale)
+            ad.record(out, (x,), lambda g: (events.append(name) or g * scale,))
+            return out
+
+        z = op("z", op("h", w, 2.0), 3.0) + op("u", v, 5.0)
+        ad.backward(z.sum(), on_leaf=lambda leaf, grad: events.append("w" if leaf is w else "v"))
+        assert events == ["u", "v", "z", "h", "w"]
+
+    def test_error_in_the_sweep_keeps_the_calls_already_made(self):
+        # v's last record runs before boom, x's after it: v is handed over
+        # (a caller's update of v stands), x is not, and no .grad is written.
+        other_leaf = Tensor(np.ones(2), requires_grad=True)
+        other = other_leaf * 2.0
+        x = Tensor(np.ones(3), requires_grad=True)
+        v = Tensor(np.ones(3), requires_grad=True)
+        y = x * 3.0
+
+        def boom(g):
+            raise RuntimeError("boom")
+
+        z = Tensor(y.data.copy())
+        ad.record(z, (y,), boom)
+        loss = (z + v).sum()
+        updated = []
+
+        def update(leaf, grad):
+            leaf.data -= grad
+            updated.append(leaf)
+
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.backward(loss, on_leaf=update)
+        assert updated == [v]
+        np.testing.assert_array_equal(v.data, np.zeros(3))
+        np.testing.assert_array_equal(x.data, np.ones(3))
+        assert v.grad is None and x.grad is None
+        assert [entry[0] for entry in ad.active_tape().entries] == [other.node_id]
+
+
 def _conv_layer_cases(layer_type=models.Conv1dLayer):
     """(layer, dtype, [Cin, L] input) of every layer_type layer of both
     profiles' estimators and discriminators, found by running the layers on
@@ -911,6 +1004,135 @@ class TestForwardReferences:
         with ad.no_grad():
             out, peak = _traced_peak(lambda: ad.batchnorm1d(x, gamma, beta, state, False))
         assert peak < 1.25 * out.data.nbytes
+
+
+def _decoder_bn_shapes():
+    """[C, L] input of every BatchNorm+PReLU layer of both profiles'
+    estimators."""
+    return [shape for _, _, shape in _conv_layer_cases(models.BatchNormPReLULayer)]
+
+
+def _sink(out, g):
+    """A scalar whose backward sends exactly g into out."""
+    loss = Tensor(np.zeros((), dtype=out.data.dtype))
+    ad.record(loss, (out,), lambda _: (g.copy(),))
+    return loss
+
+
+def _bn_prelu_inputs(rng, dtype, shape):
+    """x, gamma, beta and an upstream gradient for [2, C, L]. x holds +-0
+    and a NaN (channel 0's train-mode statistics are then NaN); gamma = 0
+    and beta = -0.0 in channel 2 make the batchnorm output there exactly +-0,
+    where the PReLU mask flips."""
+    C, L = shape
+    x = (3.0 * rng.standard_normal((2, C, L)) + 0.5).astype(dtype)
+    x[0, 0, :3] = [0.0, -0.0, np.nan]
+    x[1, 1 % C, :2] = [-0.0, 0.0]
+    gamma = rng.uniform(0.5, 1.5, C).astype(dtype)
+    beta = rng.standard_normal(C).astype(dtype)
+    gamma[2 % C], beta[2 % C] = 0.0, -0.0
+    g = rng.standard_normal((2, C, L)).astype(dtype)
+    g[0, -1, :2] = [0.0, -0.0]
+    return x, gamma, beta, g
+
+
+def _bn_prelu_run(fused, x, gamma, beta, slope, state, train, g):
+    """(output, the four gradients) of the fused op or of the reference
+    pair prelu(batchnorm1d())."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta, slope)]
+    if fused:
+        out = ad.batchnorm_prelu(ts[0], ts[1], ts[2], ts[3], state, train)
+    else:
+        out = ad.prelu(ad.batchnorm1d(ts[0], ts[1], ts[2], state, train), ts[3])
+    ad.backward(_sink(out, g))
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestBatchNormPReLU:
+    """batchnorm_prelu is prelu(batchnorm1d()) bit for bit, and its record
+    holds one activation where the pair holds two."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_equals_prelu_of_batchnorm1d_bit_for_bit(self, dtype, train):
+        rng = np.random.default_rng(40)
+        shapes = _decoder_bn_shapes()
+        assert len(shapes) == 9  # five full-profile and four toy decoder blocks
+        for shape in shapes:
+            x, gamma, beta, g = _bn_prelu_inputs(rng, dtype, shape)
+            mean = rng.standard_normal(shape[0])
+            var = rng.uniform(0.5, 2.0, shape[0])
+            for value in (0.25, -0.3, 0.0, 1.7):
+                slope = np.full(shape[0], value, dtype=dtype)
+                states = [_bn_state(dtype, mean, var) for _ in range(2)]
+                got = _bn_prelu_run(True, x, gamma, beta, slope, states[0], train, g)
+                want = _bn_prelu_run(False, x, gamma, beta, slope, states[1], train, g)
+                names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad")
+                for name, a, b in zip(names, got, want):
+                    assert a.dtype == dtype, name
+                    np.testing.assert_array_equal(
+                        _bits(a), _bits(b), err_msg=f"{name} {shape} slope {value}"
+                    )
+                for attr in ("running_mean", "running_var"):
+                    a, b = getattr(states[0], attr), getattr(states[1], attr)
+                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=attr)
+                assert len(ad.active_tape()) == 0
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_no_grad_forward_equals_the_pair(self, train):
+        rng = np.random.default_rng(41)
+        x, gamma, beta, _ = _bn_prelu_inputs(rng, np.float32, (64, 512))
+        slope = np.full(64, 0.25, dtype=np.float32)
+        states = [_bn_state(np.float32, np.zeros(64), np.ones(64)) for _ in range(2)]
+        with ad.no_grad():
+            got = ad.batchnorm_prelu(
+                Tensor(x), Tensor(gamma), Tensor(beta), Tensor(slope), states[0], train
+            )
+            want = ad.prelu(
+                ad.batchnorm1d(Tensor(x), Tensor(gamma), Tensor(beta), states[1], train),
+                Tensor(slope),
+            )
+        np.testing.assert_array_equal(_bits(got.data), _bits(want.data))
+        assert len(ad.active_tape()) == 0
+
+    def test_record_holds_one_activation_not_two(self):
+        # dec5's [4, 64, 4096] float32 input, 4 MB. After the forward, what
+        # numpy still holds beyond the output is what the records keep: the
+        # pair keeps the batchnorm output as the PReLU record's input, the
+        # fused op only statistics of C values (x was allocated before).
+        rng = np.random.default_rng(42)
+        x, gamma, beta, _ = _bn_prelu_inputs(rng, np.float32, (64, 4096))
+        x = np.concatenate([x, x])
+        slope = np.full(64, 0.25, dtype=np.float32)
+        held = {}
+        for fused in (True, False):
+            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, slope)]
+            state = _bn_state(np.float32, np.zeros(64), np.ones(64))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                if fused:
+                    out = ad.batchnorm_prelu(ts[0], ts[1], ts[2], ts[3], state, True)
+                else:
+                    out = ad.prelu(ad.batchnorm1d(ts[0], ts[1], ts[2], state, True), ts[3])
+                held[fused] = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            del out
+            ad.active_tape().clear()
+        assert held[True] < 0.05 * x.nbytes
+        assert held[False] > 0.95 * x.nbytes
+
+    def test_checks_run_before_the_running_statistics_change(self):
+        x, gamma, beta = (Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
+                          for s in ((2, 3, 4), (3,), (3,)))
+        state = _bn_state(np.float32, np.zeros(3), np.ones(3))
+        for slope in (Tensor(np.ones(3)), Tensor(np.ones(4, dtype=np.float32))):
+            with pytest.raises((InvalidInputError, ShapeMismatchError)):
+                ad.batchnorm_prelu(x, gamma, beta, slope, state, train=True)
+            np.testing.assert_array_equal(state.running_mean, np.zeros(3, dtype=np.float32))
+        assert len(ad.active_tape()) == 0
 
 
 class TestThreadLocalGradMode:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rirlab import autodiff as ad
+from rirlab import models
 from rirlab.autodiff import Tensor
 from rirlab.dsp import Signal
 from rirlab.errors import InvalidConfigError, InvalidInputError
@@ -228,6 +229,32 @@ class TestCheckpoints:
         assert peak < largest / 2
         blobs = b"".join(arr.astype("<f8").tobytes() for _, arr in _state(net))
         assert path.read_bytes().split(b"\n", 1)[1] == blobs
+
+    def test_save_failing_part_way_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        net = build_estimator(toy_estimator_config(), seed=0)
+        path = save_checkpoint(net, tmp_path / "best.ckpt")
+        saved = path.read_bytes()
+        other = build_estimator(toy_estimator_config(), seed=1)
+        records = models._state_records(other)
+        name, last = records[-1]
+
+        class DiskFull:
+            """The last record: the header and the other blobs are written
+            when its blob fails."""
+
+            shape = last.shape
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("No space left on device")
+
+        failing = records[:-1] + [(name, DiskFull())]
+        monkeypatch.setattr(models, "_state_records", lambda _: failing)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(other, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        assert _state_digest(load_checkpoint(path)) == _state_digest(net)
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_round_trip_preserves_every_record(self, tmp_path):
         net = build_estimator(toy_estimator_config(), seed=10)

@@ -11,6 +11,7 @@ from rirlab import metrics, synth
 from rirlab.dsp import Signal, spectral_deconvolve
 from rirlab.errors import InvalidInputError, UnsupportedFormatError
 from rirlab.synth import (
+    DatasetManifest,
     RirParamRanges,
     RirParams,
     build_dataset,
@@ -157,6 +158,20 @@ class TestBuildDataset:
         build_dataset(tmp_path / "a", 6, TOY_RANGES, 8000, 8000, seed=7)
         build_dataset(tmp_path / "b", 6, TOY_RANGES, 8000, 8000, seed=7)
         assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+
+    def test_manifest_save_failing_part_way_keeps_the_previous_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=2)
+        path = tmp_path / "ds" / "manifest.json"
+        saved = path.read_bytes()
+        # A lone surrogate cannot be encoded, so the write raises after the
+        # file was opened.
+        monkeypatch.setattr(DatasetManifest, "to_json", lambda self: '{"cut": "\udc80"}')
+        with pytest.raises(UnicodeEncodeError):
+            manifest.save(path)
+        assert path.read_bytes() == saved
+        assert not [p.name for p in path.parent.iterdir() if p.name.endswith(".tmp")]
 
     def test_lengths_match_config(self, tmp_path):
         manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=2)

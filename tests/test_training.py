@@ -3,6 +3,9 @@ updates, divergence handling, schedules, and reproducibility."""
 
 import dataclasses
 import hashlib
+import os
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,9 +206,14 @@ class TestSingleEstimatorForward:
         assert len(calls) == 2
 
     def test_estimator_gradients_cleared_before_its_forward(self, step_setup, monkeypatch):
+        # The updates consume the gradients: no parameter of either network
+        # holds a .grad after a step, and the estimator's forward starts
+        # with none, also when a caller left gradients on both networks.
         cfg, est, disc, eo, do, basis, part, batch = step_setup
         train_step(est, disc, batch, cfg, eo, do, basis, part)
-        assert all(p.grad is not None for p in est.parameters())
+        assert all(p.grad is None for p in est.parameters() + disc.parameters())
+        for p in est.parameters() + disc.parameters():
+            p.grad = np.ones_like(p.data)
         seen = []
         forward = est.forward
 
@@ -216,7 +224,7 @@ class TestSingleEstimatorForward:
         monkeypatch.setattr(est, "forward", checked)
         train_step(est, disc, batch, cfg, eo, do, basis, part)
         assert len(seen) == 1 and all(seen[0])
-        assert all(p.grad is not None for p in est.parameters())
+        assert all(p.grad is None for p in est.parameters() + disc.parameters())
 
     def test_tape_empty_after_step_and_after_divergence(self, step_setup):
         cfg, est, disc, eo, do, basis, part, batch = step_setup
@@ -226,6 +234,88 @@ class TestSingleEstimatorForward:
         rev[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
             train_step(est, disc, (rev, batch[1]), cfg, eo, do, basis, part)
+        assert len(ad.active_tape()) == 0
+
+
+class TestUpdatesConsumeGradients:
+    """Each half-step applies rmsprop_step to a parameter as soon as its
+    gradient is complete, with the bits of one update after the sweep."""
+
+    def test_full_profile_estimator_update_holds_no_other_gradient(self, monkeypatch):
+        profile = get_profile("full")
+        cfg = dataclasses.replace(profile.train, batch_size=2)
+        est = build_estimator(profile.estimator, seed=0)
+        disc = build_discriminator(profile.discriminator, seed=1)
+        eo = ad.RmspropState.for_params(est.parameters(), lr=cfg.lr_init)
+        do = ad.RmspropState.for_params(disc.parameters(), lr=cfg.lr_init)
+        part = octave_bands(
+            profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
+        )
+        rng = np.random.default_rng(3)
+        batch = (
+            rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)),
+            rng.uniform(-0.9, 0.9, (2, profile.estimator.rir_len)),
+        )
+        est_ids = {p.node_id for p in est.parameters()}
+        earlier, updated = [], []
+        step = ad.rmsprop_step
+
+        def checked(params, grads, state):
+            if params[0].node_id in est_ids:
+                assert all(p.grad is None for p in est.parameters())
+                assert all(ref() is None for ref in earlier), "an earlier gradient is alive"
+                earlier.extend(weakref.ref(g) for g in grads)
+                updated.extend(p.node_id for p in params)
+            return step(params, grads, state)
+
+        monkeypatch.setattr(ad, "rmsprop_step", checked)
+        train_step(est, disc, batch, cfg, eo, do, ad.make_dft_basis(cfg.stft()), part)
+        assert sorted(updated) == sorted(est_ids)
+
+    def test_unreached_parameter_decays_its_accumulator_only(self):
+        rng = np.random.default_rng(4)
+        w, u = (Tensor(rng.standard_normal(5), requires_grad=True) for _ in range(2))
+        ref_w, ref_u = Tensor(w.data.copy(), requires_grad=True), Tensor(u.data.copy())
+        opt = ad.RmspropState.for_params([w, u], lr=1e-3)
+        ref = ad.RmspropState.for_params([ref_w, ref_u], lr=1e-3)
+        for acc in opt.square_avg + ref.square_avg:
+            acc[:] = np.linspace(0.1, 0.5, 5)
+        training._backward_and_update((w * 3.0).sum(), [w, u], opt)
+        ad.backward((ref_w * 3.0).sum())
+        ad.rmsprop_step([ref_w, ref_u], [ref_w.grad, None], ref)
+        for got, want in ((w.data, ref_w.data), (u.data, ref_u.data)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(opt.square_avg, ref.square_avg):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(opt.square_avg[1], np.linspace(0.1, 0.5, 5))
+        assert w.grad is None and u.grad is None
+
+    def test_error_in_the_estimator_sweep_keeps_the_updates_made(self, step_setup):
+        # A record that raises in backward sits between enc1 and enc2: the
+        # sweep updates the decoder and enc2 before it reaches the record,
+        # and never reaches enc0 or enc1.
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        layers = dict(est.layers)
+        forward = layers["enc2_conv"].forward
+
+        def boom(g):
+            raise RuntimeError("boom")
+
+        def raising_then_forward(x, train):
+            y = Tensor(x.data.copy())
+            ad.record(y, (x,), boom)
+            return forward(y, train)
+
+        layers["enc2_conv"].forward = raising_then_forward
+        before = {name: p.data.copy() for name, p in est.named_parameters()}
+        disc_before = _param_digest(disc)
+        with pytest.raises(RuntimeError, match="boom"):
+            train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert _param_digest(disc) != disc_before
+        for name, p in est.named_parameters():
+            changed = not np.array_equal(p.data, before[name])
+            assert changed == (not name.startswith(("enc0", "enc1"))), name
+            assert p.grad is None
         assert len(ad.active_tape()) == 0
 
 
@@ -277,6 +367,22 @@ class TestTrain:
         assert len(r1.log.records) == 3
         assert all(np.isfinite(v) for v in vals)
         assert r1.log.initial_val_edr is not None
+
+    def test_run_files_are_replaced_whole(self, tmp_path, monkeypatch, toy_profile, tiny_dataset):
+        replaced = []
+        replace = os.replace
+
+        def recording(src, dst):
+            replaced.append(Path(dst).name)
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        cfg = dataclasses.replace(toy_profile.train, epochs=1)
+        train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg,
+              tmp_path / "r", echo={"profile": "toy"})
+        files = ["best.ckpt", "config.json", "last.ckpt", "log.csv"]
+        assert sorted(set(replaced)) == files
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == files
 
     def test_log_csv_layout(self, tmp_path, toy_profile, tiny_dataset):
         cfg = dataclasses.replace(toy_profile.train, epochs=1)
@@ -349,7 +455,7 @@ class TestValidationEdr:
 
 
 class TestFloat32Training:
-    def test_full_profile_step_stays_float32(self):
+    def test_full_profile_step_stays_float32(self, monkeypatch):
         profile = get_profile("full")
         cfg = dataclasses.replace(profile.train, batch_size=2)
         estimator = build_estimator(profile.estimator, seed=0)
@@ -364,13 +470,24 @@ class TestFloat32Training:
             rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)),
             rng.uniform(-0.9, 0.9, (2, profile.rir_len)),
         )
+        # The updates consume the gradients, so they are read where
+        # rmsprop_step receives them.
+        received = {}
+        step = ad.rmsprop_step
+
+        def capture(params, grads, state):
+            for p, g in zip(params, grads):
+                received[p.node_id] = None if g is None else g.dtype
+            return step(params, grads, state)
+
+        monkeypatch.setattr(ad, "rmsprop_step", capture)
         losses = train_step(estimator, discriminator, batch, cfg, est_opt, disc_opt,
                             ad.make_dft_basis(cfg.stft()), partition)
         assert all(np.isfinite(v) for v in dataclasses.astuple(losses))
         for net, opt in ((estimator, est_opt), (discriminator, disc_opt)):
             for name, p in net.named_parameters():
                 assert p.data.dtype == np.float32, name
-                assert p.grad is not None and p.grad.dtype == np.float32, name
+                assert received[p.node_id] == np.float32, name
             assert all(acc.dtype == np.float32 for acc in opt.square_avg)
             for name, holder, attr in net.named_buffers():
                 assert getattr(holder, attr).dtype == np.float32, name
