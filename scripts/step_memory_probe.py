@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Peak memory and time of full-profile training steps at one batch size.
+"""Peak memory and time of full-profile training steps, and the peak of one
+eval forward, at one batch size.
 
     python3 scripts/step_memory_probe.py BATCH STEPS
 
@@ -16,7 +17,11 @@ Prints one line of ``key=value`` pairs:
   divided by BATCH;
 - ``minor_faults_per_step``: the median count of minor page faults per step,
   that is pages the step touched for the first time since the allocator got
-  them from the kernel.
+  them from the kernel;
+- ``eval_peak_mb``: the traced (``tracemalloc``) peak, in MiB, of one
+  ``models.estimate_batch`` on the BATCH inputs after the steps: the no-grad
+  eval forward that ``evaluate`` and ``validation_edr`` run. It is measured
+  after ``peak_rss_mb`` is read, so it does not move that.
 
 The first step is left out of the medians when STEPS > 1: it is the one that
 grows the heap. Run one probe at a time; its peak is about 245 MB at batch
@@ -31,6 +36,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -39,7 +45,7 @@ import numpy as np  # noqa: E402
 
 from rirlab import autodiff as ad  # noqa: E402
 from rirlab import models, training  # noqa: E402
-from rirlab.dsp import octave_bands  # noqa: E402
+from rirlab.dsp import Signal, octave_bands  # noqa: E402
 from rirlab.profiles import get_profile  # noqa: E402
 
 
@@ -84,11 +90,21 @@ def main() -> None:
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     measured = slice(1 if args.steps > 1 else 0, None)
     p50 = statistics.median(step_ms[measured])
+    peak_mb = _rss_mb()
+
+    inputs = [Signal(row, profile.estimator.sample_rate) for row in batch[0]]
+    tracemalloc.start()
+    try:
+        models.estimate_batch(estimator, inputs)
+        eval_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     print(
         f"batch={args.batch} steps={args.steps} import_rss_mb={import_mb:.1f} "
-        f"peak_rss_mb={_rss_mb():.1f} "
+        f"peak_rss_mb={peak_mb:.1f} "
         f"step_ms_p50={p50:.1f} ms_per_example={p50 / args.batch:.2f} "
-        f"minor_faults_per_step={statistics.median(faults[measured]):.0f}"
+        f"minor_faults_per_step={statistics.median(faults[measured]):.0f} "
+        f"eval_peak_mb={eval_peak / 2**20:.1f}"
     )
 
 

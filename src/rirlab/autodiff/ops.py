@@ -13,6 +13,7 @@ reference it is tested against, bit for bit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,10 @@ class BatchNormState:
     eps: float = 1e-5
 
     @classmethod
-    def for_channels(cls, n_channels: int) -> "BatchNormState":
-        return cls(running_mean=np.zeros(n_channels), running_var=np.ones(n_channels))
+    def for_channels(cls, n_channels: int, dtype=np.float64) -> "BatchNormState":
+        return cls(
+            running_mean=np.zeros(n_channels, dtype), running_var=np.ones(n_channels, dtype)
+        )
 
 
 def _batchnorm_stats(
@@ -465,9 +468,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def flatten(x: Tensor) -> Tensor:
-    """[B, ...] -> [B, features]."""
+    """[B, ...] -> [B, features]; an empty batch too."""
     shape = x.shape
-    out = Tensor(x.data.reshape(shape[0], -1))
+    out = Tensor(x.data.reshape(shape[0], math.prod(shape[1:])))
     record(out, (x,), lambda g: (g.reshape(shape),))
     return out
 

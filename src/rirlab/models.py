@@ -39,6 +39,7 @@ from .fileio import atomic_write
 CHECKPOINT_MAGIC = "rirlab-checkpoint"
 CHECKPOINT_VERSION = 1
 DTYPES = tuple(dtype.name for dtype in FLOAT_DTYPES)  # the config dtype values
+DRAW_BLOCK = 1 << 16  # float64 values per generator call when drawing a weight
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +67,30 @@ class Layer:
 
 
 class Conv1dLayer(Layer):
-    """Takes its initial [out_ch, in_ch, kernel] weight; the bias starts at zero."""
+    """Takes its initial [out_ch, in_ch, kernel] weight; the bias starts at
+    zero, in the weight's dtype."""
 
     param_names = ("weight", "bias")
 
     def __init__(self, weight: np.ndarray, stride: int, padding: int):
         self.stride, self.padding = stride, padding
         self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(weight.shape[0]), requires_grad=True)
+        self.bias = Tensor(np.zeros(weight.shape[0], weight.dtype), requires_grad=True)
 
     def forward(self, x, train):
         return ad.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class ConvTranspose1dLayer(Layer):
-    """Takes its initial [in_ch, out_ch, kernel] weight; the bias starts at zero."""
+    """Takes its initial [in_ch, out_ch, kernel] weight; the bias starts at
+    zero, in the weight's dtype."""
 
     param_names = ("weight", "bias")
 
     def __init__(self, weight: np.ndarray, stride: int, padding: int, output_padding: int = 0):
         self.stride, self.padding, self.output_padding = stride, padding, output_padding
         self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(weight.shape[1]), requires_grad=True)
+        self.bias = Tensor(np.zeros(weight.shape[1], weight.dtype), requires_grad=True)
 
     def forward(self, x, train):
         return ad.conv_transpose1d(
@@ -105,13 +108,14 @@ class BatchNormPReLULayer(Layer):
     the one op ad.batchnorm_prelu in train and eval mode. It stands for a
     batchnorm layer and the PReLU layer after it: the network names it as
     the batchnorm layer, and its slope keeps the PReLU layer's record name,
-    act_name.slope, so checkpoints hold the records of the two layers."""
+    act_name.slope, so checkpoints hold the records of the two layers. Its
+    parameters and running statistics are held in dtype."""
 
-    def __init__(self, channels: int, act_name: str):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.slope = Tensor(np.full(channels, 0.25), requires_grad=True)
-        self.state = ad.BatchNormState.for_channels(channels)
+    def __init__(self, channels: int, act_name: str, dtype: np.dtype):
+        self.gamma = Tensor(np.ones(channels, dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype), requires_grad=True)
+        self.slope = Tensor(np.full(channels, 0.25, dtype), requires_grad=True)
+        self.state = ad.BatchNormState.for_channels(channels, dtype)
         self.act_name = act_name
 
     def forward(self, x, train):
@@ -143,13 +147,14 @@ class TanhLayer(Layer):
 
 class FlattenLinearLayer(Layer):
     """Flattens [B, C, L] to [B, C*L] and maps it to [B, out_features] with
-    its initial [C*L, out_features] weight; the bias starts at zero."""
+    its initial [C*L, out_features] weight; the bias starts at zero, in the
+    weight's dtype."""
 
     param_names = ("weight", "bias")
 
     def __init__(self, weight: np.ndarray):
         self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(weight.shape[1]), requires_grad=True)
+        self.bias = Tensor(np.zeros(weight.shape[1], weight.dtype), requires_grad=True)
 
     def forward(self, x, train):
         return ad.linear(ad.flatten(x), self.weight, self.bias)
@@ -320,7 +325,7 @@ def toy_discriminator_config() -> DiscriminatorConfig:
 
 class Network:
     """An ordered stack of named layers with parameter bookkeeping, held and
-    run in the config's dtype."""
+    run in the config's dtype. Every layer is built in that dtype."""
 
     kind = "network"
 
@@ -329,25 +334,26 @@ class Network:
         self.seed = int(seed)
         self.dtype = np.dtype(config.dtype)
         self.layers: list[tuple[str, Layer]] = []
+        # Both set by _trace, which each network's constructor runs.
+        self._tail_start = 0  # the first layer that _run runs per example
+        self._example_shape: tuple[int, ...] = ()  # one example's output shape
 
     def _weight(self, rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int):
-        """An initial weight, drawn uniformly from +-1/sqrt(fan_in) in float64
-        so that a float32 network equals the float64 network of the same seed,
-        rounded. Without a generator nothing is drawn: the weight is left
-        unset, in the network's dtype, for a checkpoint to fill."""
-        if rng is None:
-            return np.empty(shape, self.dtype)
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    def _add(self, name: str, layer: Layer) -> None:
-        """Append a layer, casting its parameters and buffers to the network's
-        dtype."""
-        for _, tensor in layer.params(name):
-            tensor.data = tensor.data.astype(self.dtype, copy=False)
-        for _, holder, attr in layer.buffers(name):
-            setattr(holder, attr, getattr(holder, attr).astype(self.dtype, copy=False))
-        self.layers.append((name, layer))
+        """An initial weight in the network's dtype, drawn uniformly from
+        +-1/sqrt(fan_in) in float64 and rounded, so that a float32 network
+        equals the float64 network of the same seed, rounded. It is drawn
+        DRAW_BLOCK values at a time straight into the weight, which gives the
+        values of one draw of the whole shape without its float64 copy.
+        Without a generator nothing is drawn: the weight is left unset, for a
+        checkpoint to fill."""
+        weight = np.empty(shape, self.dtype)
+        if rng is not None:
+            bound = 1.0 / np.sqrt(fan_in)
+            flat = weight.reshape(-1)
+            for start in range(0, flat.size, DRAW_BLOCK):
+                block = flat[start : start + DRAW_BLOCK]
+                block[...] = rng.uniform(-bound, bound, size=block.size)
+        return weight
 
     def _entry(self, x: Tensor) -> Tensor:
         """x in the network's dtype. Only an input that carries no gradient is
@@ -373,32 +379,62 @@ class Network:
             t.zero_grad()
 
     def _run(self, x: Tensor, train: bool) -> Tensor:
-        for _, layer in self.layers:
+        """The layers in order. A no-grad eval forward of two or more
+        examples runs depth-first: the layers before _tail_start on the
+        whole batch, where batching amortizes reading their weights, then
+        the rest, which are activation-bound, one example at a time into
+        one output array, so their intermediates are one example's size.
+        Eval mode uses the running statistics, so an example's output does
+        not depend on the rest of its batch; each GEMM column is computed
+        as in the batched GEMM, so the output is bit-identical to running
+        every layer on the whole batch. Train mode (batch statistics) and a
+        forward with grad mode on (the tape) run every layer on the batch."""
+        batched = train or ad.is_grad_enabled() or x.shape[0] < 2
+        split = len(self.layers) if batched else self._tail_start
+        for _, layer in self.layers[:split]:
             x = layer.forward(x, train)
-        return x
+        if split == len(self.layers):
+            return x
+        out = np.empty((x.shape[0], *self._example_shape), self.dtype)
+        for b in range(x.shape[0]):
+            y = Tensor(x.data[b : b + 1])
+            for _, layer in self.layers[split:]:
+                y = layer.forward(y, train)
+            out[b] = y.data[0]
+        return Tensor(out)
 
     def _conv_stack(self, rng, prefix: str, in_ch: int, blocks) -> int:
         """Append one conv + LeakyReLU pair per block; returns the output channels."""
         for i, blk in enumerate(blocks):
             shape = (blk["out_channels"], in_ch, blk["kernel"])
             weight = self._weight(rng, shape, in_ch * blk["kernel"])
-            self._add(f"{prefix}{i}_conv", Conv1dLayer(weight, blk["stride"], blk["padding"]))
-            self._add(f"{prefix}{i}_act", LeakyReLULayer())
+            self.layers.append(
+                (f"{prefix}{i}_conv", Conv1dLayer(weight, blk["stride"], blk["padding"]))
+            )
+            self.layers.append((f"{prefix}{i}_act", LeakyReLULayer()))
             in_ch = blk["out_channels"]
         return in_ch
 
-    def _trace(self, channels: int, length: int) -> tuple[int, int]:
-        """[channels, length] after the layers built so far, found by running
-        them in eval mode on an empty batch, so the operators' own shape
-        checks judge the schedule."""
+    def _trace(self, channels: int, length: int) -> tuple[int, ...]:
+        """One example's output shape after the layers built so far, found by
+        running them in eval mode on an empty batch, so the operators' own
+        shape checks judge the schedule. It also sets the depth-first split
+        of _run from those shapes: _tail_start is the first layer from which
+        no layer holds more parameter bytes than one example's output of
+        that layer."""
         x = Tensor(np.zeros((0, channels, length), dtype=self.dtype))
+        self._tail_start = len(self.layers)
         with ad.no_grad():
-            for name, layer in self.layers:
+            for i, (name, layer) in enumerate(self.layers):
                 try:
                     x = layer.forward(x, train=False)
                 except (InvalidConfigError, ShapeMismatchError) as exc:
                     raise InvalidConfigError(f"layer {name}: {exc}") from exc
-        return x.shape[1], x.shape[2]
+                weight_bytes = sum(t.data.nbytes for _, t in layer.params(name))
+                if weight_bytes > np.prod(x.shape[1:]) * self.dtype.itemsize:
+                    self._tail_start = i + 1
+        self._example_shape = x.shape[1:]
+        return self._example_shape
 
 
 class Estimator(Network):
@@ -413,11 +449,13 @@ class Estimator(Network):
         c = config
         in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
         for i, blk in enumerate(c.decoder, start=1):
-            self._add(f"dec{i}_tconv", self._tconv(rng, in_ch, blk))
-            self._add(f"dec{i}_bn", BatchNormPReLULayer(blk["out_channels"], f"dec{i}_act"))
+            bn = BatchNormPReLULayer(blk["out_channels"], f"dec{i}_act", self.dtype)
+            self.layers += [(f"dec{i}_tconv", self._tconv(rng, in_ch, blk)), (f"dec{i}_bn", bn)]
             in_ch = blk["out_channels"]
-        self._add("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1}))
-        self._add("out_act", TanhLayer())
+        self.layers += [
+            ("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1})),
+            ("out_act", TanhLayer()),
+        ]
 
         channels, length = self._trace(1, c.input_len)
         if (channels, length) != (1, c.rir_len):
@@ -448,7 +486,8 @@ class Discriminator(Network):
         self._conv_stack(rng, "blk", 2, config.blocks)  # candidate + condition channels
         channels, length = self._trace(2, config.rir_len)
         features = channels * length
-        self._add("head", FlattenLinearLayer(self._weight(rng, (features, 1), features)))
+        self.layers.append(("head", FlattenLinearLayer(self._weight(rng, (features, 1), features))))
+        self._trace(2, config.rir_len)  # the depth-first split covers the head too
 
     def forward(self, rir: Tensor, condition: Tensor, train: bool) -> Tensor:
         if rir.shape != condition.shape:
@@ -489,8 +528,11 @@ def make_condition(reverberant: np.ndarray, condition_len: int, rir_len: int) ->
 
 def estimate_batch(net: Estimator, reverberant: Sequence[Signal]) -> list[Signal]:
     """Eval-mode inference on waveforms of exactly input_len samples, in one
-    batched forward. Eval mode normalizes with the running statistics, so
-    each estimate depends on its own input only."""
+    no-grad forward: the weight-bound layers run on the whole batch and the
+    activation-bound tail one example at a time (Network._run), so the peak
+    grows with the batch by about one input's im2col columns per example.
+    Eval mode normalizes with the running statistics, so each estimate
+    depends on its own input only."""
     if not reverberant:
         return []
     for sig in reverberant:

@@ -902,6 +902,12 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+class TestFlatten:
+    def test_empty_batch(self):
+        out = ad.flatten(Tensor(np.zeros((0, 3, 4))))
+        assert out.shape == (0, 12)
+
+
 class TestForwardReferences:
     """The forwards that build each output in one buffer give the bits of
     the formulations they replaced, and allocate less."""

@@ -153,6 +153,21 @@ class TestDiscriminator:
         with pytest.raises(InvalidInputError):
             make_condition(np.zeros((1, 300)), condition_len=512, rir_len=256)
 
+    @pytest.mark.parametrize("cfg", [toy_discriminator_config(), full_discriminator_config()])
+    def test_no_grad_eval_forward_runs_the_head_on_the_whole_batch(self, cfg, monkeypatch):
+        # The head's weight outweighs its one-logit output, so the
+        # depth-first split of Network._run must lie past it.
+        net = build_discriminator(cfg, seed=5)
+        seen = _batches_seen(monkeypatch, net.layers[-1][1])
+        rng = np.random.default_rng(5)
+        with ad.no_grad():
+            out = net.forward(
+                Tensor(rng.standard_normal((3, 1, cfg.rir_len))),
+                Tensor(rng.standard_normal((3, 1, cfg.rir_len))),
+                train=False,
+            )
+        assert out.shape == (3, 1) and seen == [3]
+
 
 class TestEstimate:
     def test_eval_determinism_and_length(self):
@@ -184,6 +199,86 @@ class TestEstimate:
                 estimate_batch(net, [good, good, bad])
 
 
+def _batches_seen(monkeypatch, layer) -> list[int]:
+    """The batch size of each input the layer runs on from now on."""
+    seen, forward = [], layer.forward
+
+    def spy(x, train):
+        seen.append(x.shape[0])
+        return forward(x, train)
+
+    monkeypatch.setattr(layer, "forward", spy)
+    return seen
+
+
+@pytest.fixture(scope="module", params=["toy", "full"])
+def eval_net(request):
+    """An estimator whose running statistics have moved off 0 and 1."""
+    cfg = toy_estimator_config() if request.param == "toy" else full_estimator_config()
+    net = build_estimator(cfg, seed=11)
+    x = np.random.default_rng(11).uniform(-0.9, 0.9, (2, 1, cfg.input_len))
+    with ad.no_grad():
+        net.forward(Tensor(x), train=True)
+    return net
+
+
+class TestDepthFirstForward:
+    @pytest.mark.parametrize("batch", [2, 4, 5])
+    def test_equals_a_whole_batch_layer_loop_bit_for_bit(self, eval_net, batch, monkeypatch):
+        net = eval_net
+        x = np.random.default_rng(batch).uniform(-0.9, 0.9, (batch, 1, net.config.input_len))
+        first = _batches_seen(monkeypatch, net.layers[0][1])
+        last = _batches_seen(monkeypatch, net.layers[-1][1])
+        with ad.no_grad():
+            got = net.forward(Tensor(x), train=False).data
+            assert first == [batch] and last == [1] * batch  # depth-first, not batched
+            want = Tensor(x.astype(net.dtype))
+            for _, layer in net.layers:
+                want = layer.forward(want, train=False)
+        assert got.dtype == want.data.dtype and got.shape == want.shape
+        assert got.tobytes() == want.data.tobytes()
+
+    def test_full_estimate_batch_of_4_peaks_below_16_mib(self):
+        # 28.5 MiB when every layer ran on the whole batch: dec5's GEMM
+        # result alone is 21 MB at batch 4.
+        cfg = full_estimator_config()
+        net = build_estimator(cfg, seed=2)
+        rng = np.random.default_rng(2)
+        sigs = [Signal(rng.uniform(-0.9, 0.9, cfg.input_len), cfg.sample_rate) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            estimates = estimate_batch(net, sigs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 4 and peak < 16 * 2**20
+
+    @pytest.mark.parametrize("train, grad", [(True, False), (True, True), (False, True)])
+    def test_train_mode_and_grad_mode_run_every_layer_on_the_batch(self, train, grad, monkeypatch):
+        net = build_estimator(toy_estimator_config(), seed=4)
+        last = _batches_seen(monkeypatch, net.layers[-1][1])
+        x = Tensor(np.random.default_rng(4).uniform(-0.9, 0.9, (3, 1, 8000)))
+        if grad:
+            net.forward(x, train)
+            ad.active_tape().clear()
+        else:
+            with ad.no_grad():
+                net.forward(x, train)
+        assert last == [3]
+
+    def test_eval_forward_with_grad_on_records_and_reaches_every_parameter(self):
+        net = build_estimator(toy_estimator_config(), seed=5)
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, (3, 1, 8000))
+        with ad.no_grad():
+            want = net.forward(Tensor(x), train=False)
+        out = net.forward(Tensor(x), train=False)
+        assert out.requires_grad and out.data.tobytes() == want.data.tobytes()
+        ad.backward(ad.mse_loss(out, Tensor(np.zeros(out.shape))))
+        for name, param in net.named_parameters():
+            assert param.grad is not None and np.any(param.grad), name
+        assert len(ad.active_tape()) == 0
+
+
 def _state_digest(net) -> str:
     """sha256 over every parameter and buffer: name, then float64 bytes."""
     h = hashlib.sha256()
@@ -204,6 +299,29 @@ class TestInitialization:
         net = build_discriminator(toy_discriminator_config(), seed=1)
         assert [name for name, _ in net.named_parameters()][-2:] == ["head.weight", "head.bias"]
         assert _state_digest(net) == "b3b1fd19a6296b02"
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_blockwise_draw_equals_one_float64_draw_rounded(self, dtype):
+        # The toy weights fit in one block; this shape spans three.
+        net = models.Network(dataclasses.replace(toy_estimator_config(), dtype=dtype), seed=0)
+        shape, fan_in = (3, models.DRAW_BLOCK - 5), 40
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        got = net._weight(rng, shape, fan_in)
+        bound = 1.0 / np.sqrt(fan_in)
+        want = ref.uniform(-bound, bound, size=shape).astype(dtype)
+        assert got.dtype == np.dtype(dtype) and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_full_build_peaks_below_1_1x_its_parameter_bytes(self):
+        # Drawn as whole float64 arrays and then cast, enc2's 5.2M weights
+        # alone added a 42 MB temporary to the 70 MB of parameters.
+        tracemalloc.start()
+        try:
+            net = build_estimator(full_estimator_config(), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * sum(t.data.nbytes for t in net.parameters())
 
 
 class TestCheckpoints:
