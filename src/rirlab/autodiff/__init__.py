@@ -18,12 +18,11 @@ from .ops import (
     tanh,
 )
 from .optim import RmspropState, rmsprop_step
-from .tensor import Tape, Tensor, active_tape, backward, is_grad_enabled, no_grad, record
+from .tensor import Tensor, active_tape, backward, is_grad_enabled, no_grad, record
 
 __all__ = [
     "BatchNormState",
     "DftBasis",
-    "Tape",
     "Tensor",
     "RmspropState",
     "active_tape",

@@ -1,21 +1,20 @@
 """Reverse-mode differentiation: tensors and the recording tape.
 
 Forward operators append (output id, inputs, backward closure) records to the
-calling thread's tape whenever its grad mode is on and any input requires
-gradients. The tape and the grad mode are per thread, so a no_grad block in
-one thread never switches recording off or on in another.
+calling thread's tape, a plain list, whenever its grad mode is on and any
+input requires gradients. The tape and the grad mode are per thread, so a
+no_grad block in one thread never switches recording off or on in another.
 
-backward(loss) sweeps the records in reverse, accumulates adjoints additively
-across fan-out and deposits .grad on leaf tensors, or, given an on_leaf
-callback, hands each leaf's summed gradient to it as soon as the last record
-that feeds the leaf has run. It consumes only the
-records it reaches from loss; records of other graphs stay on the tape for a
-later backward. Each consumed record is dropped, with its closure and the
-arrays the closure holds, as soon as its closure has run, so activations are
-freed during the sweep rather than when it ends. A second backward on the
-same loss finds no record that produces it, which is an error; so is a
-backward whose graph reaches a tensor whose record an earlier backward
-consumed.
+backward(loss) sweeps the records in reverse, sums gradients across fan-out
+and hands each leaf's gradient over once, as soon as the last record that
+feeds the leaf has run: to an on_leaf callback if one is given, otherwise
+into the leaf's .grad. It consumes only the records it reaches from loss;
+records of other graphs stay on the tape for a later backward. Each consumed
+record is dropped, with its closure and the arrays the closure holds, as soon
+as its closure has run, so activations are freed during the sweep rather than
+when it ends. A second backward on the same loss finds no record that
+produces it, which is an error; so is a backward whose graph reaches a tensor
+whose record an earlier backward consumed.
 """
 
 from __future__ import annotations
@@ -107,32 +106,20 @@ def check_same_dtype(op: str, *tensors: "Tensor | None") -> None:
         )
 
 
-class Tape:
-    """Ordered operation records; recording order is topological."""
-
-    def __init__(self):
-        self.entries: list[tuple[int, tuple[Tensor, ...], Callable]] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-
 class _ThreadState(threading.local):
     """Each thread starts with an empty tape and grad mode on."""
 
     def __init__(self):
-        self.tape = Tape()
+        self.tape: list[tuple[int, tuple[Tensor, ...], Callable]] = []
         self.grad_enabled = True
 
 
 _state = _ThreadState()
 
 
-def active_tape() -> Tape:
-    """The calling thread's tape."""
+def active_tape() -> list[tuple[int, tuple[Tensor, ...], Callable]]:
+    """The calling thread's tape: (output id, inputs, backward closure)
+    records in recording order, which is topological."""
     return _state.tape
 
 
@@ -158,64 +145,56 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None
 
     backward_fn maps the upstream gradient array to one gradient array (or
     None) per input, in order. It must not modify the upstream gradient.
-    backward may store a returned array as a leaf's .grad without copying
-    it (the upstream gradient and its views are copied), so backward_fn must
-    return fresh arrays: never one that it keeps for later, nor a view of a
-    tensor's .data.
+    backward may hand a returned array over as a leaf's gradient without
+    copying it (the upstream gradient and its views are copied, and so is an
+    array returned for two inputs), so backward_fn must return fresh arrays:
+    never one that it keeps for later, nor a view of a tensor's .data.
     """
     state = _state
     if state.grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.recorded = True
-        state.tape.entries.append((out.node_id, tuple(inputs), backward_fn))
+        state.tape.append((out.node_id, tuple(inputs), backward_fn))
 
 
 def backward(
     loss: Tensor, on_leaf: Callable[[Tensor, np.ndarray], None] | None = None
 ) -> None:
-    """Reverse sweep from a scalar loss; deposits .grad on leaf tensors, or
-    hands each leaf's gradient to on_leaf.
+    """Reverse sweep from a scalar loss; hands each leaf's gradient to
+    on_leaf(leaf, grad), by default _add_to_grad, which adds it into .grad.
 
-    Gradients accumulate additively when a tensor feeds several consumers.
+    on_leaf is called once for each leaf that a gradient reaches, with the
+    sum of the gradients of all its consumers, as soon as the last record
+    that feeds the leaf has run and been dropped; the sweep then drops its
+    own reference. So a caller can apply and discard each gradient while the
+    sweep goes on, and no full set of gradients is ever held. Leaves are
+    handed over in the order their last records run, and a record's leaves
+    in its input order. A leaf that loss does not reach, or that only None
+    gradients reach, gets no call. grad shares memory with no other
+    gradient, so on_leaf may keep it. on_leaf must not change the .data of a
+    tensor that a record still to run reads: the leaves it is handed are
+    safe, as no record still to run takes them as input.
+
     The records that loss does not reach go back onto the tape before the
     sweep starts; each reached record is dropped, with its closure, once its
     closure has run. Calling backward on a loss that no record on the tape
     produces, such as the same loss a second time, raises. So does a graph
     that reaches a tensor whose record is gone (consumed by an earlier
     backward, or cleared): it would otherwise be taken for a leaf and its
-    inputs would get no gradient. Both checks run before any .grad is
-    touched and before on_leaf is first called.
-
-    Without on_leaf, a gradient that reaches a leaf whose .grad is None
-    becomes that .grad as the closure returned it; it is copied only if it
-    is the closure's upstream gradient or a view of it, or if another leaf
-    already holds the same array.
-
-    With on_leaf, no .grad is read or written. on_leaf(leaf, grad) is called
-    once for each leaf that a gradient reaches, with the sum of the
-    gradients of all its consumers, as soon as the last record that feeds
-    the leaf has run and been dropped; the sweep then drops the gradient.
-    So a caller can apply and discard each gradient while the sweep goes on,
-    and no full set of gradients is ever held. Leaves are handed over in the
-    order their last records run, and a record's leaves in its input order.
-    A leaf that loss does not reach, or that only None gradients reach, gets
-    no call. grad may be shared with other leaves or be a closure's upstream
-    gradient, so on_leaf must not modify it, and it must not change the
-    .data of a tensor that a record still to run reads: the leaves it is
-    handed are safe, as no record still to run takes them as input.
+    inputs would get no gradient. Both checks run before the first hand-over.
 
     If a closure raises, returns a gradient of the wrong shape or dtype, or
     on_leaf raises, the error propagates: the tape then holds only the
-    records that loss does not reach, and all of this graph's records are
-    gone. Without on_leaf, the leaves reached before the failure keep the
-    gradients deposited so far. With on_leaf, the calls already made stand
-    (the parameters a caller updated in them stay updated), and the
-    gradients of leaves not yet handed over are dropped.
+    records that loss does not reach. The hand-overs already made stand (the
+    parameters a caller updated in them stay updated), and the gradients not
+    yet handed over are dropped.
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if on_leaf is None:
+        on_leaf = _add_to_grad
     tape = _state.tape
-    produced = {out_id for out_id, _, _ in tape.entries}
+    produced = {out_id for out_id, _, _ in tape}
     if loss.node_id not in produced:
         raise InvalidInputError(
             "no record on the tape produces this loss; backward was already called "
@@ -224,7 +203,7 @@ def backward(
 
     reached = {loss.node_id}
     mine, kept = [], []
-    for entry in reversed(tape.entries):
+    for entry in reversed(tape):
         if entry[0] in reached:
             mine.append(entry)
             reached.update(t.node_id for t in entry[1])
@@ -236,29 +215,25 @@ def backward(
             "an earlier backward consumed it or the tape was cleared"
         )
     kept.reverse()
-    tape.entries = kept
+    tape[:] = kept  # in place: callers hold the list
     mine.reverse()  # so pop() takes the latest record first
 
-    # Ids whose gradients sum in grads: recorded tensors, and with on_leaf
-    # the leaves too, each listed under the id of the last record to run
-    # that feeds it (the earliest-recorded one).
-    pooled, finishing = produced, {}
-    if on_leaf is not None:
-        leaves: set[int] = set()
-        for out_id, inputs, _ in mine:
-            for t in inputs:
-                if t.requires_grad and t.node_id not in produced and t.node_id not in leaves:
-                    leaves.add(t.node_id)
-                    finishing.setdefault(out_id, []).append(t)
-        pooled = produced | leaves
+    # Each leaf, listed under the id of the last record to run that feeds it
+    # (the earliest-recorded one).
+    finishing: dict[int, list[Tensor]] = {}
+    leaves: set[int] = set()
+    for out_id, inputs, _ in mine:
+        for t in inputs:
+            if t.requires_grad and not t.recorded and t.node_id not in leaves:
+                leaves.add(t.node_id)
+                finishing.setdefault(out_id, []).append(t)
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    stored: set[int] = set()  # ids of the arrays deposited uncopied as .grad
     while mine:
         out_id, inputs, backward_fn = mine.pop()
         g = grads.pop(out_id, None)
         if g is not None:
-            _deposit(inputs, backward_fn(g), g, grads, pooled, stored)
+            _deposit(inputs, backward_fn(g), g, grads)
         # The record, its closure and its upstream gradient go before on_leaf
         # gets the leaves the record completed, and each handed-over
         # gradient goes before the next closure runs.
@@ -270,16 +245,18 @@ def backward(
             del grad
 
 
+def _add_to_grad(leaf: Tensor, grad: np.ndarray) -> None:
+    """backward's default hand-over."""
+    leaf.grad = grad if leaf.grad is None else leaf.grad + grad
+
+
 def _deposit(
     inputs: tuple[Tensor, ...],
     input_grads: Sequence[np.ndarray | None],
     g: np.ndarray,
     grads: dict[int, np.ndarray],
-    pooled: set[int],
-    stored: set[int],
 ) -> None:
-    """Add one closure's input gradients to grads for the ids in pooled and
-    to the .grad of other leaves."""
+    """Sum one closure's input gradients into grads."""
     for tensor, gi in zip(inputs, input_grads):
         if gi is None or not tensor.requires_grad:
             continue
@@ -291,15 +268,13 @@ def _deposit(
             raise InvalidInputError(
                 f"gradient dtype {gi.dtype} does not match tensor dtype {tensor.data.dtype}"
             )
-        if tensor.node_id in pooled:
-            acc = grads.get(tensor.node_id)
-            grads[tensor.node_id] = gi if acc is None else acc + gi
-        elif tensor.grad is not None:
-            tensor.grad = tensor.grad + gi
-        else:
-            # g and its views may still reach other records, and one array
-            # may reach two leaves (add returns (g, g)): those are copied.
-            if id(gi) in stored or np.may_share_memory(gi, g):
-                gi = gi.copy()
-            tensor.grad = gi
-            stored.add(id(gi))
+        acc = grads.get(tensor.node_id)
+        if acc is not None:
+            gi = acc + gi
+        elif not tensor.recorded and (
+            np.may_share_memory(gi, g) or sum(e is gi for e in input_grads) > 1
+        ):
+            # A leaf's gradient is handed over as its own: g and its views
+            # may still reach other records, and add returns (g, g).
+            gi = gi.copy()
+        grads[tensor.node_id] = gi

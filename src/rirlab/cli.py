@@ -239,6 +239,11 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     entry = manifest.entries[args.example]
     net = load_checkpoint(args.ckpt)
     truth = _read_nonempty(manifest.path(entry.rir))
+    if len(truth) != net.config.rir_len:
+        raise InvalidInputError(
+            f"length mismatch: {entry.rir} has {len(truth)} samples, the checkpoint's "
+            f"rir_len is {net.config.rir_len}"
+        )
     reverberant = _read_nonempty(manifest.path(entry.reverberant))
     est = estimate(net, _fit_length(reverberant, net.config.input_len))
     stft_cfg, partition = _eval_setup(manifest)

@@ -238,7 +238,7 @@ def train_step(
     finally:
         # Records added before the step are never reached from its losses,
         # so they stay at the front of the tape.
-        del tape.entries[mark:]
+        del tape[mark:]
 
 
 def validation_edr(
@@ -310,7 +310,8 @@ def train(
     previous version. Epoch shuffling, initialization and the learning-rate
     schedule are all pure functions of the config and seed. On divergence
     the log is flushed before the error propagates. The two networks must
-    share one dtype.
+    share one dtype, and the train split must hold the 2 examples that a
+    step needs.
     """
     if est_cfg.dtype != disc_cfg.dtype:
         raise InvalidConfigError(
@@ -323,6 +324,11 @@ def train(
         )
     train_rev, train_rir = _load_split(manifest, "train", est_cfg)
     val_rev, val_rir = _load_split(manifest, "val", est_cfg)
+    n_train = train_rev.shape[0]
+    if n_train < 2:
+        raise InvalidInputError(
+            f"the train split holds {n_train} example; a step needs at least 2 (batchnorm)"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if echo is not None:
@@ -342,7 +348,6 @@ def train(
     )
     best_epoch, best_val = -1, np.inf
     best_path = out_dir / "best.ckpt"
-    n_train = train_rev.shape[0]
 
     try:
         for epoch in range(cfg.epochs):
@@ -372,7 +377,7 @@ def train(
                 sums += (losses.l_edr, losses.l_mse, losses.l_cgan, losses.l_d)
                 n_steps += 1
             val_edr = validation_edr(estimator, val_rev, val_rir, basis, partition, cfg.batch_size)
-            means = sums / max(n_steps, 1)
+            means = sums / n_steps
             log.records.append(
                 EpochRecord(
                     epoch=epoch,

@@ -285,7 +285,7 @@ def _activation_inputs(dtype, shape=(3, 4, 40)):
 
 def _closure(out):
     """The backward closure that the op just recorded for out."""
-    node_id, _, backward_fn = ad.active_tape().entries[-1]
+    node_id, _, backward_fn = ad.active_tape()[-1]
     assert node_id == out.node_id
     return backward_fn
 
@@ -586,6 +586,14 @@ class TestBackward:
         ad.backward(loss_of(alone))
         np.testing.assert_array_equal(w2.grad, alone.grad)
 
+    def test_backward_keeps_the_tape_list_it_trims(self):
+        tape = ad.active_tape()
+        other = Tensor(np.ones(2), requires_grad=True) * 2.0  # another graph's record
+        x = Tensor(np.ones(3), requires_grad=True)
+        ad.backward((x * 3.0).sum())
+        assert ad.active_tape() is tape
+        assert [entry[0] for entry in tape] == [other.node_id]
+
     def test_backward_through_consumed_intermediate_is_an_error(self):
         # loss1 and loss2 share y. backward(loss1) consumes y's records, so
         # backward(loss2) cannot reach w; it must raise, not treat y as a leaf.
@@ -684,7 +692,7 @@ class TestBackwardMemory:
                 output_padding=layer.output_padding,
             )
             g = rng.standard_normal(out.shape).astype(dtype)
-            _, gw = ad.active_tape().entries.pop()[2](g)
+            _, gw = ad.active_tape().pop()[2](g)
             assert gw.flags["C_CONTIGUOUS"]
             # Reference check: the einsum this GEMM replaced, bit for bit.
             K, stride, padding = w.shape[2], layer.stride, layer.padding
@@ -702,7 +710,7 @@ class TestBackwardMemory:
         x = Tensor(rng.standard_normal((2, 3, 40)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 5)))
         out = ad.conv1d(x, w, stride=2, padding=2)
-        (gx, _) = ad.active_tape().entries.pop()[2](rng.standard_normal(out.shape))
+        (gx, _) = ad.active_tape().pop()[2](rng.standard_normal(out.shape))
         assert gx.shape == x.shape
         assert gx.flags["C_CONTIGUOUS"]
         # Not a crop view of the [B, Cin, L + 2*padding] overlap-add.
@@ -739,11 +747,68 @@ class TestBackwardMemory:
         loss = (z + v).sum()
         with pytest.raises(RuntimeError, match="boom"):
             ad.backward(loss)
-        assert [entry[0] for entry in ad.active_tape().entries] == [other.node_id]
-        np.testing.assert_array_equal(v.grad, np.ones(3))  # reached before boom
+        assert [entry[0] for entry in ad.active_tape()] == [other.node_id]
+        np.testing.assert_array_equal(v.grad, np.ones(3))  # handed over before boom
         assert x.grad is None
         with pytest.raises(InvalidInputError):
             ad.backward(loss)
+
+    def test_failing_sweep_hands_over_no_partial_sum(self):
+        # v feeds the add, whose record runs before boom, and y, whose record
+        # runs after it: v's gradient is incomplete when boom raises.
+        v = Tensor(np.ones(3), requires_grad=True)
+        y = v * 3.0
+
+        def boom(g):
+            raise RuntimeError("boom")
+
+        z = Tensor(y.data.copy())
+        ad.record(z, (y,), boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.backward((z + v).sum())
+        assert v.grad is None
+
+
+def _toy_discriminator_graph():
+    """(parameters, loss recorder) of a toy discriminator's real and fake
+    forwards."""
+    cfg = models.toy_discriminator_config()
+    rng = np.random.default_rng(43)
+    real, fake, cond = (rng.uniform(-0.9, 0.9, (3, 1, cfg.rir_len)) for _ in range(3))
+    net = models.Discriminator(cfg, seed=1)
+
+    def loss_of():
+        r = net.forward(Tensor(real), Tensor(cond), train=True)
+        f = net.forward(Tensor(fake), Tensor(cond), train=True)
+        return ad.bce_logit_loss(r, np.ones(r.shape)) + ad.bce_logit_loss(f, np.zeros(f.shape))
+
+    return net.parameters(), loss_of
+
+
+def _full_train_step_graph():
+    """(parameters of both networks, loss recorder) of the estimator
+    half-step of a full-profile train_step at batch 2."""
+    profile = get_profile("full")
+    cfg = profile.train
+    est = models.build_estimator(profile.estimator, seed=0)
+    disc = models.build_discriminator(profile.discriminator, seed=1)
+    basis = ad.make_dft_basis(cfg.stft())
+    part = octave_bands(profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers))
+    rng = np.random.default_rng(44)
+    rev = rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)).astype(est.dtype)
+    rir = Tensor(rng.uniform(-0.9, 0.9, (2, 1, profile.estimator.rir_len)).astype(est.dtype))
+    cond = Tensor(models.make_condition(rev, disc.config.condition_len, disc.config.rir_len))
+
+    def loss_of():
+        fake = est.forward(Tensor(rev[:, None, :]), train=True)
+        adv = disc.forward(fake, cond, train=True)
+        l_edr = ad.mse_loss(
+            ad.framed_band_energy(fake, basis, part), ad.framed_band_energy(rir, basis, part)
+        )
+        l_cgan = ad.bce_logit_loss(adv, np.ones(adv.shape))
+        return l_cgan + cfg.lambda_edr * l_edr + cfg.lambda_mse * ad.mse_loss(fake, rir)
+
+    return est.parameters() + disc.parameters(), loss_of
 
 
 class TestBackwardOnLeaf:
@@ -752,7 +817,7 @@ class TestBackwardOnLeaf:
 
     def _collect(self, loss):
         calls = []
-        ad.backward(loss, on_leaf=lambda leaf, grad: calls.append((leaf, grad.copy())))
+        ad.backward(loss, on_leaf=lambda leaf, grad: calls.append((leaf, grad)))
         return calls
 
     def test_leaf_with_two_consumers_gets_one_call_with_the_sum(self):
@@ -762,26 +827,19 @@ class TestBackwardOnLeaf:
         np.testing.assert_array_equal(calls[0][1], np.full(3, 2.0))
         assert a.grad is None
 
-    def test_discriminator_real_and_fake_forwards_give_one_call_per_parameter(self):
-        cfg = models.toy_discriminator_config()
-        rng = np.random.default_rng(43)
-        real, fake, cond = (rng.uniform(-0.9, 0.9, (3, 1, cfg.rir_len)) for _ in range(3))
-
-        def loss_of(net):
-            r = net.forward(Tensor(real), Tensor(cond), train=True)
-            f = net.forward(Tensor(fake), Tensor(cond), train=True)
-            return ad.bce_logit_loss(r, np.ones(r.shape)) + ad.bce_logit_loss(
-                f, np.zeros(f.shape)
-            )
-
-        net, ref = models.Discriminator(cfg, seed=1), models.Discriminator(cfg, seed=1)
-        calls = self._collect(loss_of(net))
-        ad.backward(loss_of(ref))
-        assert sorted(id(leaf) for leaf, _ in calls) == sorted(id(p) for p in net.parameters())
+    @pytest.mark.parametrize(
+        "graph", [_toy_discriminator_graph, _full_train_step_graph],
+        ids=["toy-discriminator", "full-train-step"],
+    )
+    def test_one_call_per_parameter_equal_to_the_default_hand_over(self, graph):
+        params, loss_of = graph()
+        calls = self._collect(loss_of())
+        assert sorted(id(leaf) for leaf, _ in calls) == sorted(id(p) for p in params)
+        assert all(p.grad is None for p in params)
+        ad.backward(loss_of())
         by_leaf = {id(leaf): grad for leaf, grad in calls}
-        for p, q in zip(net.parameters(), ref.parameters()):
-            assert p.grad is None
-            np.testing.assert_array_equal(by_leaf[id(p)], q.grad)
+        for p in params:
+            np.testing.assert_array_equal(by_leaf[id(p)], p.grad)
 
     def test_unreached_leaves_get_no_call(self):
         other_leaf = Tensor(np.ones(2), requires_grad=True)
@@ -793,7 +851,7 @@ class TestBackwardOnLeaf:
         calls = self._collect((x * 3.0 + y).sum())
         assert [leaf for leaf, _ in calls] == [x]
         np.testing.assert_array_equal(calls[0][1], np.full(3, 3.0))
-        assert [entry[0] for entry in ad.active_tape().entries] == [other.node_id]
+        assert [entry[0] for entry in ad.active_tape()] == [other.node_id]
 
     def test_each_leaf_is_handed_over_once_its_last_record_has_run(self):
         w = Tensor(np.ones(2), requires_grad=True)
@@ -836,7 +894,7 @@ class TestBackwardOnLeaf:
         np.testing.assert_array_equal(v.data, np.zeros(3))
         np.testing.assert_array_equal(x.data, np.ones(3))
         assert v.grad is None and x.grad is None
-        assert [entry[0] for entry in ad.active_tape().entries] == [other.node_id]
+        assert [entry[0] for entry in ad.active_tape()] == [other.node_id]
 
 
 def _conv_layer_cases(layer_type=models.Conv1dLayer):
@@ -946,7 +1004,7 @@ class TestForwardReferences:
             w = rng.standard_normal(layer.weight.shape).astype(dtype)
             out = ad.conv1d(x, Tensor(w), stride=layer.stride, padding=layer.padding)
             g = rng.standard_normal(out.shape).astype(dtype)
-            (gx, _) = ad.active_tape().entries.pop()[2](g)
+            (gx, _) = ad.active_tape().pop()[2](g)
             want = _overlap_add_reference(g, w, layer.stride, layer.padding, length)
             np.testing.assert_array_equal(gx, want, err_msg=f"{w.shape} at {batch}")
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior and the exit-code contract."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from rirlab import cli, synth
+from rirlab import cli, models, synth
 from rirlab.cli import main
 from rirlab.errors import UnsupportedFormatError
 from rirlab.synth import load_manifest
@@ -243,6 +244,19 @@ class TestTrain:
                      "--profile", "toy"])
         assert code == 2
         assert "'val'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_example_train_split_exits_2_without_run_directory(self, tmp_path, capsys):
+        # Every batch of one is skipped, so such a run would train nothing.
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--n", "3", "--profile", "toy", "--seed", "1",
+                     "--splits", "0.34,0.33,0.33"]) == 0
+        assert len(load_manifest(data / "manifest.json").split_entries("train")) == 1
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy", "--set", "epochs=3"])
+        assert code == 2
+        assert "train split holds 1 example" in capsys.readouterr().err
         assert not out.exists()
 
     def test_wav_of_wrong_length_exits_2_without_run_directory(
@@ -671,6 +685,21 @@ class TestPlotData:
                      "--out", str(out)])
         assert code == 2
         assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_of_other_rir_len_exits_2_without_output(
+        self, tmp_path, cli_dataset, capsys
+    ):
+        toy = models.toy_estimator_config()
+        short = dataclasses.replace(toy, rir_len=64, decoder=toy.decoder[1:])
+        ckpt = tmp_path / "short.ckpt"
+        models.save_checkpoint(models.Estimator(short, seed=0), ckpt)
+        out = tmp_path / "plots"
+        code = main(["plot-data", "--ckpt", str(ckpt),
+                     "--manifest", str(cli_dataset / "manifest.json"), "--example", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "has 256 samples, the checkpoint's rir_len is 64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_of_range_example_exits_2(self, tmp_path, cli_dataset, cli_run):
