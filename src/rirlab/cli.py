@@ -134,6 +134,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ranges=profile.ranges,
         sample_rate=sample_rate,
         example_len=profile.estimator.input_len,
+        rir_len=profile.estimator.rir_len,
         splits=splits,
         seed=args.seed,
         clean_signals=clean_signals,
@@ -147,16 +148,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     manifest = load_manifest(args.manifest)
-    cfg = _apply_overrides(profile.train, args.set or [])
+    profile = dataclasses.replace(profile, train=_apply_overrides(profile.train, args.set or []))
     out_dir = Path(args.out)
     echo = {
         "profile": profile.name,
         "manifest": str(Path(args.manifest).resolve()),
-        "train": dataclasses.asdict(cfg),
+        "train": dataclasses.asdict(profile.train),
         "estimator": dataclasses.asdict(profile.estimator),
         "discriminator": dataclasses.asdict(profile.discriminator),
     }
-    result = train(manifest, profile.estimator, profile.discriminator, cfg, out_dir, echo)
+    result = train(manifest, profile, out_dir, echo)
     print(f"best epoch: {result.best_epoch}")
     print(f"best validation edr loss: {result.best_val_edr!r}")
     print(f"run dir: {out_dir}")
@@ -198,7 +199,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not entries:
         raise InvalidInputError(f"split {args.split!r} is empty")
     if args.method.startswith("model:"):
-        method, net = "model", load_checkpoint(args.method.split(":", 1)[1])
+        ckpt = args.method.split(":", 1)[1]
+        method, net = "model", load_checkpoint(ckpt)
+        if (net.config.rir_len, net.config.sample_rate) != (manifest.rir_len, manifest.sample_rate):
+            raise InvalidInputError(
+                f"{ckpt} has rir_len {net.config.rir_len} at {net.config.sample_rate} Hz, but "
+                f"{args.manifest} has rir_len {manifest.rir_len} at {manifest.sample_rate} Hz"
+            )
     elif args.method in ("baseline", "identity"):
         method, net = args.method, None
     else:

@@ -54,10 +54,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -194,10 +190,6 @@ class BandPartition:
     @property
     def n_bands(self) -> int:
         return len(self.centers)
-
-    @property
-    def covered_bins(self) -> int:
-        return self.bin_ranges[-1][1] if self.bin_ranges else 0
 
     def band_matrix(self, n_bins: int) -> np.ndarray:
         """0/1 matrix [bands x n_bins] summing bins into their band."""

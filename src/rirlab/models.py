@@ -13,10 +13,11 @@ Layer schedules live in the config objects, not in code, so alternative
 architectures are data changes. A schedule is checked at build time by
 running its layers on an empty batch, so the operators own all shape
 arithmetic. Each config names the dtype, float64 or float32, that its
-network holds every parameter and buffer in and computes in; the full
-profile's networks are float32 and the toy profile's float64. A checkpoint
-holds one estimator, the product of training: its config echo and its
-parameters and buffers, which round-trip bit-exactly.
+network holds every parameter and buffer in and computes in; a profile's
+discriminator takes the estimator's. The full profile's networks are
+float32 and the toy profile's float64. A checkpoint holds one estimator,
+the product of training: its config echo and its parameters and buffers,
+which round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -235,7 +236,10 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
-    """Conditional conv-stack schedule ending in one logit per example."""
+    """Conditional conv-stack schedule ending in one logit per example. The
+    discriminator scores the estimator's output, so its rir_len and dtype
+    are the estimator's: Profile.discriminator builds this config from the
+    profile's condition_len and blocks and its estimator config."""
 
     rir_len: int
     condition_len: int
@@ -291,33 +295,6 @@ def toy_estimator_config() -> EstimatorConfig:
     )
 
 
-def full_discriminator_config() -> DiscriminatorConfig:
-    return DiscriminatorConfig(
-        rir_len=4096,
-        condition_len=512,
-        blocks=(
-            {"out_channels": 16, "kernel": 16, "stride": 4, "padding": 6},
-            {"out_channels": 32, "kernel": 16, "stride": 4, "padding": 6},
-            {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
-            {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
-        ),
-        dtype="float32",
-    )
-
-
-def toy_discriminator_config() -> DiscriminatorConfig:
-    return DiscriminatorConfig(
-        rir_len=256,
-        condition_len=512,
-        blocks=(
-            {"out_channels": 8, "kernel": 8, "stride": 4, "padding": 2},
-            {"out_channels": 16, "kernel": 8, "stride": 4, "padding": 2},
-            {"out_channels": 32, "kernel": 8, "stride": 4, "padding": 2},
-            {"out_channels": 32, "kernel": 4, "stride": 2, "padding": 1},
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Networks
 # ---------------------------------------------------------------------------
@@ -370,9 +347,6 @@ class Network:
 
     def named_buffers(self) -> list[tuple[str, object, str]]:
         return [record for name, layer in self.layers for record in layer.buffers(name)]
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.parameters())
 
     def zero_grad(self) -> None:
         for t in self.parameters():

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidInputError
 from .models import (
     DiscriminatorConfig,
     EstimatorConfig,
-    full_discriminator_config,
     full_estimator_config,
-    toy_discriminator_config,
     toy_estimator_config,
 )
 from .synth import RirParamRanges
@@ -28,23 +26,28 @@ TOY_BAND_CENTERS = (16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0)
 
 @dataclass(frozen=True)
 class Profile:
-    """A named scale. Sample rate and input length live in the estimator
-    config, the STFT and band setup in the train config. The response length
-    is written in three configs, which must agree."""
+    """A named scale. The estimator config holds the sample rate, the input
+    length, the response length and the dtype; the train config holds the
+    STFT and band setup. The discriminator scores the estimator's output, so
+    the profile keeps only its own schedule (condition_len and
+    discriminator_blocks) and derives the rest from the estimator config:
+    dataclasses.replace(profile, estimator=...) changes both networks."""
 
     name: str
     ranges: RirParamRanges
     train: TrainConfig
     estimator: EstimatorConfig
-    discriminator: DiscriminatorConfig
+    condition_len: int
+    discriminator_blocks: tuple[dict, ...]
 
-    def __post_init__(self):
-        lengths = (self.ranges.rir_len, self.estimator.rir_len, self.discriminator.rir_len)
-        if len(set(lengths)) != 1:
-            raise InvalidConfigError(
-                f"profile {self.name}: ranges, estimator and discriminator rir_len "
-                f"differ: {lengths}"
-            )
+    @property
+    def discriminator(self) -> DiscriminatorConfig:
+        return DiscriminatorConfig(
+            rir_len=self.estimator.rir_len,
+            condition_len=self.condition_len,
+            blocks=self.discriminator_blocks,
+            dtype=self.estimator.dtype,
+        )
 
     @property
     def rir_len(self) -> int:
@@ -53,19 +56,21 @@ class Profile:
 
 _FULL = Profile(
     name="full",
-    ranges=RirParamRanges(
-        t60=(0.1, 0.5), drr=(2.0, 12.0), n_early=(2, 12), direct_delay=(0, 32), rir_len=4096
-    ),
+    ranges=RirParamRanges(t60=(0.1, 0.5), drr=(2.0, 12.0), n_early=(2, 12), direct_delay=(0, 32)),
     train=TrainConfig(),
     estimator=full_estimator_config(),
-    discriminator=full_discriminator_config(),
+    condition_len=512,
+    discriminator_blocks=(
+        {"out_channels": 16, "kernel": 16, "stride": 4, "padding": 6},
+        {"out_channels": 32, "kernel": 16, "stride": 4, "padding": 6},
+        {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
+        {"out_channels": 64, "kernel": 16, "stride": 4, "padding": 6},
+    ),
 )
 
 _TOY = Profile(
     name="toy",
-    ranges=RirParamRanges(
-        t60=(0.06, 0.15), drr=(3.0, 10.0), n_early=(0, 6), direct_delay=(0, 8), rir_len=256
-    ),
+    ranges=RirParamRanges(t60=(0.06, 0.15), drr=(3.0, 10.0), n_early=(0, 6), direct_delay=(0, 8)),
     train=TrainConfig(
         lambda_edr=20.0,
         lambda_mse=2000.0,
@@ -78,7 +83,13 @@ _TOY = Profile(
         band_centers=TOY_BAND_CENTERS,
     ),
     estimator=toy_estimator_config(),
-    discriminator=toy_discriminator_config(),
+    condition_len=512,
+    discriminator_blocks=(
+        {"out_channels": 8, "kernel": 8, "stride": 4, "padding": 2},
+        {"out_channels": 16, "kernel": 8, "stride": 4, "padding": 2},
+        {"out_channels": 32, "kernel": 8, "stride": 4, "padding": 2},
+        {"out_channels": 32, "kernel": 4, "stride": 2, "padding": 1},
+    ),
 )
 
 PROFILES = {"full": _FULL, "toy": _TOY}

@@ -52,21 +52,21 @@ class RirParams:
 
 @dataclass(frozen=True)
 class RirParamRanges:
-    """Uniform sampling ranges for dataset generation."""
+    """Uniform sampling ranges for dataset generation. The response length
+    is not a range: the caller passes the estimator's."""
 
     t60: tuple[float, float]
     drr: tuple[float, float]
     n_early: tuple[int, int]
     direct_delay: tuple[int, int]
-    rir_len: int
 
-    def sample(self, rng: np.random.Generator, seed: int) -> RirParams:
+    def sample(self, rng: np.random.Generator, rir_len: int, seed: int) -> RirParams:
         return RirParams(
             t60=float(rng.uniform(*self.t60)),
             drr_target=float(rng.uniform(*self.drr)),
             n_early_reflections=int(rng.integers(self.n_early[0], self.n_early[1] + 1)),
             direct_delay=int(rng.integers(self.direct_delay[0], self.direct_delay[1] + 1)),
-            rir_len=self.rir_len,
+            rir_len=rir_len,
             seed=seed,
         )
 
@@ -353,11 +353,13 @@ def build_dataset(
     ranges: RirParamRanges,
     sample_rate: int,
     example_len: int,
+    rir_len: int,
     splits: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
     clean_signals: list[Signal] | None = None,
 ) -> DatasetManifest:
-    """Generate a dataset of (reverberant, rir, clean) WAV triples.
+    """Generate a dataset of (reverberant, rir, clean) WAV triples, with
+    responses of rir_len samples.
 
     Writes ex_<i>_reverb.wav, ex_<i>_rir.wav and ex_<i>_clean.wav per example
     plus manifest.json. The clean file carries the exact (scaled) excitation,
@@ -370,21 +372,19 @@ def build_dataset(
     empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]
     if empty:
         raise InvalidInputError(f"clean signals at positions {empty} hold no samples")
-    if ranges.rir_len >= example_len:
-        raise InvalidInputError(
-            f"rir_len {ranges.rir_len} must be shorter than example_len {example_len}"
-        )
+    if rir_len >= example_len:
+        raise InvalidInputError(f"rir_len {rir_len} must be shorter than example_len {example_len}")
     counts = split_counts(n_examples, splits)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = [s for s, c in zip(SPLITS, counts) for _ in range(c)]
-    active_len = example_len - ranges.rir_len + 1
+    active_len = example_len - rir_len + 1
 
     entries = []
     for i in range(n_examples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         entry_seed = int(rng.integers(0, 2**63))
-        params = ranges.sample(rng, entry_seed)
+        params = ranges.sample(rng, rir_len, entry_seed)
         rir = synth_rir(params, sample_rate)
         clean = _clean_segment(rng, clean_signals, active_len, example_len, sample_rate)
         reverberant, clean_scaled = render_example(clean, rir, example_len)
@@ -406,7 +406,7 @@ def build_dataset(
     manifest = DatasetManifest(
         sample_rate=sample_rate,
         example_len=example_len,
-        rir_len=ranges.rir_len,
+        rir_len=rir_len,
         seed=seed,
         entries=tuple(entries),
         root=out_dir,

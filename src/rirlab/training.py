@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .fileio import atomic_write
 from .models import (
     Discriminator,
-    DiscriminatorConfig,
     Estimator,
     EstimatorConfig,
     build_discriminator,
@@ -35,6 +35,9 @@ from .models import (
 )
 from .synth import DatasetManifest
 from .wavio import read_wav
+
+if TYPE_CHECKING:  # profiles imports this module for TrainConfig
+    from .profiles import Profile
 
 
 @dataclass(frozen=True)
@@ -295,13 +298,13 @@ def _load_split(
 
 def train(
     manifest: DatasetManifest,
-    est_cfg: EstimatorConfig,
-    disc_cfg: DiscriminatorConfig,
-    cfg: TrainConfig,
+    profile: Profile,
     out_dir: str | Path,
     echo: dict | None = None,
 ) -> TrainResult:
-    """Full training run over a manifest's train split.
+    """Full training run over a manifest's train split, with the profile's
+    train config and its two networks: the estimator and the discriminator
+    derived from it, which shares its response length and dtype.
 
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
     last.ckpt into out_dir, which is created only once both splits have
@@ -309,14 +312,10 @@ def train(
     replaced whole (fileio.atomic_write), so a kill mid-write leaves its
     previous version. Epoch shuffling, initialization and the learning-rate
     schedule are all pure functions of the config and seed. On divergence
-    the log is flushed before the error propagates. The two networks must
-    share one dtype, and the train split must hold the 2 examples that a
-    step needs.
+    the log is flushed before the error propagates. The train split must
+    hold the 2 examples that a step needs.
     """
-    if est_cfg.dtype != disc_cfg.dtype:
-        raise InvalidConfigError(
-            f"estimator dtype {est_cfg.dtype} and discriminator dtype {disc_cfg.dtype} differ"
-        )
+    cfg, est_cfg = profile.train, profile.estimator
     if cfg.stft_window > est_cfg.rir_len:
         raise InvalidInputError(
             f"stft_window {cfg.stft_window} is longer than the estimator's rir_len "
@@ -336,7 +335,7 @@ def train(
             fh.write(json.dumps(echo, indent=2) + "\n")
 
     estimator = build_estimator(est_cfg, seed=cfg.seed)
-    discriminator = build_discriminator(disc_cfg, seed=cfg.seed + 1)
+    discriminator = build_discriminator(profile.discriminator, seed=cfg.seed + 1)
     est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
     disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
     basis = ad.make_dft_basis(cfg.stft())

@@ -40,13 +40,12 @@ def toy_context(tmp_path_factory) -> dict:
             ranges=profile.ranges,
             sample_rate=profile.estimator.sample_rate,
             example_len=profile.estimator.input_len,
+            rir_len=profile.estimator.rir_len,
             splits=(0.8, 0.1, 0.1),
             seed=42,
         )
         run_dir = tmp_path_factory.mktemp("accept_run")
-        result = training.train(
-            dataset, profile.estimator, profile.discriminator, profile.train, run_dir
-        )
+        result = training.train(dataset, profile, run_dir)
         elapsed = time.monotonic() - t0
         _CONTEXT.update(
             profile=profile, dataset=dataset, result=result, run_dir=run_dir, elapsed=elapsed
@@ -463,9 +462,7 @@ class TestCriterion8DeterminismPersistence:
         dataset, profile = ctx["dataset"], ctx["profile"]
         cfg = dataclasses.replace(profile.train, epochs=3)
         for name in ("repeat_a", "repeat_b"):
-            training.train(
-                dataset, profile.estimator, profile.discriminator, cfg, tmp_path / name
-            )
+            training.train(dataset, dataclasses.replace(profile, train=cfg), tmp_path / name)
         identical = all(
             (tmp_path / "repeat_a" / f).read_bytes() == (tmp_path / "repeat_b" / f).read_bytes()
             for f in ("log.csv", "best.ckpt", "last.ckpt")

@@ -772,7 +772,7 @@ class TestBackwardMemory:
 def _toy_discriminator_graph():
     """(parameters, loss recorder) of a toy discriminator's real and fake
     forwards."""
-    cfg = models.toy_discriminator_config()
+    cfg = get_profile("toy").discriminator
     rng = np.random.default_rng(43)
     real, fake, cond = (rng.uniform(-0.9, 0.9, (3, 1, cfg.rir_len)) for _ in range(3))
     net = models.Discriminator(cfg, seed=1)
@@ -904,8 +904,8 @@ def _conv_layer_cases(layer_type=models.Conv1dLayer):
     nets = [
         (models.Estimator(models.full_estimator_config(), seed=0, draw=False), 1),
         (models.Estimator(models.toy_estimator_config(), seed=0, draw=False), 1),
-        (models.Discriminator(models.full_discriminator_config(), seed=0), 2),
-        (models.Discriminator(models.toy_discriminator_config(), seed=0), 2),
+        (models.Discriminator(get_profile("full").discriminator, seed=0), 2),
+        (models.Discriminator(get_profile("toy").discriminator, seed=0), 2),
     ]
     cases = []
     for net, channels in nets:

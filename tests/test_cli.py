@@ -605,6 +605,30 @@ class TestEvaluate:
             else:  # float64: the GEMMs may round differently with the batch size
                 np.testing.assert_allclose(batched.samples, single, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("change", [{"rir_len": 64}, {"sample_rate": 16000}],
+                             ids=["rir_len", "sample_rate"])
+    def test_checkpoint_of_other_rir_len_or_rate_exits_2_before_any_read_or_forward(
+        self, tmp_path, cli_dataset, capsys, monkeypatch, change
+    ):
+        toy = models.toy_estimator_config()
+        decoder = toy.decoder[1:] if "rir_len" in change else toy.decoder  # 64 samples out
+        ckpt = tmp_path / "other.ckpt"
+        other = dataclasses.replace(toy, decoder=decoder, **change)
+        models.save_checkpoint(models.Estimator(other, seed=0), ckpt)
+        forwards, reads = [], []
+        forward = models.Estimator.forward
+        monkeypatch.setattr(models.Estimator, "forward",
+                            lambda net, *a, **k: forwards.append(1) or forward(net, *a, **k))
+        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        manifest, out = cli_dataset / "manifest.json", tmp_path / "model.csv"
+        code = main(["evaluate", "--manifest", str(manifest), "--method", f"model:{ckpt}",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and str(manifest) in err
+        assert forwards == [] and reads == []
+        assert not out.exists()
+
     def test_eps_is_not_an_option(self, tmp_path, cli_dataset):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--manifest", str(cli_dataset / "manifest.json"),

@@ -22,14 +22,13 @@ from rirlab.models import (
     build_estimator,
     estimate,
     estimate_batch,
-    full_discriminator_config,
     full_estimator_config,
     load_checkpoint,
     make_condition,
     save_checkpoint,
-    toy_discriminator_config,
     toy_estimator_config,
 )
+from rirlab.profiles import get_profile
 
 
 class TestEstimator:
@@ -63,7 +62,7 @@ class TestEstimator:
 
     def test_toy_parameter_budget(self):
         net = build_estimator(toy_estimator_config(), seed=0)
-        assert net.parameter_count() < 500_000
+        assert sum(p.size for p in net.parameters()) < 500_000
 
     def test_invalid_schedule_names_offending_layer(self):
         cfg = dataclasses.replace(
@@ -91,7 +90,7 @@ class TestEstimator:
 
     def test_building_full_networks_records_nothing(self):
         build_estimator(full_estimator_config(), seed=0)
-        build_discriminator(full_discriminator_config(), seed=1)
+        build_discriminator(get_profile("full").discriminator, seed=1)
         assert len(ad.active_tape()) == 0
         assert ad.is_grad_enabled()
 
@@ -103,7 +102,7 @@ class TestEstimator:
 
 class TestDiscriminator:
     def test_output_shape(self):
-        net = build_discriminator(toy_discriminator_config(), seed=4)
+        net = build_discriminator(get_profile("toy").discriminator, seed=4)
         rng = np.random.default_rng(3)
         rir = Tensor(rng.standard_normal((5, 1, 256)))
         cond = Tensor(rng.standard_normal((5, 1, 256)))
@@ -111,7 +110,7 @@ class TestDiscriminator:
         assert out.shape == (5, 1)
 
     def test_full_scale_output_shape(self):
-        net = build_discriminator(full_discriminator_config(), seed=4)
+        net = build_discriminator(get_profile("full").discriminator, seed=4)
         rng = np.random.default_rng(4)
         out = net.forward(
             Tensor(rng.standard_normal((2, 1, 4096))),
@@ -121,7 +120,7 @@ class TestDiscriminator:
         assert out.shape == (2, 1)
 
     def test_batch_permutation_equivariance(self):
-        net = build_discriminator(toy_discriminator_config(), seed=5)
+        net = build_discriminator(get_profile("toy").discriminator, seed=5)
         rng = np.random.default_rng(5)
         rir = rng.standard_normal((4, 1, 256))
         cond = rng.standard_normal((4, 1, 256))
@@ -131,7 +130,7 @@ class TestDiscriminator:
         np.testing.assert_allclose(out[::-1], perm, atol=1e-12)
 
     def test_gradient_reaches_both_inputs(self):
-        net = build_discriminator(toy_discriminator_config(), seed=6)
+        net = build_discriminator(get_profile("toy").discriminator, seed=6)
         rng = np.random.default_rng(6)
         rir = Tensor(rng.standard_normal((3, 1, 256)), requires_grad=True)
         cond = Tensor(rng.standard_normal((3, 1, 256)), requires_grad=True)
@@ -153,7 +152,9 @@ class TestDiscriminator:
         with pytest.raises(InvalidInputError):
             make_condition(np.zeros((1, 300)), condition_len=512, rir_len=256)
 
-    @pytest.mark.parametrize("cfg", [toy_discriminator_config(), full_discriminator_config()])
+    @pytest.mark.parametrize(
+        "cfg", [get_profile("toy").discriminator, get_profile("full").discriminator]
+    )
     def test_no_grad_eval_forward_runs_the_head_on_the_whole_batch(self, cfg, monkeypatch):
         # The head's weight outweighs its one-logit output, so the
         # depth-first split of Network._run must lie past it.
@@ -296,7 +297,7 @@ class TestInitialization:
         assert _state_digest(net) == "db5214a441c24fdb"
 
     def test_seeded_discriminator_state_is_pinned(self):
-        net = build_discriminator(toy_discriminator_config(), seed=1)
+        net = build_discriminator(get_profile("toy").discriminator, seed=1)
         assert [name for name, _ in net.named_parameters()][-2:] == ["head.weight", "head.bias"]
         assert _state_digest(net) == "b3b1fd19a6296b02"
 
@@ -534,14 +535,14 @@ def _float32(cfg):
 
 class TestDtype:
     def test_full_configs_ask_for_float32_and_toy_for_float64(self):
-        assert full_estimator_config().dtype == full_discriminator_config().dtype == "float32"
-        assert toy_estimator_config().dtype == toy_discriminator_config().dtype == "float64"
+        assert full_estimator_config().dtype == get_profile("full").discriminator.dtype == "float32"
+        assert toy_estimator_config().dtype == get_profile("toy").discriminator.dtype == "float64"
 
     @pytest.mark.parametrize(
         "build, cfg, seed",
         [
             (build_estimator, toy_estimator_config(), 0),
-            (build_discriminator, toy_discriminator_config(), 1),
+            (build_discriminator, get_profile("toy").discriminator, 1),
         ],
         ids=["estimator", "discriminator"],
     )
@@ -560,7 +561,7 @@ class TestDtype:
             ref = net.forward(Tensor(x.astype(np.float32)), train=False)
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, ref.data)
-        disc = build_discriminator(_float32(toy_discriminator_config()), seed=3)
+        disc = build_discriminator(_float32(get_profile("toy").discriminator), seed=3)
         zeros = Tensor(np.zeros((2, 1, 256)))
         logits = disc.forward(zeros, zeros, train=True)
         assert logits.data.dtype == np.float32
@@ -575,7 +576,7 @@ class TestDtype:
         with pytest.raises(InvalidConfigError, match="dtype"):
             dataclasses.replace(toy_estimator_config(), dtype="float16")
         with pytest.raises(InvalidConfigError, match="dtype"):
-            dataclasses.replace(toy_discriminator_config(), dtype="int32")
+            dataclasses.replace(get_profile("toy").discriminator, dtype="int32")
 
     def test_float32_checkpoint_round_trips_at_half_the_size(self, tmp_path):
         net64 = build_estimator(toy_estimator_config(), seed=5)

@@ -2,14 +2,18 @@
 benchmark run patches, and every call its workloads make into rirlab
 between repeats, must exist. perfbench/ is imported here read-only."""
 
+import dataclasses
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from rirlab import autodiff as ad
-from rirlab import models
+from rirlab import models, training
 from rirlab.autodiff import Tensor
+from rirlab.dsp import octave_bands
+from rirlab.profiles import get_profile
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
@@ -64,3 +68,46 @@ class TestResetGradState:
         assert run.counters["autodiff.tensor.tape_leaked"] == 1
         assert run.counters["autodiff.tensor.grad_mode_leaks"] == 0
         assert ad.active_tape() is tape and len(tape) == 0
+
+
+def _set_up(name: str, batch: int):
+    """The calls workloads.full_train, workloads.full_infer and
+    scripts/step_memory_probe.py make between repeats, in their order and
+    with their argument forms: (cfg, estimator, discriminator, est_opt,
+    disc_opt, basis, partition)."""
+    profile = get_profile(name)
+    cfg = dataclasses.replace(profile.train, batch_size=batch, seed=0)
+    estimator = models.build_estimator(profile.estimator, seed=cfg.seed)
+    discriminator = models.build_discriminator(profile.discriminator, seed=cfg.seed + 1)
+    est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
+    disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
+    basis = ad.make_dft_basis(cfg.stft())
+    partition = octave_bands(profile.estimator.sample_rate, cfg.stft_window,
+                             list(cfg.band_centers))
+    return cfg, estimator, discriminator, est_opt, disc_opt, basis, partition
+
+
+class TestWorkloadSetUp:
+    def test_full_profile_set_up_calls(self):
+        profile = get_profile("full")
+        assert profile.rir_len == profile.estimator.rir_len == profile.discriminator.rir_len
+        cfg, estimator, discriminator, est_opt, disc_opt, basis, partition = _set_up("full", 4)
+        assert isinstance(estimator, models.Estimator)
+        assert isinstance(discriminator, models.Discriminator)
+        assert len(est_opt.square_avg) == len(estimator.parameters())
+        assert len(disc_opt.square_avg) == len(discriminator.parameters())
+        assert basis.cfg == cfg.stft()
+        assert partition.sample_rate == profile.estimator.sample_rate
+
+    def test_toy_train_step_takes_the_benchmark_positional_signature(self):
+        cfg, estimator, discriminator, est_opt, disc_opt, basis, partition = _set_up("toy", 4)
+        profile = get_profile("toy")
+        rng = np.random.default_rng(0)
+        rev = rng.uniform(-0.9, 0.9, (4, profile.estimator.input_len))
+        rir = rng.uniform(-0.9, 0.9, (4, profile.rir_len))
+        b = slice(0, 4)
+        losses = training.train_step(
+            estimator, discriminator, (rev[b], rir[b]), cfg, est_opt, disc_opt, basis,
+            partition, context="step 0",
+        )
+        assert all(math.isfinite(v) for v in dataclasses.astuple(losses))

@@ -23,9 +23,7 @@ from rirlab.synth import (
 )
 from rirlab.wavio import read_wav, write_wav
 
-TOY_RANGES = RirParamRanges(
-    t60=(0.06, 0.15), drr=(3.0, 10.0), n_early=(0, 6), direct_delay=(0, 8), rir_len=256
-)
+TOY_RANGES = RirParamRanges(t60=(0.06, 0.15), drr=(3.0, 10.0), n_early=(0, 6), direct_delay=(0, 8))
 
 
 def toy_params(**overrides):
@@ -149,20 +147,20 @@ def _tree_digest(root: Path) -> dict:
 
 class TestBuildDataset:
     def test_split_sizes(self, tmp_path):
-        manifest = build_dataset(tmp_path / "ds", 10, TOY_RANGES, 8000, 8000, seed=1)
+        manifest = build_dataset(tmp_path / "ds", 10, TOY_RANGES, 8000, 8000, 256, seed=1)
         assert len(manifest.split_entries("train")) == 8
         assert len(manifest.split_entries("val")) == 1
         assert len(manifest.split_entries("test")) == 1
 
     def test_same_seed_identical_bytes(self, tmp_path):
-        build_dataset(tmp_path / "a", 6, TOY_RANGES, 8000, 8000, seed=7)
-        build_dataset(tmp_path / "b", 6, TOY_RANGES, 8000, 8000, seed=7)
+        build_dataset(tmp_path / "a", 6, TOY_RANGES, 8000, 8000, 256, seed=7)
+        build_dataset(tmp_path / "b", 6, TOY_RANGES, 8000, 8000, 256, seed=7)
         assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
 
     def test_manifest_save_failing_part_way_keeps_the_previous_manifest(
         self, tmp_path, monkeypatch
     ):
-        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=2)
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=2)
         path = tmp_path / "ds" / "manifest.json"
         saved = path.read_bytes()
         # A lone surrogate cannot be encoded, so the write raises after the
@@ -174,13 +172,13 @@ class TestBuildDataset:
         assert not [p.name for p in path.parent.iterdir() if p.name.endswith(".tmp")]
 
     def test_lengths_match_config(self, tmp_path):
-        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=2)
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=2)
         for entry in manifest.entries:
             assert len(read_wav(manifest.path(entry.reverberant))) == 8000
             assert len(read_wav(manifest.path(entry.rir))) == 256
 
     def test_deconvolution_closes_the_loop(self, tmp_path):
-        manifest = build_dataset(tmp_path / "ds", 6, TOY_RANGES, 8000, 8000, seed=3)
+        manifest = build_dataset(tmp_path / "ds", 6, TOY_RANGES, 8000, 8000, 256, seed=3)
         for entry in manifest.split_entries("test"):
             reverberant = read_wav(manifest.path(entry.reverberant))
             clean = read_wav(manifest.path(entry.clean))
@@ -189,7 +187,7 @@ class TestBuildDataset:
             assert np.mean((recovered.samples - rir.samples) ** 2) < 1e-6
 
     def test_manifest_schema(self, tmp_path):
-        build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=4)
+        build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=4)
         doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert set(doc) == {"sample_rate", "example_len", "rir_len", "seed", "entries"}
         assert doc["rir_len"] == 256
@@ -201,14 +199,14 @@ class TestBuildDataset:
             }
 
     def test_manifest_round_trip(self, tmp_path):
-        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=5)
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=5)
         loaded = load_manifest(tmp_path / "ds" / "manifest.json")
         assert loaded.sample_rate == manifest.sample_rate
         assert loaded.example_len == manifest.example_len
         assert [e.params for e in loaded.entries] == [e.params for e in manifest.entries]
 
     def test_manifest_loads_without_reading_wavs(self, tmp_path, monkeypatch):
-        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=5)
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=5)
         reads = []
         monkeypatch.setattr(synth, "read_wav", lambda path: reads.append(path))
         loaded = load_manifest(tmp_path / "ds" / "manifest.json")
@@ -219,7 +217,7 @@ class TestBuildDataset:
     def test_manifest_without_rir_len_and_clean_paths_loads_to_equal_entries(
         self, tmp_path, monkeypatch
     ):
-        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=5)
+        manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=5)
         path = tmp_path / "ds" / "manifest.json"
         doc = json.loads(path.read_text())
         del doc["rir_len"]
@@ -235,7 +233,7 @@ class TestBuildDataset:
         rng = np.random.default_rng(6)
         clean = [Signal(rng.uniform(-0.5, 0.5, 20000), 8000)]
         manifest = build_dataset(
-            tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, seed=6, clean_signals=clean
+            tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=6, clean_signals=clean
         )
         entry = manifest.entries[0]
         recovered = spectral_deconvolve(
@@ -249,7 +247,7 @@ class TestBuildDataset:
 
     def test_too_few_examples_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
-            build_dataset(tmp_path / "ds", 2, TOY_RANGES, 8000, 8000, seed=0)
+            build_dataset(tmp_path / "ds", 2, TOY_RANGES, 8000, 8000, 256, seed=0)
 
 
 class TestSpeechLike:

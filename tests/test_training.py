@@ -14,7 +14,7 @@ from rirlab import autodiff as ad
 from rirlab import metrics, training
 from rirlab.autodiff import Tensor
 from rirlab.dsp import Signal, octave_bands
-from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from rirlab.errors import InvalidInputError, TrainingDivergedError
 from rirlab.models import build_discriminator, build_estimator, load_checkpoint, make_condition
 from rirlab.profiles import get_profile
 from rirlab.synth import build_dataset
@@ -35,6 +35,7 @@ def tiny_dataset(tmp_path_factory, toy_profile):
         ranges=toy_profile.ranges,
         sample_rate=toy_profile.estimator.sample_rate,
         example_len=toy_profile.estimator.input_len,
+        rir_len=toy_profile.estimator.rir_len,
         splits=(0.7, 0.2, 0.1),
         seed=9,
     )
@@ -355,10 +356,9 @@ class TestTrainConfig:
 class TestTrain:
     def test_short_run_reproducibility_and_selection(self, tmp_path, toy_profile, tiny_dataset):
         cfg = dataclasses.replace(toy_profile.train, epochs=3)
-        r1 = train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg,
-                   tmp_path / "a")
-        r2 = train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg,
-                   tmp_path / "b")
+        profile = dataclasses.replace(toy_profile, train=cfg)
+        r1 = train(tiny_dataset, profile, tmp_path / "a")
+        r2 = train(tiny_dataset, profile, tmp_path / "b")
         for name in ("log.csv", "best.ckpt", "last.ckpt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         vals = [rec.val_edr for rec in r1.log.records]
@@ -378,15 +378,15 @@ class TestTrain:
 
         monkeypatch.setattr(os, "replace", recording)
         cfg = dataclasses.replace(toy_profile.train, epochs=1)
-        train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg,
-              tmp_path / "r", echo={"profile": "toy"})
+        train(tiny_dataset, dataclasses.replace(toy_profile, train=cfg), tmp_path / "r",
+              echo={"profile": "toy"})
         files = ["best.ckpt", "config.json", "last.ckpt", "log.csv"]
         assert sorted(set(replaced)) == files
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == files
 
     def test_log_csv_layout(self, tmp_path, toy_profile, tiny_dataset):
         cfg = dataclasses.replace(toy_profile.train, epochs=1)
-        train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg, tmp_path / "r")
+        train(tiny_dataset, dataclasses.replace(toy_profile, train=cfg), tmp_path / "r")
         lines = (tmp_path / "r" / "log.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,l_edr,l_mse,l_cgan,l_d,val_edr,lr"
         assert len(lines) == 2
@@ -399,12 +399,12 @@ class TestTrain:
             ranges=toy_profile.ranges,
             sample_rate=toy_profile.estimator.sample_rate,
             example_len=toy_profile.estimator.input_len,
+            rir_len=toy_profile.estimator.rir_len,
             splits=(1.0, 0.0, 0.0),
             seed=1,
         )
         with pytest.raises(InvalidInputError):
-            train(manifest, toy_profile.estimator, toy_profile.discriminator,
-                  toy_profile.train, tmp_path / "run")
+            train(manifest, toy_profile, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
 
@@ -448,8 +448,7 @@ class TestValidationEdr:
         monkeypatch.setattr(training, "validation_edr", lambda *args: float("nan"))
         cfg = dataclasses.replace(toy_profile.train, epochs=2)
         with pytest.raises(TrainingDivergedError, match="epoch 0 validation"):
-            train(tiny_dataset, toy_profile.estimator, toy_profile.discriminator, cfg,
-                  tmp_path / "r")
+            train(tiny_dataset, dataclasses.replace(toy_profile, train=cfg), tmp_path / "r")
         assert (tmp_path / "r" / "log.csv").read_text().count("\n") == 2
         assert not (tmp_path / "r" / "best.ckpt").exists()
 
@@ -495,16 +494,10 @@ class TestFloat32Training:
 
     def test_float32_toy_run_writes_float32_checkpoints(self, tmp_path, toy_profile, tiny_dataset):
         est_cfg = dataclasses.replace(toy_profile.estimator, dtype="float32")
-        disc_cfg = dataclasses.replace(toy_profile.discriminator, dtype="float32")
         cfg = dataclasses.replace(toy_profile.train, epochs=2)
-        result = train(tiny_dataset, est_cfg, disc_cfg, cfg, tmp_path / "r")
+        profile = dataclasses.replace(toy_profile, estimator=est_cfg, train=cfg)
+        result = train(tiny_dataset, profile, tmp_path / "r")
         assert all(np.isfinite(rec.val_edr) for rec in result.log.records)
         best = load_checkpoint(result.best_path)
         assert best.config == est_cfg
         assert all(p.data.dtype == np.float32 for p in best.parameters())
-
-    def test_mixed_network_dtypes_rejected(self, tmp_path, toy_profile, tiny_dataset):
-        disc_cfg = dataclasses.replace(toy_profile.discriminator, dtype="float32")
-        with pytest.raises(InvalidConfigError, match="dtype"):
-            train(tiny_dataset, toy_profile.estimator, disc_cfg, toy_profile.train, tmp_path / "r")
-        assert not (tmp_path / "r").exists()
