@@ -239,7 +239,9 @@ class DiscriminatorConfig:
     """Conditional conv-stack schedule ending in one logit per example. The
     discriminator scores the estimator's output, so its rir_len and dtype
     are the estimator's: Profile.discriminator builds this config from the
-    profile's condition_len and blocks and its estimator config."""
+    profile's condition_len and blocks and its estimator config. The
+    condition is zero-padded to rir_len, so condition_len may not exceed
+    it."""
 
     rir_len: int
     condition_len: int
@@ -250,6 +252,10 @@ class DiscriminatorConfig:
         _check_dtype(self.dtype)
         _check_count("rir_len", self.rir_len, 1)
         _check_count("condition_len", self.condition_len, 1)
+        if self.condition_len > self.rir_len:
+            raise InvalidConfigError(
+                f"condition_len {self.condition_len} is longer than rir_len {self.rir_len}"
+            )
         _check_blocks("blocks", self.blocks)
 
 
@@ -487,7 +493,8 @@ def build_discriminator(cfg: DiscriminatorConfig, seed: int) -> Discriminator:
 
 def make_condition(reverberant: np.ndarray, condition_len: int, rir_len: int) -> np.ndarray:
     """Conditioning input: the opening condition_len samples of each
-    reverberant waveform, zero-padded or cropped to rir_len -> [B,1,rir_len]."""
+    reverberant waveform, zero-padded to rir_len -> [B,1,rir_len]. A
+    DiscriminatorConfig holds condition_len <= rir_len."""
     rev = np.atleast_2d(np.asarray(reverberant, dtype=np.float64))
     if rev.shape[1] < condition_len:
         raise InvalidInputError(
@@ -495,8 +502,7 @@ def make_condition(reverberant: np.ndarray, condition_len: int, rir_len: int) ->
             f"{condition_len}-sample condition"
         )
     cond = np.zeros((rev.shape[0], 1, rir_len))
-    n = min(condition_len, rir_len)
-    cond[:, 0, :n] = rev[:, :n]
+    cond[:, 0, :condition_len] = rev[:, :condition_len]
     return cond
 
 

@@ -83,7 +83,7 @@ _TOY = Profile(
         band_centers=TOY_BAND_CENTERS,
     ),
     estimator=toy_estimator_config(),
-    condition_len=512,
+    condition_len=256,
     discriminator_blocks=(
         {"out_channels": 8, "kernel": 8, "stride": 4, "padding": 2},
         {"out_channels": 16, "kernel": 8, "stride": 4, "padding": 2},

@@ -141,16 +141,24 @@ class TestDiscriminator:
 
     def test_condition_helper(self):
         rev = np.arange(8000.0).reshape(1, -1)
-        cond = make_condition(rev, condition_len=512, rir_len=256)
+        cond = make_condition(rev, condition_len=256, rir_len=256)
         assert cond.shape == (1, 1, 256)
         np.testing.assert_array_equal(cond[0, 0], rev[0, :256])
         padded = make_condition(rev[:, :600], condition_len=512, rir_len=1024)
         assert padded.shape == (1, 1, 1024)
         assert np.all(padded[0, 0, 512:] == 0)
 
+    def test_condition_longer_than_the_response_rejected(self):
+        # The condition is zero-padded to rir_len, never cropped: a longer
+        # condition_len would be written but never take effect.
+        with pytest.raises(InvalidConfigError, match="condition_len 512"):
+            models.DiscriminatorConfig(
+                rir_len=256, condition_len=512, blocks=get_profile("toy").discriminator_blocks
+            )
+
     def test_condition_shorter_than_required_rejected(self):
         with pytest.raises(InvalidInputError):
-            make_condition(np.zeros((1, 300)), condition_len=512, rir_len=256)
+            make_condition(np.zeros((1, 300)), condition_len=512, rir_len=1024)
 
     @pytest.mark.parametrize(
         "cfg", [get_profile("toy").discriminator, get_profile("full").discriminator]
