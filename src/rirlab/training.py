@@ -308,7 +308,8 @@ def train(
 
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
     last.ckpt into out_dir, which is created only once both splits have
-    loaded, along with the echo, if given, as config.json. Each file is
+    loaded and both networks and the analysis setup are built, along with
+    the echo, if given, as config.json. Each file is
     replaced whole (fileio.atomic_write), so a kill mid-write leaves its
     previous version. Epoch shuffling, initialization and the learning-rate
     schedule are all pure functions of the config and seed. On divergence
@@ -328,18 +329,18 @@ def train(
         raise InvalidInputError(
             f"the train split holds {n_train} example; a step needs at least 2 (batchnorm)"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if echo is not None:
-        with atomic_write(out_dir / "config.json") as fh:
-            fh.write(json.dumps(echo, indent=2) + "\n")
-
     estimator = build_estimator(est_cfg, seed=cfg.seed)
     discriminator = build_discriminator(profile.discriminator, seed=cfg.seed + 1)
     est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
     disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
     basis = ad.make_dft_basis(cfg.stft())
     partition = octave_bands(manifest.sample_rate, cfg.stft_window, list(cfg.band_centers))
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if echo is not None:
+        with atomic_write(out_dir / "config.json") as fh:
+            fh.write(json.dumps(echo, indent=2) + "\n")
 
     log = TrainLog()
     log.initial_val_edr = validation_edr(

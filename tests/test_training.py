@@ -14,7 +14,7 @@ from rirlab import autodiff as ad
 from rirlab import metrics, training
 from rirlab.autodiff import Tensor
 from rirlab.dsp import Signal, octave_bands
-from rirlab.errors import InvalidInputError, TrainingDivergedError
+from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from rirlab.models import build_discriminator, build_estimator, load_checkpoint, make_condition
 from rirlab.profiles import get_profile
 from rirlab.synth import build_dataset
@@ -405,6 +405,13 @@ class TestTrain:
         )
         with pytest.raises(InvalidInputError):
             train(manifest, toy_profile, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_unbuildable_network_leaves_no_run_directory(self, tmp_path, toy_profile, tiny_dataset):
+        long_kernel = ({"out_channels": 8, "kernel": 1000, "stride": 4, "padding": 2},)
+        profile = dataclasses.replace(toy_profile, discriminator_blocks=long_kernel)
+        with pytest.raises(InvalidConfigError, match="blk0_conv"):
+            train(tiny_dataset, profile, tmp_path / "run", echo={"profile": "toy"})
         assert not (tmp_path / "run").exists()
 
 
