@@ -398,9 +398,9 @@ def framed_band_energy(x: Tensor, basis: DftBasis, partition: BandPartition) -> 
     def backward_fn(g):
         # The framed spectra are recomputed rather than kept from the forward.
         re, im = framed_dft(x.data[:, 0, :], basis)  # [B,T,bins]
-        dtype, (_, T, bins), cfg = x.data.dtype, re.shape, basis.cfg
+        dtype, T, cfg = x.data.dtype, re.shape[1], basis.cfg
         gband = np.swapaxes(np.cumsum(g, axis=2), 1, 2)  # [B,T,bands]
-        gpower = gband @ partition.band_matrix(bins).astype(dtype, copy=False)
+        gpower = gband @ partition.band_matrix().astype(dtype, copy=False)
         real, imag = basis.real.astype(dtype, copy=False), basis.imag.astype(dtype, copy=False)
         gframes = (2.0 * re * gpower) @ real + (2.0 * im * gpower) @ imag
         gx = np.zeros((B, L), dtype=dtype)

@@ -161,7 +161,7 @@ def band_power(samples: np.ndarray, basis: DftBasis, partition: BandPartition) -
         )
     re, im = framed_dft(samples, basis)
     power = re**2 + im**2
-    band_m = partition.band_matrix(power.shape[2]).astype(samples.dtype, copy=False)
+    band_m = partition.band_matrix().astype(samples.dtype, copy=False)
     return np.swapaxes(power @ band_m.T, 1, 2)
 
 
@@ -191,9 +191,10 @@ class BandPartition:
     def n_bands(self) -> int:
         return len(self.centers)
 
-    def band_matrix(self, n_bins: int) -> np.ndarray:
-        """0/1 matrix [bands x n_bins] summing bins into their band."""
-        m = np.zeros((self.n_bands, n_bins))
+    def band_matrix(self) -> np.ndarray:
+        """0/1 matrix [bands x fft_size // 2 + 1] summing the one-sided
+        bins into their band."""
+        m = np.zeros((self.n_bands, self.fft_size // 2 + 1))
         for b, (start, stop) in enumerate(self.bin_ranges):
             m[b, start:stop] = 1.0
         return m

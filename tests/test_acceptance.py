@@ -275,7 +275,7 @@ class TestCriterion4EdrCorrectness:
             x = rng.uniform(-1, 1, 320)
             # The FFT path: per-band |dsp.stft|^2, reverse-cumulated over frames.
             power = np.abs(stft(Signal(x, 8000), self.CFG)) ** 2
-            band = self.PART.band_matrix(self.CFG.n_bins) @ power.T
+            band = self.PART.band_matrix() @ power.T
             ref = np.flip(np.cumsum(np.flip(band, axis=1), axis=1), axis=1)
             out = ad.framed_band_energy(Tensor(x[None, None, :]), basis, self.PART).data[0]
             worst = max(worst, float(np.max(np.abs(out - ref))))

@@ -344,7 +344,7 @@ def fft_edr(samples, cfg, partition):
     """Decay relief through dsp.stft's rfft, independent of the DFT-basis
     kernel: per-band |STFT|^2, reverse-cumulated over frames."""
     power = np.abs(stft(Signal(samples, partition.sample_rate), cfg)) ** 2  # [frames, bins]
-    band = partition.band_matrix(cfg.n_bins) @ power.T
+    band = partition.band_matrix() @ power.T
     return np.flip(np.cumsum(np.flip(band, axis=1), axis=1), axis=1)
 
 
@@ -374,7 +374,7 @@ def _framed_band_energy_before_band_power(x, basis, partition):
     re = frames @ real.T  # [B,T,bins]
     im = frames @ imag.T
     power = re**2 + im**2
-    band_m = partition.band_matrix(real.shape[0]).astype(dtype, copy=False)  # [bands x bins]
+    band_m = partition.band_matrix().astype(dtype, copy=False)  # [bands x bins]
     band = np.swapaxes(power @ band_m.T, 1, 2)  # [B,bands,T]
     out = np.flip(np.cumsum(np.flip(band, axis=2), axis=2), axis=2)
 
