@@ -5,9 +5,12 @@ first long convolution extracts response features from reverberant speech
 and whose strided convolutions compress them, then transposed-convolution
 blocks (with batchnorm and PReLU, run as one op) that expand back to an
 impulse response, ending in a single-channel collapse and tanh. The
-discriminator scores a candidate response conditioned on the opening
-samples of the reverberant speech, concatenated channel-wise, with a
-conv + LeakyReLU stack built by the same code as the encoder.
+decoder's transposed convolutions have no bias, because train-mode
+batchnorm subtracts each channel's batch mean and would cancel it; the
+collapse, which feeds tanh, keeps its bias. The discriminator scores a
+candidate response conditioned on the opening samples of the reverberant
+speech, concatenated channel-wise, with a conv + LeakyReLU stack built by
+the same code as the encoder.
 
 Layer schedules live in the config objects, not in code, so alternative
 architectures are data changes. A schedule is checked at build time by
@@ -17,7 +20,8 @@ network holds every parameter and buffer in and computes in; a profile's
 discriminator takes the estimator's. The full profile's networks are
 float32 and the toy profile's float64. A checkpoint holds one estimator,
 the product of training: its config echo and its parameters and buffers,
-which round-trip bit-exactly.
+which round-trip bit-exactly. A checkpoint written while the decoder had
+biases loads with each one folded into its batchnorm's running mean.
 """
 
 from __future__ import annotations
@@ -83,15 +87,18 @@ class Conv1dLayer(Layer):
 
 
 class ConvTranspose1dLayer(Layer):
-    """Takes its initial [in_ch, out_ch, kernel] weight; the bias starts at
-    zero, in the weight's dtype."""
+    """Takes its initial [in_ch, out_ch, kernel] weight; the bias, if any,
+    starts at zero, in the weight's dtype. A layer that feeds train-mode
+    batchnorm is built without one: the batch mean would cancel it."""
 
-    param_names = ("weight", "bias")
-
-    def __init__(self, weight: np.ndarray, stride: int, padding: int, output_padding: int = 0):
+    def __init__(
+        self, weight: np.ndarray, stride: int, padding: int, output_padding: int, bias: bool
+    ):
         self.stride, self.padding, self.output_padding = stride, padding, output_padding
         self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(weight.shape[1], weight.dtype), requires_grad=True)
+        zeros = np.zeros(weight.shape[1], weight.dtype)
+        self.bias = Tensor(zeros, requires_grad=True) if bias else None
+        self.param_names = ("weight", "bias") if bias else ("weight",)
 
     def forward(self, x, train):
         return ad.conv_transpose1d(
@@ -430,10 +437,11 @@ class Estimator(Network):
         in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
         for i, blk in enumerate(c.decoder, start=1):
             bn = BatchNormPReLULayer(blk["out_channels"], f"dec{i}_act", self.dtype)
-            self.layers += [(f"dec{i}_tconv", self._tconv(rng, in_ch, blk)), (f"dec{i}_bn", bn)]
+            tconv = self._tconv(rng, in_ch, blk, bias=False)
+            self.layers += [(f"dec{i}_tconv", tconv), (f"dec{i}_bn", bn)]
             in_ch = blk["out_channels"]
         self.layers += [
-            ("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1})),
+            ("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1}, bias=True)),
             ("out_act", TanhLayer()),
         ]
 
@@ -444,10 +452,12 @@ class Estimator(Network):
                 f"expected [1, {c.rir_len}]"
             )
 
-    def _tconv(self, rng, in_ch: int, blk: dict) -> ConvTranspose1dLayer:
+    def _tconv(self, rng, in_ch: int, blk: dict, bias: bool) -> ConvTranspose1dLayer:
         out_ch, kernel = blk["out_channels"], blk["kernel"]
         weight = self._weight(rng, (in_ch, out_ch, kernel), in_ch * kernel)
-        return ConvTranspose1dLayer(weight, blk["stride"], blk["padding"], blk["output_padding"])
+        return ConvTranspose1dLayer(
+            weight, blk["stride"], blk["padding"], blk["output_padding"], bias
+        )
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         if x.data.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_len:
@@ -576,7 +586,10 @@ def load_checkpoint(path: str | Path) -> Estimator:
     buffer, bit-exactly. A header that does not describe an estimator, or
     whose records are not the estimator's, raises InvalidConfigError before
     any blob is read. A config echo without a dtype (older checkpoints) is
-    float64."""
+    float64. Older checkpoints also hold a dec{i}_tconv.bias record for each
+    decoder block: in eval mode dec{i}_bn subtracts its running_mean from
+    the tconv output, so the bias is folded in as running_mean - bias,
+    which gives the same output up to rounding."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
@@ -598,27 +611,36 @@ def load_checkpoint(path: str | Path) -> Estimator:
         except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidConfigError(f"{path} has an invalid estimator header: {exc!r}") from exc
         state = dict(_state_records(net))
+        folds = {  # legacy tconv bias record -> the statistics that absorb it
+            f"{name}.bias": bn.state
+            for (name, _), (_, bn) in zip(net.layers, net.layers[1:])
+            if isinstance(bn, BatchNormPReLULayer)
+        }
+        legacy = {name: np.empty_like(stats.running_mean) for name, stats in folds.items()}
+        known = {**state, **legacy}
         seen = set()
         for name, shape in records:
             if not isinstance(name, str) or not isinstance(shape, list):
                 raise InvalidConfigError(f"{path} has an invalid record {name!r}: shape {shape!r}")
             for size in shape:
                 _check_count(f"record {name} shape", size, 0)
-            if name not in state or name in seen:
+            if name not in known or name in seen:
                 raise InvalidConfigError(f"checkpoint record {name!r} is unknown or repeated")
             seen.add(name)
-            if tuple(shape) != state[name].shape:
+            if tuple(shape) != known[name].shape:
                 raise InvalidConfigError(
                     f"checkpoint record {name} has shape {tuple(shape)}, "
-                    f"expected {state[name].shape}"
+                    f"expected {known[name].shape}"
                 )
         missing = state.keys() - seen
         if missing:
             raise InvalidConfigError(f"checkpoint missing record {min(missing)}")
         for name, _ in records:
-            arr = state[name]  # filled in place, in the network's dtype
+            arr = known[name]  # filled in place, in the network's dtype
             if fh.readinto(arr) != arr.nbytes:
                 raise InvalidConfigError(f"{path} is truncated at record {name}")
             if sys.byteorder == "big":  # blobs are little-endian
                 arr.byteswap(inplace=True)
+    for name in seen & legacy.keys():
+        folds[name].running_mean -= legacy[name]
     return net

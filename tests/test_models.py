@@ -62,7 +62,22 @@ class TestEstimator:
 
     def test_toy_parameter_budget(self):
         net = build_estimator(toy_estimator_config(), seed=0)
-        assert sum(p.size for p in net.parameters()) < 500_000
+        assert sum(p.size for p in net.parameters()) == 69_353
+
+    @pytest.mark.parametrize(
+        "cfg, n_params",
+        [(toy_estimator_config(), 69_353), (full_estimator_config(), 17_656_129)],
+        ids=["toy", "full"],
+    )
+    def test_only_the_collapse_tconv_has_a_bias(self, cfg, n_params):
+        # Each decoder tconv feeds train-mode batchnorm, whose batch mean
+        # cancels a bias; out_tconv feeds tanh.
+        net = models.Estimator(cfg, seed=0, draw=False)
+        names = [name for name, _ in net.named_parameters()]
+        tconv_biases = [name for name in names if "tconv.bias" in name]
+        assert tconv_biases == ["out_tconv.bias"]
+        assert f"dec{len(cfg.decoder)}_tconv.weight" in names
+        assert sum(p.size for p in net.parameters()) == n_params
 
     def test_invalid_schedule_names_offending_layer(self):
         cfg = dataclasses.replace(
@@ -301,8 +316,10 @@ def _state_digest(net) -> str:
 
 class TestInitialization:
     def test_seeded_estimator_state_is_pinned(self):
+        # The digest of the records before the decoder tconvs lost their
+        # (zero) biases, with those records left out: no value moved.
         net = build_estimator(toy_estimator_config(), seed=0)
-        assert _state_digest(net) == "db5214a441c24fdb"
+        assert _state_digest(net) == "116780174d9de31b"
 
     def test_seeded_discriminator_state_is_pinned(self):
         net = build_discriminator(get_profile("toy").discriminator, seed=1)
@@ -459,6 +476,64 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
         assert _state_digest(loaded) == _state_digest(net)
+
+    # The fold moves each subtraction of the bias, so the output agrees to
+    # rounding: measured 2.2e-16 (float64) and 8.9e-8 (float32).
+    @pytest.mark.parametrize("dtype, atol", [("float64", 1e-14), ("float32", 1e-6)])
+    def test_legacy_decoder_biases_fold_into_the_running_means(
+        self, tmp_path, monkeypatch, dtype, atol
+    ):
+        # Checkpoints written while the decoder tconvs held a bias carry a
+        # dec{i}_tconv.bias record after each weight.
+        net = build_estimator(dataclasses.replace(toy_estimator_config(), dtype=dtype), seed=5)
+        rng = np.random.default_rng(5)
+        with ad.no_grad():
+            for _ in range(3):
+                net.forward(Tensor(rng.standard_normal((4, 1, 8000))), train=True)
+        layers = dict(net.layers)
+        biases = {
+            f"dec{i}_tconv.bias": rng.standard_normal(blk["out_channels"]).astype(dtype)
+            for i, blk in enumerate(net.config.decoder, start=1)
+        }
+        records = []
+        for name, arr in models._state_records(net):
+            records.append((name, arr))
+            bias = name.replace(".weight", ".bias")
+            if bias in biases:
+                records.append((bias, biases[bias]))
+        monkeypatch.setattr(models, "_state_records", lambda _: records)
+        path = save_checkpoint(net, tmp_path / "legacy.ckpt")
+        monkeypatch.undo()
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert [r["name"] for r in header["records"]][6:8] == [
+            "dec1_tconv.weight", "dec1_tconv.bias"
+        ]
+
+        x = rng.uniform(-1, 1, (3, 1, 8000))
+        want = Tensor(x.astype(dtype))
+        with ad.no_grad():  # the forward the biased decoder ran
+            for name, layer in net.layers:
+                want = layer.forward(want, train=False)
+                if f"{name}.bias" in biases:
+                    want = Tensor(want.data + biases[f"{name}.bias"][:, None])
+        loaded = load_checkpoint(path)
+        for i in range(1, len(net.config.decoder) + 1):
+            bn = dict(loaded.layers)[f"dec{i}_bn"].state
+            np.testing.assert_array_equal(
+                bn.running_mean,
+                layers[f"dec{i}_bn"].state.running_mean - biases[f"dec{i}_tconv.bias"],
+            )
+        got = estimate_batch(loaded, [Signal(row[0], 8000) for row in x])
+        assert np.max(np.abs(np.stack([sig.samples for sig in got]) - want.data[:, 0])) < atol
+        assert np.max(np.abs(want.data)) > 0.1  # the outputs are not all near zero
+
+    @pytest.mark.parametrize("name", ["dec1_bn.bias", "enc0_act.bias", "dec9_tconv.bias"])
+    def test_other_unknown_records_still_rejected(self, tmp_path, name):
+        path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
+                               tmp_path / "e.ckpt")
+        edit_header(path, lambda h: h["records"].append({"name": name, "shape": [32]}))
+        with pytest.raises(InvalidConfigError, match="unknown or repeated"):
+            load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
