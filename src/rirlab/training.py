@@ -309,12 +309,12 @@ def train(
     Writes log.csv, best.ckpt (argmin validation decay-relief loss) and
     last.ckpt into out_dir, which is created only once both splits have
     loaded and both networks and the analysis setup are built, along with
-    the echo, if given, as config.json. Each file is
-    replaced whole (fileio.atomic_write), so a kill mid-write leaves its
-    previous version. Epoch shuffling, initialization and the learning-rate
-    schedule are all pure functions of the config and seed. On divergence
-    the log is flushed before the error propagates. The train split must
-    hold the 2 examples that a step needs.
+    the echo, if given, as config.json. Each file is replaced whole
+    (fileio.atomic_write), so a kill mid-write leaves its previous version.
+    Epoch shuffling, initialization and the learning-rate schedule are all
+    pure functions of the config and seed. On divergence the log is flushed
+    before the error propagates. The train split must hold the 2 examples
+    that a step needs.
     """
     cfg, est_cfg = profile.train, profile.estimator
     if cfg.stft_window > est_cfg.rir_len:
