@@ -191,14 +191,16 @@ def conv_transpose1d(
     return out
 
 
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
+BN_EPS = 1e-5  # added to the variance before its square root
+
+
 @dataclass
 class BatchNormState:
     """Running statistics for one batchnorm layer (eval-mode source)."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
     def for_channels(cls, n_channels: int, dtype=np.float64) -> "BatchNormState":
@@ -229,12 +231,11 @@ def _batchnorm_stats(
             raise InvalidInputError(f"{op} needs a batch of at least 2 in train mode")
         mean = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
-        m = state.momentum
-        state.running_mean = (1 - m) * state.running_mean + m * mean
-        state.running_var = (1 - m) * state.running_var + m * var
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
     else:
         mean, var = state.running_mean, state.running_var
-    return mean, 1.0 / np.sqrt(var + state.eps)
+    return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
 def _normalized(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -307,8 +308,11 @@ def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope) -> np.ndarray:
     return f
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    s = x.data.dtype.type(slope)
+LEAKY_SLOPE = 0.2  # of leaky_relu, the encoder's and discriminator's activation
+
+
+def leaky_relu(x: Tensor) -> Tensor:
+    s = x.data.dtype.type(LEAKY_SLOPE)
     out = Tensor(_leaky_scale(x.data, x.data > 0, s))
     # The mask is recomputed from x rather than kept from the forward.
     record(out, (x,), lambda g: (_leaky_scale(g, x.data > 0, s),))

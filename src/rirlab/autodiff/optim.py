@@ -9,19 +9,20 @@ import numpy as np
 from ..errors import ShapeMismatchError
 from .tensor import Tensor, check_same_dtype
 
+RHO = 0.99  # decay of the mean-square accumulators
+EPS = 1e-8  # added to the RMS before it divides a gradient
+
 
 @dataclass
 class RmspropState:
     """Per-parameter running mean-square accumulators plus step size."""
 
     lr: float
-    rho: float = 0.99
-    eps: float = 1e-8
     square_avg: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[Tensor], lr: float, rho: float = 0.99, eps: float = 1e-8):
-        return cls(lr=lr, rho=rho, eps=eps, square_avg=[np.zeros_like(p.data) for p in params])
+    def for_params(cls, params: list[Tensor], lr: float):
+        return cls(lr=lr, square_avg=[np.zeros_like(p.data) for p in params])
 
 
 CHUNK = 1 << 15  # elements per block: two scratch blocks stay in cache
@@ -30,7 +31,7 @@ CHUNK = 1 << 15  # elements per block: two scratch blocks stay in cache
 def rmsprop_step(
     params: list[Tensor], grads: list[np.ndarray | None], state: RmspropState
 ) -> None:
-    """acc <- rho*acc + (1-rho)*g^2;  p <- p - lr*g/(sqrt(acc) + eps).
+    """acc <- RHO*acc + (1-RHO)*g^2;  p <- p - lr*g/(sqrt(acc) + EPS).
 
     A None gradient decays its accumulator and leaves the parameter alone.
     Updates happen in place on the parameter tensors and the state, in the
@@ -43,7 +44,7 @@ def rmsprop_step(
         raise ShapeMismatchError(
             f"got {len(params)} params, {len(grads)} grads, {len(state.square_avg)} accumulators"
         )
-    rho, one_minus_rho, lr, eps = state.rho, 1.0 - state.rho, state.lr, state.eps
+    lr = state.lr
     check_same_dtype("rmsprop_step", *params)
     dtype = params[0].data.dtype if params else np.float64
     scratch1, scratch2 = np.empty(CHUNK, dtype), np.empty(CHUNK, dtype)
@@ -51,7 +52,7 @@ def rmsprop_step(
         if acc.shape != p.data.shape:
             raise ShapeMismatchError(f"accumulator {acc.shape} does not match param {p.shape}")
         if g is None:
-            acc *= rho
+            acc *= RHO
             continue
         if g.shape != p.data.shape:
             raise ShapeMismatchError(f"gradient {g.shape} does not match param {p.shape}")
@@ -62,12 +63,12 @@ def rmsprop_step(
             stop = min(start + CHUNK, g_flat.size)
             gc, ac, pc = g_flat[start:stop], acc_flat[start:stop], p_flat[start:stop]
             t1, t2 = scratch1[: stop - start], scratch2[: stop - start]
-            ac *= rho
-            np.multiply(gc, one_minus_rho, out=t1)
+            ac *= RHO
+            np.multiply(gc, 1.0 - RHO, out=t1)
             t1 *= gc
             ac += t1
             np.sqrt(ac, out=t1)
-            t1 += eps
+            t1 += EPS
             np.multiply(gc, lr, out=t2)
             t2 /= t1
             pc -= t2

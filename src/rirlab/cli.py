@@ -45,7 +45,6 @@ from .training import TrainConfig, train
 from .wavio import read_wav, write_wav
 
 USAGE_ERRORS = (InvalidInputError, InvalidConfigError, UnsupportedFormatError, ShapeMismatchError)
-DECONVOLVE_EPS = 1e-12  # the baseline's spectral-division regularizer
 # Model examples per evaluate forward; larger chunks ran slower (measured
 # while every layer still ran on the whole chunk). Only the batched layers'
 # activations grow with a chunk: a full-profile forward's traced peak is
@@ -189,7 +188,7 @@ def _estimate_for_entry(
     reverberant = _read_nonempty(manifest.path(entry.reverberant))
     if method == "baseline":
         clean = _read_nonempty(manifest.path(entry.clean))
-        return spectral_deconvolve(reverberant, clean, DECONVOLVE_EPS, manifest.rir_len), truth
+        return spectral_deconvolve(reverberant, clean, manifest.rir_len), truth
     return _fit_length(reverberant, net.config.input_len), truth
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 
-WINDOW_KINDS = ("rectangular", "hann")
+DECONVOLVE_EPS = 1e-12  # spectral_deconvolve's regularizer
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -57,22 +57,20 @@ class Signal:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Framing parameters for the short-time transform.
+    """Framing parameters for the short-time transform, whose window is
+    always the periodic Hann window.
 
     window_size must be a power of two; hop in (0, window_size].
     """
 
     window_size: int
     hop: int
-    window: str = "hann"
 
     def __post_init__(self):
         if not _is_power_of_two(self.window_size):
             raise InvalidConfigError(f"window_size must be a power of two, got {self.window_size}")
         if not 0 < self.hop <= self.window_size:
             raise InvalidConfigError(f"hop must be in (0, window_size], got {self.hop}")
-        if self.window not in WINDOW_KINDS:
-            raise InvalidConfigError(f"unknown window {self.window!r}, expected one of {WINDOW_KINDS}")
 
     @property
     def n_bins(self) -> int:
@@ -91,13 +89,9 @@ class StftConfig:
         return (starts + self.window_size / 2.0) / sample_rate
 
 
-def make_window(kind: str, size: int) -> np.ndarray:
-    """Analysis window of the given kind; hann is the periodic variant."""
-    if kind == "rectangular":
-        return np.ones(size)
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
-    raise InvalidConfigError(f"unknown window {kind!r}")
+def hann_window(size: int) -> np.ndarray:
+    """The periodic Hann analysis window."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
 
 
 def frame_signal(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -115,7 +109,7 @@ def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
     signal : Signal
         Input waveform; must be at least one window long.
     cfg : StftConfig
-        Framing and window parameters.
+        Framing parameters.
 
     Returns
     -------
@@ -124,7 +118,7 @@ def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
         applied at either end.
     """
     frames = frame_signal(signal.samples, cfg)
-    win = make_window(cfg.window, cfg.window_size)
+    win = hann_window(cfg.window_size)
     return np.fft.rfft(frames * win, axis=-1)
 
 
@@ -138,7 +132,7 @@ class DftBasis:
 
 
 def make_dft_basis(cfg: StftConfig) -> DftBasis:
-    win = make_window(cfg.window, cfg.window_size)
+    win = hann_window(cfg.window_size)
     angle = 2.0 * np.pi * np.outer(np.arange(cfg.n_bins), np.arange(cfg.window_size))
     angle /= cfg.window_size
     return DftBasis(cfg=cfg, real=np.cos(angle) * win[None, :], imag=-np.sin(angle) * win[None, :])
@@ -280,20 +274,19 @@ def fft_convolve(clean: Signal, rir: Signal) -> Signal:
     return Signal(out, clean.sample_rate)
 
 
-def spectral_deconvolve(reverberant: Signal, clean: Signal, eps: float, out_len: int) -> Signal:
+def spectral_deconvolve(reverberant: Signal, clean: Signal, out_len: int) -> Signal:
     """Recover an impulse response by regularized spectral division.
 
     Both signals are zero-padded to a common power-of-two FFT length and the
-    quotient is formed as F(reverberant) * conj(F(clean)) / (|F(clean)|^2 + eps)
-    bin-wise, so the result stays finite for eps > 0 even at spectral zeros
-    of the clean signal.
+    quotient is formed as
+    F(reverberant) * conj(F(clean)) / (|F(clean)|^2 + DECONVOLVE_EPS)
+    bin-wise, so the result stays finite even at spectral zeros of the clean
+    signal.
 
     Parameters
     ----------
     reverberant, clean : Signal
         The observed convolution product and the known dry input.
-    eps : float
-        Tikhonov regularizer added to the clean power spectrum; must be >= 0.
     out_len : int
         Number of leading samples of the inverse transform to return.
     """
@@ -303,17 +296,11 @@ def spectral_deconvolve(reverberant: Signal, clean: Signal, eps: float, out_len:
         )
     if len(reverberant) == 0 or len(clean) == 0:
         raise InvalidInputError("cannot deconvolve empty signals")
-    if eps < 0:
-        raise InvalidInputError(f"eps must be >= 0, got {eps}")
     n_fft = next_pow2(max(len(reverberant), len(clean)))
     if not 0 < out_len <= n_fft:
         raise InvalidInputError(f"out_len must be in [1, {n_fft}], got {out_len}")
     clean_spec = np.fft.rfft(clean.samples, n_fft)
-    denom = np.abs(clean_spec) ** 2 + eps
-    if eps == 0.0 and np.any(denom == 0.0):
-        raise ZeroDivisionError(
-            "clean spectrum has zero-magnitude bins; eps=0 division is undefined"
-        )
+    denom = np.abs(clean_spec) ** 2 + DECONVOLVE_EPS
     quotient = np.fft.rfft(reverberant.samples, n_fft) * np.conj(clean_spec) / denom
     out = np.fft.irfft(quotient, n_fft)[:out_len]
     return Signal(out, reverberant.sample_rate)

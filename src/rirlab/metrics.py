@@ -59,8 +59,8 @@ class EdrMatrix:
     values: np.ndarray  # [bands x frames]
     frame_times: np.ndarray  # seconds, window centers
 
-    def in_db(self, floor: float = ENERGY_FLOOR) -> np.ndarray:
-        return 10.0 * np.log10(np.maximum(self.values, floor))
+    def in_db(self) -> np.ndarray:
+        return 10.0 * np.log10(np.maximum(self.values, ENERGY_FLOOR))
 
 
 def edr(rir: Signal, cfg: StftConfig, partition: BandPartition) -> EdrMatrix:

@@ -85,7 +85,7 @@ class TrainConfig:
         return self.lr_init * self.lr_decay ** (epoch // self.lr_every)
 
     def stft(self) -> StftConfig:
-        return StftConfig(self.stft_window, self.stft_hop, "hann")
+        return StftConfig(self.stft_window, self.stft_hop)
 
 
 @dataclass(frozen=True)

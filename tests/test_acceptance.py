@@ -142,7 +142,7 @@ class TestCriterion1GradientIntegrity:
             data = rng.standard_normal((B, C, Ln))
             data[np.abs(data) < 0.05] = 0.2
             for op_name, make_out in (
-                ("leaky_relu", lambda v: ad.leaky_relu(v, 0.2)),
+                ("leaky_relu", ad.leaky_relu),
                 ("tanh", ad.tanh),
             ):
                 xa = Tensor(data.copy(), requires_grad=True)
@@ -167,7 +167,7 @@ class TestCriterion1GradientIntegrity:
             _check(slope.grad, f_prelu, slope.data, "prelu/slope", worst, counts)
 
             # framed_band_energy
-            cfg16 = StftConfig(16, _rand_kind(rng, 4, 8), "hann")
+            cfg16 = StftConfig(16, _rand_kind(rng, 4, 8))
             basis = ad.make_dft_basis(cfg16)
             part = octave_bands(256, 16, [16, 32, 64])
             Lf = _rand_kind(rng, 16, 48)
@@ -254,7 +254,7 @@ class TestCriterion3DeconvolutionClosure:
             rir_len = int(rng.integers(32, 128))
             rir = Signal(rng.standard_normal(rir_len) * 0.3, 16000)
             reverberant = fft_convolve(clean, rir)
-            recovered = spectral_deconvolve(reverberant, clean, eps=1e-12, out_len=rir_len)
+            recovered = spectral_deconvolve(reverberant, clean, out_len=rir_len)
             err = float(np.mean((recovered.samples - rir.samples) ** 2))
             worst = max(worst, err)
             assert err < 1e-8
@@ -264,7 +264,7 @@ class TestCriterion3DeconvolutionClosure:
 
 
 class TestCriterion4EdrCorrectness:
-    CFG = StftConfig(64, 32, "hann")
+    CFG = StftConfig(64, 32)
     PART = octave_bands(8000, 64, [125, 250, 500, 1000, 2000])
 
     def test_differentiable_path_equals_fft_path(self):
@@ -423,7 +423,6 @@ class TestCriterion7RelativeOrdering:
                         spectral_deconvolve(
                             read_wav(dataset.path(e.reverberant)),
                             read_wav(dataset.path(e.clean)),
-                            eps=1e-12,
                             out_len=profile.estimator.rir_len,
                         ),
                         t,

@@ -682,7 +682,7 @@ class TestPlotData:
         est = estimate(load_checkpoint(cli_run / "best.ckpt"),
                        read_wav(cli_dataset / entry["reverberant"]))
         profile = get_profile("toy")
-        cfg = StftConfig(profile.train.stft_window, profile.train.stft_hop, "hann")
+        cfg = StftConfig(profile.train.stft_window, profile.train.stft_hop)
         partition = octave_bands(8000, profile.train.stft_window, list(profile.train.band_centers))
         # independent totals: direct bin sums of |STFT|^2 over all frames
         spec_truth = np.abs(stft(truth, cfg)) ** 2

@@ -27,6 +27,11 @@ def dft_oracle(frame):
     return out
 
 
+def hann(n):
+    """The periodic Hann window, sample by sample."""
+    return np.array([np.sin(np.pi * t / n) ** 2 for t in range(n)])
+
+
 def conv_oracle(a, b):
     out = np.zeros(a.size + b.size - 1)
     for i, ai in enumerate(a):
@@ -37,52 +42,57 @@ def conv_oracle(a, b):
 
 class TestStft:
     def test_zero_signal_gives_zero_matrix(self):
-        cfg = StftConfig(64, 32, "hann")
+        cfg = StftConfig(64, 32)
         spec = stft(Signal(np.zeros(256), 8000), cfg)
         assert spec.shape == (7, 33)
         assert np.all(spec == 0)
 
-    def test_cosine_at_exact_bin_concentrates(self):
+    def test_cosine_at_exact_bin_fills_the_hann_main_lobe(self):
         n = 64
-        cfg = StftConfig(n, n, "rectangular")
+        cfg = StftConfig(n, n)
         k0 = 5
         x = np.cos(2 * np.pi * k0 * np.arange(n * 3) / n)
         spec = stft(Signal(x, 8000), cfg)
         power = np.abs(spec) ** 2
+        # The periodic Hann window's DFT is 1/2 at bin 0 and -1/4 at bins
+        # +-1, so the cosine lands in bins k0-1..k0+1 with powers 1:4:1.
         for frame in power:
-            assert frame[k0] > 0.999 * frame.sum()
-        # frame 0 against the direct DFT oracle
-        oracle = dft_oracle(x[:n])
+            assert frame[k0 - 1 : k0 + 2].sum() > (1 - 1e-12) * frame.sum()
+            np.testing.assert_allclose(frame[[k0 - 1, k0 + 1]], frame[k0] / 4, rtol=1e-9)
+        # frame 0 against the direct DFT oracle of the windowed frame
+        oracle = dft_oracle(x[:n] * hann(n))
         np.testing.assert_allclose(spec[0], oracle, atol=1e-9)
 
-    def test_parseval_rectangular_no_overlap(self):
+    def test_parseval_on_hann_windowed_frames(self):
         rng = np.random.default_rng(3)
         n = 128
         x = rng.standard_normal(n * 4)
-        cfg = StftConfig(n, n, "rectangular")
+        cfg = StftConfig(n, n // 2)
         spec = stft(Signal(x, 8000), cfg)
         # one-sided: interior bins carry both halves of the spectrum
         weights = np.full(cfg.n_bins, 2.0)
         weights[0] = 1.0
         weights[-1] = 1.0
-        spectral = np.sum(weights[None, :] * np.abs(spec) ** 2) / n
-        assert spectral == pytest.approx(np.sum(x**2), rel=1e-12)
+        spectral = np.sum(weights[None, :] * np.abs(spec) ** 2, axis=1) / n
+        starts = np.arange(spec.shape[0]) * cfg.hop
+        frames = np.stack([x[s : s + n] for s in starts])
+        np.testing.assert_allclose(spectral, np.sum((frames * hann(n)) ** 2, axis=1), rtol=1e-12)
 
     @pytest.mark.parametrize("length", [64, 65, 100, 256, 1000])
     @pytest.mark.parametrize("window,hop", [(64, 64), (64, 32), (64, 16), (64, 7)])
     def test_frame_count_formula(self, length, window, hop):
-        cfg = StftConfig(window, hop, "hann")
+        cfg = StftConfig(window, hop)
         spec = stft(Signal(np.ones(length), 8000), cfg)
         assert spec.shape[0] == (length - window) // hop + 1
 
     def test_signal_shorter_than_window_rejected(self):
         with pytest.raises(InvalidInputError):
-            stft(Signal(np.ones(63), 8000), StftConfig(64, 32, "hann"))
+            stft(Signal(np.ones(63), 8000), StftConfig(64, 32))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         x = Signal(rng.standard_normal(500), 16000)
-        cfg = StftConfig(128, 64, "hann")
+        cfg = StftConfig(128, 64)
         np.testing.assert_array_equal(stft(x, cfg), stft(x, cfg))
 
 
@@ -213,13 +223,13 @@ class TestSpectralDeconvolve:
         clean = Signal(rng.standard_normal(1024), 16000)
         rir = Signal(rng.standard_normal(64) * 0.2, 16000)
         reverberant = fft_convolve(clean, rir)
-        recovered = spectral_deconvolve(reverberant, clean, eps=1e-12, out_len=64)
+        recovered = spectral_deconvolve(reverberant, clean, out_len=64)
         assert np.mean((recovered.samples - rir.samples) ** 2) < 1e-8
 
     def test_identity_reverberant_gives_impulse(self):
         rng = np.random.default_rng(7)
         clean = Signal(rng.standard_normal(256), 8000)
-        recovered = spectral_deconvolve(clean, clean, eps=1e-12, out_len=16)
+        recovered = spectral_deconvolve(clean, clean, out_len=16)
         assert recovered.samples[0] == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(recovered.samples[1:])) < 1e-6
 
@@ -230,20 +240,13 @@ class TestSpectralDeconvolve:
         spec[10] = 0.0
         clean = Signal(np.fft.irfft(spec, 128), 8000)
         rev = Signal(rng.standard_normal(128), 8000)
-        out = spectral_deconvolve(rev, clean, eps=1e-6, out_len=128)
+        out = spectral_deconvolve(rev, clean, out_len=128)
         assert np.all(np.isfinite(out.samples))
-
-    def test_eps_zero_with_zero_bin_rejected(self):
-        # a constant signal has exact spectral zeros everywhere but DC
-        clean = Signal(np.ones(8), 8000)
-        rev = Signal(np.arange(8.0), 8000)
-        with pytest.raises(ZeroDivisionError):
-            spectral_deconvolve(rev, clean, eps=0.0, out_len=8)
 
     def test_out_len_validation(self):
         clean = Signal(np.ones(16), 8000)
         with pytest.raises(InvalidInputError):
-            spectral_deconvolve(clean, clean, eps=1e-9, out_len=64)
+            spectral_deconvolve(clean, clean, out_len=64)
 
 
 class TestTypes:
@@ -257,10 +260,8 @@ class TestTypes:
 
     def test_stft_config_validation(self):
         with pytest.raises(InvalidConfigError):
-            StftConfig(100, 32, "hann")  # not a power of two
+            StftConfig(100, 32)  # not a power of two
         with pytest.raises(InvalidConfigError):
-            StftConfig(64, 0, "hann")
+            StftConfig(64, 0)
         with pytest.raises(InvalidConfigError):
-            StftConfig(64, 65, "hann")
-        with pytest.raises(InvalidConfigError):
-            StftConfig(64, 32, "kaiser")
+            StftConfig(64, 65)

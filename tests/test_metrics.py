@@ -19,7 +19,7 @@ from rirlab.metrics import (
 )
 
 SR = 16000
-CFG = StftConfig(64, 32, "hann")
+CFG = StftConfig(64, 32)
 PART = octave_bands(SR, 64, [500, 1000, 2000, 4000])
 # partition whose top edge exceeds Nyquist: every FFT bin is covered
 FULL_COVER = octave_bands(SR, 64, [750, 1500, 3000, 6000])
@@ -42,13 +42,13 @@ def naive_edr(samples, cfg, partition):
 
 class TestEdr:
     def test_impulse_total_energy_and_empty_frames(self):
-        cfg = StftConfig(64, 64, "rectangular")
+        cfg = StftConfig(64, 64)
         x = np.zeros(256)
-        x[0] = 1.0
+        x[32] = 1.0  # the Hann window's peak, where it is exactly 1
         matrix = edr(Signal(x, SR), cfg, FULL_COVER)
         # band totals at frame 0 sum to the windowed impulse's spectral energy
         assert np.sum(matrix.values[:, 0]) == pytest.approx(cfg.n_bins, rel=1e-12)
-        # frames whose window excludes sample 0 hold nothing
+        # frames whose window excludes sample 32 hold nothing
         assert np.all(matrix.values[:, 1:] == 0)
 
     def test_rows_non_increasing(self):
@@ -265,7 +265,7 @@ class TestMetricReport:
         assert merged_part.merged  # 32 and 63 Hz own no 125 Hz-spaced bin
         rng = np.random.default_rng(13)
         x = Signal(rng.uniform(-1, 1, 256), 8000)
-        cfg = StftConfig(64, 32, "hann")
+        cfg = StftConfig(64, 32)
         report = metric_report([(x, x)], cfg, merged_part)
         first = report_to_csv(report).split("\n")[0]
         assert first.startswith("# merged_bands:")

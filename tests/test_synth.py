@@ -183,7 +183,7 @@ class TestBuildDataset:
             reverberant = read_wav(manifest.path(entry.reverberant))
             clean = read_wav(manifest.path(entry.clean))
             rir = read_wav(manifest.path(entry.rir))
-            recovered = spectral_deconvolve(reverberant, clean, eps=1e-12, out_len=256)
+            recovered = spectral_deconvolve(reverberant, clean, out_len=256)
             assert np.mean((recovered.samples - rir.samples) ** 2) < 1e-6
 
     def test_manifest_schema(self, tmp_path):
@@ -239,7 +239,6 @@ class TestBuildDataset:
         recovered = spectral_deconvolve(
             read_wav(manifest.path(entry.reverberant)),
             read_wav(manifest.path(entry.clean)),
-            eps=1e-12,
             out_len=256,
         )
         rir = read_wav(manifest.path(entry.rir))
