@@ -196,9 +196,7 @@ def train_step(
     after it. If a sweep raises, the parameters it updated stay updated.
     """
     rev, rir = batch
-    cond = make_condition(
-        rev, discriminator.config.condition_len, discriminator.config.rir_len
-    )
+    cond = make_condition(rev, discriminator.config)
     rev_t = Tensor(rev[:, None, :])
     rir_t = Tensor(rir[:, None, :].astype(estimator.dtype, copy=False))  # meets fake in the losses
     tape = ad.active_tape()

@@ -799,7 +799,7 @@ def _full_train_step_graph():
     rng = np.random.default_rng(44)
     rev = rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)).astype(est.dtype)
     rir = Tensor(rng.uniform(-0.9, 0.9, (2, 1, profile.estimator.rir_len)).astype(est.dtype))
-    cond = Tensor(models.make_condition(rev, disc.config.condition_len, disc.config.rir_len))
+    cond = Tensor(models.make_condition(rev, disc.config))
 
     def loss_of():
         fake = est.forward(Tensor(rev[:, None, :]), train=True)

@@ -154,12 +154,20 @@ class TestDiscriminator:
         assert rir.grad is not None and np.any(rir.grad != 0)
         assert cond.grad is not None and np.any(cond.grad != 0)
 
+    @staticmethod
+    def _condition_cfg(condition_len, rir_len):
+        return models.DiscriminatorConfig(
+            rir_len=rir_len,
+            condition_len=condition_len,
+            blocks=get_profile("toy").discriminator_blocks,
+        )
+
     def test_condition_helper(self):
         rev = np.arange(8000.0).reshape(1, -1)
-        cond = make_condition(rev, condition_len=256, rir_len=256)
+        cond = make_condition(rev, self._condition_cfg(256, 256))
         assert cond.shape == (1, 1, 256)
         np.testing.assert_array_equal(cond[0, 0], rev[0, :256])
-        padded = make_condition(rev[:, :600], condition_len=512, rir_len=1024)
+        padded = make_condition(rev[:, :600], self._condition_cfg(512, 1024))
         assert padded.shape == (1, 1, 1024)
         assert np.all(padded[0, 0, 512:] == 0)
 
@@ -173,7 +181,7 @@ class TestDiscriminator:
 
     def test_condition_shorter_than_required_rejected(self):
         with pytest.raises(InvalidInputError):
-            make_condition(np.zeros((1, 300)), condition_len=512, rir_len=1024)
+            make_condition(np.zeros((1, 300)), self._condition_cfg(512, 1024))
 
     @pytest.mark.parametrize(
         "cfg", [get_profile("toy").discriminator, get_profile("full").discriminator]

@@ -85,7 +85,7 @@ class TestTrainStep:
     def test_half_steps_do_not_cross_mutate(self, step_setup):
         cfg, est, disc, eo, do, basis, part, batch = step_setup
         rev, rir = batch
-        cond = make_condition(rev, disc.config.condition_len, disc.config.rir_len)
+        cond = make_condition(rev, disc.config)
 
         # discriminator half-step leaves the estimator untouched
         est_before = _param_digest(est)
@@ -143,7 +143,7 @@ def _two_forward_step(est, disc, batch, cfg, eo, do, basis, part):
     estimator forward for the discriminator half-step, with the batchnorm
     running statistics restored after it, then a second forward with grad."""
     rev, rir = batch
-    cond = make_condition(rev, disc.config.condition_len, disc.config.rir_len)
+    cond = make_condition(rev, disc.config)
     rev_t, rir_t = Tensor(rev[:, None, :]), Tensor(rir[:, None, :])
     saved = [(holder, attr, getattr(holder, attr)) for _, holder, attr in est.named_buffers()]
     with ad.no_grad():
