@@ -242,8 +242,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     A file that is not a JSON manifest raises InvalidConfigError, and so
     does an entry whose file names are not strings, whose split is not one
-    of SPLITS or whose params have the wrong type, or an example_len or
-    rir_len that is not an integer >= 1.
+    of SPLITS or whose params have the wrong type, or a sample_rate,
+    example_len or rir_len that is not an integer >= 1.
 
     A manifest without ``rir_len`` (the format before it and the clean
     paths were stored) still loads: each clean path is then the reverberant
@@ -272,7 +272,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
-    for key in ("example_len",) + (() if legacy else ("rir_len",)):
+    for key in ("sample_rate", "example_len") + (() if legacy else ("rir_len",)):
         value = header[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise InvalidConfigError(f"{path}: {key}={value!r}, expected an integer >= 1")

@@ -286,6 +286,21 @@ class TestTrain:
         assert "16000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["8000", None, True, 0])
+    def test_mistyped_sample_rate_exits_2_without_run_directory(
+        self, tmp_path, cli_dataset, capsys, value
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "sample_rate": value}))
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy", "--set", "epochs=1"])
+        assert code == 2
+        assert f"sample_rate={value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_wav_exits_3_without_run_directory(self, tmp_path, cli_dataset):
         data = tmp_path / "ds"
         shutil.copytree(cli_dataset, data)
@@ -482,7 +497,8 @@ class TestEvaluate:
         "field, value",
         [("rir", 3), ("reverberant", None), ("split", 3), ("split", "training"),
          ("example_len", 1.5), ("example_len", 0), ("example_len", True), ("clean", 3),
-         ("rir_len", 0), ("rir_len", "256")],
+         ("rir_len", 0), ("rir_len", "256"), ("sample_rate", "8000"), ("sample_rate", None),
+         ("sample_rate", True), ("sample_rate", 0)],
     )
     def test_mistyped_manifest_field_exits_2_before_reading_wavs(
         self, tmp_path, cli_dataset, capsys, monkeypatch, field, value
@@ -490,7 +506,7 @@ class TestEvaluate:
         data = tmp_path / "ds"
         shutil.copytree(cli_dataset, data)
         manifest = json.loads((data / "manifest.json").read_text())
-        (manifest if field.endswith("_len") else manifest["entries"][-1])[field] = value
+        (manifest if field in manifest else manifest["entries"][-1])[field] = value
         (data / "manifest.json").write_text(json.dumps(manifest))
         reads = []
         for module in (cli, synth):
