@@ -311,10 +311,16 @@ def train(
     (fileio.atomic_write), so a kill mid-write leaves its previous version.
     Epoch shuffling, initialization and the learning-rate schedule are all
     pure functions of the config and seed. On divergence the log is flushed
-    before the error propagates. The train split must hold the 2 examples
-    that a step needs.
+    before the error propagates. The manifest must share the estimator's
+    sample rate, and its train split must hold the 2 examples that a step
+    needs.
     """
     cfg, est_cfg = profile.train, profile.estimator
+    if manifest.sample_rate != est_cfg.sample_rate:
+        raise InvalidInputError(
+            f"the manifest is sampled at {manifest.sample_rate} Hz, the estimator at "
+            f"{est_cfg.sample_rate} Hz"
+        )
     if cfg.stft_window > est_cfg.rir_len:
         raise InvalidInputError(
             f"stft_window {cfg.stft_window} is longer than the estimator's rir_len "

@@ -286,6 +286,23 @@ class TestTrain:
         assert "16000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_manifest_of_another_sample_rate_exits_2_without_run_directory(
+        self, tmp_path, cli_dataset, capsys
+    ):
+        # The WAVs hold the toy lengths, so only the header's rate is wrong:
+        # octave bands at 16 kHz would be scored around an 8 kHz estimator.
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "sample_rate": 16000}))
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy", "--set", "epochs=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "16000 Hz" in err and "8000 Hz" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["8000", None, True, 0])
     def test_mistyped_sample_rate_exits_2_without_run_directory(
         self, tmp_path, cli_dataset, capsys, value
