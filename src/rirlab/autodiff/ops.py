@@ -9,7 +9,10 @@ normalized activations are recomputed from the op's input in backward
 rather than kept from the forward. batchnorm_prelu is prelu(batchnorm1d())
 as one op whose record holds one activation where the pair holds two; the
 estimator's decoder runs it, and batchnorm1d and prelu stay as the
-reference it is tested against, bit for bit."""
+reference it is tested against, bit for bit. All three run on per-example
+channel tiles that stay in cache (TILE), and BatchNorm's backward is
+written from per-channel sums of the output gradient, so the fused op
+streams the activation about half as often as whole-array numpy would."""
 
 from __future__ import annotations
 
@@ -194,6 +197,46 @@ def conv_transpose1d(
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 BN_EPS = 1e-5  # added to the variance before its square root
 
+# BatchNorm and PReLU run on per-example channel tiles, x[b, c0:c1] of about
+# TILE elements (one channel at least), so each pass over a tile reads what
+# the pass before it left in cache instead of streaming the whole
+# activation again. Tiles take channels in order and, within them, examples
+# in order. No result depends on TILE: the ops are elementwise, and each
+# per-channel sum adds one row sum per example, in example order, each row
+# summed whole by numpy.
+TILE = 1 << 16
+
+
+def _channel_tiles(x: np.ndarray, *dtypes):
+    """(channels, scratch) for each tile of [B,C,L] x: a slice of TILE // L
+    channels (at least one, at most C), and one [channels, L] scratch array
+    per dtype given, reused from tile to tile."""
+    _, C, L = x.shape
+    step = max(1, min(C, TILE // max(L, 1)))
+    buffers = [np.empty((step, L), dtype) for dtype in dtypes]
+    for c0 in range(0, C, step):
+        c1 = min(C, c0 + step)
+        yield slice(c0, c1), [buf[: c1 - c0] for buf in buffers]
+
+
+def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x.mean(axis=(0, 2)) and x.var(axis=(0, 2)), bit for bit, from
+    per-example row sums: numpy's reductions over those axes add the same
+    row sums in the same order. var takes this mean rather than computing
+    it again."""
+    B, C, L = x.shape
+    mean, var = np.zeros(C, x.dtype), np.zeros(C, x.dtype)
+    for cs, (d,) in _channel_tiles(x, x.dtype):
+        for b in range(B):
+            mean[cs] += x[b, cs].sum(axis=1)
+        mean[cs] /= B * L
+        for b in range(B):
+            np.subtract(x[b, cs], mean[cs, None], out=d)
+            d *= d
+            var[cs] += d.sum(axis=1)
+        var[cs] /= B * L
+    return mean, var
+
 
 @dataclass
 class BatchNormState:
@@ -229,8 +272,7 @@ def _batchnorm_stats(
     if train:
         if B < 2:
             raise InvalidInputError(f"{op} needs a batch of at least 2 in train mode")
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        mean, var = _batch_stats(x.data)
         state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
     else:
@@ -238,42 +280,105 @@ def _batchnorm_stats(
     return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
-def _normalized(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """xhat = (x - mean) * inv, built in one buffer."""
-    t = x - mean[None, :, None]
-    t *= inv[None, :, None]
-    return t
+def _batchnorm_tile(x, mean, inv, gamma, beta, out) -> None:
+    """out = ((x - mean) * inv) * gamma + beta on one tile, per-channel
+    values as [channels, 1] columns."""
+    np.subtract(x, mean, out=out)
+    out *= inv
+    out *= gamma
+    out += beta
 
 
-def _batchnorm_out(
-    x: np.ndarray, mean: np.ndarray, inv: np.ndarray, gamma: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """The ops of gamma * xhat + beta, in their order, in xhat's buffer."""
-    t = _normalized(x, mean, inv)
-    t *= gamma[None, :, None]
-    t += beta[None, :, None]
-    return t
+def _prelu_tile(y, s, out, scratch) -> None:
+    """out = max(y, -0) + s*min(0, y) on one tile: np.where(y > 0, y, s*y)
+    up to the sign of a zero, without its slow per-element branch or a
+    factor array. scratch may be y.
+
+    Where y <= 0 the first term is -0, which keeps the sign of any zero
+    s*y. Where y is a zero, the sign of the result hangs on which operand
+    numpy's maximum and minimum return for two equal zeros; with the
+    second, as on x86, this operand order gives np.where's bits exactly."""
+    np.maximum(y, -0.0, out=out)
+    np.minimum(0, y, out=scratch)
+    scratch *= s
+    out += scratch
 
 
-def _batchnorm_grads(g, xhat, x: Tensor, gamma: Tensor, beta: Tensor, inv, train: bool):
-    """(gx, ggamma, gbeta) of batchnorm's output gradient g, given the
-    normalized input xhat. Callers recompute xhat from x rather than keep it
-    from the forward, so a record holds no activation-sized array of its
-    own."""
-    gbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
-    ggamma = (g * xhat).sum(axis=(0, 2)) if gamma.requires_grad else None
-    gx = None
-    if x.requires_grad:
-        gxhat = g * gamma.data[None, :, None]
-        if train:
-            gx = inv[None, :, None] * (
-                gxhat
-                - gxhat.mean(axis=(0, 2), keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=(0, 2), keepdims=True)
-            )
-        else:
-            gx = gxhat * inv[None, :, None]
-    return gx, ggamma, gbeta
+def _prelu_grad_tile(g, y, s, gy, mask, scratch) -> np.ndarray:
+    """PReLU's backward on one tile: writes gy = g*f into gy, f as
+    _leaky_scale builds it, and returns the row sums of g*min(y, 0), the
+    slope gradient's terms. scratch may be y."""
+    np.greater(y, 0, out=mask)
+    _leaky_scale(g, mask, s, out=gy)
+    np.minimum(y, 0, out=scratch)
+    scratch *= g
+    return scratch.sum(axis=1)
+
+
+def _bn_prelu_forward(x, mean, inv, gamma, beta, s=None) -> np.ndarray:
+    """batchnorm's output of x [B,C,L], and PReLU's of it when s, the
+    [C, 1] slopes, is given, in a fresh array. The batchnorm output of a
+    tile stays in cache for the PReLU."""
+    B = x.shape[0]
+    out = np.empty(x.shape, x.dtype)
+    mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
+    for cs, (y,) in _channel_tiles(x, x.dtype):
+        for b in range(B):
+            if s is None:
+                _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], out[b, cs])
+            else:
+                _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], y)
+                _prelu_tile(y, s[cs], out[b, cs], y)
+    return out
+
+
+def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s=None, want_gx=True):
+    """(gx, ggamma, gbeta, gslope) of the output gradient g of
+    _bn_prelu_forward(x, mean, inv, gamma, beta, s); gslope is None when s
+    is. gx is None unless want_gx, and no other array of x's size is made.
+
+    Pass 1 rebuilds d = x - mean (and the batchnorm output y and its sign
+    mask, given s), writes batchnorm's output gradient gy into the gx
+    buffer and adds the per-channel sums of gy, gy*d and g*min(y, 0). Once
+    a channel tile has all its examples' sums, pass 2 turns its gy into
+    gx = a*gy - a*sum(gy)/n - d*(a*inv^2*sum(gy*d)/n) in place, a =
+    inv*gamma, n = B*L, from the sums as Ioffe & Szegedy (2015, sec. 3)
+    write the gradient; in eval mode gx = a*gy. gamma's gradient is
+    inv*sum(gy*d) and beta's sum(gy)."""
+    B, C, L = x.shape
+    n = B * L
+    gx = np.empty(x.shape, x.dtype)
+    sum_gy, sum_gyd = np.zeros((C, 1), x.dtype), np.zeros((C, 1), x.dtype)
+    gslope = None if s is None else np.zeros(C, x.dtype)
+    mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
+    a = inv * gamma
+    for cs, (d, t, mask) in _channel_tiles(x, x.dtype, x.dtype, bool):
+        for b in range(B):
+            gy = gx[b, cs]
+            np.subtract(x[b, cs], mean[cs], out=d)
+            if s is None:
+                np.copyto(gy, g[b, cs])
+            else:
+                np.multiply(d, inv[cs], out=t)
+                t *= gamma[cs]
+                t += beta[cs]
+                gslope[cs] += _prelu_grad_tile(g[b, cs], t, s[cs], gy, mask, t)
+            sum_gy[cs, 0] += gy.sum(axis=1)
+            np.multiply(gy, d, out=t)
+            sum_gyd[cs, 0] += t.sum(axis=1)
+        if not want_gx:
+            continue
+        c1 = a[cs] * sum_gy[cs] / n
+        c2 = a[cs] * inv[cs] * inv[cs] * sum_gyd[cs] / n
+        for b in range(B):
+            gy = gx[b, cs]
+            gy *= a[cs]
+            if train:
+                gy -= c1
+                np.subtract(x[b, cs], mean[cs], out=d)
+                d *= c2
+                gy -= d
+    return (gx if want_gx else None), (inv * sum_gyd)[:, 0], sum_gy[:, 0], gslope
 
 
 def batchnorm1d(
@@ -283,25 +388,31 @@ def batchnorm1d(
     (batch of >= 2 required), which also update the running statistics, and
     running statistics in eval mode."""
     mean, inv = _batchnorm_stats("batchnorm1d", x, gamma, beta, state, train)
-    out = Tensor(_batchnorm_out(x.data, mean, inv, gamma.data, beta.data))
-    record(
-        out,
-        (x, gamma, beta),
-        lambda g: _batchnorm_grads(g, _normalized(x.data, mean, inv), x, gamma, beta, inv, train),
-    )
+    out = Tensor(_bn_prelu_forward(x.data, mean, inv, gamma.data, beta.data))
+
+    def backward_fn(g):
+        gx, ggamma, gbeta, _ = _bn_prelu_backward(
+            g, x.data, mean, inv, gamma.data, beta.data, train, want_gx=x.requires_grad
+        )
+        return gx, ggamma, gbeta
+
+    record(out, (x, gamma, beta), backward_fn)
     return out
 
 
-# The leaky activations scale by a factor f that is exactly 1 where x > 0
-# and exactly the slope s elsewhere: f = s*(1 - m) + m with m = (x > 0) in
-# x's dtype, so x*f and g*f carry the bits of np.where(x > 0, x, s*x) and
-# np.where(x > 0, g, s*g) for every finite slope (at s = -0.0 only a zero's
-# sign can differ). np.where with a mask that follows the data's sign runs
-# about 5x slower than a plain ufunc over the same array, because its
-# per-element branch is taken at random; these kernels stay branch-free.
-def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope) -> np.ndarray:
-    """a * f in a fresh array, f = 1 where mask else slope."""
-    f = np.subtract(1, mask, dtype=a.dtype)
+# leaky_relu, and the PReLU backward, scale by a factor f that is exactly 1
+# where the mask is set and exactly the slope s elsewhere: f = s*(1 - m) + m
+# with m the mask in the data's dtype, so x*f and g*f carry the bits of
+# np.where(x > 0, x, s*x) and np.where(x > 0, g, s*g) for every finite slope
+# (at s = -0.0 only a zero's sign can differ). np.where with a mask that
+# follows the data's sign runs about 5x slower than a plain ufunc over the
+# same array, because its per-element branch is taken at random; these
+# kernels stay branch-free. The PReLU forward needs no factor:
+# _prelu_tile's max(y, -0) + s*min(0, y) gives the same bits, up to a zero's
+# sign off x86, in four ufunc passes where the mask and factor take five.
+def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope, out=None) -> np.ndarray:
+    """a * f, f = 1 where mask else slope, into out or a fresh array."""
+    f = np.subtract(1, mask, dtype=a.dtype, out=out)
     f *= slope
     f += mask
     f *= a
@@ -320,28 +431,34 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def _check_prelu(op: str, x: Tensor, slope: Tensor) -> np.ndarray:
-    """The slope broadcast over [B,C,L] x, after checking both."""
+    """The slope as a [C, 1] column for [B,C,L] x, after checking both."""
     B, C, L = _as_3d(x, f"{op} input")
     if slope.shape != (C,):
         raise ShapeMismatchError(f"{op} slope must be ({C},), got {slope.shape}")
     check_same_dtype(op, x, slope)
-    return slope.data[None, :, None]
-
-
-def _prelu_grads(g, x: np.ndarray, s, slope: Tensor, want_gx: bool):
-    """(gx, gslope) of prelu's output gradient g at input x; the mask is
-    recomputed rather than kept from the forward."""
-    mask = x > 0
-    gx = _leaky_scale(g, mask, s) if want_gx else None
-    gs = (g * x * (~mask)).sum(axis=(0, 2)) if slope.requires_grad else None
-    return gx, gs
+    return slope.data[:, None]
 
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """Leaky activation with one learnable slope per channel of [B,C,L]."""
     s = _check_prelu("prelu", x, slope)
-    out = Tensor(_leaky_scale(x.data, x.data > 0, s))
-    record(out, (x, slope), lambda g: _prelu_grads(g, x.data, s, slope, x.requires_grad))
+    B, C, _ = x.shape
+    dtype = x.data.dtype
+    out = np.empty(x.shape, dtype)
+    for cs, (t,) in _channel_tiles(x.data, dtype):
+        for b in range(B):
+            _prelu_tile(x.data[b, cs], s[cs], out[b, cs], t)
+
+    def backward_fn(g):
+        # The mask is recomputed from x rather than kept from the forward.
+        gx, gslope = np.empty(x.shape, dtype), np.zeros(C, dtype)
+        for cs, (t, mask) in _channel_tiles(x.data, dtype, bool):
+            for b in range(B):
+                gslope[cs] += _prelu_grad_tile(g[b, cs], x.data[b, cs], s[cs], gx[b, cs], mask, t)
+        return gx, gslope
+
+    out = Tensor(out)
+    record(out, (x, slope), backward_fn)
     return out
 
 
@@ -356,27 +473,21 @@ def batchnorm_prelu(
     """prelu(batchnorm1d(x, gamma, beta, state, train), slope) as one op.
 
     The output, the running statistics and the gradients of x, gamma, beta
-    and slope are those of the two ops, bit for bit: the same IEEE
-    operations run in the same order. The difference is what the record
-    holds. The two ops' records hold the batchnorm input and the batchnorm
-    output; this one holds only x, and its backward recomputes the
-    batchnorm output from x and the statistics of the forward.
+    and slope are those of the two ops, bit for bit: the same tile kernels
+    run the same IEEE operations in the same order. The difference is what
+    is held and how often the activation is streamed. The two ops' records
+    hold the batchnorm input and the batchnorm output; this one holds only
+    x, and its backward recomputes the batchnorm output from x and the
+    statistics of the forward, tile by tile, in the pass that needs it.
     """
     s = _check_prelu("batchnorm_prelu", x, slope)
     mean, inv = _batchnorm_stats("batchnorm_prelu", x, gamma, beta, state, train)
-    y = _batchnorm_out(x.data, mean, inv, gamma.data, beta.data)
-    out = Tensor(_leaky_scale(y, y > 0, s))
+    out = Tensor(_bn_prelu_forward(x.data, mean, inv, gamma.data, beta.data, s))
 
     def backward_fn(g):
-        # y = xhat * gamma + beta has the bits of _batchnorm_out's in-place
-        # ops on xhat's buffer, so xhat serves both backwards.
-        xhat = _normalized(x.data, mean, inv)
-        y = xhat * gamma.data[None, :, None]
-        y += beta.data[None, :, None]
-        gy, gs = _prelu_grads(g, y, s, slope, True)
-        del y
-        gx, ggamma, gbeta = _batchnorm_grads(gy, xhat, x, gamma, beta, inv, train)
-        return (gx, ggamma, gbeta, gs)
+        return _bn_prelu_backward(
+            g, x.data, mean, inv, gamma.data, beta.data, train, s, want_gx=x.requires_grad
+        )
 
     record(out, (x, gamma, beta, slope), backward_fn)
     return out

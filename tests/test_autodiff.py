@@ -13,8 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import numeric_grad, relative_error
 from rirlab import autodiff as ad
 from rirlab import models
-from rirlab.autodiff import Tensor
-from rirlab.autodiff.ops import BN_EPS
+from rirlab.autodiff import Tensor, ops
+from rirlab.autodiff.ops import BN_EPS, BN_MOMENTUM
 from rirlab.autodiff.optim import EPS
 from rirlab.dsp import Signal, StftConfig, octave_bands, stft
 from rirlab.errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
@@ -1079,9 +1079,10 @@ def _decoder_bn_shapes():
 
 
 def _sink(out, g):
-    """A scalar whose backward sends exactly g into out."""
+    """A scalar whose backward sends exactly g, in g's memory layout, into
+    out."""
     loss = Tensor(np.zeros((), dtype=out.data.dtype))
-    ad.record(loss, (out,), lambda _: (g.copy(),))
+    ad.record(loss, (out,), lambda _: (g.copy(order="K"),))
     return loss
 
 
@@ -1226,6 +1227,163 @@ class TestBatchNormPReLU:
                 ad.batchnorm_prelu(x, gamma, beta, slope, state, train=True)
             np.testing.assert_array_equal(state.running_mean, np.zeros(3, dtype=np.float32))
         assert len(ad.active_tape()) == 0
+
+
+def _bn_prelu_oracle(x, gamma, beta, slope, mean, var, train, g):
+    """The BatchNorm+PReLU formulas the op ran before its tiled kernels,
+    whole-array numpy in x's dtype: a dict of the output, the four
+    gradients, the statistics used and the batchnorm output y and
+    normalized input xhat."""
+    if train:
+        mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+    col = lambda v: v[None, :, None]  # noqa: E731
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - col(mean)) * col(inv)
+    y = xhat * col(gamma) + col(beta)
+    mask = y > 0
+    gy = np.where(mask, g, col(slope) * g)
+    gxhat = gy * col(gamma)
+    if train:
+        gx = col(inv) * (
+            gxhat
+            - gxhat.mean(axis=(0, 2), keepdims=True)
+            - xhat * (gxhat * xhat).mean(axis=(0, 2), keepdims=True)
+        )
+    else:
+        gx = gxhat * col(inv)
+    return {
+        "out": np.where(mask, y, col(slope) * y),
+        "x.grad": gx,
+        "gamma.grad": (gy * xhat).sum(axis=(0, 2)),
+        "beta.grad": gy.sum(axis=(0, 2)),
+        "slope.grad": (g * y * ~mask).sum(axis=(0, 2)),
+        "mean": mean,
+        "var": var,
+        "y": y,
+        "xhat": xhat,
+    }
+
+
+def _bn_prelu_case(rng, shape, batch=4):
+    """float32 x, gamma, beta, slope, running mean and var and an upstream
+    gradient for one [C, L] decoder shape, at decoder-like scales."""
+    C, L = shape
+    x = rng.standard_normal((batch, C, L)) * rng.uniform(0.5, 3.0, C)[:, None]
+    x += rng.uniform(-2.0, 2.0, C)[:, None]
+    arrays = (
+        x,
+        rng.uniform(0.5, 1.5, C),
+        0.5 * rng.standard_normal(C),
+        rng.uniform(0.0, 0.5, C),
+        rng.standard_normal(C),
+        rng.uniform(0.5, 2.0, C),
+        rng.standard_normal((batch, C, L)),
+    )
+    return [a.astype(np.float32) for a in arrays]
+
+
+class TestBatchNormPReLUOracle:
+    """The op against the formulas it replaced: the forward keeps their
+    bits, and the float32 results stay near their float64 values.
+
+    Over the accuracy test's cases the oracle run in float32, which is what
+    the op computed before its tiled kernels, lies at most 2.1e-7 from
+    float64 on every quantity (1.7 float32 eps, max abs error over max abs
+    value) and the tiled kernels at most 2.5e-7 (gamma.grad). The bound,
+    4 eps = 4.8e-7, is about twice either."""
+
+    BOUND = 4 * np.finfo(np.float32).eps
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_forward_keeps_the_oracles_bits(self, dtype, train):
+        rng = np.random.default_rng(53)
+        for batch in (2, 4, 5):
+            for shape in _decoder_bn_shapes():
+                case = [a.astype(dtype) for a in _bn_prelu_case(rng, shape, batch)]
+                x, gamma, beta, slope, rm, rv, g = case
+                want = _bn_prelu_oracle(x, gamma, beta, slope, rm, rv, train, g)
+                state = ad.BatchNormState(rm.copy(), rv.copy())
+                with ad.no_grad():
+                    out = ad.batchnorm_prelu(
+                        Tensor(x), Tensor(gamma), Tensor(beta), Tensor(slope), state, train
+                    )
+                np.testing.assert_array_equal(_bits(out.data), _bits(want["out"]))
+                if train:
+                    for got, old, new in ((state.running_mean, rm, want["mean"]),
+                                          (state.running_var, rv, want["var"])):
+                        np.testing.assert_array_equal(
+                            _bits(got), _bits((1 - BN_MOMENTUM) * old + BN_MOMENTUM * new)
+                        )
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_float32_within_bound_of_float64_oracle(self, train):
+        rng = np.random.default_rng(50)
+        for shape in _decoder_bn_shapes():
+            x, gamma, beta, slope, rm, rv, g = _bn_prelu_case(rng, shape)
+            wide = [a.astype(np.float64) for a in (x, gamma, beta, slope, rm, rv)]
+            want = _bn_prelu_oracle(*wide, train, g.astype(np.float64))
+            # Where the float64 pre-activation lies within a few float32
+            # ulps of its terms from 0, float32 may take the other side of
+            # the PReLU, which moves one x.grad element by (1 - s)*g and
+            # every sum over it. Those elements are left out: g is 0 there.
+            terms = np.abs(want["xhat"] * wide[1][None, :, None]) + np.abs(wide[2])[None, :, None]
+            g[np.abs(want["y"]) <= 64 * np.finfo(np.float32).eps * terms] = 0
+            want = _bn_prelu_oracle(*wide, train, g.astype(np.float64))
+            state = ad.BatchNormState(rm.copy(), rv.copy())
+            names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad")
+            got = dict(zip(names, _bn_prelu_run(True, x, gamma, beta, slope, state, train, g)))
+            if train:
+                got["running_mean"], got["running_var"] = state.running_mean, state.running_var
+                want["running_mean"] = (1 - BN_MOMENTUM) * wide[4] + BN_MOMENTUM * want["mean"]
+                want["running_var"] = (1 - BN_MOMENTUM) * wide[5] + BN_MOMENTUM * want["var"]
+            for name, value in got.items():
+                assert value.dtype == np.float32, name
+                err = np.max(np.abs(value - want[name])) / np.max(np.abs(want[name]))
+                assert err <= self.BOUND, f"{name} {shape}: {err:.3g}"
+
+
+class TestBatchNormPReLUTiles:
+    """The tile size changes the speed alone: no bit of any result hangs on
+    it, nor on the layout of the upstream gradient."""
+
+    def _results(self, x, gamma, beta, slope, rm, rv, g, train):
+        state = ad.BatchNormState(rm.copy(), rv.copy())
+        fused = _bn_prelu_run(True, x, gamma, beta, slope, state, train, g)
+        pair_state = ad.BatchNormState(rm.copy(), rv.copy())
+        pair = _bn_prelu_run(False, x, gamma, beta, slope, pair_state, train, g)
+        return fused + pair + [state.running_mean, state.running_var]
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_one_channel_and_whole_array_tiles_give_the_same_bits(self, train, monkeypatch):
+        rng = np.random.default_rng(51)
+        for shape in _decoder_bn_shapes():
+            case = _bn_prelu_case(rng, shape)
+            want = self._results(*case, train)
+            for tile in (1, case[0].size):
+                monkeypatch.setattr(ops, "TILE", tile)
+                got = self._results(*case, train)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{shape} {tile}")
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_transposed_upstream_gradient_gives_the_same_bits(self, train):
+        # conv_transpose1d hands its input gradient over as a [B, C, L]
+        # view of a [C, B, L] array.
+        rng = np.random.default_rng(52)
+        for shape in _decoder_bn_shapes():
+            x, gamma, beta, slope, rm, rv, g = _bn_prelu_case(rng, shape)
+            view = np.ascontiguousarray(g.transpose(1, 0, 2)).transpose(1, 0, 2)
+            assert not view.flags["C_CONTIGUOUS"]
+            for fused in (True, False):
+                runs = [
+                    _bn_prelu_run(fused, x, gamma, beta, slope,
+                                  ad.BatchNormState(rm.copy(), rv.copy()), train, upstream)
+                    for upstream in (g, view)
+                ]
+                for a, b in zip(*runs):
+                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{shape}")
 
 
 class TestThreadLocalGradMode:
