@@ -146,10 +146,11 @@ def _backward_and_update(loss: Tensor, params: list[Tensor], opt: ad.RmspropStat
     """backward(loss), with rmsprop_step run on each parameter of params as
     soon as backward hands over its gradient, which is then dropped: no full
     set of gradients is ever held, and no .grad is written. Gradients that
-    reach other leaves are dropped unused. The accumulator of a parameter
-    that loss does not reach decays, as rmsprop_step's does for a None
-    gradient. If the sweep raises, the parameters updated so far stay
-    updated."""
+    reach other leaves are dropped unused; a caller that does not want them
+    computed clears those leaves' requires_grad until this returns, since
+    the closures read it as they run. The accumulator of a parameter that
+    loss does not reach decays, as rmsprop_step's does for a None gradient.
+    If the sweep raises, the parameters updated so far stay updated."""
     index = {p.node_id: i for i, p in enumerate(params)}
     unreached = dict.fromkeys(range(len(params)))
 
@@ -189,11 +190,14 @@ def train_step(
     Each half-step's update consumes its gradients: rmsprop_step runs on
     each parameter as soon as the backward sweep has summed its gradient,
     and the gradient is dropped then, so a step never holds the full set
-    (about 70 MB on the full profile). The discriminator gradients of the
-    estimator sweep are dropped as they complete. The result is the bits of
-    a sweep followed by one rmsprop_step over all parameters. Both networks'
-    .grad are cleared when the step starts and no parameter holds a .grad
-    after it. If a sweep raises, the parameters it updated stay updated.
+    (about 70 MB on the full profile). The estimator sweep computes no
+    discriminator weight gradients: the discriminator's parameters do not
+    require grad from its adversarial forward until that sweep has run, and
+    require it again when the step returns or raises. The result is the
+    bits of a sweep followed by one rmsprop_step over all parameters. Both
+    networks' .grad are cleared when the step starts and no parameter holds
+    a .grad after it. If a sweep raises, the parameters it updated stay
+    updated.
     """
     rev, rir = batch
     cond = make_condition(rev, discriminator.config)
@@ -216,6 +220,8 @@ def train_step(
         _backward_and_update(l_d, discriminator.parameters(), disc_opt)
 
         # Estimator half-step, with the non-saturating generator loss.
+        for p in discriminator.parameters():
+            p.requires_grad = False
         adv_logits = discriminator.forward(fake, Tensor(cond), train=True)
         l_cgan = ad.bce_logit_loss(adv_logits, ones)
         l_edr = ad.mse_loss(
@@ -237,6 +243,8 @@ def train_step(
         _backward_and_update(total, estimator.parameters(), est_opt)
         return losses
     finally:
+        for p in discriminator.parameters():
+            p.requires_grad = True
         # Records added before the step are never reached from its losses,
         # so they stay at the front of the tape.
         del tape[mark:]

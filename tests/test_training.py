@@ -238,6 +238,57 @@ class TestSingleEstimatorForward:
         assert len(ad.active_tape()) == 0
 
 
+class TestEstimatorSweepSkipsDiscriminatorWeights:
+    """The estimator half-step computes no discriminator weight gradients:
+    the discriminator's parameters require no grad from its adversarial
+    forward through the estimator sweep, and require it again after."""
+
+    def test_no_discriminator_leaf_reaches_the_estimator_sweep(self, step_setup, monkeypatch):
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        sweeps = []
+        backward = ad.backward
+
+        def recording(loss, on_leaf):
+            leaves = []
+            sweeps.append(leaves)
+
+            def hand_over(leaf, grad):
+                leaves.append(leaf.node_id)
+                on_leaf(leaf, grad)
+
+            backward(loss, on_leaf=hand_over)
+
+        monkeypatch.setattr(ad, "backward", recording)
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        disc_ids = {p.node_id for p in disc.parameters()}
+        assert len(sweeps) == 2
+        assert set(sweeps[0]) == disc_ids
+        assert set(sweeps[1]) == {p.node_id for p in est.parameters()}
+
+    def test_parameters_require_grad_again_after_a_step(self, step_setup):
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert all(p.requires_grad for p in disc.parameters())
+
+    def test_parameters_require_grad_again_after_divergence(self, step_setup, monkeypatch):
+        # The estimator losses are checked after the adversarial forward,
+        # while the discriminator's parameters require no grad.
+        cfg, est, disc, eo, do, basis, part, batch = step_setup
+        seen = []
+
+        def diverging(losses, context):
+            seen.append([p.requires_grad for p in disc.parameters()])
+            if "l_edr" in losses:
+                raise TrainingDivergedError("non-finite loss (l_edr)")
+
+        monkeypatch.setattr(training, "_check_finite", diverging)
+        with pytest.raises(TrainingDivergedError):
+            train_step(est, disc, batch, cfg, eo, do, basis, part)
+        assert len(seen) == 2 and all(seen[0]) and not any(seen[1])
+        assert all(p.requires_grad for p in disc.parameters())
+        assert len(ad.active_tape()) == 0
+
+
 class TestUpdatesConsumeGradients:
     """Each half-step applies rmsprop_step to a parameter as soon as its
     gradient is complete, with the bits of one update after the sweep."""
