@@ -38,6 +38,7 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedFormatError,
 )
+from .fileio import atomic_write
 from .models import estimate, estimate_batch, load_checkpoint
 from .profiles import get_profile, profile_for_sample_rate
 from .synth import DatasetManifest, build_dataset, load_manifest
@@ -224,10 +225,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(metrics.report_to_csv(report))
+    with atomic_write(out) as fh:
+        fh.write(metrics.report_to_csv(report))
 
     per_example = out.with_name(out.stem + "_examples.csv")
-    with open(per_example, "w") as fh:
+    with atomic_write(per_example) as fh:
         fh.write("example,reverberant,edr_loss,ere_err_db,drr_err_db,mse\n")
         for i, (entry, (loss, ere_err, drr_err, mse)) in enumerate(zip(entries, report.examples)):
             fh.write(f"{i},{entry.reverberant},{loss!r},{ere_err!r},{drr_err!r},{mse!r}\n")
@@ -261,7 +263,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     truth_db, est_db = truth_edr.in_db(), est_edr.in_db()
     for b, center in enumerate(partition.centers):
         path = out_dir / f"edr_{int(center)}.csv"
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("time_s,edr_db_truth,edr_db_estimated\n")
             for t in range(truth_db.shape[1]):
                 fh.write(
@@ -269,7 +271,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
                     f"{float(est_db[b, t])!r}\n"
                 )
 
-    with open(out_dir / "waveform.csv", "w") as fh:
+    with atomic_write(out_dir / "waveform.csv") as fh:
         fh.write("time_s,truth,estimated\n")
         for i in range(len(truth)):
             fh.write(

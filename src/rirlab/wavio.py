@@ -19,6 +19,7 @@ import numpy as np
 
 from .dsp import Signal
 from .errors import UnsupportedFormatError
+from .fileio import atomic_write
 
 PCM, IEEE_FLOAT, EXTENSIBLE = 1, 3, 0xFFFE
 _BYTE_ORDERS = {b"RIFF": "<", b"RIFX": ">", b"RF64": "<"}
@@ -110,8 +111,9 @@ def read_wav(path: str | Path) -> Signal:
 
 
 def write_wav(path: str | Path, signal: Signal) -> None:
-    """Write a Signal to a mono IEEE float32 WAV file; a float32 signal
-    round-trips exactly through read_wav.
+    """Write a Signal to a mono IEEE float32 WAV file, replacing any file
+    at path whole (fileio.atomic_write); a float32 signal round-trips
+    exactly through read_wav.
 
     The 58-byte header is a RIFF header, an 18-byte fmt chunk, a fact chunk
     holding the sample count and the data chunk's header.
@@ -124,6 +126,6 @@ def write_wav(path: str | Path, signal: Signal) -> None:
         + b"fact" + struct.pack("<II", 4, data.size)
         + b"data" + struct.pack("<I", data.nbytes)
     )
-    with open(path, "wb") as fid:
+    with atomic_write(path, "wb") as fid:
         fid.write(header)
         fid.write(data)

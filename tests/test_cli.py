@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import struct
 import tempfile
@@ -766,6 +767,53 @@ class TestPlotData:
              "--out", str(tmp_path / "p")]
         )
         assert code == 2
+
+
+class TestFilesAreReplacedWhole:
+    """Every file a command writes goes through fileio.atomic_write: it is
+    written beside its path and renamed over it."""
+
+    @pytest.fixture()
+    def replaced(self, monkeypatch):
+        names = []
+        replace = os.replace
+
+        def recording(src, dst):
+            names.append(Path(dst).name)
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        return names
+
+    def test_synth(self, tmp_path, replaced):
+        out = tmp_path / "ds"
+        assert main(["synth", "--out", str(out), "--n", "4", "--profile", "toy"]) == 0
+        files = sorted(p.name for p in out.iterdir())
+        assert len(files) == 1 + 3 * 4  # the manifest and three WAVs per example
+        assert sorted(replaced) == files
+
+    def test_evaluate(self, tmp_path, cli_dataset, replaced):
+        out = tmp_path / "report" / "baseline.csv"
+        code = main(
+            ["evaluate", "--manifest", str(cli_dataset / "manifest.json"), "--split", "test",
+             "--method", "baseline", "--out", str(out)]
+        )
+        assert code == 0
+        files = ["baseline.csv", "baseline_examples.csv"]
+        assert sorted(p.name for p in out.parent.iterdir()) == files
+        assert sorted(replaced) == files
+
+    def test_plot_data(self, tmp_path, cli_dataset, cli_run, replaced):
+        out = tmp_path / "plots"
+        code = main(
+            ["plot-data", "--ckpt", str(cli_run / "best.ckpt"),
+             "--manifest", str(cli_dataset / "manifest.json"), "--example", "0",
+             "--out", str(out)]
+        )
+        assert code == 0
+        files = sorted(p.name for p in out.iterdir())
+        assert "waveform.csv" in files and len(files) > 1
+        assert sorted(replaced) == files
 
 
 class TestArgumentErrors:
