@@ -17,6 +17,7 @@ streams the activation about half as often as whole-array numpy would."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,16 +208,38 @@ BN_EPS = 1e-5  # added to the variance before its square root
 TILE = 1 << 16
 
 
+# numpy 2 runs a ufunc whose operand is broadcast along rows shorter than
+# its buffer (8192 elements by default) through that buffer, copying every
+# operand; the tile kernels' per-channel [channels, 1] operands then made a
+# dec5 BatchNorm+PReLU step about 30% slower. With the buffer no longer than
+# a row, each row runs straight through the ufunc's inner loop. Rows shorter
+# than LONG_ROW gain from the buffer (at 64 elements, 512 inner loops per
+# op cost more than the copies) and keep it. No result depends on the
+# buffer size: numpy buffers neither these elementwise ops nor reductions
+# that need no cast.
+LONG_ROW = 1024
+
+
+@contextmanager
 def _channel_tiles(x: np.ndarray, *dtypes):
-    """(channels, scratch) for each tile of [B,C,L] x: a slice of TILE // L
-    channels (at least one, at most C), and one [channels, L] scratch array
-    per dtype given, reused from tile to tile."""
+    """The tiles of [B,C,L] x, as a list of (channels, scratch): a slice of
+    TILE // L channels (at least one, at most C), and one [channels, L]
+    scratch array per dtype given, shared by all tiles. Within the block,
+    rows of LONG_ROW elements or more run unbuffered."""
     _, C, L = x.shape
     step = max(1, min(C, TILE // max(L, 1)))
     buffers = [np.empty((step, L), dtype) for dtype in dtypes]
-    for c0 in range(0, C, step):
-        c1 = min(C, c0 + step)
-        yield slice(c0, c1), [buf[: c1 - c0] for buf in buffers]
+    tiles = [
+        (slice(c0, min(C, c0 + step)), [buf[: min(C, c0 + step) - c0] for buf in buffers])
+        for c0 in range(0, C, step)
+    ]
+    old = np.getbufsize()
+    if L >= LONG_ROW:
+        np.setbufsize(min(old, L - L % 16))  # numpy 1.x takes multiples of 16 only
+    try:
+        yield tiles
+    finally:
+        np.setbufsize(old)
 
 
 def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,15 +249,16 @@ def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     it again."""
     B, C, L = x.shape
     mean, var = np.zeros(C, x.dtype), np.zeros(C, x.dtype)
-    for cs, (d,) in _channel_tiles(x, x.dtype):
-        for b in range(B):
-            mean[cs] += x[b, cs].sum(axis=1)
-        mean[cs] /= B * L
-        for b in range(B):
-            np.subtract(x[b, cs], mean[cs, None], out=d)
-            d *= d
-            var[cs] += d.sum(axis=1)
-        var[cs] /= B * L
+    with _channel_tiles(x, x.dtype) as tiles:
+        for cs, (d,) in tiles:
+            for b in range(B):
+                mean[cs] += x[b, cs].sum(axis=1)
+            mean[cs] /= B * L
+            for b in range(B):
+                np.subtract(x[b, cs], mean[cs, None], out=d)
+                d *= d
+                var[cs] += d.sum(axis=1)
+            var[cs] /= B * L
     return mean, var
 
 
@@ -322,13 +346,14 @@ def _bn_prelu_forward(x, mean, inv, gamma, beta, s=None) -> np.ndarray:
     B = x.shape[0]
     out = np.empty(x.shape, x.dtype)
     mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
-    for cs, (y,) in _channel_tiles(x, x.dtype):
-        for b in range(B):
-            if s is None:
-                _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], out[b, cs])
-            else:
-                _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], y)
-                _prelu_tile(y, s[cs], out[b, cs], y)
+    with _channel_tiles(x, x.dtype) as tiles:
+        for cs, (y,) in tiles:
+            for b in range(B):
+                if s is None:
+                    _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], out[b, cs])
+                else:
+                    _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], y)
+                    _prelu_tile(y, s[cs], out[b, cs], y)
     return out
 
 
@@ -352,32 +377,33 @@ def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s=None, want_g
     gslope = None if s is None else np.zeros(C, x.dtype)
     mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
     a = inv * gamma
-    for cs, (d, t, mask) in _channel_tiles(x, x.dtype, x.dtype, bool):
-        for b in range(B):
-            gy = gx[b, cs]
-            np.subtract(x[b, cs], mean[cs], out=d)
-            if s is None:
-                np.copyto(gy, g[b, cs])
-            else:
-                np.multiply(d, inv[cs], out=t)
-                t *= gamma[cs]
-                t += beta[cs]
-                gslope[cs] += _prelu_grad_tile(g[b, cs], t, s[cs], gy, mask, t)
-            sum_gy[cs, 0] += gy.sum(axis=1)
-            np.multiply(gy, d, out=t)
-            sum_gyd[cs, 0] += t.sum(axis=1)
-        if not want_gx:
-            continue
-        c1 = a[cs] * sum_gy[cs] / n
-        c2 = a[cs] * inv[cs] * inv[cs] * sum_gyd[cs] / n
-        for b in range(B):
-            gy = gx[b, cs]
-            gy *= a[cs]
-            if train:
-                gy -= c1
+    with _channel_tiles(x, x.dtype, x.dtype, bool) as tiles:
+        for cs, (d, t, mask) in tiles:
+            for b in range(B):
+                gy = gx[b, cs]
                 np.subtract(x[b, cs], mean[cs], out=d)
-                d *= c2
-                gy -= d
+                if s is None:
+                    np.copyto(gy, g[b, cs])
+                else:
+                    np.multiply(d, inv[cs], out=t)
+                    t *= gamma[cs]
+                    t += beta[cs]
+                    gslope[cs] += _prelu_grad_tile(g[b, cs], t, s[cs], gy, mask, t)
+                sum_gy[cs, 0] += gy.sum(axis=1)
+                np.multiply(gy, d, out=t)
+                sum_gyd[cs, 0] += t.sum(axis=1)
+            if not want_gx:
+                continue
+            c1 = a[cs] * sum_gy[cs] / n
+            c2 = a[cs] * inv[cs] * inv[cs] * sum_gyd[cs] / n
+            for b in range(B):
+                gy = gx[b, cs]
+                gy *= a[cs]
+                if train:
+                    gy -= c1
+                    np.subtract(x[b, cs], mean[cs], out=d)
+                    d *= c2
+                    gy -= d
     return (gx if want_gx else None), (inv * sum_gyd)[:, 0], sum_gy[:, 0], gslope
 
 
@@ -445,16 +471,20 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
     B, C, _ = x.shape
     dtype = x.data.dtype
     out = np.empty(x.shape, dtype)
-    for cs, (t,) in _channel_tiles(x.data, dtype):
-        for b in range(B):
-            _prelu_tile(x.data[b, cs], s[cs], out[b, cs], t)
+    with _channel_tiles(x.data, dtype) as tiles:
+        for cs, (t,) in tiles:
+            for b in range(B):
+                _prelu_tile(x.data[b, cs], s[cs], out[b, cs], t)
 
     def backward_fn(g):
         # The mask is recomputed from x rather than kept from the forward.
         gx, gslope = np.empty(x.shape, dtype), np.zeros(C, dtype)
-        for cs, (t, mask) in _channel_tiles(x.data, dtype, bool):
-            for b in range(B):
-                gslope[cs] += _prelu_grad_tile(g[b, cs], x.data[b, cs], s[cs], gx[b, cs], mask, t)
+        with _channel_tiles(x.data, dtype, bool) as tiles:
+            for cs, (t, mask) in tiles:
+                for b in range(B):
+                    gslope[cs] += _prelu_grad_tile(
+                        g[b, cs], x.data[b, cs], s[cs], gx[b, cs], mask, t
+                    )
         return gx, gslope
 
     out = Tensor(out)

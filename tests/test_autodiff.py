@@ -1344,8 +1344,8 @@ class TestBatchNormPReLUOracle:
 
 
 class TestBatchNormPReLUTiles:
-    """The tile size changes the speed alone: no bit of any result hangs on
-    it, nor on the layout of the upstream gradient."""
+    """The tile size and the ufunc buffer change the speed alone: no bit of
+    any result hangs on them, nor on the layout of the upstream gradient."""
 
     def _results(self, x, gamma, beta, slope, rm, rv, g, train):
         state = ad.BatchNormState(rm.copy(), rv.copy())
@@ -1360,12 +1360,29 @@ class TestBatchNormPReLUTiles:
         for shape in _decoder_bn_shapes():
             case = _bn_prelu_case(rng, shape)
             want = self._results(*case, train)
-            for tile in (1, case[0].size):
-                monkeypatch.setattr(ops, "TILE", tile)
+            for name, value in (("TILE", 1), ("TILE", case[0].size),
+                                ("LONG_ROW", 1), ("LONG_ROW", 1 << 30)):
+                monkeypatch.setattr(ops, name, value)
                 got = self._results(*case, train)
                 for a, b in zip(got, want):
-                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{shape} {tile}")
-            monkeypatch.undo()
+                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{shape} {name}")
+                monkeypatch.undo()
+
+    def test_buffer_size_restored_after_the_op_and_after_an_error(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        x, gamma, beta, slope, rm, rv, g = _bn_prelu_case(rng, (64, 4096))
+        before = np.getbufsize()
+        self._results(x, gamma, beta, slope, rm, rv, g, True)
+        assert np.getbufsize() == before
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ops, "_batchnorm_tile", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.batchnorm_prelu(Tensor(x), Tensor(gamma), Tensor(beta), Tensor(slope),
+                               ad.BatchNormState(rm, rv), False)
+        assert np.getbufsize() == before
 
     @pytest.mark.parametrize("train", [True, False])
     def test_transposed_upstream_gradient_gives_the_same_bits(self, train):
