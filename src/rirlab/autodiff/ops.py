@@ -208,15 +208,15 @@ BN_EPS = 1e-5  # added to the variance before its square root
 TILE = 1 << 16
 
 
-# numpy 2 runs a ufunc whose operand is broadcast along rows shorter than
-# its buffer (8192 elements by default) through that buffer, copying every
-# operand; the tile kernels' per-channel [channels, 1] operands then made a
-# dec5 BatchNorm+PReLU step about 30% slower. With the buffer no longer than
-# a row, each row runs straight through the ufunc's inner loop. Rows shorter
-# than LONG_ROW gain from the buffer (at 64 elements, 512 inner loops per
-# op cost more than the copies) and keep it. No result depends on the
-# buffer size: numpy buffers neither these elementwise ops nor reductions
-# that need no cast.
+# numpy 2.4 runs a ufunc with an operand broadcast along rows shorter than
+# its buffer (8192 elements by default) about 3x slower than with the buffer
+# no longer than a row: a [16, 4096] float32 tile times a [16, 1] column
+# took 32 us against 10 us, which made dec5's BatchNorm+PReLU about 30%
+# slower. So the tile kernels shrink the buffer to a row for rows of
+# LONG_ROW elements or more. Shorter rows keep it: at 64 elements the fused
+# op ran 1.7x slower with the buffer at one row. The buffer size sets no
+# result's bits: numpy buffers these elementwise ops, and reductions that
+# need no cast, only to batch their inner loops.
 LONG_ROW = 1024
 
 
@@ -229,13 +229,12 @@ def _channel_tiles(x: np.ndarray, *dtypes):
     _, C, L = x.shape
     step = max(1, min(C, TILE // max(L, 1)))
     buffers = [np.empty((step, L), dtype) for dtype in dtypes]
-    tiles = [
-        (slice(c0, min(C, c0 + step)), [buf[: min(C, c0 + step) - c0] for buf in buffers])
-        for c0 in range(0, C, step)
-    ]
-    old = np.getbufsize()
-    if L >= LONG_ROW:
-        np.setbufsize(min(old, L - L % 16))  # numpy 1.x takes multiples of 16 only
+    slices = [slice(c0, min(C, c0 + step)) for c0 in range(0, C, step)]
+    tiles = [(cs, [buf[: cs.stop - cs.start] for buf in buffers]) for cs in slices]
+    if L < LONG_ROW:
+        yield tiles
+        return
+    old = np.setbufsize(min(np.getbufsize(), L - L % 16))  # numpy 1.x takes multiples of 16
     try:
         yield tiles
     finally:

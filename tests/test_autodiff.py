@@ -1287,12 +1287,12 @@ class TestBatchNormPReLUOracle:
     bits, and the float32 results stay near their float64 values.
 
     Over the accuracy test's cases the oracle run in float32, which is what
-    the op computed before its tiled kernels, lies at most 2.1e-7 from
-    float64 on every quantity (1.7 float32 eps, max abs error over max abs
-    value) and the tiled kernels at most 2.5e-7 (gamma.grad). The bound,
-    4 eps = 4.8e-7, is about twice either."""
+    the op computed before its tiled kernels, lies at most 3.5e-7 from
+    float64 (slope.grad, 2.9 float32 eps; max abs error over max abs value),
+    and so do the tiled kernels. The bound, 8 eps = 9.5e-7, leaves a margin
+    of 2.7x."""
 
-    BOUND = 4 * np.finfo(np.float32).eps
+    BOUND = 8 * np.finfo(np.float32).eps
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False])
