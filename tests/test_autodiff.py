@@ -1323,10 +1323,10 @@ class TestBatchNormPReLUOracle:
             x, gamma, beta, slope, rm, rv, g = _bn_prelu_case(rng, shape)
             wide = [a.astype(np.float64) for a in (x, gamma, beta, slope, rm, rv)]
             want = _bn_prelu_oracle(*wide, train, g.astype(np.float64))
-            # Where the float64 pre-activation lies within a few float32
-            # ulps of its terms from 0, float32 may take the other side of
-            # the PReLU, which moves one x.grad element by (1 - s)*g and
-            # every sum over it. Those elements are left out: g is 0 there.
+            # Where the float64 pre-activation lies within 64 float32 eps of
+            # its terms' size from 0, float32 may take the other side of the
+            # PReLU, which moves one x.grad element by (1 - s)*g and every
+            # sum over it. Those elements are left out: g is 0 there.
             terms = np.abs(want["xhat"] * wide[1][None, :, None]) + np.abs(wide[2])[None, :, None]
             g[np.abs(want["y"]) <= 64 * np.finfo(np.float32).eps * terms] = 0
             want = _bn_prelu_oracle(*wide, train, g.astype(np.float64))
