@@ -10,12 +10,13 @@ A checkpoint (C, CKPT) holds one trained estimator. WAVs are written as
 float32 and read as float32 or PCM16; estimate, evaluate and plot-data
 reject a WAV that holds no samples. Exit codes: 0 success, 2
 argument/validation problems, 3 I/O failures, 4 numerical divergence.
-RIRLAB_THREADS caps evaluate's worker pool, which reads the WAVs and runs
-the baseline and identity methods. The model's forwards run on the calling
-thread, EVAL_BATCH examples at a time, so they share BLAS's own threads
-instead of competing for them. Each forward runs its weight-bound layers on
-the chunk and its activation-bound decoder tail one example at a time
-(models.Network._run), bit-identical to running every layer on the chunk.
+Evaluate's worker pool, one thread per CPU the process may run on, reads
+the WAVs and runs the baseline and identity methods. The model's forwards
+run on the calling thread, EVAL_BATCH examples at a time, so they share
+BLAS's own threads instead of competing for them. Each forward runs its
+weight-bound layers on the chunk and its activation-bound decoder tail one
+example at a time (models.Network._run), bit-identical to running every
+layer on the chunk.
 """
 
 from __future__ import annotations
@@ -46,20 +47,19 @@ from .training import TrainConfig, train
 from .wavio import read_wav, write_wav
 
 USAGE_ERRORS = (InvalidInputError, InvalidConfigError, UnsupportedFormatError, ShapeMismatchError)
-# Model examples per evaluate forward; larger chunks ran slower (measured
-# while every layer still ran on the whole chunk). Only the batched layers'
-# activations grow with a chunk: a full-profile forward's traced peak is
-# 7.2 MiB at one example and 9.6 MiB at four.
+# Model examples per evaluate forward, kept small for memory: a full-profile
+# eval forward of 128 examples (two passes) took 20.6/16.9 ms per example at
+# chunks of 4 with a traced peak of 11.1 MiB, 17.6/14.9 ms at 16 with
+# 37.2 MiB, and 17.4/13.8 ms at 128 with 283.8 MiB. Only the batched layers'
+# activations grow with a chunk. training.validation_edr chunks by the
+# config's batch_size instead (128 on the full profile).
 EVAL_BATCH = 4
 
 
 def _worker_count() -> int:
-    env = os.environ.get("RIRLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InvalidInputError(f"RIRLAB_THREADS={env!r} is not an integer") from exc
+    """The CPUs this process may run on, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -40,17 +40,19 @@ if TYPE_CHECKING:  # profiles imports this module for TrainConfig
     from .profiles import Profile
 
 
+LR_DECAY = 0.7  # factor on the learning rate every lr_every epochs
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the full-scale defaults are batch 128, 200 epochs,
-    initial rate 8e-5 decayed by 0.7 every 40 epochs."""
+    initial rate 8e-5 decayed by LR_DECAY every 40 epochs."""
 
     lambda_edr: float = 1.0
     lambda_mse: float = 50.0
     batch_size: int = 128
     epochs: int = 200
     lr_init: float = 8e-5
-    lr_decay: float = 0.7
     lr_every: int = 40
     seed: int = 0
     stft_window: int = 256
@@ -66,10 +68,8 @@ class TrainConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidInputError(f"{key} must be finite and >= 0, got {value!r}")
-        for key in ("lr_init", "lr_decay"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidInputError(f"{key} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.lr_init) and self.lr_init > 0):
+            raise InvalidInputError(f"lr_init must be finite and > 0, got {self.lr_init!r}")
         try:
             self.stft()
         except InvalidConfigError as exc:
@@ -82,7 +82,7 @@ class TrainConfig:
             raise InvalidInputError("epochs and lr_every must be >= 1")
 
     def lr_at(self, epoch: int) -> float:
-        return self.lr_init * self.lr_decay ** (epoch // self.lr_every)
+        return self.lr_init * LR_DECAY ** (epoch // self.lr_every)
 
     def stft(self) -> StftConfig:
         return StftConfig(self.stft_window, self.stft_hop)

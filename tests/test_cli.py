@@ -340,9 +340,18 @@ class TestTrain:
         assert "generator_loss_form" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_lr_decay_is_not_a_key(self, tmp_path, cli_dataset, capsys):
+        code = main(
+            ["train", "--manifest", str(cli_dataset / "manifest.json"),
+             "--out", str(tmp_path / "r"), "--profile", "toy", "--set", "lr_decay=0.5"]
+        )
+        assert code == 2
+        assert "unknown train config key 'lr_decay'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "override",
-        ["seed=-1", "lr_init=nan", "lr_init=-1", "lr_decay=0", "lambda_edr=nan",
+        ["seed=-1", "lr_init=nan", "lr_init=-1", "lambda_edr=nan",
          "lambda_mse=inf", "stft_hop=0", "stft_window=0", "stft_window=512"],
     )
     def test_bad_override_value_exits_2_without_run_directory(
@@ -583,14 +592,21 @@ class TestEvaluate:
         n_test = sum(1 for e in manifest["entries"] if e["split"] == "test")
         assert len(lines) == 1 + n_test
 
+    def test_pool_sizes_itself_from_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._worker_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._worker_count() == 64
+
     def test_report_bytes_do_not_depend_on_thread_count(
         self, tmp_path, cli_dataset, cli_run, monkeypatch
     ):
         # The train split has 10 entries, so several workers run at once.
         outputs = []
-        for threads in ("1", "2", "8"):
-            monkeypatch.setenv("RIRLAB_THREADS", threads)
-            out = tmp_path / threads / "model.csv"
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(cli, "_worker_count", lambda: threads)
+            out = tmp_path / str(threads) / "model.csv"
             code = main(
                 ["evaluate", "--manifest", str(cli_dataset / "manifest.json"), "--split",
                  "train", "--method", f"model:{cli_run / 'best.ckpt'}", "--out", str(out)]

@@ -396,8 +396,7 @@ class TestTrainConfig:
         "key, value",
         [("seed", -1), ("seed", 1.0), ("seed", True), ("lambda_edr", float("nan")),
          ("lambda_mse", float("inf")), ("lr_init", 0.0), ("lr_init", float("nan")),
-         ("lr_decay", -0.5), ("lr_decay", float("inf")), ("stft_hop", 0),
-         ("stft_hop", 512), ("stft_window", 100)],
+         ("stft_hop", 0), ("stft_hop", 512), ("stft_window", 100)],
     )
     def test_bad_value_names_its_key(self, key, value):
         with pytest.raises(InvalidInputError, match=key):
