@@ -191,16 +191,27 @@ def _check_count(name: str, value, low: int) -> None:
 
 
 _BLOCK_MINIMUMS = {"out_channels": 1, "kernel": 1, "stride": 1, "padding": 0, "output_padding": 0}
+_CONV_KEYS = ("out_channels", "kernel", "stride", "padding")  # encoder, discriminator
+_TCONV_KEYS = (*_CONV_KEYS, "output_padding")  # decoder
+_COLLAPSE_KEYS = ("kernel", "stride", "padding", "output_padding")  # one output channel
 
 
-def _check_blocks(name: str, blocks) -> None:
-    """Each schedule block is an object whose layer sizes are integers in range."""
+def _check_blocks(name: str, blocks, keys: tuple[str, ...]) -> None:
+    """Each schedule block is an object with exactly the given keys, whose
+    layer sizes are integers in range."""
+    expected = set(keys)
     for i, blk in enumerate(blocks):
         if not isinstance(blk, dict):
             raise InvalidConfigError(f"{name}[{i}] must be an object, got {blk!r}")
-        for key, value in blk.items():
-            if key in _BLOCK_MINIMUMS:
-                _check_count(f"{name}[{i}].{key}", value, _BLOCK_MINIMUMS[key])
+        if blk.keys() != expected:
+            missing = sorted(expected - blk.keys())
+            unknown = sorted(blk.keys() - expected, key=str)
+            raise InvalidConfigError(
+                f"{name}[{i}] must have the keys {', '.join(keys)}: "
+                f"missing {missing}, unknown {unknown}"
+            )
+        for key in keys:
+            _check_count(f"{name}[{i}].{key}", blk[key], _BLOCK_MINIMUMS[key])
 
 
 @dataclass(frozen=True)
@@ -221,9 +232,9 @@ class EstimatorConfig:
         _check_dtype(self.dtype)
         for name in ("sample_rate", "input_len", "rir_len"):
             _check_count(name, getattr(self, name), 1)
-        _check_blocks("encoder", self.encoder)
-        _check_blocks("decoder", self.decoder)
-        _check_blocks("collapse", (self.collapse,))
+        _check_blocks("encoder", self.encoder, _CONV_KEYS)
+        _check_blocks("decoder", self.decoder, _TCONV_KEYS)
+        _check_blocks("collapse", (self.collapse,), _COLLAPSE_KEYS)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatorConfig":
@@ -263,7 +274,7 @@ class DiscriminatorConfig:
             raise InvalidConfigError(
                 f"condition_len {self.condition_len} is longer than rir_len {self.rir_len}"
             )
-        _check_blocks("blocks", self.blocks)
+        _check_blocks("blocks", self.blocks, _CONV_KEYS)
 
 
 def full_estimator_config() -> EstimatorConfig:

@@ -97,6 +97,10 @@ MALFORMED_HEADERS = {
     "encoder_out_channels_0": _set_block("encoder", 0, "out_channels", 0),
     "decoder_kernel_0": _set_block("decoder", 0, "kernel", 0),
     "encoder_padding_negative": _set_block("encoder", 0, "padding", -5),
+    "encoder_unknown_key": _set_block("encoder", 1, "kernal", 7),
+    "decoder_unknown_key": _set_block("decoder", 0, "dilation", 3),
+    "collapse_out_channels": lambda h: h["config"]["collapse"].update(out_channels=1),
+    "decoder_missing_key": lambda h: h["config"]["decoder"][1].pop("output_padding"),
     "record_shape_negative": _set_shape([-1]),
     "record_shape_float": _set_shape([1.5]),
     "record_shape_nested": _set_shape([[1]]),

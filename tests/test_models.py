@@ -87,6 +87,30 @@ class TestEstimator:
         with pytest.raises(InvalidConfigError, match="estimator schedule"):
             build_estimator(cfg, seed=0)
 
+    @pytest.mark.parametrize(
+        "schedule, index, edit, message",
+        [
+            ("encoder", 1, lambda b: {**b, "kernal": 7}, r"encoder\[1\].*unknown \['kernal'\]"),
+            ("decoder", 0, lambda b: {**b, "kernel_size": 9},
+             r"decoder\[0\].*unknown \['kernel_size'\]"),
+            ("decoder", 2, lambda b: {k: v for k, v in b.items() if k != "output_padding"},
+             r"decoder\[2\].*missing \['output_padding'\]"),
+            ("collapse", None, lambda b: {**b, "out_channels": 3},
+             r"collapse\[0\].*unknown \['out_channels'\]"),
+        ],
+        ids=["encoder_typo", "decoder_unknown", "decoder_missing", "collapse_out_channels"],
+    )
+    def test_block_keys_must_match_their_schedule(self, schedule, index, edit, message):
+        base = toy_estimator_config()
+        if index is None:
+            blocks = edit(getattr(base, schedule))
+        else:
+            blocks = list(getattr(base, schedule))
+            blocks[index] = edit(blocks[index])
+            blocks = tuple(blocks)
+        with pytest.raises(InvalidConfigError, match=message):
+            dataclasses.replace(base, **{schedule: blocks})
+
     def test_impossible_layer_arithmetic_reported(self):
         base = toy_estimator_config()
         first = {**base.encoder[0], "kernel": 9001, "padding": 0}
@@ -178,6 +202,18 @@ class TestDiscriminator:
             models.DiscriminatorConfig(
                 rir_len=256, condition_len=512, blocks=get_profile("toy").discriminator_blocks
             )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda b: {**b, "output_padding": 0}, r"unknown \['output_padding'\]"),
+         (lambda b: {k: v for k, v in b.items() if k != "stride"}, r"missing \['stride'\]")],
+        ids=["unknown", "missing"],
+    )
+    def test_block_keys_must_match_the_conv_schedule(self, edit, message):
+        blocks = list(get_profile("toy").discriminator_blocks)
+        blocks[1] = edit(blocks[1])
+        with pytest.raises(InvalidConfigError, match=r"blocks\[1\].*" + message):
+            models.DiscriminatorConfig(rir_len=256, condition_len=256, blocks=tuple(blocks))
 
     def test_condition_shorter_than_required_rejected(self):
         with pytest.raises(InvalidInputError):
