@@ -62,10 +62,14 @@ def _overlap_add(
 
 # The correlate direction (conv1d's forward and weight gradient,
 # conv_transpose1d's two gradients) runs as im2col GEMMs. conv1d lays its
-# columns out [B*Lout, Cin*K] and conv_transpose1d [Cout*K, B*L]: each
-# layout, with its GEMMs' operand order, gives the bits of the code it
-# replaced on every shape of both profiles. Either one transposed changes
-# the last bits of some of the toy profile's small float64 GEMMs.
+# columns out [B*Lout, Cin*K] and conv_transpose1d [Cout*K, B*L], each the
+# faster layout for its own op. conv1d on [C*K, B*L] columns made full-train
+# slower in 7 of 8 alternating benchmark pairs (examples_per_s median 17.66
+# -> 16.79, against a quartile spread of 2.60) and raised its peak RSS from
+# 254.1 to 258.0 MB in 8 of 8; conv_transpose1d's backward on
+# [B*L, C*K] columns took dec5 from 14.6 to 20.5 ms at batch 4. Either
+# layout transposed also changes the last bits of some of the toy profile's
+# small float64 GEMMs.
 # conv1d's forward GEMM is weight-first, W [Cout, Cin*K] @ cols.T, so the
 # weight (10-21 MB on the full encoder) is the untransposed left operand that
 # BLAS packs cheaply, and the [Cout, B*Lout] result already is the output at
@@ -425,16 +429,16 @@ def batchnorm1d(
     return out
 
 
-# leaky_relu, and the PReLU backward, scale by a factor f that is exactly 1
+# The leaky_relu and PReLU backwards scale by a factor f that is exactly 1
 # where the mask is set and exactly the slope s elsewhere: f = s*(1 - m) + m
-# with m the mask in the data's dtype, so x*f and g*f carry the bits of
-# np.where(x > 0, x, s*x) and np.where(x > 0, g, s*g) for every finite slope
-# (at s = -0.0 only a zero's sign can differ). np.where with a mask that
-# follows the data's sign runs about 5x slower than a plain ufunc over the
-# same array, because its per-element branch is taken at random; these
-# kernels stay branch-free. The PReLU forward needs no factor:
-# _prelu_tile's max(y, -0) + s*min(0, y) gives the same bits, up to a zero's
-# sign off x86, in four ufunc passes where the mask and factor take five.
+# with m the mask in the data's dtype, so g*f carries the bits of
+# np.where(x > 0, g, s*g) for every finite slope (at s = -0.0 only a zero's
+# sign can differ). np.where with a mask that follows the data's sign runs
+# about 5x slower than a plain ufunc over the same array, because its
+# per-element branch is taken at random; these kernels stay branch-free.
+# Both forwards need no factor: _prelu_tile's max(y, -0) + s*min(0, y) gives
+# np.where(x > 0, x, s*x)'s bits, up to a zero's sign off x86, in four ufunc
+# passes where the mask and factor take five.
 def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope, out=None) -> np.ndarray:
     """a * f, f = 1 where mask else slope, into out or a fresh array."""
     f = np.subtract(1, mask, dtype=a.dtype, out=out)
@@ -449,7 +453,9 @@ LEAKY_SLOPE = 0.2  # of leaky_relu, the encoder's and discriminator's activation
 
 def leaky_relu(x: Tensor) -> Tensor:
     s = x.data.dtype.type(LEAKY_SLOPE)
-    out = Tensor(_leaky_scale(x.data, x.data > 0, s))
+    data = np.empty_like(x.data)
+    _prelu_tile(x.data, s, data, np.empty_like(x.data))
+    out = Tensor(data)
     # The mask is recomputed from x rather than kept from the forward.
     record(out, (x,), lambda g: (_leaky_scale(g, x.data > 0, s),))
     return out
