@@ -10,6 +10,9 @@ A checkpoint (C, CKPT) holds one trained estimator. WAVs are written as
 float32 and read as float32 or PCM16; estimate, evaluate and plot-data
 reject a WAV that holds no samples. Exit codes: 0 success, 2
 argument/validation problems, 3 I/O failures, 4 numerical divergence.
+train's --set takes the training hyperparameters in SET_KEYS, not the STFT
+and band setup: evaluate and plot-data score with the setup of the profile
+whose sample rate matches the manifest, the one train selected the model on.
 Evaluate's worker pool, one thread per CPU the process may run on, reads
 the WAVs and runs the baseline and identity methods. The model's forwards
 run on the calling thread, EVAL_BATCH examples at a time, so they share
@@ -54,6 +57,7 @@ USAGE_ERRORS = (InvalidInputError, InvalidConfigError, UnsupportedFormatError, S
 # activations grow with a chunk. training.validation_edr chunks by the
 # config's batch_size instead (128 on the full profile).
 EVAL_BATCH = 4
+SET_KEYS = ("lambda_edr", "lambda_mse", "batch_size", "epochs", "lr_init", "lr_every", "seed")
 
 
 def _worker_count() -> int:
@@ -81,23 +85,20 @@ def _fit_length(signal: Signal, n: int) -> Signal:
 
 
 def _eval_setup(manifest: DatasetManifest):
-    """STFT and bands of the profile whose sample rate matches the manifest."""
+    """STFT and bands of the manifest's profile, the setup its train runs select on."""
     cfg = profile_for_sample_rate(manifest.sample_rate).train
     return cfg.stft(), octave_bands(manifest.sample_rate, cfg.stft_window, list(cfg.band_centers))
 
 
 def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     updates = {}
     for raw in pairs:
         if "=" not in raw:
             raise InvalidInputError(f"override {raw!r} is not of the form key=value")
         key, value = raw.split("=", 1)
-        if key not in fields:
-            raise InvalidInputError(f"unknown train config key {key!r}")
+        if key not in SET_KEYS:
+            raise InvalidInputError(f"--set has no key {key!r}; it takes {', '.join(SET_KEYS)}")
         kind = type(getattr(cfg, key))
-        if kind not in (int, float, str):
-            raise InvalidInputError(f"key {key!r} cannot be overridden from the command line")
         try:
             updates[key] = kind(value)
         except ValueError as exc:

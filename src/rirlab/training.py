@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
 from .dsp import StftConfig, band_power, octave_bands
-from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError
 from .fileio import atomic_write
 from .models import (
     Discriminator,
@@ -46,7 +46,10 @@ LR_DECAY = 0.7  # factor on the learning rate every lr_every epochs
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the full-scale defaults are batch 128, 200 epochs,
-    initial rate 8e-5 decayed by LR_DECAY every 40 epochs."""
+    initial rate 8e-5 decayed by LR_DECAY every 40 epochs. `rirlab train --set`
+    cannot change the STFT and band setup, so evaluate and plot-data score a
+    run with the one it was selected on; score a run trained through the API
+    with another setup by metrics.metric_report and that setup."""
 
     lambda_edr: float = 1.0
     lambda_mse: float = 50.0
@@ -62,24 +65,18 @@ class TrainConfig:
     )
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # batch_size >= 2: train-mode batchnorm needs two examples.
+        for key, low in (("seed", 0), ("batch_size", 2), ("epochs", 1), ("lr_every", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise InvalidInputError(f"{key} must be an integer >= {low}, got {value!r}")
         for key in ("lambda_edr", "lambda_mse"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidInputError(f"{key} must be finite and >= 0, got {value!r}")
         if not (math.isfinite(self.lr_init) and self.lr_init > 0):
             raise InvalidInputError(f"lr_init must be finite and > 0, got {self.lr_init!r}")
-        try:
-            self.stft()
-        except InvalidConfigError as exc:
-            raise InvalidInputError(
-                f"stft_window={self.stft_window}, stft_hop={self.stft_hop}: {exc}"
-            ) from exc
-        if self.batch_size < 2:
-            raise InvalidInputError("batch_size must be >= 2 (batchnorm constraint)")
-        if self.epochs < 1 or self.lr_every < 1:
-            raise InvalidInputError("epochs and lr_every must be >= 1")
+        self.stft()
 
     def lr_at(self, epoch: int) -> float:
         return self.lr_init * LR_DECAY ** (epoch // self.lr_every)

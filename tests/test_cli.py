@@ -20,6 +20,7 @@ from rirlab import cli, models, synth
 from rirlab.cli import main
 from rirlab.errors import UnsupportedFormatError
 from rirlab.synth import load_manifest
+from rirlab.training import TrainConfig
 from rirlab.wavio import read_wav
 
 
@@ -346,8 +347,31 @@ class TestTrain:
              "--out", str(tmp_path / "r"), "--profile", "toy", "--set", "lr_decay=0.5"]
         )
         assert code == 2
-        assert "unknown train config key 'lr_decay'" in capsys.readouterr().err
+        assert "--set has no key 'lr_decay'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("override", ["stft_hop=16", "stft_window=128", "band_centers=1"])
+    def test_analysis_setup_is_not_a_key(self, tmp_path, cli_dataset, capsys, override):
+        # The STFT values are valid ones; evaluate and plot-data would score
+        # such a run with the profile's setup, not the one it was selected on.
+        out = tmp_path / "r"
+        code = main(
+            ["train", "--manifest", str(cli_dataset / "manifest.json"),
+             "--out", str(out), "--profile", "toy", "--set", "epochs=1", "--set", override]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--set has no key {override.split('=')[0]!r}" in err
+        assert ", ".join(cli.SET_KEYS) in err
+        assert not out.exists()
+
+    def test_set_keys_are_scalar_train_config_fields(self):
+        cfg = TrainConfig()
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert len(set(cli.SET_KEYS)) == 7
+        for key in cli.SET_KEYS:
+            assert key in names
+            assert type(getattr(cfg, key)) in (int, float)
 
     @pytest.mark.parametrize(
         "override",
@@ -457,6 +481,25 @@ class TestEstimate:
 
 
 class TestEvaluate:
+    def test_val_report_matches_the_selected_epoch(self, tmp_path):
+        # evaluate scores a run with the STFT and band setup train selected
+        # it on. The toy estimates may round differently in evaluate's chunks
+        # of EVAL_BATCH than in validation's chunks of batch_size.
+        data, run = tmp_path / "ds", tmp_path / "run"
+        assert main(["synth", "--out", str(data), "--n", "60", "--profile", "toy",
+                     "--seed", "3"]) == 0
+        manifest = str(data / "manifest.json")
+        assert main(["train", "--manifest", manifest, "--out", str(run), "--profile", "toy",
+                     "--set", "epochs=4"]) == 0
+        out = tmp_path / "val.csv"
+        assert main(["evaluate", "--manifest", manifest, "--split", "val",
+                     "--method", f"model:{run / 'best.ckpt'}", "--out", str(out)]) == 0
+        log = np.genfromtxt(run / "log.csv", delimiter=",", names=True)
+        examples = np.genfromtxt(tmp_path / "val_examples.csv", delimiter=",", names=True,
+                                 dtype=None, encoding="utf-8")
+        assert len(examples) == len(load_manifest(manifest).split_entries("val")) > 1
+        np.testing.assert_allclose(examples["edr_loss"].mean(), log["val_edr"].min(), rtol=1e-12)
+
     def test_identity_reports_floor(self, tmp_path, cli_dataset):
         out = tmp_path / "ident.csv"
         code = main(

@@ -396,10 +396,17 @@ class TestTrainConfig:
         "key, value",
         [("seed", -1), ("seed", 1.0), ("seed", True), ("lambda_edr", float("nan")),
          ("lambda_mse", float("inf")), ("lr_init", 0.0), ("lr_init", float("nan")),
-         ("stft_hop", 0), ("stft_hop", 512), ("stft_window", 100)],
+         ("epochs", 2.5), ("batch_size", 4.0), ("lr_every", 20.0), ("epochs", True)],
     )
     def test_bad_value_names_its_key(self, key, value):
         with pytest.raises(InvalidInputError, match=key):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value", [("stft_hop", 0), ("stft_hop", 512), ("stft_window", 100)]
+    )
+    def test_bad_stft_setup_raises_config_error(self, key, value):
+        with pytest.raises(InvalidConfigError):
             TrainConfig(**{key: value})
 
 
