@@ -45,7 +45,7 @@ import numpy as np  # noqa: E402
 
 from rirlab import autodiff as ad  # noqa: E402
 from rirlab import models, training  # noqa: E402
-from rirlab.dsp import Signal, octave_bands  # noqa: E402
+from rirlab.dsp import Signal  # noqa: E402
 from rirlab.profiles import get_profile  # noqa: E402
 
 
@@ -64,14 +64,11 @@ def main() -> None:
 
     profile = get_profile("full")
     cfg = dataclasses.replace(profile.train, batch_size=args.batch, seed=0)
-    estimator = models.build_estimator(profile.estimator, seed=cfg.seed)
-    discriminator = models.build_discriminator(profile.discriminator, seed=cfg.seed + 1)
+    estimator = models.Estimator(profile.estimator, seed=cfg.seed)
+    discriminator = models.Discriminator(profile.discriminator, seed=cfg.seed + 1)
     est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
     disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
-    basis = ad.make_dft_basis(cfg.stft())
-    partition = octave_bands(
-        profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
-    )
+    basis, partition = profile.analysis()
     rng = np.random.default_rng(0)
     batch = (
         rng.uniform(-0.9, 0.9, (args.batch, profile.estimator.input_len)),

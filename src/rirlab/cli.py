@@ -11,8 +11,8 @@ float32 and read as float32 or PCM16; estimate, evaluate and plot-data
 reject a WAV that holds no samples. Exit codes: 0 success, 2
 argument/validation problems, 3 I/O failures, 4 numerical divergence.
 train's --set takes the training hyperparameters in SET_KEYS, not the STFT
-and band setup: evaluate and plot-data score with the setup of the profile
-whose sample rate matches the manifest, the one train selected the model on.
+and band setup: evaluate and plot-data each build Profile.analysis() once, for
+the profile whose sample rate matches the manifest, the setup train selected on.
 Evaluate's worker pool, one thread per CPU the process may run on, reads
 the WAVs and runs the baseline and identity methods. The model's forwards
 run on the calling thread, EVAL_BATCH examples at a time, so they share
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .dsp import Signal, octave_bands, spectral_deconvolve
+from .dsp import Signal, spectral_deconvolve
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -82,12 +82,6 @@ def _fit_length(signal: Signal, n: int) -> Signal:
     padded = np.zeros(n)
     padded[: len(signal)] = signal.samples
     return Signal(padded, signal.sample_rate)
-
-
-def _eval_setup(manifest: DatasetManifest):
-    """STFT and bands of the manifest's profile, the setup its train runs select on."""
-    cfg = profile_for_sample_rate(manifest.sample_rate).train
-    return cfg.stft(), octave_bands(manifest.sample_rate, cfg.stft_window, list(cfg.band_centers))
 
 
 def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
@@ -213,7 +207,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             f"unknown method {args.method!r}, expected model:CKPT, baseline, or identity"
         )
-    stft_cfg, partition = _eval_setup(manifest)
+    profile = profile_for_sample_rate(manifest.sample_rate)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         pairs = list(pool.map(lambda e: _estimate_for_entry(method, net, manifest, e), entries))
@@ -222,7 +216,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for start in range(0, len(pairs), EVAL_BATCH):
             estimates += estimate_batch(net, [rev for rev, _ in pairs[start : start + EVAL_BATCH]])
         pairs = [(est, truth) for est, (_, truth) in zip(estimates, pairs)]
-    report = metrics.metric_report(pairs, stft_cfg, partition)
+    # Built after the forwards, so their peak does not hold the basis.
+    basis, partition = profile.analysis()
+    report = metrics.metric_report(pairs, basis, partition)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -255,12 +251,12 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         )
     reverberant = _read_nonempty(manifest.path(entry.reverberant))
     est = estimate(net, _fit_length(reverberant, net.config.input_len))
-    stft_cfg, partition = _eval_setup(manifest)
+    basis, partition = profile_for_sample_rate(manifest.sample_rate).analysis()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    truth_edr = metrics.edr(truth, stft_cfg, partition)
-    est_edr = metrics.edr(est, stft_cfg, partition)
+    truth_edr = metrics.edr(truth, basis, partition)
+    est_edr = metrics.edr(est, basis, partition)
     truth_db, est_db = truth_edr.in_db(), est_edr.in_db()
     for b, center in enumerate(partition.centers):
         path = out_dir / f"edr_{int(center)}.csv"

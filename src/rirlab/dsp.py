@@ -8,6 +8,8 @@ inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,8 +203,13 @@ def octave_bands(sample_rate: int, fft_size: int, centers: list[float]) -> BandP
     (top_center * sqrt(2)) is assigned to the band with the nearest
     log-frequency center; the DC bin always goes to the lowest band. Bands
     that end up empty are dropped and recorded as merged into the nearest
-    surviving band above them (below, for an empty top band).
+    surviving band above them (below, for an empty top band). Centers must be
+    finite real numbers, not bools, positive, strictly increasing and below
+    Nyquist.
     """
+    for c in centers:
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c):
+            raise InvalidInputError(f"band centers must be finite real numbers, got {c!r}")
     centers = [float(c) for c in centers]
     if not centers:
         raise InvalidInputError("at least one band center is required")

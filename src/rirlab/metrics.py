@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (
-    BandPartition,
-    DftBasis,
-    Signal,
-    StftConfig,
-    band_power,
-    decay_relief,
-    make_dft_basis,
-)
+from .dsp import BandPartition, DftBasis, Signal, band_power, decay_relief
 from .errors import EstimationFailedError, InvalidConfigError, InvalidInputError
 
 ENERGY_FLOOR = 1e-12  # applied before every log10; bounds dB outputs at -120
@@ -63,14 +55,14 @@ class EdrMatrix:
         return 10.0 * np.log10(np.maximum(self.values, ENERGY_FLOOR))
 
 
-def edr(rir: Signal, cfg: StftConfig, partition: BandPartition) -> EdrMatrix:
+def edr(rir: Signal, basis: DftBasis, partition: BandPartition) -> EdrMatrix:
     """Energy decay relief of an impulse response.
 
     Per band and frame: windowed-DFT power summed over the band's bins and
     over all frames from that frame to the end (a per-band Schroeder curve).
     """
-    values = decay_relief(_band_power((rir,), make_dft_basis(cfg), partition)[0])
-    return EdrMatrix(values=values, frame_times=cfg.frame_times(values.shape[1], rir.sample_rate))
+    values = decay_relief(_band_power((rir,), basis, partition)[0])
+    return EdrMatrix(values, basis.cfg.frame_times(values.shape[1], rir.sample_rate))
 
 
 def decay_relief_loss(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,14 +74,14 @@ def decay_relief_loss(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, n
 
 
 def edr_loss(
-    estimated: Signal, truth: Signal, cfg: StftConfig, partition: BandPartition
+    estimated: Signal, truth: Signal, basis: DftBasis, partition: BandPartition
 ) -> tuple[float, np.ndarray]:
     """Mean squared difference of the two decay-relief surfaces.
 
     Returns (mean over bands and frames, per-band frame-means). Symmetric in
     its arguments and exactly zero for identical inputs.
     """
-    power = _band_power((estimated, truth), make_dft_basis(cfg), partition)
+    power = _band_power((estimated, truth), basis, partition)
     total, per_band = decay_relief_loss(power[0], power[1])
     return float(total), per_band
 
@@ -168,7 +160,7 @@ class MetricReport:
 
 
 def metric_report(
-    pairs: list[tuple[Signal, Signal]], cfg: StftConfig, partition: BandPartition
+    pairs: list[tuple[Signal, Signal]], basis: DftBasis, partition: BandPartition
 ) -> MetricReport:
     """Evaluate a batch of estimates against their ground truths.
 
@@ -180,14 +172,13 @@ def metric_report(
     """
     if not pairs:
         raise InvalidInputError("metric_report needs at least one pair")
-    basis = make_dft_basis(cfg)
     band_losses, ere_errors, examples = [], [], []
     for estimated, truth in pairs:
         power = _band_power((estimated, truth), basis, partition)  # [2, bands, frames]
         loss, per_band = decay_relief_loss(power[0], power[1])
         band_losses.append(per_band)
         # Band-restricted early energy: frames whose window centers fall in [0, 80 ms].
-        early = cfg.frame_times(power.shape[2], truth.sample_rate) <= EARLY_WINDOW_S
+        early = basis.cfg.frame_times(power.shape[2], truth.sample_rate) <= EARLY_WINDOW_S
         early_db = 10.0 * np.log10(np.maximum(power[:, :, early].sum(axis=2), ENERGY_FLOOR))
         ere_errors.append(np.abs(early_db[0] - early_db[1]))
         examples.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dsp import BandPartition, DftBasis, make_dft_basis, octave_bands
 from .errors import InvalidInputError
 from .models import (
     DiscriminatorConfig,
@@ -28,10 +29,10 @@ TOY_BAND_CENTERS = (16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0)
 class Profile:
     """A named scale. The estimator config holds the sample rate, the input
     length, the response length and the dtype; the train config holds the
-    STFT and band setup. The discriminator scores the estimator's output, so
-    the profile keeps only its own schedule (condition_len and
-    discriminator_blocks) and derives the rest from the estimator config:
-    dataclasses.replace(profile, estimator=...) changes both networks."""
+    STFT and band setup, which analysis() builds. The discriminator scores the
+    estimator's output, so the profile keeps only its own schedule
+    (condition_len, discriminator_blocks) and derives the rest from the estimator
+    config: dataclasses.replace(profile, estimator=...) changes both networks."""
 
     name: str
     ranges: RirParamRanges
@@ -52,6 +53,20 @@ class Profile:
     @property
     def rir_len(self) -> int:
         return self.estimator.rir_len
+
+    def analysis(self) -> tuple[DftBasis, BandPartition]:
+        """The DFT basis and octave bands that train selects on and evaluate and
+        plot-data score with: the train config's STFT and band setup at the
+        estimator's sample rate. The window must fit in one response."""
+        cfg, est_cfg = self.train, self.estimator
+        if cfg.stft_window > est_cfg.rir_len:
+            raise InvalidInputError(
+                f"stft_window {cfg.stft_window} is longer than the estimator's rir_len "
+                f"{est_cfg.rir_len}"
+            )
+        return make_dft_basis(cfg.stft()), octave_bands(
+            est_cfg.sample_rate, cfg.stft_window, list(cfg.band_centers)
+        )
 
 
 _FULL = Profile(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -21,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
-from .dsp import StftConfig, band_power, octave_bands
+from .dsp import StftConfig, band_power
 from .errors import InvalidInputError, TrainingDivergedError
 from .fileio import atomic_write
 from .models import (
@@ -46,10 +47,10 @@ LR_DECAY = 0.7  # factor on the learning rate every lr_every epochs
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the full-scale defaults are batch 128, 200 epochs,
-    initial rate 8e-5 decayed by LR_DECAY every 40 epochs. `rirlab train --set`
-    cannot change the STFT and band setup, so evaluate and plot-data score a
-    run with the one it was selected on; score a run trained through the API
-    with another setup by metrics.metric_report and that setup."""
+    initial rate 8e-5 decayed by LR_DECAY every 40 epochs. Profile.analysis()
+    builds the STFT and band fields into the setup train selects on, and
+    `rirlab train --set` cannot change them, so evaluate and plot-data score
+    a run with the setup it was selected on."""
 
     lambda_edr: float = 1.0
     lambda_mse: float = 50.0
@@ -70,12 +71,12 @@ class TrainConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise InvalidInputError(f"{key} must be an integer >= {low}, got {value!r}")
-        for key in ("lambda_edr", "lambda_mse"):
+        for key, positive in (("lambda_edr", False), ("lambda_mse", False), ("lr_init", True)):
             value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidInputError(f"{key} must be finite and >= 0, got {value!r}")
-        if not (math.isfinite(self.lr_init) and self.lr_init > 0):
-            raise InvalidInputError(f"lr_init must be finite and > 0, got {self.lr_init!r}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                bound = "> 0" if positive else ">= 0"
+                raise InvalidInputError(f"{key} must be a finite real number {bound}, got {value!r}")
         self.stft()
 
     def lr_at(self, epoch: int) -> float:
@@ -326,11 +327,7 @@ def train(
             f"the manifest is sampled at {manifest.sample_rate} Hz, the estimator at "
             f"{est_cfg.sample_rate} Hz"
         )
-    if cfg.stft_window > est_cfg.rir_len:
-        raise InvalidInputError(
-            f"stft_window {cfg.stft_window} is longer than the estimator's rir_len "
-            f"{est_cfg.rir_len}"
-        )
+    basis, partition = profile.analysis()
     train_rev, train_rir = _load_split(manifest, "train", est_cfg)
     val_rev, val_rir = _load_split(manifest, "val", est_cfg)
     n_train = train_rev.shape[0]
@@ -342,8 +339,6 @@ def train(
     discriminator = build_discriminator(profile.discriminator, seed=cfg.seed + 1)
     est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
     disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
-    basis = ad.make_dft_basis(cfg.stft())
-    partition = octave_bands(manifest.sample_rate, cfg.stft_window, list(cfg.band_centers))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -284,14 +284,14 @@ class TestCriterion4EdrCorrectness:
         rng = np.random.default_rng(17)
         for _ in range(200):
             x = rng.uniform(-1, 1, int(rng.integers(64, 400)))
-            values = metrics.edr(Signal(x, 8000), self.CFG, self.PART).values
+            values = metrics.edr(Signal(x, 8000), basis, self.PART).values
             assert np.all(np.diff(values, axis=1) <= 1e-12)
 
         a = Signal(rng.uniform(-1, 1, 256), 8000)
         b = Signal(rng.uniform(-1, 1, 256), 8000)
-        assert metrics.edr_loss(a, a, self.CFG, self.PART)[0] == 0.0
-        forward = metrics.edr_loss(a, b, self.CFG, self.PART)[0]
-        backward = metrics.edr_loss(b, a, self.CFG, self.PART)[0]
+        assert metrics.edr_loss(a, a, basis, self.PART)[0] == 0.0
+        forward = metrics.edr_loss(a, b, basis, self.PART)[0]
+        backward = metrics.edr_loss(b, a, basis, self.PART)[0]
         assert forward == backward
         print(
             f"[PASS] criterion 4: differentiable vs FFT decay relief within {worst:.2e}; "
@@ -366,12 +366,7 @@ class TestCriterion6ToyTrainingConvergence:
     def test_beats_trivial_predictors_on_held_out_split(self, tmp_path_factory):
         ctx = toy_context(tmp_path_factory)
         dataset, profile = ctx["dataset"], ctx["profile"]
-        stft_cfg = profile.train.stft()
-        partition = octave_bands(
-            profile.estimator.sample_rate,
-            profile.train.stft_window,
-            list(profile.train.band_centers),
-        )
+        basis, partition = profile.analysis()
         net = load_checkpoint(ctx["result"].best_path)
         test_entries = dataset.split_entries("test")
         truths = [read_wav(dataset.path(e.rir)) for e in test_entries]
@@ -382,7 +377,7 @@ class TestCriterion6ToyTrainingConvergence:
 
         def scores(preds):
             edr_losses = [
-                metrics.edr_loss(p, t, stft_cfg, partition)[0] for p, t in zip(preds, truths)
+                metrics.edr_loss(p, t, basis, partition)[0] for p, t in zip(preds, truths)
             ]
             ere_errs = [abs(metrics.ere(p) - metrics.ere(t)) for p, t in zip(preds, truths)]
             return float(np.mean(edr_losses)), float(np.mean(ere_errs))
@@ -406,12 +401,7 @@ class TestCriterion7RelativeOrdering:
     def test_baseline_near_exact_and_training_helps(self, tmp_path_factory):
         ctx = toy_context(tmp_path_factory)
         dataset, profile = ctx["dataset"], ctx["profile"]
-        stft_cfg = profile.train.stft()
-        partition = octave_bands(
-            profile.estimator.sample_rate,
-            profile.train.stft_window,
-            list(profile.train.band_centers),
-        )
+        basis, partition = profile.analysis()
         test_entries = dataset.split_entries("test")
         truths = [read_wav(dataset.path(e.rir)) for e in test_entries]
         revs = [read_wav(dataset.path(e.reverberant)) for e in test_entries]
@@ -439,7 +429,7 @@ class TestCriterion7RelativeOrdering:
         def scores(net):
             preds = [estimate(net, r) for r in revs]
             edr_losses = [
-                metrics.edr_loss(p, t, stft_cfg, partition)[0] for p, t in zip(preds, truths)
+                metrics.edr_loss(p, t, basis, partition)[0] for p, t in zip(preds, truths)
             ]
             ere_errs = [abs(metrics.ere(p) - metrics.ere(t)) for p, t in zip(preds, truths)]
             return float(np.mean(edr_losses)), float(np.mean(ere_errs))

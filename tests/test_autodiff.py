@@ -356,11 +356,8 @@ def _analysis_setup(name):
     if name == "small":
         return CFG, PART, BASIS, 120
     profile = get_profile(name)
-    cfg = profile.train.stft()
-    part = octave_bands(
-        profile.estimator.sample_rate, cfg.window_size, list(profile.train.band_centers)
-    )
-    return cfg, part, ad.make_dft_basis(cfg), profile.estimator.rir_len
+    basis, part = profile.analysis()
+    return basis.cfg, part, basis, profile.estimator.rir_len
 
 
 def _framed_band_energy_before_band_power(x, basis, partition):
@@ -794,8 +791,7 @@ def _full_train_step_graph():
     cfg = profile.train
     est = models.build_estimator(profile.estimator, seed=0)
     disc = models.build_discriminator(profile.discriminator, seed=1)
-    basis = ad.make_dft_basis(cfg.stft())
-    part = octave_bands(profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers))
+    basis, part = profile.analysis()
     rng = np.random.default_rng(44)
     rev = rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)).astype(est.dtype)
     rir = Tensor(rng.uniform(-0.9, 0.9, (2, 1, profile.estimator.rir_len)).astype(est.dtype))

@@ -828,6 +828,34 @@ class TestPlotData:
         assert code == 2
 
 
+class TestOneBasisPerCommand:
+    """Each scoring command builds its profile's analysis setup once."""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "plot-data"])
+    def test_builds_one_dft_basis(self, tmp_path, monkeypatch, cli_dataset, cli_run, command):
+        from rirlab import dsp
+
+        built = []
+        init = dsp.DftBasis.__init__
+
+        def counted(basis, *args, **kwargs):
+            built.append(basis)
+            init(basis, *args, **kwargs)
+
+        monkeypatch.setattr(dsp.DftBasis, "__init__", counted)
+        manifest, ckpt = str(cli_dataset / "manifest.json"), str(cli_run / "best.ckpt")
+        argv = {
+            "train": ["train", "--manifest", manifest, "--out", str(tmp_path / "run"),
+                      "--set", "epochs=1"],
+            "evaluate": ["evaluate", "--manifest", manifest, "--method", f"model:{ckpt}",
+                         "--out", str(tmp_path / "report.csv")],
+            "plot-data": ["plot-data", "--ckpt", ckpt, "--manifest", manifest, "--example", "1",
+                          "--out", str(tmp_path / "plots")],
+        }[command]
+        assert main(argv) == 0
+        assert len(built) == 1
+
+
 class TestFilesAreReplacedWhole:
     """Every file a command writes goes through fileio.atomic_write: it is
     written beside its path and renamed over it."""

@@ -169,6 +169,13 @@ class TestOctaveBands:
         with pytest.raises(InvalidInputError):
             octave_bands(8000, 64, [250, 125])
 
+    @pytest.mark.parametrize(
+        "centers", [[float("nan"), 125.0], ["x"], [float("nan")], [True], [125.0, False]]
+    )
+    def test_non_finite_or_non_real_center_rejected(self, centers):
+        with pytest.raises(InvalidInputError, match="finite real"):
+            octave_bands(8000, 64, centers)
+
 
 class TestFftConvolve:
     def test_identity_kernel(self):

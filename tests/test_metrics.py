@@ -20,6 +20,7 @@ from rirlab.metrics import (
 
 SR = 16000
 CFG = StftConfig(64, 32)
+BASIS = make_dft_basis(CFG)
 PART = octave_bands(SR, 64, [500, 1000, 2000, 4000])
 # partition whose top edge exceeds Nyquist: every FFT bin is covered
 FULL_COVER = octave_bands(SR, 64, [750, 1500, 3000, 6000])
@@ -45,7 +46,7 @@ class TestEdr:
         cfg = StftConfig(64, 64)
         x = np.zeros(256)
         x[32] = 1.0  # the Hann window's peak, where it is exactly 1
-        matrix = edr(Signal(x, SR), cfg, FULL_COVER)
+        matrix = edr(Signal(x, SR), make_dft_basis(cfg), FULL_COVER)
         # band totals at frame 0 sum to the windowed impulse's spectral energy
         assert np.sum(matrix.values[:, 0]) == pytest.approx(cfg.n_bins, rel=1e-12)
         # frames whose window excludes sample 32 hold nothing
@@ -55,27 +56,27 @@ class TestEdr:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(-1, 1, 320)
-            matrix = edr(Signal(x, SR), CFG, PART)
+            matrix = edr(Signal(x, SR), BASIS, PART)
             assert np.all(np.diff(matrix.values, axis=1) <= 1e-12)
             assert np.all(matrix.values >= 0)
 
     def test_matches_naive_suffix_sum_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, 512)
-        matrix = edr(Signal(x, SR), CFG, PART)
+        matrix = edr(Signal(x, SR), BASIS, PART)
         oracle = naive_edr(x, CFG, PART)
         np.testing.assert_allclose(matrix.values, oracle, rtol=1e-10, atol=1e-12)
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError):
-            edr(Signal(np.ones(32), SR), CFG, PART)
+            edr(Signal(np.ones(32), SR), BASIS, PART)
 
 
 class TestEdrLoss:
     def test_identical_is_exactly_zero(self):
         rng = np.random.default_rng(2)
         x = Signal(rng.uniform(-1, 1, 256), SR)
-        total, per_band = edr_loss(x, x, CFG, PART)
+        total, per_band = edr_loss(x, x, BASIS, PART)
         assert total == 0.0
         assert np.all(per_band == 0.0)
 
@@ -83,7 +84,7 @@ class TestEdrLoss:
         rng = np.random.default_rng(3)
         truth = rng.uniform(-1, 1, 256)
         zeros = Signal(np.zeros(256), SR)
-        total, _ = edr_loss(zeros, Signal(truth, SR), CFG, PART)
+        total, _ = edr_loss(zeros, Signal(truth, SR), BASIS, PART)
         oracle_vals = naive_edr(truth, CFG, PART)
         acc, count = 0.0, 0
         for b in range(oracle_vals.shape[0]):
@@ -96,19 +97,19 @@ class TestEdrLoss:
         rng = np.random.default_rng(4)
         a = Signal(rng.uniform(-1, 1, 256), SR)
         b = Signal(rng.uniform(-1, 1, 256), SR)
-        assert edr_loss(a, b, CFG, PART)[0] == edr_loss(b, a, CFG, PART)[0]
+        assert edr_loss(a, b, BASIS, PART)[0] == edr_loss(b, a, BASIS, PART)[0]
 
     def test_quadratic_amplitude_scaling(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-1, 1, 256)
         b = rng.uniform(-1, 1, 256)
-        base, _ = edr_loss(Signal(a, SR), Signal(b, SR), CFG, PART)
-        scaled, _ = edr_loss(Signal(2 * a, SR), Signal(2 * b, SR), CFG, PART)
+        base, _ = edr_loss(Signal(a, SR), Signal(b, SR), BASIS, PART)
+        scaled, _ = edr_loss(Signal(2 * a, SR), Signal(2 * b, SR), BASIS, PART)
         assert scaled == pytest.approx(16.0 * base, rel=1e-10)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            edr_loss(Signal(np.ones(256), SR), Signal(np.ones(255), SR), CFG, PART)
+            edr_loss(Signal(np.ones(256), SR), Signal(np.ones(255), SR), BASIS, PART)
 
 
 class TestEre:
@@ -224,7 +225,7 @@ class TestMetricReport:
     def test_identical_pair_reports_floor(self):
         rng = np.random.default_rng(10)
         x = Signal(rng.uniform(-1, 1, 256), SR)
-        report = metric_report([(x, x)], CFG, PART)
+        report = metric_report([(x, x)], BASIS, PART)
         np.testing.assert_allclose(report.per_band_log_edr_loss, np.log10(ENERGY_FLOOR))
         np.testing.assert_allclose(report.per_band_ere_mae, 0.0)
         assert report.drr_mae == 0.0
@@ -238,13 +239,13 @@ class TestMetricReport:
         est1 = Signal(truth1.samples + 0.01, SR)
         est2 = Signal(truth2.samples - 0.02, SR)
         pairs = [(est1, truth1), (est2, truth2)]
-        report = metric_report(pairs, CFG, PART)
+        report = metric_report(pairs, BASIS, PART)
         expected = 0.5 * (mse(est1, truth1) + mse(est2, truth2))
         assert report.mse == pytest.approx(expected, rel=1e-12)
         assert len(report.examples) == len(pairs)
         for row, (est, truth) in zip(report.examples, pairs):
             assert row == (
-                edr_loss(est, truth, CFG, PART)[0],
+                edr_loss(est, truth, BASIS, PART)[0],
                 abs(ere(est) - ere(truth)),
                 abs(drr(est) - drr(truth)),
                 mse(est, truth),
@@ -253,7 +254,7 @@ class TestMetricReport:
     def test_csv_shape_and_column_order(self):
         rng = np.random.default_rng(12)
         x = Signal(rng.uniform(-1, 1, 256), SR)
-        report = metric_report([(x, x)], CFG, PART)
+        report = metric_report([(x, x)], BASIS, PART)
         lines = report_to_csv(report).strip().split("\n")
         assert lines[0] == "center_hz,log_edr_loss,ere_mae_db"
         assert len(lines) == 1 + len(PART.centers) + 1
@@ -265,35 +266,30 @@ class TestMetricReport:
         assert merged_part.merged  # 32 and 63 Hz own no 125 Hz-spaced bin
         rng = np.random.default_rng(13)
         x = Signal(rng.uniform(-1, 1, 256), 8000)
-        cfg = StftConfig(64, 32)
-        report = metric_report([(x, x)], cfg, merged_part)
+        report = metric_report([(x, x)], BASIS, merged_part)
         first = report_to_csv(report).split("\n")[0]
         assert first.startswith("# merged_bands:")
         assert "32Hz->" in first and "63Hz->" in first
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(InvalidInputError):
-            metric_report([], CFG, PART)
+            metric_report([], BASIS, PART)
 
     def test_one_basis_per_report_and_one_kernel_call_per_pair(self, monkeypatch):
-        # A basis built per pair made the full-profile report 3x slower.
-        bases, rows = [], []
-
-        def counted_basis(cfg):
-            bases.append(cfg)
-            return make_dft_basis(cfg)
+        # The caller's basis serves every pair: a basis built per pair made
+        # the full-profile report 3x slower.
+        rows = []
 
         def counted_power(samples, basis, partition):
+            assert basis is BASIS
             rows.append(samples.shape[0])
             return band_power(samples, basis, partition)
 
-        monkeypatch.setattr(metrics, "make_dft_basis", counted_basis)
         monkeypatch.setattr(metrics, "band_power", counted_power)
         rng = np.random.default_rng(15)
         pairs = [(Signal(rng.uniform(-1, 1, 256), SR), Signal(rng.uniform(-1, 1, 256), SR))
                  for _ in range(3)]
-        metric_report(pairs, CFG, PART)
-        assert bases == [CFG]
+        metric_report(pairs, BASIS, PART)
         assert rows == [2, 2, 2]
 
 
@@ -306,7 +302,7 @@ class TestBandedEarlyEnergy:
         x = Signal(rng.uniform(-1, 1, 4096), SR)
         late = np.zeros(4096)
         late[-1] = 1.0  # a peak for drr, long after 80 ms
-        report = metric_report([(Signal(late, SR), x)], CFG, PART)
+        report = metric_report([(Signal(late, SR), x)], BASIS, PART)
         values = report.per_band_ere_mae + 10 * np.log10(ENERGY_FLOOR)
         spec = stft(x, CFG)
         times = CFG.frame_times(spec.shape[0], SR)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rirlab import autodiff as ad
 from rirlab import models, training
@@ -71,10 +72,9 @@ class TestResetGradState:
 
 
 def _set_up(name: str, batch: int):
-    """The calls workloads.full_train, workloads.full_infer and
-    scripts/step_memory_probe.py make between repeats, in their order and
-    with their argument forms: (cfg, estimator, discriminator, est_opt,
-    disc_opt, basis, partition)."""
+    """The calls workloads.full_train and workloads.full_infer make between
+    repeats, in their order and with their argument forms: (cfg, estimator,
+    discriminator, est_opt, disc_opt, basis, partition)."""
     profile = get_profile(name)
     cfg = dataclasses.replace(profile.train, batch_size=batch, seed=0)
     estimator = models.build_estimator(profile.estimator, seed=cfg.seed)
@@ -98,6 +98,16 @@ class TestWorkloadSetUp:
         assert len(disc_opt.square_avg) == len(discriminator.parameters())
         assert basis.cfg == cfg.stft()
         assert partition.sample_rate == profile.estimator.sample_rate
+
+    @pytest.mark.parametrize("name", ["full", "toy"])
+    def test_spelled_out_analysis_setup_is_the_profile_s(self, name):
+        # The benchmark times train_step on the setup that train builds.
+        *_, basis, partition = _set_up(name, 4)
+        want_basis, want_partition = get_profile(name).analysis()
+        assert basis.cfg == want_basis.cfg
+        assert np.array_equal(basis.real, want_basis.real)
+        assert np.array_equal(basis.imag, want_basis.imag)
+        assert partition == want_partition
 
     def test_toy_train_step_takes_the_benchmark_positional_signature(self):
         cfg, estimator, discriminator, est_opt, disc_opt, basis, partition = _set_up("toy", 4)

@@ -13,7 +13,7 @@ import pytest
 from rirlab import autodiff as ad
 from rirlab import metrics, training
 from rirlab.autodiff import Tensor
-from rirlab.dsp import Signal, octave_bands
+from rirlab.dsp import Signal
 from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from rirlab.models import build_discriminator, build_estimator, load_checkpoint, make_condition
 from rirlab.profiles import get_profile
@@ -48,10 +48,7 @@ def step_setup(toy_profile):
     discriminator = build_discriminator(toy_profile.discriminator, seed=cfg.seed + 1)
     est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
     disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
-    basis = ad.make_dft_basis(cfg.stft())
-    partition = octave_bands(
-        toy_profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
-    )
+    basis, partition = toy_profile.analysis()
     rng = np.random.default_rng(0)
     batch = (
         rng.uniform(-0.9, 0.9, (4, toy_profile.estimator.input_len)),
@@ -300,9 +297,7 @@ class TestUpdatesConsumeGradients:
         disc = build_discriminator(profile.discriminator, seed=1)
         eo = ad.RmspropState.for_params(est.parameters(), lr=cfg.lr_init)
         do = ad.RmspropState.for_params(disc.parameters(), lr=cfg.lr_init)
-        part = octave_bands(
-            profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
-        )
+        basis, part = profile.analysis()
         rng = np.random.default_rng(3)
         batch = (
             rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)),
@@ -321,7 +316,7 @@ class TestUpdatesConsumeGradients:
             return step(params, grads, state)
 
         monkeypatch.setattr(ad, "rmsprop_step", checked)
-        train_step(est, disc, batch, cfg, eo, do, ad.make_dft_basis(cfg.stft()), part)
+        train_step(est, disc, batch, cfg, eo, do, basis, part)
         assert sorted(updated) == sorted(est_ids)
 
     def test_unreached_parameter_decays_its_accumulator_only(self):
@@ -396,7 +391,8 @@ class TestTrainConfig:
         "key, value",
         [("seed", -1), ("seed", 1.0), ("seed", True), ("lambda_edr", float("nan")),
          ("lambda_mse", float("inf")), ("lr_init", 0.0), ("lr_init", float("nan")),
-         ("epochs", 2.5), ("batch_size", 4.0), ("lr_every", 20.0), ("epochs", True)],
+         ("epochs", 2.5), ("batch_size", 4.0), ("lr_every", 20.0), ("epochs", True),
+         ("lr_init", True), ("lambda_mse", True), ("lambda_edr", "1"), ("lr_init", None)],
     )
     def test_bad_value_names_its_key(self, key, value):
         with pytest.raises(InvalidInputError, match=key):
@@ -464,6 +460,21 @@ class TestTrain:
             train(manifest, toy_profile, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_window_longer_than_the_response_fails_before_any_wav_is_read(
+        self, tmp_path, monkeypatch, toy_profile, tiny_dataset
+    ):
+        profile = dataclasses.replace(
+            toy_profile, train=dataclasses.replace(toy_profile.train, stft_window=512)
+        )
+        with pytest.raises(InvalidInputError, match="stft_window"):
+            profile.analysis()
+        reads = []
+        monkeypatch.setattr(training, "read_wav", reads.append)
+        with pytest.raises(InvalidInputError, match="stft_window"):
+            train(tiny_dataset, profile, tmp_path / "run")
+        assert reads == []
+        assert not (tmp_path / "run").exists()
+
     def test_unbuildable_network_leaves_no_run_directory(self, tmp_path, toy_profile, tiny_dataset):
         long_kernel = ({"out_channels": 8, "kernel": 1000, "stride": 4, "padding": 2},)
         profile = dataclasses.replace(toy_profile, discriminator_blocks=long_kernel)
@@ -487,12 +498,11 @@ class TestValidationEdr:
         # chunk is short.
         est_cfg = dataclasses.replace(toy_profile.estimator, dtype="float32")
         estimator = build_estimator(est_cfg, seed=3)
-        cfg, sr = toy_profile.train, est_cfg.sample_rate
-        partition = octave_bands(sr, cfg.stft_window, list(cfg.band_centers))
+        sr = est_cfg.sample_rate
+        basis, partition = toy_profile.analysis()
         rng = np.random.default_rng(4)
         rev = rng.uniform(-0.9, 0.9, (11, est_cfg.input_len)).astype(np.float32)
         rir = rng.uniform(-0.9, 0.9, (11, est_cfg.rir_len)).astype(np.float32)
-        basis = ad.make_dft_basis(cfg.stft())
         got = training.validation_edr(estimator, rev, rir, basis, partition, 4)
         losses = []
         with ad.no_grad():
@@ -502,7 +512,7 @@ class TestValidationEdr:
                 assert est.dtype == np.float32
                 for e, r in zip(est, rir[start : start + 4]):
                     pair = (Signal(e, sr), Signal(r, sr))
-                    losses.append(metrics.edr_loss(*pair, cfg.stft(), partition)[0])
+                    losses.append(metrics.edr_loss(*pair, basis, partition)[0])
         assert len(losses) == 11
         assert got == pytest.approx(np.mean(losses), rel=1e-12)
 
@@ -525,9 +535,7 @@ class TestFloat32Training:
         discriminator = build_discriminator(profile.discriminator, seed=1)
         est_opt = ad.RmspropState.for_params(estimator.parameters(), lr=cfg.lr_init)
         disc_opt = ad.RmspropState.for_params(discriminator.parameters(), lr=cfg.lr_init)
-        partition = octave_bands(
-            profile.estimator.sample_rate, cfg.stft_window, list(cfg.band_centers)
-        )
+        basis, partition = profile.analysis()
         rng = np.random.default_rng(1)
         batch = (
             rng.uniform(-0.9, 0.9, (2, profile.estimator.input_len)),
@@ -544,8 +552,8 @@ class TestFloat32Training:
             return step(params, grads, state)
 
         monkeypatch.setattr(ad, "rmsprop_step", capture)
-        losses = train_step(estimator, discriminator, batch, cfg, est_opt, disc_opt,
-                            ad.make_dft_basis(cfg.stft()), partition)
+        losses = train_step(estimator, discriminator, batch, cfg, est_opt, disc_opt, basis,
+                            partition)
         assert all(np.isfinite(v) for v in dataclasses.astuple(losses))
         for net, opt in ((estimator, est_opt), (discriminator, disc_opt)):
             for name, p in net.named_parameters():
