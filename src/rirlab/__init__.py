@@ -26,6 +26,7 @@ from .metrics import (
     mse,
     schroeder_t60,
 )
+from .profiles import Profile, get_profile
 from .synth import (
     DatasetManifest,
     RirParamRanges,
@@ -44,6 +45,7 @@ __all__ = [
     "DatasetManifest",
     "EdrMatrix",
     "MetricReport",
+    "Profile",
     "RirParamRanges",
     "RirParams",
     "Signal",
@@ -54,6 +56,7 @@ __all__ = [
     "edr_loss",
     "ere",
     "fft_convolve",
+    "get_profile",
     "load_manifest",
     "metric_report",
     "mse",

@@ -44,8 +44,8 @@ from .errors import (
 )
 from .fileio import atomic_write
 from .models import estimate, estimate_batch, load_checkpoint
-from .profiles import get_profile, profile_for_sample_rate
-from .synth import DatasetManifest, build_dataset, load_manifest
+from .profiles import PROFILES, get_profile, profile_for_sample_rate
+from .synth import SPLITS, DatasetManifest, build_dataset, load_manifest
 from .training import TrainConfig, train
 from .wavio import read_wav, write_wav
 
@@ -134,7 +134,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         clean_signals=clean_signals,
     )
-    counts = {s: len(manifest.split_entries(s)) for s in ("train", "val", "test")}
+    counts = {s: len(manifest.split_entries(s)) for s in SPLITS}
     print(f"manifest: {Path(args.out) / 'manifest.json'}")
     print(f"splits: train={counts['train']} val={counts['val']} test={counts['test']}")
     return 0
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, required=True, help="number of examples")
-    p.add_argument("--profile", default="toy", choices=["full", "toy"])
+    p.add_argument("--profile", default="toy", choices=sorted(PROFILES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clean-dir", dest="clean_dir", help="directory of clean WAV excitations")
     p.add_argument("--splits", default="0.8,0.1,0.1", help="train,val,test fractions")
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the estimator on a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--profile", default="toy", choices=["full", "toy"])
+    p.add_argument("--profile", default="toy", choices=sorted(PROFILES))
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="train config override")
     p.set_defaults(func=cmd_train)
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a method over a manifest split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--method", required=True, help="model:CKPT, baseline, or identity")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_evaluate)

@@ -14,13 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, check_count
 
 DECONVOLVE_EPS = 1e-12  # spectral_deconvolve's regularizer
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def next_pow2(n: int) -> int:
@@ -62,16 +58,18 @@ class StftConfig:
     """Framing parameters for the short-time transform, whose window is
     always the periodic Hann window.
 
-    window_size must be a power of two; hop in (0, window_size].
+    window_size must be an integer power of two; hop an integer in (0, window_size].
     """
 
     window_size: int
     hop: int
 
     def __post_init__(self):
-        if not _is_power_of_two(self.window_size):
+        check_count("window_size", self.window_size, 1)
+        check_count("hop", self.hop, 1)
+        if self.window_size & (self.window_size - 1):
             raise InvalidConfigError(f"window_size must be a power of two, got {self.window_size}")
-        if not 0 < self.hop <= self.window_size:
+        if self.hop > self.window_size:
             raise InvalidConfigError(f"hop must be in (0, window_size], got {self.hop}")
 
     @property

@@ -27,3 +27,9 @@ class EstimationFailedError(RirlabError, RuntimeError):
 
 class TrainingDivergedError(RirlabError, RuntimeError):
     """A loss became non-finite during training."""
+
+
+def check_count(name: str, value, low: int) -> None:
+    """value must be an integer (JSON true and false are not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -17,8 +17,8 @@ architectures are data changes. A schedule is checked at build time by
 running its layers on an empty batch, so the operators own all shape
 arithmetic. Each config names the dtype, float64 or float32, that its
 network holds every parameter and buffer in and computes in; a profile's
-discriminator takes the estimator's. The full profile's networks are
-float32 and the toy profile's float64. A checkpoint holds one estimator,
+discriminator takes the estimator's. The profiles module holds the
+schedules of both built-in profiles. A checkpoint holds one estimator,
 the product of training: its config echo and its parameters and buffers,
 which round-trip bit-exactly. A checkpoint written while the decoder had
 biases loads with each one folded into its batchnorm's running mean.
@@ -38,7 +38,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .autodiff.tensor import FLOAT_DTYPES
 from .dsp import Signal
-from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
+from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError, check_count
 from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = "rirlab-checkpoint"
@@ -184,12 +184,6 @@ def _check_dtype(dtype: str) -> None:
         raise InvalidConfigError(f"dtype must be one of {DTYPES}, got {dtype!r}")
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """value must be an integer (JSON true and false are not) of at least low."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 _BLOCK_MINIMUMS = {"out_channels": 1, "kernel": 1, "stride": 1, "padding": 0, "output_padding": 0}
 _CONV_KEYS = ("out_channels", "kernel", "stride", "padding")  # encoder, discriminator
 _TCONV_KEYS = (*_CONV_KEYS, "output_padding")  # decoder
@@ -211,7 +205,7 @@ def _check_blocks(name: str, blocks, keys: tuple[str, ...]) -> None:
                 f"missing {missing}, unknown {unknown}"
             )
         for key in keys:
-            _check_count(f"{name}[{i}].{key}", blk[key], _BLOCK_MINIMUMS[key])
+            check_count(f"{name}[{i}].{key}", blk[key], _BLOCK_MINIMUMS[key])
 
 
 @dataclass(frozen=True)
@@ -226,12 +220,12 @@ class EstimatorConfig:
     encoder: tuple[dict, ...]
     decoder: tuple[dict, ...]
     collapse: dict
-    dtype: str = "float64"
+    dtype: str
 
     def __post_init__(self):
         _check_dtype(self.dtype)
         for name in ("sample_rate", "input_len", "rir_len"):
-            _check_count(name, getattr(self, name), 1)
+            check_count(name, getattr(self, name), 1)
         _check_blocks("encoder", self.encoder, _CONV_KEYS)
         _check_blocks("decoder", self.decoder, _TCONV_KEYS)
         _check_blocks("collapse", (self.collapse,), _COLLAPSE_KEYS)
@@ -239,6 +233,7 @@ class EstimatorConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatorConfig":
         doc = _drop_legacy_keys(doc)
+        doc.setdefault("dtype", "float64")  # echoes from before the field were float64
         if "first_channels" in doc:  # older headers keep the first conv apart from the encoder
             first = {
                 "out_channels": doc.pop("first_channels"),
@@ -264,59 +259,17 @@ class DiscriminatorConfig:
     rir_len: int
     condition_len: int
     blocks: tuple[dict, ...]
-    dtype: str = "float64"
+    dtype: str
 
     def __post_init__(self):
         _check_dtype(self.dtype)
-        _check_count("rir_len", self.rir_len, 1)
-        _check_count("condition_len", self.condition_len, 1)
+        check_count("rir_len", self.rir_len, 1)
+        check_count("condition_len", self.condition_len, 1)
         if self.condition_len > self.rir_len:
             raise InvalidConfigError(
                 f"condition_len {self.condition_len} is longer than rir_len {self.rir_len}"
             )
         _check_blocks("blocks", self.blocks, _CONV_KEYS)
-
-
-def full_estimator_config() -> EstimatorConfig:
-    return EstimatorConfig(
-        sample_rate=16000,
-        input_len=16000,
-        rir_len=4096,
-        encoder=(
-            {"out_channels": 512, "kernel": 8193, "stride": 250, "padding": 4096},
-            {"out_channels": 1024, "kernel": 5, "stride": 2, "padding": 2},
-            {"out_channels": 1024, "kernel": 5, "stride": 2, "padding": 2},
-        ),
-        decoder=(
-            {"out_channels": 512, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 256, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 128, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 64, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 64, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
-        ),
-        collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
-        dtype="float32",
-    )
-
-
-def toy_estimator_config() -> EstimatorConfig:
-    return EstimatorConfig(
-        sample_rate=8000,
-        input_len=8000,
-        rir_len=256,
-        encoder=(
-            {"out_channels": 32, "kernel": 513, "stride": 500, "padding": 256},
-            {"out_channels": 64, "kernel": 5, "stride": 2, "padding": 2},
-            {"out_channels": 64, "kernel": 5, "stride": 2, "padding": 2},
-        ),
-        decoder=(
-            {"out_channels": 32, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 16, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 8, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
-            {"out_channels": 8, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
-        ),
-        collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +569,7 @@ def load_checkpoint(path: str | Path) -> Estimator:
                 f"{path} holds a {header.get('kind')!r} network, expected an estimator"
             )
         try:
-            _check_count("seed", header["seed"], 0)
+            check_count("seed", header["seed"], 0)
             net = Estimator(EstimatorConfig.from_dict(header["config"]), header["seed"], draw=False)
             records = [(rec["name"], rec["shape"]) for rec in header["records"]]
         except (AttributeError, KeyError, TypeError) as exc:
@@ -634,7 +587,7 @@ def load_checkpoint(path: str | Path) -> Estimator:
             if not isinstance(name, str) or not isinstance(shape, list):
                 raise InvalidConfigError(f"{path} has an invalid record {name!r}: shape {shape!r}")
             for size in shape:
-                _check_count(f"record {name} shape", size, 0)
+                check_count(f"record {name} shape", size, 0)
             if name not in known or name in seen:
                 raise InvalidConfigError(f"checkpoint record {name!r} is unknown or repeated")
             seen.add(name)

@@ -1,9 +1,8 @@
-"""The two built-in scales.
+"""The two built-in scales, and the one home of every number in them.
 
-full: 16 kHz speech, one-second examples, 4096-sample responses, the
-training defaults (batch 128, 200 epochs, lr 8e-5 decayed 0.7/40).
-toy: 8 kHz, 256-sample responses, small networks and short schedules sized
-for CI-speed training on a laptop CPU.
+full: the paper's scale, one-second examples of 16 kHz speech.
+toy: small networks and short schedules sized for CI-speed training on a
+laptop CPU.
 """
 
 from __future__ import annotations
@@ -12,17 +11,9 @@ from dataclasses import dataclass
 
 from .dsp import BandPartition, DftBasis, make_dft_basis, octave_bands
 from .errors import InvalidInputError
-from .models import (
-    DiscriminatorConfig,
-    EstimatorConfig,
-    full_estimator_config,
-    toy_estimator_config,
-)
+from .models import DiscriminatorConfig, EstimatorConfig
 from .synth import RirParamRanges
 from .training import TrainConfig
-
-# 4000 Hz would sit at Nyquist for the 8 kHz profile, so the toy ladder stops at 2000.
-TOY_BAND_CENTERS = (16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0)
 
 
 @dataclass(frozen=True)
@@ -72,8 +63,37 @@ class Profile:
 _FULL = Profile(
     name="full",
     ranges=RirParamRanges(t60=(0.1, 0.5), drr=(2.0, 12.0), n_early=(2, 12), direct_delay=(0, 32)),
-    train=TrainConfig(),
-    estimator=full_estimator_config(),
+    train=TrainConfig(
+        lambda_edr=1.0,
+        lambda_mse=50.0,
+        batch_size=128,
+        epochs=200,
+        lr_init=8e-5,
+        lr_every=40,
+        seed=0,
+        stft_window=256,
+        stft_hop=128,
+        band_centers=(16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0),
+    ),
+    estimator=EstimatorConfig(
+        sample_rate=16000,
+        input_len=16000,
+        rir_len=4096,
+        encoder=(
+            {"out_channels": 512, "kernel": 8193, "stride": 250, "padding": 4096},
+            {"out_channels": 1024, "kernel": 5, "stride": 2, "padding": 2},
+            {"out_channels": 1024, "kernel": 5, "stride": 2, "padding": 2},
+        ),
+        decoder=(
+            {"out_channels": 512, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 256, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 128, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 64, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 64, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
+        ),
+        collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
+        dtype="float32",
+    ),
     condition_len=512,
     discriminator_blocks=(
         {"out_channels": 16, "kernel": 16, "stride": 4, "padding": 6},
@@ -93,11 +113,30 @@ _TOY = Profile(
         epochs=60,
         lr_init=1e-3,
         lr_every=20,
+        seed=0,
         stft_window=64,
         stft_hop=32,
-        band_centers=TOY_BAND_CENTERS,
+        # 4000 Hz would sit at Nyquist for the 8 kHz profile, so the toy ladder stops at 2000.
+        band_centers=(16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0),
     ),
-    estimator=toy_estimator_config(),
+    estimator=EstimatorConfig(
+        sample_rate=8000,
+        input_len=8000,
+        rir_len=256,
+        encoder=(
+            {"out_channels": 32, "kernel": 513, "stride": 500, "padding": 256},
+            {"out_channels": 64, "kernel": 5, "stride": 2, "padding": 2},
+            {"out_channels": 64, "kernel": 5, "stride": 2, "padding": 2},
+        ),
+        decoder=(
+            {"out_channels": 32, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 16, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 8, "kernel": 8, "stride": 4, "padding": 2, "output_padding": 0},
+            {"out_channels": 8, "kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
+        ),
+        collapse={"kernel": 5, "stride": 1, "padding": 2, "output_padding": 0},
+        dtype="float64",
+    ),
     condition_len=256,
     discriminator_blocks=(
         {"out_channels": 8, "kernel": 8, "stride": 4, "padding": 2},

@@ -12,6 +12,7 @@ a pure function of (inputs, seed): per-example randomness is derived from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +41,11 @@ class RirParams:
     seed: int
 
     def __post_init__(self):
-        if self.t60 <= 0:
-            raise InvalidInputError(f"t60 must be positive, got {self.t60}")
+        # Chained comparisons, unlike math.isfinite, take an int of any size; NaN fails them.
+        if not 0 < self.t60 < math.inf:
+            raise InvalidInputError(f"t60 must be finite and positive, got {self.t60}")
+        if not -math.inf < self.drr_target < math.inf:
+            raise InvalidInputError(f"drr_target must be finite, got {self.drr_target}")
         if not 0 <= self.direct_delay < self.rir_len:
             raise InvalidInputError(
                 f"need rir_len > direct_delay >= 0, got {self.rir_len} and {self.direct_delay}"
@@ -242,8 +246,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     A file that is not a JSON manifest raises InvalidConfigError, and so
     does an entry whose file names are not strings, whose split is not one
-    of SPLITS or whose params have the wrong type, or a sample_rate,
-    example_len or rir_len that is not an integer >= 1.
+    of SPLITS or whose params have the wrong type or are not finite, or a
+    sample_rate, example_len or rir_len that is not an integer >= 1.
 
     A manifest without ``rir_len`` (the format before it and the clean
     paths were stored) still loads: each clean path is then the reverberant
@@ -289,10 +293,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             )
         for key, value in params.items():
             kinds = (int, float) if key in _FLOAT_PARAMS else (int,)
-            if isinstance(value, bool) or not isinstance(value, kinds):
+            typed = isinstance(value, kinds) and not isinstance(value, bool)
+            if not (typed and -math.inf < value < math.inf):
                 raise InvalidConfigError(
                     f"{path}: entry {reverberant} has {key}={value!r}, expected "
-                    f"{'a number' if key in _FLOAT_PARAMS else 'an integer'}"
+                    f"{'a finite number' if key in _FLOAT_PARAMS else 'an integer'}"
                 )
         checked.append((reverberant, rir, clean, split, params))
     if legacy:

@@ -46,24 +46,21 @@ LR_DECAY = 0.7  # factor on the learning rate every lr_every epochs
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters; the full-scale defaults are batch 128, 200 epochs,
-    initial rate 8e-5 decayed by LR_DECAY every 40 epochs. Profile.analysis()
-    builds the STFT and band fields into the setup train selects on, and
-    `rirlab train --set` cannot change them, so evaluate and plot-data score
-    a run with the setup it was selected on."""
+    """Hyperparameters of one training run; profiles.py holds each profile's.
+    Profile.analysis() builds the STFT and band fields into the setup train
+    selects on, and `rirlab train --set` cannot change them, so evaluate and
+    plot-data score a run with the setup it was selected on."""
 
-    lambda_edr: float = 1.0
-    lambda_mse: float = 50.0
-    batch_size: int = 128
-    epochs: int = 200
-    lr_init: float = 8e-5
-    lr_every: int = 40
-    seed: int = 0
-    stft_window: int = 256
-    stft_hop: int = 128
-    band_centers: tuple[float, ...] = (
-        16.0, 32.0, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0
-    )
+    lambda_edr: float
+    lambda_mse: float
+    batch_size: int
+    epochs: int
+    lr_init: float
+    lr_every: int
+    seed: int
+    stft_window: int
+    stft_hop: int
+    band_centers: tuple[float, ...]
 
     def __post_init__(self):
         # batch_size >= 2: train-mode batchnorm needs two examples.
@@ -109,7 +106,6 @@ class EpochRecord:
 @dataclass
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
-    initial_val_edr: float | None = None
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -347,9 +343,6 @@ def train(
             fh.write(json.dumps(echo, indent=2) + "\n")
 
     log = TrainLog()
-    log.initial_val_edr = validation_edr(
-        estimator, val_rev, val_rir, basis, partition, cfg.batch_size
-    )
     best_epoch, best_val = -1, np.inf
     best_path = out_dir / "best.ckpt"
 

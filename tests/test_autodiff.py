@@ -614,7 +614,7 @@ class TestBackward:
 def _full_decoder_tconv_cases():
     """(layer, input shape) of each full-profile decoder tconv at batch 4,
     found by running the layers on an empty batch."""
-    net = models.Estimator(models.full_estimator_config(), seed=0, draw=False)
+    net = models.Estimator(get_profile("full").estimator, seed=0, draw=False)
     h, cases = Tensor(np.zeros((0, 1, net.config.input_len), dtype=net.dtype)), []
     with ad.no_grad():
         for _, layer in net.layers:
@@ -900,8 +900,8 @@ def _conv_layer_cases(layer_type=models.Conv1dLayer):
     profiles' estimators and discriminators, found by running the layers on
     an empty batch."""
     nets = [
-        (models.Estimator(models.full_estimator_config(), seed=0, draw=False), 1),
-        (models.Estimator(models.toy_estimator_config(), seed=0, draw=False), 1),
+        (models.Estimator(get_profile("full").estimator, seed=0, draw=False), 1),
+        (models.Estimator(get_profile("toy").estimator, seed=0, draw=False), 1),
         (models.Discriminator(get_profile("full").discriminator, seed=0), 2),
         (models.Discriminator(get_profile("toy").discriminator, seed=0), 2),
     ]

@@ -19,6 +19,7 @@ from scipy.io import wavfile
 from rirlab import cli, models, synth
 from rirlab.cli import main
 from rirlab.errors import UnsupportedFormatError
+from rirlab.profiles import get_profile
 from rirlab.synth import load_manifest
 from rirlab.training import TrainConfig
 from rirlab.wavio import read_wav
@@ -55,6 +56,13 @@ def _malformed_wav(wav: bytes, kind: str) -> bytes:
 
 
 MALFORMED_WAVS = ["truncated", "cut_in_samples", "not_riff", "empty", "mu_law"]
+
+
+def _with_first_param(manifest: dict, key: str, value) -> str:
+    """The manifest as JSON, with the first entry's params[key] set to value."""
+    first = manifest["entries"][0]
+    entry = {**first, "params": {**first["params"], key: value}}
+    return json.dumps({**manifest, "entries": [entry, *manifest["entries"][1:]]})
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +232,11 @@ class TestTrain:
             lambda m: json.dumps({k: v for k, v in m.items() if k != "sample_rate"}),
             lambda m: json.dumps({k: v for k, v in m.items() if k != "entries"}),
             lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "params": None}]}),
+            lambda m: _with_first_param(m, "t60", float("nan")),
+            lambda m: _with_first_param(m, "drr_target", float("inf")),
         ],
-        ids=["not_json", "missing_sample_rate", "missing_entries", "entry_without_params"],
+        ids=["not_json", "missing_sample_rate", "missing_entries", "entry_without_params",
+             "nan_t60", "infinite_drr_target"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, cli_dataset, capsys, edit):
         manifest = json.loads((cli_dataset / "manifest.json").read_text())
@@ -366,7 +377,7 @@ class TestTrain:
         assert not out.exists()
 
     def test_set_keys_are_scalar_train_config_fields(self):
-        cfg = TrainConfig()
+        cfg = get_profile("full").train
         names = {f.name for f in dataclasses.fields(TrainConfig)}
         assert len(set(cli.SET_KEYS)) == 7
         for key in cli.SET_KEYS:
@@ -667,7 +678,6 @@ class TestEvaluate:
     ):
         from rirlab import cli
         from rirlab.models import build_estimator, estimate, load_checkpoint, save_checkpoint
-        from rirlab.profiles import get_profile
         from rirlab.synth import load_manifest
 
         assert n_test % cli.EVAL_BATCH in (1, 2)
@@ -703,7 +713,7 @@ class TestEvaluate:
     def test_checkpoint_of_other_rir_len_or_rate_exits_2_before_any_read_or_forward(
         self, tmp_path, cli_dataset, capsys, monkeypatch, change
     ):
-        toy = models.toy_estimator_config()
+        toy = get_profile("toy").estimator
         decoder = toy.decoder[1:] if "rir_len" in change else toy.decoder  # 64 samples out
         ckpt = tmp_path / "other.ckpt"
         other = dataclasses.replace(toy, decoder=decoder, **change)
@@ -761,7 +771,6 @@ class TestPlotData:
     ):
         from rirlab.dsp import StftConfig, octave_bands, stft
         from rirlab.models import estimate, load_checkpoint
-        from rirlab.profiles import get_profile
 
         out = tmp_path / "plots"
         assert main(
@@ -807,7 +816,7 @@ class TestPlotData:
     def test_checkpoint_of_other_rir_len_exits_2_without_output(
         self, tmp_path, cli_dataset, capsys
     ):
-        toy = models.toy_estimator_config()
+        toy = get_profile("toy").estimator
         short = dataclasses.replace(toy, rir_len=64, decoder=toy.decoder[1:])
         ckpt = tmp_path / "short.ckpt"
         models.save_checkpoint(models.Estimator(short, seed=0), ckpt)

@@ -272,3 +272,7 @@ class TestTypes:
             StftConfig(64, 0)
         with pytest.raises(InvalidConfigError):
             StftConfig(64, 65)
+        # bools and floats are not integers, even where they compare equal to one
+        for window_size, hop in ((True, True), (64, 32.0), (64, True), (64.0, 32)):
+            with pytest.raises(InvalidConfigError):
+                StftConfig(window_size, hop)

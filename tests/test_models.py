@@ -22,18 +22,16 @@ from rirlab.models import (
     build_estimator,
     estimate,
     estimate_batch,
-    full_estimator_config,
     load_checkpoint,
     make_condition,
     save_checkpoint,
-    toy_estimator_config,
 )
 from rirlab.profiles import get_profile
 
 
 class TestEstimator:
     def test_toy_forward_shape_and_determinism(self):
-        net = build_estimator(toy_estimator_config(), seed=1)
+        net = build_estimator(get_profile("toy").estimator, seed=1)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 8000)))
         with ad.no_grad():
             a = net.forward(x, train=False)
@@ -41,12 +39,12 @@ class TestEstimator:
         assert a.shape == (2, 1, 256)
         np.testing.assert_array_equal(a.data, b.data)
         # same seed rebuilds the same weights
-        again = build_estimator(toy_estimator_config(), seed=1)
+        again = build_estimator(get_profile("toy").estimator, seed=1)
         for (_, p1), (_, p2) in zip(net.named_parameters(), again.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_full_forward_shape(self):
-        net = build_estimator(full_estimator_config(), seed=2)
+        net = build_estimator(get_profile("full").estimator, seed=2)
         x = Tensor(np.random.default_rng(1).standard_normal((1, 1, 16000)))
         with ad.no_grad():
             out = net.forward(x, train=False)
@@ -54,19 +52,19 @@ class TestEstimator:
         assert np.all(np.isfinite(out.data))
 
     def test_outputs_inside_tanh_range(self):
-        net = build_estimator(toy_estimator_config(), seed=3)
+        net = build_estimator(get_profile("toy").estimator, seed=3)
         x = Tensor(np.random.default_rng(2).standard_normal((2, 1, 8000)) * 10)
         with ad.no_grad():
             out = net.forward(x, train=False)
         assert np.all(np.abs(out.data) < 1.0)
 
     def test_toy_parameter_budget(self):
-        net = build_estimator(toy_estimator_config(), seed=0)
+        net = build_estimator(get_profile("toy").estimator, seed=0)
         assert sum(p.size for p in net.parameters()) < 500_000
 
     @pytest.mark.parametrize(
         "cfg, n_params",
-        [(toy_estimator_config(), 69_353), (full_estimator_config(), 17_656_129)],
+        [(get_profile("toy").estimator, 69_353), (get_profile("full").estimator, 17_656_129)],
         ids=["toy", "full"],
     )
     def test_only_the_collapse_tconv_has_a_bias(self, cfg, n_params):
@@ -81,7 +79,7 @@ class TestEstimator:
 
     def test_invalid_schedule_names_offending_layer(self):
         cfg = dataclasses.replace(
-            toy_estimator_config(),
+            get_profile("toy").estimator,
             collapse={"kernel": 4, "stride": 1, "padding": 2, "output_padding": 0},
         )
         with pytest.raises(InvalidConfigError, match="estimator schedule"):
@@ -101,7 +99,7 @@ class TestEstimator:
         ids=["encoder_typo", "decoder_unknown", "decoder_missing", "collapse_out_channels"],
     )
     def test_block_keys_must_match_their_schedule(self, schedule, index, edit, message):
-        base = toy_estimator_config()
+        base = get_profile("toy").estimator
         if index is None:
             blocks = edit(getattr(base, schedule))
         else:
@@ -112,7 +110,7 @@ class TestEstimator:
             dataclasses.replace(base, **{schedule: blocks})
 
     def test_impossible_layer_arithmetic_reported(self):
-        base = toy_estimator_config()
+        base = get_profile("toy").estimator
         first = {**base.encoder[0], "kernel": 9001, "padding": 0}
         cfg = dataclasses.replace(base, encoder=(first, *base.encoder[1:]))
         with pytest.raises(InvalidConfigError, match="enc0_conv"):
@@ -121,20 +119,20 @@ class TestEstimator:
     def test_output_padding_not_below_stride_rejected_at_build(self):
         # padding 4 and output_padding 4 keep dec1's output length, but the
         # transposed conv needs output_padding < stride (4).
-        base = toy_estimator_config()
+        base = get_profile("toy").estimator
         dec1 = {**base.decoder[0], "padding": 4, "output_padding": 4}
         cfg = dataclasses.replace(base, decoder=(dec1, *base.decoder[1:]))
         with pytest.raises(InvalidConfigError, match="dec1_tconv"):
             build_estimator(cfg, seed=0)
 
     def test_building_full_networks_records_nothing(self):
-        build_estimator(full_estimator_config(), seed=0)
+        build_estimator(get_profile("full").estimator, seed=0)
         build_discriminator(get_profile("full").discriminator, seed=1)
         assert len(ad.active_tape()) == 0
         assert ad.is_grad_enabled()
 
     def test_wrong_input_length_rejected(self):
-        net = build_estimator(toy_estimator_config(), seed=0)
+        net = build_estimator(get_profile("toy").estimator, seed=0)
         with pytest.raises(InvalidInputError):
             net.forward(Tensor(np.zeros((1, 1, 4000))), train=False)
 
@@ -180,10 +178,8 @@ class TestDiscriminator:
 
     @staticmethod
     def _condition_cfg(condition_len, rir_len):
-        return models.DiscriminatorConfig(
-            rir_len=rir_len,
-            condition_len=condition_len,
-            blocks=get_profile("toy").discriminator_blocks,
+        return dataclasses.replace(
+            get_profile("toy").discriminator, rir_len=rir_len, condition_len=condition_len
         )
 
     def test_condition_helper(self):
@@ -199,9 +195,7 @@ class TestDiscriminator:
         # The condition is zero-padded to rir_len, never cropped: a longer
         # condition_len would be written but never take effect.
         with pytest.raises(InvalidConfigError, match="condition_len 512"):
-            models.DiscriminatorConfig(
-                rir_len=256, condition_len=512, blocks=get_profile("toy").discriminator_blocks
-            )
+            dataclasses.replace(get_profile("toy").discriminator, condition_len=512)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -213,7 +207,7 @@ class TestDiscriminator:
         blocks = list(get_profile("toy").discriminator_blocks)
         blocks[1] = edit(blocks[1])
         with pytest.raises(InvalidConfigError, match=r"blocks\[1\].*" + message):
-            models.DiscriminatorConfig(rir_len=256, condition_len=256, blocks=tuple(blocks))
+            dataclasses.replace(get_profile("toy").discriminator, blocks=tuple(blocks))
 
     def test_condition_shorter_than_required_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -239,7 +233,7 @@ class TestDiscriminator:
 
 class TestEstimate:
     def test_eval_determinism_and_length(self):
-        net = build_estimator(toy_estimator_config(), seed=7)
+        net = build_estimator(get_profile("toy").estimator, seed=7)
         sig = Signal(np.random.default_rng(7).uniform(-0.9, 0.9, 8000), 8000)
         a = estimate(net, sig)
         b = estimate(net, sig)
@@ -249,17 +243,17 @@ class TestEstimate:
         assert np.all(np.isfinite(a.samples))
 
     def test_length_mismatch_rejected(self):
-        net = build_estimator(toy_estimator_config(), seed=8)
+        net = build_estimator(get_profile("toy").estimator, seed=8)
         with pytest.raises(InvalidInputError):
             estimate(net, Signal(np.zeros(4000), 8000))
 
     def test_sample_rate_mismatch_rejected(self):
-        net = build_estimator(toy_estimator_config(), seed=8)
+        net = build_estimator(get_profile("toy").estimator, seed=8)
         with pytest.raises(InvalidInputError):
             estimate(net, Signal(np.zeros(8000), 16000))
 
     def test_batch_checks_every_input(self):
-        net = build_estimator(toy_estimator_config(), seed=8)
+        net = build_estimator(get_profile("toy").estimator, seed=8)
         good = Signal(np.zeros(8000), 8000)
         assert estimate_batch(net, []) == []
         for bad in (Signal(np.zeros(4000), 8000), Signal(np.zeros(8000), 16000)):
@@ -282,7 +276,7 @@ def _batches_seen(monkeypatch, layer) -> list[int]:
 @pytest.fixture(scope="module", params=["toy", "full"])
 def eval_net(request):
     """An estimator whose running statistics have moved off 0 and 1."""
-    cfg = toy_estimator_config() if request.param == "toy" else full_estimator_config()
+    cfg = get_profile(request.param).estimator
     net = build_estimator(cfg, seed=11)
     x = np.random.default_rng(11).uniform(-0.9, 0.9, (2, 1, cfg.input_len))
     with ad.no_grad():
@@ -309,7 +303,7 @@ class TestDepthFirstForward:
     def test_full_estimate_batch_of_4_peaks_below_16_mib(self):
         # 28.5 MiB when every layer ran on the whole batch: dec5's GEMM
         # result alone is 21 MB at batch 4.
-        cfg = full_estimator_config()
+        cfg = get_profile("full").estimator
         net = build_estimator(cfg, seed=2)
         rng = np.random.default_rng(2)
         sigs = [Signal(rng.uniform(-0.9, 0.9, cfg.input_len), cfg.sample_rate) for _ in range(4)]
@@ -323,7 +317,7 @@ class TestDepthFirstForward:
 
     @pytest.mark.parametrize("train, grad", [(True, False), (True, True), (False, True)])
     def test_train_mode_and_grad_mode_run_every_layer_on_the_batch(self, train, grad, monkeypatch):
-        net = build_estimator(toy_estimator_config(), seed=4)
+        net = build_estimator(get_profile("toy").estimator, seed=4)
         last = _batches_seen(monkeypatch, net.layers[-1][1])
         x = Tensor(np.random.default_rng(4).uniform(-0.9, 0.9, (3, 1, 8000)))
         if grad:
@@ -335,7 +329,7 @@ class TestDepthFirstForward:
         assert last == [3]
 
     def test_eval_forward_with_grad_on_records_and_reaches_every_parameter(self):
-        net = build_estimator(toy_estimator_config(), seed=5)
+        net = build_estimator(get_profile("toy").estimator, seed=5)
         x = np.random.default_rng(5).uniform(-0.9, 0.9, (3, 1, 8000))
         with ad.no_grad():
             want = net.forward(Tensor(x), train=False)
@@ -362,7 +356,7 @@ class TestInitialization:
     def test_seeded_estimator_state_is_pinned(self):
         # The digest of the records before the decoder tconvs lost their
         # (zero) biases, with those records left out: no value moved.
-        net = build_estimator(toy_estimator_config(), seed=0)
+        net = build_estimator(get_profile("toy").estimator, seed=0)
         assert _state_digest(net) == "116780174d9de31b"
 
     def test_seeded_discriminator_state_is_pinned(self):
@@ -373,7 +367,7 @@ class TestInitialization:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_blockwise_draw_equals_one_float64_draw_rounded(self, dtype):
         # The toy weights fit in one block; this shape spans three.
-        net = models.Network(dataclasses.replace(toy_estimator_config(), dtype=dtype), seed=0)
+        net = models.Network(dataclasses.replace(get_profile("toy").estimator, dtype=dtype), seed=0)
         shape, fan_in = (3, models.DRAW_BLOCK - 5), 40
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
         got = net._weight(rng, shape, fan_in)
@@ -387,7 +381,7 @@ class TestInitialization:
         # alone added a 42 MB temporary to the 70 MB of parameters.
         tracemalloc.start()
         try:
-            net = build_estimator(full_estimator_config(), seed=0)
+            net = build_estimator(get_profile("full").estimator, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -396,7 +390,7 @@ class TestInitialization:
 
 class TestCheckpoints:
     def test_round_trip_bit_identical_forward(self, tmp_path):
-        net = build_estimator(toy_estimator_config(), seed=9)
+        net = build_estimator(get_profile("toy").estimator, seed=9)
         # perturb running stats so buffers are exercised too
         x = Tensor(np.random.default_rng(8).standard_normal((4, 1, 8000)))
         net.forward(x, train=True)
@@ -406,7 +400,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(estimate(net, sig).samples, estimate(loaded, sig).samples)
 
     def test_save_writes_records_without_copying_them(self, tmp_path):
-        net = build_estimator(toy_estimator_config(), seed=3)
+        net = build_estimator(get_profile("toy").estimator, seed=3)
         largest = max(arr.nbytes for _, arr in _state(net))
         tracemalloc.start()
         try:
@@ -419,10 +413,10 @@ class TestCheckpoints:
         assert path.read_bytes().split(b"\n", 1)[1] == blobs
 
     def test_save_failing_part_way_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
-        net = build_estimator(toy_estimator_config(), seed=0)
+        net = build_estimator(get_profile("toy").estimator, seed=0)
         path = save_checkpoint(net, tmp_path / "best.ckpt")
         saved = path.read_bytes()
-        other = build_estimator(toy_estimator_config(), seed=1)
+        other = build_estimator(get_profile("toy").estimator, seed=1)
         records = models._state_records(other)
         name, last = records[-1]
 
@@ -445,7 +439,7 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_round_trip_preserves_every_record(self, tmp_path):
-        net = build_estimator(toy_estimator_config(), seed=10)
+        net = build_estimator(get_profile("toy").estimator, seed=10)
         net.forward(Tensor(np.random.default_rng(10).standard_normal((2, 1, 8000))), train=True)
         path = save_checkpoint(net, tmp_path / "e.ckpt")
         loaded = load_checkpoint(path)
@@ -453,14 +447,15 @@ class TestCheckpoints:
         for (_, a1), (_, a2) in zip(_state(net), _state(loaded)):
             np.testing.assert_array_equal(a1, a2)
 
-    @pytest.mark.parametrize("cfg", [toy_estimator_config(), full_estimator_config()],
+    @pytest.mark.parametrize("cfg", [get_profile("toy").estimator, get_profile("full").estimator],
                              ids=["toy", "full"])
     def test_config_echo_round_trips_through_json(self, cfg):
         assert EstimatorConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_load_draws_no_initialization(self, tmp_path, monkeypatch, dtype):
-        net = build_estimator(dataclasses.replace(toy_estimator_config(), dtype=dtype), seed=12)
+        cfg = dataclasses.replace(get_profile("toy").estimator, dtype=dtype)
+        net = build_estimator(cfg, seed=12)
         net.forward(Tensor(np.random.default_rng(12).standard_normal((2, 1, 8000))), train=True)
         path = save_checkpoint(net, tmp_path / "e.ckpt")
 
@@ -474,7 +469,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(a1, a2)
 
     def test_discriminator_kind_rejected(self, tmp_path):
-        path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
+        path = save_checkpoint(build_estimator(get_profile("toy").estimator, seed=1),
                                tmp_path / "e.ckpt")
         edit_header(path, lambda h: h.update(kind="discriminator"))
         with pytest.raises(InvalidConfigError, match="'discriminator'"):
@@ -488,14 +483,14 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
     def test_reject_malformed_header(self, tmp_path, edit):
-        path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
+        path = save_checkpoint(build_estimator(get_profile("toy").estimator, seed=1),
                                tmp_path / "e.ckpt")
         edit_header(path, edit)
         with pytest.raises(InvalidConfigError):
             load_checkpoint(path)
 
     def test_legacy_first_conv_keys_still_load(self, tmp_path):
-        net = build_estimator(toy_estimator_config(), seed=4)
+        net = build_estimator(get_profile("toy").estimator, seed=4)
         path = save_checkpoint(net, tmp_path / "e.ckpt")
 
         def split_first_conv(header):
@@ -514,7 +509,7 @@ class TestCheckpoints:
         assert _state_digest(loaded) == _state_digest(net)
 
     def test_legacy_scale_key_still_loads(self, tmp_path):
-        net = build_estimator(toy_estimator_config(), seed=4)
+        net = build_estimator(get_profile("toy").estimator, seed=4)
         path = save_checkpoint(net, tmp_path / "e.ckpt")
         edit_header(path, lambda h: h["config"].update(scale="toy"))
         loaded = load_checkpoint(path)
@@ -529,7 +524,8 @@ class TestCheckpoints:
     ):
         # Checkpoints written while the decoder tconvs held a bias carry a
         # dec{i}_tconv.bias record after each weight.
-        net = build_estimator(dataclasses.replace(toy_estimator_config(), dtype=dtype), seed=5)
+        cfg = dataclasses.replace(get_profile("toy").estimator, dtype=dtype)
+        net = build_estimator(cfg, seed=5)
         rng = np.random.default_rng(5)
         with ad.no_grad():
             for _ in range(3):
@@ -573,7 +569,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("name", ["dec1_bn.bias", "enc0_act.bias", "dec9_tconv.bias"])
     def test_other_unknown_records_still_rejected(self, tmp_path, name):
-        path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1),
+        path = save_checkpoint(build_estimator(get_profile("toy").estimator, seed=1),
                                tmp_path / "e.ckpt")
         edit_header(path, lambda h: h["records"].append({"name": name, "shape": [32]}))
         with pytest.raises(InvalidConfigError, match="unknown or repeated"):
@@ -584,7 +580,7 @@ class TestCheckpoints:
 def toy_checkpoint(tmp_path_factory):
     """(path to overwrite, parsed header, blob bytes) of a toy estimator."""
     root = tmp_path_factory.mktemp("ckpt")
-    path = save_checkpoint(build_estimator(toy_estimator_config(), seed=1), root / "e.ckpt")
+    path = save_checkpoint(build_estimator(get_profile("toy").estimator, seed=1), root / "e.ckpt")
     line, blobs = path.read_bytes().split(b"\n", 1)
     return root / "edited.ckpt", json.loads(line), blobs
 
@@ -662,13 +658,14 @@ def _float32(cfg):
 
 class TestDtype:
     def test_full_configs_ask_for_float32_and_toy_for_float64(self):
-        assert full_estimator_config().dtype == get_profile("full").discriminator.dtype == "float32"
-        assert toy_estimator_config().dtype == get_profile("toy").discriminator.dtype == "float64"
+        for name, dtype in (("full", "float32"), ("toy", "float64")):
+            profile = get_profile(name)
+            assert profile.estimator.dtype == profile.discriminator.dtype == dtype
 
     @pytest.mark.parametrize(
         "build, cfg, seed",
         [
-            (build_estimator, toy_estimator_config(), 0),
+            (build_estimator, get_profile("toy").estimator, 0),
             (build_discriminator, get_profile("toy").discriminator, 1),
         ],
         ids=["estimator", "discriminator"],
@@ -681,7 +678,7 @@ class TestDtype:
             np.testing.assert_array_equal(a32, a64.astype(np.float32))
 
     def test_inputs_without_gradient_are_cast_at_entry(self):
-        net = build_estimator(_float32(toy_estimator_config()), seed=2)
+        net = build_estimator(_float32(get_profile("toy").estimator), seed=2)
         x = np.random.default_rng(2).uniform(-0.9, 0.9, (2, 1, 8000))
         with ad.no_grad():
             out = net.forward(Tensor(x), train=False)
@@ -694,20 +691,20 @@ class TestDtype:
         assert logits.data.dtype == np.float32
 
     def test_input_with_gradient_is_not_cast(self):
-        net = build_estimator(_float32(toy_estimator_config()), seed=2)
+        net = build_estimator(_float32(get_profile("toy").estimator), seed=2)
         x = Tensor(np.zeros((2, 1, 8000)), requires_grad=True)
         with pytest.raises(InvalidInputError, match="mix dtypes"):
             net.forward(x, train=True)
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(InvalidConfigError, match="dtype"):
-            dataclasses.replace(toy_estimator_config(), dtype="float16")
+            dataclasses.replace(get_profile("toy").estimator, dtype="float16")
         with pytest.raises(InvalidConfigError, match="dtype"):
             dataclasses.replace(get_profile("toy").discriminator, dtype="int32")
 
     def test_float32_checkpoint_round_trips_at_half_the_size(self, tmp_path):
-        net64 = build_estimator(toy_estimator_config(), seed=5)
-        net32 = build_estimator(_float32(toy_estimator_config()), seed=5)
+        net64 = build_estimator(get_profile("toy").estimator, seed=5)
+        net32 = build_estimator(_float32(get_profile("toy").estimator), seed=5)
         net32.forward(Tensor(np.random.default_rng(5).standard_normal((4, 1, 8000))), train=True)
         path64 = save_checkpoint(net64, tmp_path / "e64.ckpt")
         path32 = save_checkpoint(net32, tmp_path / "e32.ckpt")
@@ -720,7 +717,7 @@ class TestDtype:
         assert json.loads(path32.read_bytes().split(b"\n", 1)[0])["config"]["dtype"] == "float32"
 
     def test_legacy_header_without_dtype_loads_as_float64(self, tmp_path):
-        net = build_estimator(toy_estimator_config(), seed=6)
+        net = build_estimator(get_profile("toy").estimator, seed=6)
         path = save_checkpoint(net, tmp_path / "e.ckpt")
         edit_header(path, lambda h: h["config"].pop("dtype"))
         loaded = load_checkpoint(path)

@@ -1,14 +1,60 @@
-"""Built-in profiles: the estimator config is the one home of the response
-length and the dtype, which the discriminator and synth take from it."""
+"""Built-in profiles: profiles.py is the one home of every number of both,
+and the estimator config the one home of the response length and the dtype,
+which the discriminator and synth take from it."""
 
 import dataclasses
 
 import pytest
 
-from rirlab.cli import main
+import rirlab
+from rirlab import models
+from rirlab.cli import build_parser, main
+from rirlab.models import DiscriminatorConfig, EstimatorConfig
 from rirlab.profiles import PROFILES
-from rirlab.synth import load_manifest
+from rirlab.synth import SPLITS, load_manifest
+from rirlab.training import TrainConfig
 from rirlab.wavio import read_wav
+
+
+def _choices(command: str, dest: str) -> list:
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    option = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
+    return list(option.choices)
+
+
+class TestOneHome:
+    @pytest.mark.parametrize("config", [TrainConfig, EstimatorConfig, DiscriminatorConfig])
+    def test_config_fields_have_no_defaults(self, config):
+        for field in dataclasses.fields(config):
+            assert field.default is dataclasses.MISSING, field.name
+            assert field.default_factory is dataclasses.MISSING, field.name
+
+    def test_models_holds_no_profile_schedule(self):
+        assert not hasattr(models, "full_estimator_config")
+        assert not hasattr(models, "toy_estimator_config")
+
+    def test_cli_choices_come_from_the_profiles_and_splits(self):
+        assert _choices("synth", "profile") == _choices("train", "profile") == sorted(PROFILES)
+        assert _choices("evaluate", "split") == list(SPLITS)
+
+    def test_top_level_api_scores_a_pair_with_the_profile_setup(self):
+        profile = rirlab.get_profile("toy")
+        assert isinstance(profile, rirlab.Profile)
+        basis, partition = profile.analysis()
+        sample_rate = profile.estimator.sample_rate
+        truth, other = (
+            rirlab.synth_rir(
+                rirlab.RirParams(t60=t60, drr_target=5.0, n_early_reflections=2,
+                                 direct_delay=2, rir_len=profile.rir_len, seed=0),
+                sample_rate,
+            )
+            for t60 in (0.1, 0.05)
+        )
+        report = rirlab.metric_report([(truth, truth), (other, truth)], basis, partition)
+        assert report.centers == partition.centers
+        assert report.n_pairs == 2
+        assert report.examples[0] == (0.0, 0.0, 0.0, 0.0)
+        assert report.examples[1][0] > 0.0
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))

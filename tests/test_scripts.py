@@ -1,0 +1,26 @@
+"""Smoke tests of the measurement scripts under scripts/, whose numbers the
+README and ROADMAP quote."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_step_memory_probe_prints_every_documented_key():
+    probe = SCRIPTS / "step_memory_probe.py"
+    out = subprocess.run(
+        [sys.executable, str(probe), "2", "1"],
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    # Each bullet of the docstring names its keys before its colon.
+    bullets = re.findall(r"^- (``.*?):", probe.read_text(), flags=re.MULTILINE)
+    documented = [key for bullet in bullets for key in re.findall(r"``(\w+)``", bullet)]
+    assert len(documented) == 6
+    pairs = dict(token.split("=", 1) for token in out.split())
+    assert set(documented) <= pairs.keys(), out
+    assert {"batch": "2", "steps": "1"}.items() <= pairs.items()
+    for key in documented:
+        float(pairs[key])

@@ -84,6 +84,11 @@ class TestSynthRir:
         with pytest.raises(InvalidInputError):
             RirParams(t60=0.1, drr_target=5, n_early_reflections=0, direct_delay=64,
                       rir_len=64, seed=0)
+        for t60, drr_target in ((float("nan"), 5), (float("inf"), 5), (0.1, float("nan")),
+                                (0.1, float("-inf"))):
+            with pytest.raises(InvalidInputError):
+                RirParams(t60=t60, drr_target=drr_target, n_early_reflections=0,
+                          direct_delay=0, rir_len=64, seed=0)
 
 
 class TestMakeExample:

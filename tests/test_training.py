@@ -18,7 +18,7 @@ from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDiverge
 from rirlab.models import build_discriminator, build_estimator, load_checkpoint, make_condition
 from rirlab.profiles import get_profile
 from rirlab.synth import build_dataset
-from rirlab.training import TrainConfig, train, train_step
+from rirlab.training import train, train_step
 from rirlab.wavio import read_wav
 
 
@@ -368,7 +368,7 @@ class TestUpdatesConsumeGradients:
 
 class TestTrainConfig:
     def test_full_scale_defaults_and_schedule(self):
-        cfg = TrainConfig()
+        cfg = get_profile("full").train
         assert cfg.batch_size == 128
         assert cfg.epochs == 200
         assert cfg.lr_init == 8e-5
@@ -379,13 +379,13 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            TrainConfig(lambda_edr=-1.0)
+            dataclasses.replace(get_profile("full").train, lambda_edr=-1.0)
         with pytest.raises(InvalidInputError):
-            TrainConfig(batch_size=1)
+            dataclasses.replace(get_profile("full").train, batch_size=1)
         with pytest.raises(InvalidInputError):
-            TrainConfig(epochs=0)
+            dataclasses.replace(get_profile("full").train, epochs=0)
         with pytest.raises(InvalidInputError):
-            TrainConfig(lr_every=0)
+            dataclasses.replace(get_profile("full").train, lr_every=0)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -396,14 +396,14 @@ class TestTrainConfig:
     )
     def test_bad_value_names_its_key(self, key, value):
         with pytest.raises(InvalidInputError, match=key):
-            TrainConfig(**{key: value})
+            dataclasses.replace(get_profile("full").train, **{key: value})
 
     @pytest.mark.parametrize(
         "key, value", [("stft_hop", 0), ("stft_hop", 512), ("stft_window", 100)]
     )
     def test_bad_stft_setup_raises_config_error(self, key, value):
         with pytest.raises(InvalidConfigError):
-            TrainConfig(**{key: value})
+            dataclasses.replace(get_profile("full").train, **{key: value})
 
 
 class TestTrain:
@@ -419,7 +419,6 @@ class TestTrain:
         assert r1.best_val_edr == min(vals)
         assert len(r1.log.records) == 3
         assert all(np.isfinite(v) for v in vals)
-        assert r1.log.initial_val_edr is not None
 
     def test_run_files_are_replaced_whole(self, tmp_path, monkeypatch, toy_profile, tiny_dataset):
         replaced = []
