@@ -31,8 +31,9 @@ def next_pow2(n: int) -> int:
 class Signal:
     """A mono waveform with its sample rate.
 
-    Samples are stored as float64; NaN/Inf samples and non-positive sample
-    rates are rejected on construction.
+    Samples are stored as float64; NaN/Inf samples and a sample rate that is
+    not a positive integer (a bool or a float is not one) are rejected on
+    construction. A numpy integer rate is stored as an int.
     """
 
     samples: np.ndarray
@@ -44,10 +45,11 @@ class Signal:
             raise InvalidInputError(f"signal must be 1-D, got shape {samples.shape}")
         if samples.size and not np.all(np.isfinite(samples)):
             raise InvalidInputError("signal contains NaN or Inf samples")
-        if int(self.sample_rate) <= 0:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate <= 0:
+            raise InvalidInputError(f"sample_rate must be a positive integer, got {rate!r}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", int(rate))
 
     def __len__(self) -> int:
         return self.samples.size

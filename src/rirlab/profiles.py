@@ -7,6 +7,7 @@ laptop CPU.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .dsp import BandPartition, DftBasis, make_dft_basis, octave_bands
@@ -146,18 +147,21 @@ _TOY = Profile(
     ),
 )
 
-PROFILES = {"full": _FULL, "toy": _TOY}
+_PROFILES = {"full": _FULL, "toy": _TOY}
+PROFILES = tuple(_PROFILES)  # the names get_profile takes
 
 
 def get_profile(name: str) -> Profile:
-    if name not in PROFILES:
-        raise InvalidInputError(f"unknown profile {name!r}, expected one of {sorted(PROFILES)}")
-    return PROFILES[name]
+    """A copy of the named profile. The schedule blocks are dicts, so each
+    caller gets its own: an assignment through one reaches no later copy."""
+    if name not in _PROFILES:
+        raise InvalidInputError(f"unknown profile {name!r}, expected one of {PROFILES}")
+    return copy.deepcopy(_PROFILES[name])
 
 
 def profile_for_sample_rate(sample_rate: int) -> Profile:
-    """Pick the profile whose sample rate matches a manifest."""
-    for profile in PROFILES.values():
+    """A copy of the profile whose sample rate matches a manifest."""
+    for name, profile in _PROFILES.items():
         if profile.estimator.sample_rate == sample_rate:
-            return profile
+            return get_profile(name)
     raise InvalidInputError(f"no profile uses sample rate {sample_rate}")

@@ -12,7 +12,7 @@ a pure function of (inputs, seed): per-example randomness is derived from
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,13 +20,21 @@ import numpy as np
 
 from . import metrics
 from .dsp import Signal, fft_convolve
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, check_count, check_real
 from .fileio import atomic_write
 from .wavio import read_wav, write_wav
 
 SPLITS = ("train", "val", "test")
 DECAY_RATE = 6.908  # ln(10^3): amplitude envelope exponent for a 60 dB fall per t60
 REVERB_PEAK = 0.95
+
+
+# The RirParams fields a manifest entry stores, each with its rule and bound;
+# rir_len is stored once, in the manifest's header.
+_PARAM_RULES = (("t60", check_real, "> 0"), ("drr_target", check_real, ""),
+                ("n_early_reflections", check_count, 0), ("direct_delay", check_count, 0),
+                ("seed", check_count, 0))
+_PARAM_KEYS = tuple(key for key, _, _ in _PARAM_RULES)
 
 
 @dataclass(frozen=True)
@@ -41,17 +49,10 @@ class RirParams:
     seed: int
 
     def __post_init__(self):
-        # Chained comparisons, unlike math.isfinite, take an int of any size; NaN fails them.
-        if not 0 < self.t60 < math.inf:
-            raise InvalidInputError(f"t60 must be finite and positive, got {self.t60}")
-        if not -math.inf < self.drr_target < math.inf:
-            raise InvalidInputError(f"drr_target must be finite, got {self.drr_target}")
-        if not 0 <= self.direct_delay < self.rir_len:
-            raise InvalidInputError(
-                f"need rir_len > direct_delay >= 0, got {self.rir_len} and {self.direct_delay}"
-            )
-        if self.n_early_reflections < 0:
-            raise InvalidInputError("n_early_reflections must be >= 0")
+        for key, check, bound in _PARAM_RULES:
+            check(key, getattr(self, key), bound)
+        # The direct impulse at direct_delay must lie inside the response.
+        check_count("rir_len", self.rir_len, self.direct_delay + 1)
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,6 @@ def speech_like(rng: np.random.Generator, n_samples: int, sample_rate: int) -> S
     return Signal(sig / np.max(np.abs(sig)), sample_rate)
 
 
-# The RirParams fields a manifest entry stores; rir_len is stored once, in
-# the manifest's header.
-_PARAM_KEYS = ("t60", "drr_target", "n_early_reflections", "direct_delay", "seed")
-_FLOAT_PARAMS = ("t60", "drr_target")  # the other keys hold integers
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     reverberant: str
@@ -246,8 +241,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     A file that is not a JSON manifest raises InvalidConfigError, and so
     does an entry whose file names are not strings, whose split is not one
-    of SPLITS or whose params have the wrong type or are not finite, or a
-    sample_rate, example_len or rir_len that is not an integer >= 1.
+    of SPLITS or whose params break RirParams' rules, or a header whose
+    sample_rate, example_len, rir_len (>= 1) or seed (>= 0) is not such an integer.
 
     A manifest without ``rir_len`` (the format before it and the clean
     paths were stored) still loads: each clean path is then the reverberant
@@ -276,29 +271,21 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
-    for key in ("sample_rate", "example_len") + (() if legacy else ("rir_len",)):
-        value = header[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InvalidConfigError(f"{path}: {key}={value!r}, expected an integer >= 1")
+    for key, low in (("sample_rate", 1), ("example_len", 1), ("rir_len", 1), ("seed", 0)):
+        if key in header:  # a legacy manifest has no rir_len
+            check_count(f"{path}: {key}", header[key], low)
     checked = []
-    for reverberant, rir, clean, split, params in rows:
+    for i, (reverberant, rir, clean, split, params) in enumerate(rows):
         if legacy and isinstance(reverberant, str):
             clean = reverberant.replace("_reverb.wav", "_clean.wav")
+        entry = f"{path}: entries[{i}]"
         for key, value in (("reverberant", reverberant), ("rir", rir), ("clean", clean)):
             if not isinstance(value, str):
-                raise InvalidConfigError(f"{path}: entry has {key}={value!r}, expected a file name")
+                raise InvalidConfigError(f"{entry}.{key} must be a file name, got {value!r}")
         if split not in SPLITS:
-            raise InvalidConfigError(
-                f"{path}: entry {reverberant} has split={split!r}, expected one of {SPLITS}"
-            )
-        for key, value in params.items():
-            kinds = (int, float) if key in _FLOAT_PARAMS else (int,)
-            typed = isinstance(value, kinds) and not isinstance(value, bool)
-            if not (typed and -math.inf < value < math.inf):
-                raise InvalidConfigError(
-                    f"{path}: entry {reverberant} has {key}={value!r}, expected "
-                    f"{'a finite number' if key in _FLOAT_PARAMS else 'an integer'}"
-                )
+            raise InvalidConfigError(f"{entry}.split must be one of {SPLITS}, got {split!r}")
+        for key, check, bound in _PARAM_RULES:
+            check(f"{entry}.params.{key}", params[key], bound)
         checked.append((reverberant, rir, clean, split, params))
     if legacy:
         header["rir_len"] = len(read_wav(path.parent / checked[0][1])) if checked else 0
@@ -370,10 +357,14 @@ def build_dataset(
     plus manifest.json. The clean file carries the exact (scaled) excitation,
     so spectral deconvolution of any pair recovers the stored response.
     """
+    for name, value in (("n_examples", n_examples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if n_examples < 3:
         raise InvalidInputError(f"need at least 3 examples, got {n_examples}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    n_examples, seed = int(n_examples), int(seed)  # json writes no numpy integer
     empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]
     if empty:
         raise InvalidInputError(f"clean signals at positions {empty} hold no samples")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,7 +21,7 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
 from .dsp import StftConfig, band_power
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError, check_count, check_real
 from .fileio import atomic_write
 from .models import (
     Discriminator,
@@ -64,16 +62,11 @@ class TrainConfig:
 
     def __post_init__(self):
         # batch_size >= 2: train-mode batchnorm needs two examples.
-        for key, low in (("seed", 0), ("batch_size", 2), ("epochs", 1), ("lr_every", 1)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise InvalidInputError(f"{key} must be an integer >= {low}, got {value!r}")
-        for key, positive in (("lambda_edr", False), ("lambda_mse", False), ("lr_init", True)):
-            value = getattr(self, key)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                bound = "> 0" if positive else ">= 0"
-                raise InvalidInputError(f"{key} must be a finite real number {bound}, got {value!r}")
+        for key, low in (("seed", 0), ("batch_size", 2), ("epochs", 1), ("lr_every", 1),
+                         ("stft_window", 1), ("stft_hop", 1)):
+            check_count(key, getattr(self, key), low)
+        for key, bound in (("lambda_edr", ">= 0"), ("lambda_mse", ">= 0"), ("lr_init", "> 0")):
+            check_real(key, getattr(self, key), bound)
         self.stft()
 
     def lr_at(self, epoch: int) -> float:

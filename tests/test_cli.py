@@ -328,7 +328,8 @@ class TestTrain:
         code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
                      "--profile", "toy", "--set", "epochs=1"])
         assert code == 2
-        assert f"sample_rate={value!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"sample_rate must be an integer in [1, 2**63), got {value!r}" in err
         assert not out.exists()
 
     def test_missing_wav_exits_3_without_run_directory(self, tmp_path, cli_dataset):
@@ -597,7 +598,8 @@ class TestEvaluate:
              "--method", "identity", "--out", str(tmp_path / "ident.csv")]
         )
         assert code == 2
-        assert f"{field}={value!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{field} must be " in err and f"got {value!r}" in err
         assert reads == []
 
     @pytest.mark.parametrize(

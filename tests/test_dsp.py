@@ -265,6 +265,15 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Signal(np.zeros(4), 0)
 
+    @pytest.mark.parametrize("rate", [16000.7, 16000.0, True, "16000", None, np.float64(8000)])
+    def test_signal_rejects_a_rate_that_is_not_an_integer(self, rate):
+        with pytest.raises(InvalidInputError, match="sample_rate"):
+            Signal(np.zeros(4), rate)
+
+    def test_signal_stores_a_numpy_integer_rate_as_int(self):
+        rate = Signal(np.zeros(4), np.int64(8000)).sample_rate
+        assert rate == 8000 and type(rate) is int
+
     def test_stft_config_validation(self):
         with pytest.raises(InvalidConfigError):
             StftConfig(100, 32)  # not a power of two

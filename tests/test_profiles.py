@@ -2,7 +2,9 @@
 and the estimator config the one home of the response length and the dtype,
 which the discriminator and synth take from it."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +12,26 @@ import rirlab
 from rirlab import models
 from rirlab.cli import build_parser, main
 from rirlab.models import DiscriminatorConfig, EstimatorConfig
-from rirlab.profiles import PROFILES
+from rirlab.profiles import PROFILES, get_profile
 from rirlab.synth import SPLITS, load_manifest
 from rirlab.training import TrainConfig
 from rirlab.wavio import read_wav
+
+
+# The argument checks of operations, which raise InvalidInputError and so keep
+# a bool rule of their own: (file under src/rirlab, top-level def or class).
+_OPERATION_BOOL_RULES = {("dsp.py", "octave_bands"), ("dsp.py", "Signal"),
+                         ("synth.py", "build_dataset")}
+
+
+def _bool_checks(tree: ast.Module):
+    """(top-level def or class, line) of each isinstance(..., bool) call."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+                if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                    yield getattr(top, "name", None), node.lineno
 
 
 def _choices(command: str, dest: str) -> list:
@@ -32,6 +50,19 @@ class TestOneHome:
     def test_models_holds_no_profile_schedule(self):
         assert not hasattr(models, "full_estimator_config")
         assert not hasattr(models, "toy_estimator_config")
+
+    def test_no_number_rule_outside_errors(self):
+        """Config objects and file headers check numbers with errors.check_count
+        and errors.check_real; a new bool test elsewhere is a copy of them."""
+        root = Path(rirlab.__file__).parent
+        copies = [
+            f"{path.relative_to(root)}:{line} ({owner})"
+            for path in sorted(root.rglob("*.py"))
+            if path.name != "errors.py"
+            for owner, line in _bool_checks(ast.parse(path.read_text()))
+            if (path.relative_to(root).as_posix(), owner) not in _OPERATION_BOOL_RULES
+        ]
+        assert copies == []
 
     def test_cli_choices_come_from_the_profiles_and_splits(self):
         assert _choices("synth", "profile") == _choices("train", "profile") == sorted(PROFILES)
@@ -60,7 +91,7 @@ class TestOneHome:
 @pytest.mark.parametrize("name", sorted(PROFILES))
 class TestDiscriminatorFollowsEstimator:
     def test_rir_len_and_dtype_are_the_estimator_s(self, name):
-        profile = PROFILES[name]
+        profile = get_profile(name)
         disc = profile.discriminator
         assert disc.rir_len == profile.estimator.rir_len == profile.rir_len
         assert disc.dtype == profile.estimator.dtype
@@ -70,23 +101,44 @@ class TestDiscriminatorFollowsEstimator:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_replaced_estimator_dtype_reaches_the_discriminator(self, name, dtype):
-        profile = PROFILES[name]
+        profile = get_profile(name)
         replaced = dataclasses.replace(
             profile, estimator=dataclasses.replace(profile.estimator, dtype=dtype)
         )
         assert replaced.discriminator == dataclasses.replace(profile.discriminator, dtype=dtype)
 
     def test_replaced_estimator_rir_len_reaches_the_discriminator(self, name):
-        profile = PROFILES[name]
+        profile = get_profile(name)
         longer = dataclasses.replace(profile.estimator, rir_len=2 * profile.rir_len)
         replaced = dataclasses.replace(profile, estimator=longer)
         assert replaced.discriminator.rir_len == replaced.rir_len == 2 * profile.rir_len
 
     def test_synth_writes_the_estimator_s_rir_len(self, name, tmp_path):
-        profile = PROFILES[name]
+        profile = get_profile(name)
         assert main(["synth", "--out", str(tmp_path), "--n", "3", "--profile", name]) == 0
         manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest.rir_len == profile.estimator.rir_len
         assert manifest.example_len == profile.estimator.input_len
         for entry in manifest.entries:
             assert len(read_wav(manifest.path(entry.rir))) == profile.estimator.rir_len
+
+
+class TestGetProfile:
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_assignment_through_a_profile_reaches_no_later_profile(self, name):
+        before = dataclasses.asdict(get_profile(name))
+        profile = get_profile(name)
+        blocks = (profile.estimator.encoder[0], profile.estimator.decoder[0],
+                  profile.estimator.collapse, profile.discriminator_blocks[0],
+                  profile.discriminator.blocks[1])
+        kernels = [blk["kernel"] for blk in blocks]
+        try:
+            for blk in blocks:
+                blk["kernel"] = 9
+            assert dataclasses.asdict(get_profile(name)) == before
+        finally:  # a profile shared across calls must not leak into other tests
+            for blk, kernel in zip(blocks, kernels):
+                blk["kernel"] = kernel
+        # The config echo still holds plain JSON objects.
+        assert type(before["estimator"]["encoder"][0]) is dict
+        assert type(before["discriminator_blocks"][0]) is dict

@@ -9,7 +9,7 @@ import pytest
 
 from rirlab import metrics, synth
 from rirlab.dsp import Signal, spectral_deconvolve
-from rirlab.errors import InvalidInputError, UnsupportedFormatError
+from rirlab.errors import InvalidConfigError, InvalidInputError, UnsupportedFormatError
 from rirlab.synth import (
     DatasetManifest,
     RirParamRanges,
@@ -78,15 +78,15 @@ class TestSynthRir:
             synth_rir(params, 16000)
 
     def test_param_invariants(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             RirParams(t60=-0.1, drr_target=5, n_early_reflections=0, direct_delay=0,
                       rir_len=64, seed=0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             RirParams(t60=0.1, drr_target=5, n_early_reflections=0, direct_delay=64,
                       rir_len=64, seed=0)
         for t60, drr_target in ((float("nan"), 5), (float("inf"), 5), (0.1, float("nan")),
                                 (0.1, float("-inf"))):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidConfigError):
                 RirParams(t60=t60, drr_target=drr_target, n_early_reflections=0,
                           direct_delay=0, rir_len=64, seed=0)
 
@@ -252,6 +252,21 @@ class TestBuildDataset:
     def test_too_few_examples_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             build_dataset(tmp_path / "ds", 2, TOY_RANGES, 8000, 8000, 256, seed=0)
+
+    @pytest.mark.parametrize("field", ["n_examples", "seed"])
+    @pytest.mark.parametrize("value", [3.5, 3.0, True, "3", None])
+    def test_mistyped_count_or_seed_rejected_before_the_directory(self, tmp_path, field, value):
+        args = {"n_examples": 3, "seed": 0, field: value}
+        with pytest.raises(InvalidInputError, match=field):
+            build_dataset(tmp_path / "ds", args["n_examples"], TOY_RANGES, 8000, 8000, 256,
+                          seed=args["seed"])
+        assert not (tmp_path / "ds").exists()
+
+    def test_numpy_integer_seed_writes_the_manifest_of_the_int_seed(self, tmp_path):
+        build_dataset(tmp_path / "a", 3, TOY_RANGES, 8000, 8000, 256, seed=np.int64(3))
+        build_dataset(tmp_path / "b", 3, TOY_RANGES, 8000, 8000, 256, seed=3)
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["seed"] == 3
+        assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
 
 
 class TestSpeechLike:

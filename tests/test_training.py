@@ -378,13 +378,13 @@ class TestTrainConfig:
         assert cfg.lr_at(80) == pytest.approx(8e-5 * 0.49)
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             dataclasses.replace(get_profile("full").train, lambda_edr=-1.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             dataclasses.replace(get_profile("full").train, batch_size=1)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             dataclasses.replace(get_profile("full").train, epochs=0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             dataclasses.replace(get_profile("full").train, lr_every=0)
 
     @pytest.mark.parametrize(
@@ -395,7 +395,7 @@ class TestTrainConfig:
          ("lr_init", True), ("lambda_mse", True), ("lambda_edr", "1"), ("lr_init", None)],
     )
     def test_bad_value_names_its_key(self, key, value):
-        with pytest.raises(InvalidInputError, match=key):
+        with pytest.raises(InvalidConfigError, match=key):
             dataclasses.replace(get_profile("full").train, **{key: value})
 
     @pytest.mark.parametrize(
