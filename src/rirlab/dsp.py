@@ -208,7 +208,11 @@ def octave_bands(sample_rate: int, fft_size: int, centers: list[float]) -> BandP
     Nyquist.
     """
     for c in centers:
-        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c):
+        try:
+            ok = not isinstance(c, bool) and isinstance(c, numbers.Real) and math.isfinite(c)
+        except OverflowError:  # math.isfinite of an int too large for a float
+            ok = False
+        if not ok:
             raise InvalidInputError(f"band centers must be finite real numbers, got {c!r}")
     centers = [float(c) for c in centers]
     if not centers:

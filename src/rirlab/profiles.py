@@ -11,7 +11,7 @@ import copy
 from dataclasses import dataclass
 
 from .dsp import BandPartition, DftBasis, make_dft_basis, octave_bands
-from .errors import InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError
 from .models import DiscriminatorConfig, EstimatorConfig
 from .synth import RirParamRanges
 from .training import TrainConfig
@@ -52,7 +52,7 @@ class Profile:
         estimator's sample rate. The window must fit in one response."""
         cfg, est_cfg = self.train, self.estimator
         if cfg.stft_window > est_cfg.rir_len:
-            raise InvalidInputError(
+            raise InvalidConfigError(
                 f"stft_window {cfg.stft_window} is longer than the estimator's rir_len "
                 f"{est_cfg.rir_len}"
             )

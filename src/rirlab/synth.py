@@ -7,13 +7,18 @@ each response with a clean excitation (user WAVs or a synthetic speech-like
 signal), convolve, and write WAV triples plus a JSON manifest. Everything is
 a pure function of (inputs, seed): per-example randomness is derived from
 (seed, example_index), so parallel and serial builds produce identical bytes.
+
+The dataclasses are the manifest's only description: manifest.json is
+DatasetManifest without its root, its keys in the field order of
+DatasetManifest, ManifestEntry and RirParams. The response length is stored
+once, in the header, and passed to synth_rir beside the sample rate.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,63 +34,67 @@ DECAY_RATE = 6.908  # ln(10^3): amplitude envelope exponent for a 60 dB fall per
 REVERB_PEAK = 0.95
 
 
-# The RirParams fields a manifest entry stores, each with its rule and bound;
-# rir_len is stored once, in the manifest's header.
-_PARAM_RULES = (("t60", check_real, "> 0"), ("drr_target", check_real, ""),
-                ("n_early_reflections", check_count, 0), ("direct_delay", check_count, 0),
-                ("seed", check_count, 0))
-_PARAM_KEYS = tuple(key for key, _, _ in _PARAM_RULES)
+def _check_int(name: str, value, low: int) -> None:
+    """An operation's integer argument: a Python or numpy integer (a bool is
+    not one) in [low, 2**63). It raises InvalidInputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if not low <= value < 2**63:
+        raise InvalidInputError(f"{name} must be >= {low} and < 2**63, got {value}")
 
 
 @dataclass(frozen=True)
 class RirParams:
-    """Generation parameters for one synthetic impulse response."""
+    """Generation parameters for one synthetic impulse response, one
+    manifest entry's ``params``. The response length is not one of them:
+    synth_rir takes it, and a manifest stores it once, in its header."""
 
     t60: float
     drr_target: float
     n_early_reflections: int
     direct_delay: int
-    rir_len: int
     seed: int
 
     def __post_init__(self):
-        for key, check, bound in _PARAM_RULES:
-            check(key, getattr(self, key), bound)
-        # The direct impulse at direct_delay must lie inside the response.
-        check_count("rir_len", self.rir_len, self.direct_delay + 1)
+        check_real("t60", self.t60, "> 0")
+        check_real("drr_target", self.drr_target)
+        check_count("n_early_reflections", self.n_early_reflections, 0)
+        check_count("direct_delay", self.direct_delay, 0)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
 class RirParamRanges:
-    """Uniform sampling ranges for dataset generation. The response length
-    is not a range: the caller passes the estimator's."""
+    """Uniform sampling ranges for dataset generation."""
 
     t60: tuple[float, float]
     drr: tuple[float, float]
     n_early: tuple[int, int]
     direct_delay: tuple[int, int]
 
-    def sample(self, rng: np.random.Generator, rir_len: int, seed: int) -> RirParams:
+    def sample(self, rng: np.random.Generator, seed: int) -> RirParams:
         return RirParams(
             t60=float(rng.uniform(*self.t60)),
             drr_target=float(rng.uniform(*self.drr)),
             n_early_reflections=int(rng.integers(self.n_early[0], self.n_early[1] + 1)),
             direct_delay=int(rng.integers(self.direct_delay[0], self.direct_delay[1] + 1)),
-            rir_len=rir_len,
             seed=seed,
         )
 
 
-def synth_rir(params: RirParams, sample_rate: int) -> Signal:
-    """Generate one impulse response, peak-normalized to |peak| = 1.
+def synth_rir(params: RirParams, rir_len: int, sample_rate: int) -> Signal:
+    """Generate one impulse response of rir_len samples, peak-normalized to
+    |peak| = 1. The direct impulse at params.direct_delay must lie inside
+    it: a rir_len that is not an integer above direct_delay raises
+    InvalidInputError.
 
     The noise tail is rescaled analytically so the measured DRR lands within
     1 dB of params.drr_target; targets that would require negative tail
     energy are rejected.
     """
+    _check_int("rir_len", rir_len, params.direct_delay + 1)
     rng = np.random.default_rng(params.seed)
-    n = params.rir_len
-    d = params.direct_delay
+    n, d = rir_len, params.direct_delay
 
     fixed = np.zeros(n)
     fixed[d] = 1.0
@@ -211,22 +220,8 @@ class DatasetManifest:
         return self.root / relative
 
     def to_json(self) -> str:
-        doc = {
-            "sample_rate": self.sample_rate,
-            "example_len": self.example_len,
-            "rir_len": self.rir_len,
-            "seed": self.seed,
-            "entries": [
-                {
-                    "reverberant": e.reverberant,
-                    "rir": e.rir,
-                    "clean": e.clean,
-                    "split": e.split,
-                    "params": {key: getattr(e.params, key) for key in _PARAM_KEYS},
-                }
-                for e in self.entries
-            ],
-        }
+        doc = asdict(self)
+        del doc["root"]  # entry paths are relative to the file's own directory
         return json.dumps(doc, indent=2)
 
     def save(self, path: str | Path) -> Path:
@@ -241,8 +236,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     A file that is not a JSON manifest raises InvalidConfigError, and so
     does an entry whose file names are not strings, whose split is not one
-    of SPLITS or whose params break RirParams' rules, or a header whose
-    sample_rate, example_len, rir_len (>= 1) or seed (>= 0) is not such an integer.
+    of SPLITS, whose params break RirParams' rules or whose direct_delay is
+    not below the header's rir_len, or a header whose sample_rate,
+    example_len, rir_len (>= 1) or seed (>= 0) is not such an integer.
 
     A manifest without ``rir_len`` (the format before it and the clean
     paths were stored) still loads: each clean path is then the reverberant
@@ -254,6 +250,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # not UTF-8 or not JSON
         raise InvalidConfigError(f"{path} is not a JSON manifest") from exc
+    param_keys = [f.name for f in fields(RirParams)]
     try:
         header = {key: doc[key] for key in ("sample_rate", "example_len", "seed")}
         legacy = "rir_len" not in doc
@@ -265,7 +262,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 item["rir"],
                 None if legacy else item["clean"],
                 item["split"],
-                {key: item["params"][key] for key in _PARAM_KEYS},
+                {key: item["params"][key] for key in param_keys},
             )
             for item in doc["entries"]
         ]
@@ -274,7 +271,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     for key, low in (("sample_rate", 1), ("example_len", 1), ("rir_len", 1), ("seed", 0)):
         if key in header:  # a legacy manifest has no rir_len
             check_count(f"{path}: {key}", header[key], low)
-    checked = []
+    entries = []
     for i, (reverberant, rir, clean, split, params) in enumerate(rows):
         if legacy and isinstance(reverberant, str):
             clean = reverberant.replace("_reverb.wav", "_clean.wav")
@@ -284,16 +281,19 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 raise InvalidConfigError(f"{entry}.{key} must be a file name, got {value!r}")
         if split not in SPLITS:
             raise InvalidConfigError(f"{entry}.split must be one of {SPLITS}, got {split!r}")
-        for key, check, bound in _PARAM_RULES:
-            check(f"{entry}.params.{key}", params[key], bound)
-        checked.append((reverberant, rir, clean, split, params))
+        try:
+            params = RirParams(**params)
+        except InvalidConfigError as exc:  # its message starts with the field's name
+            raise InvalidConfigError(f"{entry}.params.{exc}") from None
+        entries.append(ManifestEntry(reverberant, rir, clean, split, params))
     if legacy:
-        header["rir_len"] = len(read_wav(path.parent / checked[0][1])) if checked else 0
-    entries = tuple(
-        ManifestEntry(*files_and_split, RirParams(**params, rir_len=header["rir_len"]))
-        for *files_and_split, params in checked
-    )
-    return DatasetManifest(**header, entries=entries, root=path.parent)
+        header["rir_len"] = len(read_wav(path.parent / entries[0].rir)) if entries else 0
+    rir_len = header["rir_len"]
+    for i, entry in enumerate(entries):  # the direct impulse must lie inside the response
+        if entry.params.direct_delay >= rir_len:
+            raise InvalidConfigError(f"{path}: entries[{i}].params.direct_delay must be below "
+                                     f"rir_len {rir_len}, got {entry.params.direct_delay}")
+    return DatasetManifest(**header, entries=tuple(entries), root=path.parent)
 
 
 def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -357,14 +357,12 @@ def build_dataset(
     plus manifest.json. The clean file carries the exact (scaled) excitation,
     so spectral deconvolution of any pair recovers the stored response.
     """
-    for name, value in (("n_examples", n_examples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if n_examples < 3:
-        raise InvalidInputError(f"need at least 3 examples, got {n_examples}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    n_examples, seed = int(n_examples), int(seed)  # json writes no numpy integer
+    args = {"n_examples": (n_examples, 3), "seed": (seed, 0), "sample_rate": (sample_rate, 1),
+            "example_len": (example_len, 1), "rir_len": (rir_len, 1)}
+    for name, (value, low) in args.items():
+        _check_int(name, value, low)
+    # json writes no numpy integer
+    n_examples, seed, sample_rate, example_len, rir_len = (int(v) for v, _ in args.values())
     empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]
     if empty:
         raise InvalidInputError(f"clean signals at positions {empty} hold no samples")
@@ -380,8 +378,8 @@ def build_dataset(
     for i in range(n_examples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         entry_seed = int(rng.integers(0, 2**63))
-        params = ranges.sample(rng, rir_len, entry_seed)
-        rir = synth_rir(params, sample_rate)
+        params = ranges.sample(rng, entry_seed)
+        rir = synth_rir(params, rir_len, sample_rate)
         clean = _clean_segment(rng, clean_signals, active_len, example_len, sample_rate)
         reverberant, clean_scaled = render_example(clean, rir, example_len)
 

@@ -170,7 +170,9 @@ class TestOctaveBands:
             octave_bands(8000, 64, [250, 125])
 
     @pytest.mark.parametrize(
-        "centers", [[float("nan"), 125.0], ["x"], [float("nan")], [True], [125.0, False]]
+        "centers",
+        [[float("nan"), 125.0], ["x"], [float("nan")], [True], [125.0, False], [10**400],
+         [-10**400]],
     )
     def test_non_finite_or_non_real_center_rejected(self, centers):
         with pytest.raises(InvalidInputError, match="finite real"):

@@ -1,6 +1,7 @@
 """errors.check_count and errors.check_real are the one integer rule and the
 one finite-real rule of every config object and file header: each field they
-guard rejects every bad value with an InvalidConfigError that names it."""
+guard rejects every bad value with an InvalidConfigError that names it.
+synth_rir's rir_len, an operation's argument, raises InvalidInputError."""
 
 import dataclasses
 import json
@@ -9,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rirlab.errors import InvalidConfigError, check_count, check_real
+from rirlab.errors import InvalidConfigError, InvalidInputError, check_count, check_real
 from rirlab.profiles import get_profile
-from rirlab.synth import RirParams, load_manifest
+from rirlab.synth import RirParams, load_manifest, synth_rir
 
 NAN, INF = float("nan"), float("inf")
 BIG = 10**400  # an int too large for a float
@@ -31,7 +32,8 @@ def _bad_reals(bound: str) -> list:
 
 
 RIR_PARAMS = {"t60": 0.1, "drr_target": 5.0, "n_early_reflections": 2, "direct_delay": 2,
-              "rir_len": 64, "seed": 0}
+              "seed": 0}
+RIR_LEN = 64
 MANIFEST = {
     "sample_rate": 8000,
     "example_len": 8000,
@@ -42,7 +44,7 @@ MANIFEST = {
         "rir": "ex_00000_rir.wav",
         "clean": "ex_00000_clean.wav",
         "split": "train",
-        "params": {key: value for key, value in RIR_PARAMS.items() if key != "rir_len"},
+        "params": RIR_PARAMS,
     }],
 }
 
@@ -56,11 +58,11 @@ FIELDS = {
         ("stft_hop", _bad_counts(1)), ("lambda_edr", _bad_reals(">= 0")),
         ("lambda_mse", _bad_reals(">= 0")), ("lr_init", _bad_reals("> 0")),
     ],
-    # rir_len's bound is direct_delay + 1 = 3: the direct impulse must fit.
-    "RirParams": [*ENTRY_FIELDS, ("rir_len", _bad_counts(3))],
+    "RirParams": ENTRY_FIELDS,
     "header": [("sample_rate", _bad_counts(1)), ("example_len", _bad_counts(1)),
                ("rir_len", _bad_counts(1)), ("seed", _bad_counts(0))],
-    "entry": ENTRY_FIELDS,
+    # The header's rir_len is 256: the direct impulse must lie inside the response.
+    "entry": [*ENTRY_FIELDS, ("direct_delay", [("rir_len", 256)])],
 }
 CASES = [
     pytest.param(target, field, value, id=f"{target}-{field}-{label}")
@@ -100,7 +102,16 @@ def test_the_values_the_table_starts_from_are_good(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(MANIFEST))
     params = load_manifest(path).entries[0].params
-    assert params == dataclasses.replace(RirParams(**RIR_PARAMS), rir_len=256)
+    assert params == RirParams(**RIR_PARAMS)
+    assert len(synth_rir(params, RIR_LEN, 8000)) == RIR_LEN
+
+
+# rir_len's bound is direct_delay + 1 = 3: the direct impulse must fit.
+@pytest.mark.parametrize("value", [value for _, value in _bad_counts(3)],
+                         ids=[label for label, _ in _bad_counts(3)])
+def test_bad_rir_len_raises_input_error_naming_it(value):
+    with pytest.raises(InvalidInputError, match="rir_len must be "):
+        synth_rir(RirParams(**RIR_PARAMS), value, 8000)
 
 
 class TestCheckReal:

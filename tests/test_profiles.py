@@ -13,15 +13,19 @@ from rirlab import models
 from rirlab.cli import build_parser, main
 from rirlab.models import DiscriminatorConfig, EstimatorConfig
 from rirlab.profiles import PROFILES, get_profile
-from rirlab.synth import SPLITS, load_manifest
+from rirlab.synth import SPLITS, RirParams, load_manifest
 from rirlab.training import TrainConfig
 from rirlab.wavio import read_wav
 
 
 # The argument checks of operations, which raise InvalidInputError and so keep
 # a bool rule of their own: (file under src/rirlab, top-level def or class).
+# synth._check_int checks the integer arguments of build_dataset and synth_rir.
 _OPERATION_BOOL_RULES = {("dsp.py", "octave_bands"), ("dsp.py", "Signal"),
-                         ("synth.py", "build_dataset")}
+                         ("synth.py", "_check_int")}
+# The RirParams fields that only a manifest entry's params hold; "seed" also
+# names the header's and the train config's.
+_ENTRY_PARAM_KEYS = {f.name for f in dataclasses.fields(RirParams)} - {"seed"}
 
 
 def _bool_checks(tree: ast.Module):
@@ -32,6 +36,17 @@ def _bool_checks(tree: ast.Module):
                 kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
                 if any(getattr(kind, "id", None) == "bool" for kind in kinds):
                     yield getattr(top, "name", None), node.lineno
+
+
+def _entry_param_literals(tree: ast.Module):
+    """(top-level def or class, line) of each string literal that is the name
+    of an entry param, outside the RirParams class."""
+    for top in tree.body:
+        if getattr(top, "name", None) == "RirParams":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in _ENTRY_PARAM_KEYS:
+                yield getattr(top, "name", None), node.lineno
 
 
 def _choices(command: str, dest: str) -> list:
@@ -64,6 +79,17 @@ class TestOneHome:
         ]
         assert copies == []
 
+    def test_manifest_entry_keys_are_named_only_by_rir_params(self):
+        """The manifest's entry keys are RirParams' field names; a string that
+        names one elsewhere starts a second, hand-written list of them."""
+        root = Path(rirlab.__file__).parent
+        literals = [
+            f"{path.relative_to(root)}:{line} ({owner})"
+            for path in sorted(root.rglob("*.py"))
+            for owner, line in _entry_param_literals(ast.parse(path.read_text()))
+        ]
+        assert literals == []
+
     def test_cli_choices_come_from_the_profiles_and_splits(self):
         assert _choices("synth", "profile") == _choices("train", "profile") == sorted(PROFILES)
         assert _choices("evaluate", "split") == list(SPLITS)
@@ -76,7 +102,8 @@ class TestOneHome:
         truth, other = (
             rirlab.synth_rir(
                 rirlab.RirParams(t60=t60, drr_target=5.0, n_early_reflections=2,
-                                 direct_delay=2, rir_len=profile.rir_len, seed=0),
+                                 direct_delay=2, seed=0),
+                profile.rir_len,
                 sample_rate,
             )
             for t60 in (0.1, 0.05)

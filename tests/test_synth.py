@@ -12,6 +12,7 @@ from rirlab.dsp import Signal, spectral_deconvolve
 from rirlab.errors import InvalidConfigError, InvalidInputError, UnsupportedFormatError
 from rirlab.synth import (
     DatasetManifest,
+    ManifestEntry,
     RirParamRanges,
     RirParams,
     build_dataset,
@@ -27,68 +28,59 @@ TOY_RANGES = RirParamRanges(t60=(0.06, 0.15), drr=(3.0, 10.0), n_early=(0, 6), d
 
 
 def toy_params(**overrides):
-    base = dict(
-        t60=0.1, drr_target=6.0, n_early_reflections=4, direct_delay=2, rir_len=256, seed=11
-    )
+    base = dict(t60=0.1, drr_target=6.0, n_early_reflections=4, direct_delay=2, seed=11)
     base.update(overrides)
     return RirParams(**base)
 
 
 class TestSynthRir:
     def test_same_seed_bit_identical(self):
-        a = synth_rir(toy_params(), 8000)
-        b = synth_rir(toy_params(), 8000)
+        a = synth_rir(toy_params(), 256, 8000)
+        b = synth_rir(toy_params(), 256, 8000)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_peak_normalized(self):
-        rir = synth_rir(toy_params(), 8000)
+        rir = synth_rir(toy_params(), 256, 8000)
         assert np.max(np.abs(rir.samples)) == pytest.approx(1.0, abs=1e-12)
         assert len(rir) == 256
 
     def test_measured_drr_within_1db(self):
         for seed in range(20):
             params = toy_params(seed=seed, drr_target=3.0 + seed * 0.3)
-            rir = synth_rir(params, 8000)
+            rir = synth_rir(params, 256, 8000)
             assert abs(metrics.drr(rir) - params.drr_target) <= 1.0
 
     def test_t60_recovered_at_full_scale(self):
-        params = RirParams(
-            t60=0.2, drr_target=4.0, n_early_reflections=6, direct_delay=8, rir_len=4096, seed=3
-        )
-        rir = synth_rir(params, 16000)
+        params = RirParams(t60=0.2, drr_target=4.0, n_early_reflections=6, direct_delay=8, seed=3)
+        rir = synth_rir(params, 4096, 16000)
         assert abs(metrics.schroeder_t60(rir) - 0.2) / 0.2 < 0.2
 
     def test_measured_t60_monotone_in_parameter(self):
         measured = []
         for t60 in (0.1, 0.2, 0.4):
-            params = RirParams(
-                t60=t60, drr_target=4.0, n_early_reflections=4, direct_delay=0,
-                rir_len=8192, seed=5,
-            )
-            measured.append(metrics.schroeder_t60(synth_rir(params, 16000)))
+            params = RirParams(t60=t60, drr_target=4.0, n_early_reflections=4, direct_delay=0,
+                               seed=5)
+            measured.append(metrics.schroeder_t60(synth_rir(params, 8192, 16000)))
         assert measured[0] < measured[1] < measured[2]
 
     def test_infeasible_target_rejected(self):
         # a tail that dies inside the direct window cannot reach a low ratio
-        params = RirParams(
-            t60=0.003, drr_target=0.0, n_early_reflections=0, direct_delay=0,
-            rir_len=4096, seed=1,
-        )
+        params = RirParams(t60=0.003, drr_target=0.0, n_early_reflections=0, direct_delay=0,
+                           seed=1)
         with pytest.raises(InvalidInputError):
-            synth_rir(params, 16000)
+            synth_rir(params, 4096, 16000)
 
     def test_param_invariants(self):
         with pytest.raises(InvalidConfigError):
-            RirParams(t60=-0.1, drr_target=5, n_early_reflections=0, direct_delay=0,
-                      rir_len=64, seed=0)
-        with pytest.raises(InvalidConfigError):
-            RirParams(t60=0.1, drr_target=5, n_early_reflections=0, direct_delay=64,
-                      rir_len=64, seed=0)
+            RirParams(t60=-0.1, drr_target=5, n_early_reflections=0, direct_delay=0, seed=0)
+        with pytest.raises(InvalidInputError, match="rir_len"):
+            synth_rir(RirParams(t60=0.1, drr_target=5, n_early_reflections=0, direct_delay=64,
+                                seed=0), 64, 8000)
         for t60, drr_target in ((float("nan"), 5), (float("inf"), 5), (0.1, float("nan")),
                                 (0.1, float("-inf"))):
             with pytest.raises(InvalidConfigError):
                 RirParams(t60=t60, drr_target=drr_target, n_early_reflections=0,
-                          direct_delay=0, rir_len=64, seed=0)
+                          direct_delay=0, seed=0)
 
 
 class TestMakeExample:
@@ -106,8 +98,8 @@ class TestMakeExample:
         rng = np.random.default_rng(1)
         clean = Signal(rng.standard_normal(16000), 16000)
         rir = synth_rir(
-            RirParams(t60=0.2, drr_target=5.0, n_early_reflections=4, direct_delay=4,
-                      rir_len=4096, seed=9),
+            RirParams(t60=0.2, drr_target=5.0, n_early_reflections=4, direct_delay=4, seed=9),
+            4096,
             16000,
         )
         reverberant, _ = render_example(clean, rir, 16000)
@@ -253,13 +245,14 @@ class TestBuildDataset:
         with pytest.raises(InvalidInputError):
             build_dataset(tmp_path / "ds", 2, TOY_RANGES, 8000, 8000, 256, seed=0)
 
-    @pytest.mark.parametrize("field", ["n_examples", "seed"])
+    @pytest.mark.parametrize("field", ["n_examples", "seed", "sample_rate", "example_len",
+                                       "rir_len"])
     @pytest.mark.parametrize("value", [3.5, 3.0, True, "3", None])
     def test_mistyped_count_or_seed_rejected_before_the_directory(self, tmp_path, field, value):
-        args = {"n_examples": 3, "seed": 0, field: value}
+        args = {"n_examples": 3, "seed": 0, "sample_rate": 8000, "example_len": 8000,
+                "rir_len": 256, field: value}
         with pytest.raises(InvalidInputError, match=field):
-            build_dataset(tmp_path / "ds", args["n_examples"], TOY_RANGES, 8000, 8000, 256,
-                          seed=args["seed"])
+            build_dataset(tmp_path / "ds", ranges=TOY_RANGES, **args)
         assert not (tmp_path / "ds").exists()
 
     def test_numpy_integer_seed_writes_the_manifest_of_the_int_seed(self, tmp_path):
@@ -267,6 +260,64 @@ class TestBuildDataset:
         build_dataset(tmp_path / "b", 3, TOY_RANGES, 8000, 8000, 256, seed=3)
         assert json.loads((tmp_path / "a" / "manifest.json").read_text())["seed"] == 3
         assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+
+
+# manifest.json is DatasetManifest written field by field; this is the file
+# that to_json wrote when it spelled out each key by hand.
+TWO_ENTRY_JSON = """{
+  "sample_rate": 8000,
+  "example_len": 8000,
+  "rir_len": 256,
+  "seed": 3,
+  "entries": [
+    {
+      "reverberant": "ex_00000_reverb.wav",
+      "rir": "ex_00000_rir.wav",
+      "clean": "ex_00000_clean.wav",
+      "split": "train",
+      "params": {
+        "t60": 0.125,
+        "drr_target": 6.5,
+        "n_early_reflections": 4,
+        "direct_delay": 2,
+        "seed": 11
+      }
+    },
+    {
+      "reverberant": "ex_00001_reverb.wav",
+      "rir": "ex_00001_rir.wav",
+      "clean": "ex_00001_clean.wav",
+      "split": "test",
+      "params": {
+        "t60": 0.3,
+        "drr_target": -1.5,
+        "n_early_reflections": 0,
+        "direct_delay": 0,
+        "seed": 9223372036854775807
+      }
+    }
+  ]
+}"""
+
+
+class TestManifestFormat:
+    def test_field_order_writes_the_pinned_file_and_loads_back(self, tmp_path):
+        manifest = DatasetManifest(
+            sample_rate=8000,
+            example_len=8000,
+            rir_len=256,
+            seed=3,
+            entries=(
+                ManifestEntry("ex_00000_reverb.wav", "ex_00000_rir.wav", "ex_00000_clean.wav",
+                              "train", RirParams(t60=0.125, drr_target=6.5,
+                                                 n_early_reflections=4, direct_delay=2, seed=11)),
+                ManifestEntry("ex_00001_reverb.wav", "ex_00001_rir.wav", "ex_00001_clean.wav",
+                              "test", RirParams(t60=0.3, drr_target=-1.5, n_early_reflections=0,
+                                                direct_delay=0, seed=2**63 - 1)),
+            ),
+        )
+        assert manifest.to_json() == TWO_ENTRY_JSON
+        assert load_manifest(manifest.save(tmp_path / "manifest.json")) == manifest
 
 
 class TestSpeechLike:

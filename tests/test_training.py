@@ -465,11 +465,11 @@ class TestTrain:
         profile = dataclasses.replace(
             toy_profile, train=dataclasses.replace(toy_profile.train, stft_window=512)
         )
-        with pytest.raises(InvalidInputError, match="stft_window"):
+        with pytest.raises(InvalidConfigError, match="stft_window"):
             profile.analysis()
         reads = []
         monkeypatch.setattr(training, "read_wav", reads.append)
-        with pytest.raises(InvalidInputError, match="stft_window"):
+        with pytest.raises(InvalidConfigError, match="stft_window"):
             train(tiny_dataset, profile, tmp_path / "run")
         assert reads == []
         assert not (tmp_path / "run").exists()
