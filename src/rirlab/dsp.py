@@ -8,13 +8,11 @@ inputs and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, check_count
+from .errors import InvalidConfigError, InvalidInputError, check_arg, check_count, finite_real
 
 DECONVOLVE_EPS = 1e-12  # spectral_deconvolve's regularizer
 
@@ -31,9 +29,9 @@ def next_pow2(n: int) -> int:
 class Signal:
     """A mono waveform with its sample rate.
 
-    Samples are stored as float64; NaN/Inf samples and a sample rate that is
-    not a positive integer (a bool or a float is not one) are rejected on
-    construction. A numpy integer rate is stored as an int.
+    Samples are stored as float64; NaN/Inf samples are rejected. The sample
+    rate must pass errors.check_arg as an integer >= 1 (a numpy integer does,
+    a bool or a float does not) and is stored as an int.
     """
 
     samples: np.ndarray
@@ -45,11 +43,9 @@ class Signal:
             raise InvalidInputError(f"signal must be 1-D, got shape {samples.shape}")
         if samples.size and not np.all(np.isfinite(samples)):
             raise InvalidInputError("signal contains NaN or Inf samples")
-        rate = self.sample_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate <= 0:
-            raise InvalidInputError(f"sample_rate must be a positive integer, got {rate!r}")
+        check_arg("sample_rate", self.sample_rate, 1)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -203,16 +199,14 @@ def octave_bands(sample_rate: int, fft_size: int, centers: list[float]) -> BandP
     (top_center * sqrt(2)) is assigned to the band with the nearest
     log-frequency center; the DC bin always goes to the lowest band. Bands
     that end up empty are dropped and recorded as merged into the nearest
-    surviving band above them (below, for an empty top band). Centers must be
-    finite real numbers, not bools, positive, strictly increasing and below
-    Nyquist.
+    surviving band above them (below, for an empty top band). sample_rate
+    and fft_size must be integers >= 1; centers must pass errors.finite_real
+    and be positive, strictly increasing and below Nyquist.
     """
+    check_arg("sample_rate", sample_rate, 1)
+    check_arg("fft_size", fft_size, 1)
     for c in centers:
-        try:
-            ok = not isinstance(c, bool) and isinstance(c, numbers.Real) and math.isfinite(c)
-        except OverflowError:  # math.isfinite of an int too large for a float
-            ok = False
-        if not ok:
+        if not finite_real(c):
             raise InvalidInputError(f"band centers must be finite real numbers, got {c!r}")
     centers = [float(c) for c in centers]
     if not centers:
@@ -299,7 +293,8 @@ def spectral_deconvolve(reverberant: Signal, clean: Signal, out_len: int) -> Sig
     reverberant, clean : Signal
         The observed convolution product and the known dry input.
     out_len : int
-        Number of leading samples of the inverse transform to return.
+        Number of leading samples of the inverse transform to return: an
+        integer from 1 to the common FFT length.
     """
     if reverberant.sample_rate != clean.sample_rate:
         raise InvalidInputError(
@@ -307,8 +302,9 @@ def spectral_deconvolve(reverberant: Signal, clean: Signal, out_len: int) -> Sig
         )
     if len(reverberant) == 0 or len(clean) == 0:
         raise InvalidInputError("cannot deconvolve empty signals")
+    check_arg("out_len", out_len, 1)
     n_fft = next_pow2(max(len(reverberant), len(clean)))
-    if not 0 < out_len <= n_fft:
+    if out_len > n_fft:
         raise InvalidInputError(f"out_len must be in [1, {n_fft}], got {out_len}")
     clean_spec = np.fft.rfft(clean.samples, n_fft)
     denom = np.abs(clean_spec) ** 2 + DECONVOLVE_EPS

@@ -17,7 +17,6 @@ once, in the header, and passed to synth_rir beside the sample rate.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -25,22 +24,13 @@ import numpy as np
 
 from . import metrics
 from .dsp import Signal, fft_convolve
-from .errors import InvalidConfigError, InvalidInputError, check_count, check_real
+from .errors import InvalidConfigError, InvalidInputError, check_arg, check_count, check_real
 from .fileio import atomic_write
 from .wavio import read_wav, write_wav
 
 SPLITS = ("train", "val", "test")
 DECAY_RATE = 6.908  # ln(10^3): amplitude envelope exponent for a 60 dB fall per t60
 REVERB_PEAK = 0.95
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """An operation's integer argument: a Python or numpy integer (a bool is
-    not one) in [low, 2**63). It raises InvalidInputError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if not low <= value < 2**63:
-        raise InvalidInputError(f"{name} must be >= {low} and < 2**63, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,13 +76,14 @@ def synth_rir(params: RirParams, rir_len: int, sample_rate: int) -> Signal:
     """Generate one impulse response of rir_len samples, peak-normalized to
     |peak| = 1. The direct impulse at params.direct_delay must lie inside
     it: a rir_len that is not an integer above direct_delay raises
-    InvalidInputError.
+    InvalidInputError, as does a sample_rate that is not an integer >= 1.
 
     The noise tail is rescaled analytically so the measured DRR lands within
     1 dB of params.drr_target; targets that would require negative tail
     energy are rejected.
     """
-    _check_int("rir_len", rir_len, params.direct_delay + 1)
+    check_arg("sample_rate", sample_rate, 1)
+    check_arg("rir_len", rir_len, params.direct_delay + 1)
     rng = np.random.default_rng(params.seed)
     n, d = rir_len, params.direct_delay
 
@@ -161,8 +152,9 @@ def render_example(clean: Signal, rir: Signal, example_len: int) -> tuple[Signal
 
     The clean signal is rescaled by the same factor that brings the truncated
     convolution to a 0.95 peak, so deconvolving the pair recovers the
-    impulse response at its stored scale.
+    impulse response at its stored scale. example_len must be an integer >= 1.
     """
+    check_arg("example_len", example_len, 1)
     if len(clean) < example_len:
         raise InvalidInputError(
             f"clean signal of {len(clean)} samples is shorter than example_len {example_len}"
@@ -298,6 +290,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
     """Largest-remainder apportionment of n examples across three splits."""
+    if len(fractions) != len(SPLITS):
+        raise InvalidInputError(f"split fractions must be {len(SPLITS)} values, got {fractions}")
     if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise InvalidInputError(f"split fractions must be in [0, 1] and sum to 1, got {fractions}")
     exact = [n * f for f in fractions]
@@ -360,7 +354,7 @@ def build_dataset(
     args = {"n_examples": (n_examples, 3), "seed": (seed, 0), "sample_rate": (sample_rate, 1),
             "example_len": (example_len, 1), "rir_len": (rir_len, 1)}
     for name, (value, low) in args.items():
-        _check_int(name, value, low)
+        check_arg(name, value, low)
     # json writes no numpy integer
     n_examples, seed, sample_rate, example_len, rir_len = (int(v) for v, _ in args.values())
     empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]

@@ -158,7 +158,7 @@ class TestSynth:
         out = tmp_path / "ds"
         code = main(["synth", "--out", str(out), "--n", "4", "--profile", "toy", "--seed", "-1"])
         assert code == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be an integer in [0, 2**63), got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_clean_wav_exits_2_without_directory(self, tmp_path, capsys):
@@ -401,6 +401,19 @@ class TestTrain:
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_reads_the_same_in_synth_and_train(self, tmp_path, cli_dataset, capsys):
+        """The dataset seed and the train config's seed meet one integer rule."""
+        errs = []
+        for argv in (["synth", "--out", str(tmp_path / "ds"), "--n", "4", "--profile", "toy",
+                      "--seed", "-1"],
+                     ["train", "--manifest", str(cli_dataset / "manifest.json"),
+                      "--out", str(tmp_path / "r"), "--profile", "toy", "--set", "seed=-1"]):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "seed must be an integer in [0, 2**63), got -1" in errs[0]
+        assert not (tmp_path / "ds").exists() and not (tmp_path / "r").exists()
 
     def test_missing_manifest_exits_3(self, tmp_path):
         code = main(

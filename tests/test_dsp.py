@@ -178,6 +178,14 @@ class TestOctaveBands:
         with pytest.raises(InvalidInputError, match="finite real"):
             octave_bands(8000, 64, centers)
 
+    @pytest.mark.parametrize("sample_rate, fft_size, name", [
+        (8000, 0, "fft_size"), (8000, 3.5, "fft_size"), (8000, True, "fft_size"),
+        ("8000", 64, "sample_rate"), (0, 64, "sample_rate"), (8000.0, 64, "sample_rate"),
+    ])
+    def test_rate_and_fft_size_must_be_positive_integers(self, sample_rate, fft_size, name):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer in "):
+            octave_bands(sample_rate, fft_size, [100.0])
+
 
 class TestFftConvolve:
     def test_identity_kernel(self):
@@ -254,8 +262,14 @@ class TestSpectralDeconvolve:
 
     def test_out_len_validation(self):
         clean = Signal(np.ones(16), 8000)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"out_len must be in \[1, 16\], got 64"):
             spectral_deconvolve(clean, clean, out_len=64)
+
+    @pytest.mark.parametrize("out_len", [5.5, True, 0, "8", None])
+    def test_out_len_must_be_a_positive_integer(self, out_len):
+        clean = Signal(np.ones(16), 8000)
+        with pytest.raises(InvalidInputError, match="out_len must be an integer in "):
+            spectral_deconvolve(clean, clean, out_len)
 
 
 class TestTypes:

@@ -10,7 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rirlab.errors import InvalidConfigError, InvalidInputError, check_count, check_real
+from rirlab.errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    check_arg,
+    check_count,
+    check_real,
+    finite_real,
+)
 from rirlab.profiles import get_profile
 from rirlab.synth import RirParams, load_manifest, synth_rir
 
@@ -145,3 +152,28 @@ class TestCheckCount:
         check_count("x", 2**63 - 1, 0)
         with pytest.raises(InvalidConfigError):
             check_count("x", 0, 1)
+
+
+class TestCheckArg:
+    @pytest.mark.parametrize("value", [0, 2**63 - 1, np.int64(3), np.uint64(2**63 - 1)])
+    def test_python_and_numpy_integers_in_the_int64_range_pass(self, value):
+        check_arg("x", value, 0)
+
+    @pytest.mark.parametrize("value", [-1, 2**63, np.uint64(2**63), 2.5, 3.0, True,
+                                       np.bool_(True), "3", None])
+    def test_a_bad_value_reads_as_in_check_count(self, value):
+        with pytest.raises(InvalidConfigError) as config:
+            check_count("x", value, 0)
+        with pytest.raises(InvalidInputError) as arg:
+            check_arg("x", value, 0)
+        message = f"x must be an integer in [0, 2**63), got {value!r}"
+        assert str(arg.value) == str(config.value) == message
+
+
+@pytest.mark.parametrize("value, ok", [
+    (0, True), (-2.5, True), (np.float32(0.5), True), (Fraction(1, 3), True),
+    (True, False), (np.bool_(False), False), ("1", False), (None, False), (float("nan"), False),
+    (float("-inf"), False), (BIG, False), (1j, False),
+])
+def test_finite_real(value, ok):
+    assert finite_real(value) is ok

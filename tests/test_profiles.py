@@ -18,11 +18,6 @@ from rirlab.training import TrainConfig
 from rirlab.wavio import read_wav
 
 
-# The argument checks of operations, which raise InvalidInputError and so keep
-# a bool rule of their own: (file under src/rirlab, top-level def or class).
-# synth._check_int checks the integer arguments of build_dataset and synth_rir.
-_OPERATION_BOOL_RULES = {("dsp.py", "octave_bands"), ("dsp.py", "Signal"),
-                         ("synth.py", "_check_int")}
 # The RirParams fields that only a manifest entry's params hold; "seed" also
 # names the header's and the train config's.
 _ENTRY_PARAM_KEYS = {f.name for f in dataclasses.fields(RirParams)} - {"seed"}
@@ -67,15 +62,15 @@ class TestOneHome:
         assert not hasattr(models, "toy_estimator_config")
 
     def test_no_number_rule_outside_errors(self):
-        """Config objects and file headers check numbers with errors.check_count
-        and errors.check_real; a new bool test elsewhere is a copy of them."""
+        """Config values and operation arguments check numbers with errors'
+        check_count, check_arg, check_real and finite_real; a bool test
+        elsewhere is a copy of them."""
         root = Path(rirlab.__file__).parent
         copies = [
             f"{path.relative_to(root)}:{line} ({owner})"
             for path in sorted(root.rglob("*.py"))
             if path.name != "errors.py"
             for owner, line in _bool_checks(ast.parse(path.read_text()))
-            if (path.relative_to(root).as_posix(), owner) not in _OPERATION_BOOL_RULES
         ]
         assert copies == []
 

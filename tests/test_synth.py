@@ -82,6 +82,11 @@ class TestSynthRir:
                 RirParams(t60=t60, drr_target=drr_target, n_early_reflections=0,
                           direct_delay=0, seed=0)
 
+    @pytest.mark.parametrize("rate", ["8000", None, 8000.5, True, 0])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(InvalidInputError, match="sample_rate must be an integer in "):
+            synth_rir(toy_params(), 256, rate)
+
 
 class TestMakeExample:
     def test_impulse_rir_returns_normalized_clean(self):
@@ -117,6 +122,13 @@ class TestMakeExample:
         rir = Signal(np.r_[1.0, np.zeros(15)], 8000)
         with pytest.raises(InvalidInputError):
             render_example(clean, rir, 500)
+
+    @pytest.mark.parametrize("example_len", [50.5, True, 0, "50"])
+    def test_example_len_must_be_a_positive_integer(self, example_len):
+        clean = Signal(np.ones(100), 8000)
+        rir = Signal(np.r_[1.0, np.zeros(15)], 8000)
+        with pytest.raises(InvalidInputError, match="example_len must be an integer in "):
+            render_example(clean, rir, example_len)
 
 
 class TestSplitCounts:
@@ -253,6 +265,12 @@ class TestBuildDataset:
                 "rir_len": 256, field: value}
         with pytest.raises(InvalidInputError, match=field):
             build_dataset(tmp_path / "ds", ranges=TOY_RANGES, **args)
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("splits", [(0.5, 0.5), (0.25,) * 4])
+    def test_wrong_number_of_split_fractions_leaves_no_directory(self, tmp_path, splits):
+        with pytest.raises(InvalidInputError, match="split fractions must be 3 values"):
+            build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, splits=splits)
         assert not (tmp_path / "ds").exists()
 
     def test_numpy_integer_seed_writes_the_manifest_of_the_int_seed(self, tmp_path):
