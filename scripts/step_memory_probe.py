@@ -18,14 +18,16 @@ Prints one line of ``key=value`` pairs:
 - ``minor_faults_per_step``: the median count of minor page faults per step,
   that is pages the step touched for the first time since the allocator got
   them from the kernel;
-- ``eval_peak_mb``: the traced (``tracemalloc``) peak, in MiB, of one
-  ``models.estimate_batch`` on the BATCH inputs after the steps: the no-grad
-  eval forward that ``evaluate`` and ``validation_edr`` run. It is measured
-  after ``peak_rss_mb`` is read, so it does not move that.
+- ``step_peak_mb`` and ``eval_peak_mb``: the traced (``tracemalloc``)
+  peaks, in MiB, of one more train step and of one
+  ``models.estimate_batch`` on the BATCH inputs, the no-grad eval forward
+  that ``evaluate`` and ``validation_edr`` run. They count what numpy
+  allocates while each call runs, so not the networks and optimizer state,
+  and are measured after ``peak_rss_mb`` is read, so they do not move it.
 
 The first step is left out of the medians when STEPS > 1: it is the one that
-grows the heap. Run one probe at a time; its peak is about 245 MB at batch
-4, 640 MB at batch 32 and 1.9 GB at batch 128.
+grows the heap. Run one probe at a time; its peak is about 222 MB at batch
+4, 475 MB at batch 32 and 1.25 GB at batch 128.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ from rirlab.profiles import get_profile  # noqa: E402
 
 def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of what fn allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -90,18 +102,19 @@ def main() -> None:
     peak_mb = _rss_mb()
 
     inputs = [Signal(row, profile.estimator.sample_rate) for row in batch[0]]
-    tracemalloc.start()
-    try:
-        models.estimate_batch(estimator, inputs)
-        eval_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    step_peak = _traced_peak(
+        lambda: training.train_step(
+            estimator, discriminator, batch, cfg, est_opt, disc_opt, basis, partition,
+            context="traced step",
+        )
+    )
+    eval_peak = _traced_peak(lambda: models.estimate_batch(estimator, inputs))
     print(
         f"batch={args.batch} steps={args.steps} import_rss_mb={import_mb:.1f} "
         f"peak_rss_mb={peak_mb:.1f} "
         f"step_ms_p50={p50:.1f} ms_per_example={p50 / args.batch:.2f} "
         f"minor_faults_per_step={statistics.median(faults[measured]):.0f} "
-        f"eval_peak_mb={eval_peak / 2**20:.1f}"
+        f"step_peak_mb={step_peak / 2**20:.1f} eval_peak_mb={eval_peak / 2**20:.1f}"
     )
 
 

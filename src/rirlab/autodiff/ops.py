@@ -34,6 +34,16 @@ def _as_3d(x: Tensor, name: str) -> tuple[int, int, int]:
     return x.shape
 
 
+def activation_bound(weight_size: int, example_size: int) -> bool:
+    """Whether a layer whose parameters hold weight_size elements is
+    activation-bound: they hold no more elements than one example's output
+    (example_size), so a batched GEMM saves little weight traffic and its
+    batch-sized temporaries set the memory peak. Such layers run one example
+    at a time: Network._run's depth-first eval forward, and the overlap-add
+    and conv_transpose1d backward below."""
+    return weight_size <= example_size
+
+
 def _overlap_add(
     y: np.ndarray, weight: np.ndarray, stride: int, offset: int, length: int
 ) -> np.ndarray:
@@ -41,23 +51,41 @@ def _overlap_add(
     conv_transpose1d's forward: y [B,Ci,N] through weight [Ci,Co,K], input
     position n's tap k added in at n*stride + k. Returns the window
     [offset, offset+length) of that sum as a fresh [B,Co,length] array;
-    positions no tap reaches are 0."""
+    positions no tap reaches are 0. When activation-bound, the GEMM runs one
+    example's column block at a time, which gives the same bits and holds
+    one example's columns instead of B."""
     (B, Ci, N), (_, Co, K) = y.shape, weight.shape
+    w_t = weight.reshape(Ci, Co * K).T
+    taps = _taps(K, N, stride, offset, length)
+    if B > 1 and activation_bound(weight.size, Co * length):
+        out = np.zeros((B, Co, length), dtype=y.dtype)
+        for b in range(B):
+            cols, out_b = (w_t @ y[b]).reshape(Co, K, N), out[b]
+            for k, src, dst in taps:
+                out_b[:, dst] += cols[:, k, src]
+            del cols  # before the next example's columns are computed
+        return out
     # The input's [Ci, B*N] copy is a temporary of this one expression, so it
-    # is freed before the adds below.
-    cols = (weight.reshape(Ci, Co * K).T @ y.transpose(1, 0, 2).reshape(Ci, B * N)).reshape(
-        Co, K, B, N
-    )
+    # is freed before the output is allocated.
+    cols = (w_t @ y.transpose(1, 0, 2).reshape(Ci, B * N)).reshape(Co, K, B, N)
     out = np.zeros((B, Co, length), dtype=y.dtype)
+    for k, src, dst in taps:
+        out[:, :, dst] += cols[:, k, :, src].transpose(1, 0, 2)
+    return out
+
+
+def _taps(K: int, N: int, stride: int, offset: int, length: int) -> list[tuple[int, slice, slice]]:
+    """(k, src, dst) for each tap k, in tap order, that reaches the window
+    [offset, offset+length) from N input positions: the positions src whose
+    tap k lands inside it, at the window positions dst."""
+    taps = []
     for k in range(K):
         n0 = max(0, -((k - offset) // stride))  # first n with n*stride + k >= offset
         n1 = min(N, (offset + length - 1 - k) // stride + 1)
         if n1 > n0:
             start = n0 * stride + k - offset
-            out[:, :, start : start + (n1 - n0) * stride : stride] += cols[
-                :, k, :, n0:n1
-            ].transpose(1, 0, 2)
-    return out
+            taps.append((k, slice(n0, n1), slice(start, start + (n1 - n0) * stride, stride)))
+    return taps
 
 
 # The correlate direction (conv1d's forward and weight gradient,
@@ -83,10 +111,12 @@ def _overlap_add(
 # position, and each tap's [B, Co, N] slice is added at stride straight into
 # the zeroed output window, so neither caller crops or copies. Each element
 # is 0 + tap_0 + tap_1 + ... in tap order; TestForwardReferences pins those
-# bits to a reference kernel on every layer shape. Laying the GEMM out
-# input-first ([B*N, Co*K], with channels-last adds and one transpose, or
-# adds through a transposed view) was slower on the full decoder's dec4 and
-# dec5.
+# bits to a reference kernel on every layer shape. An activation-bound call
+# runs that GEMM one example's column block at a time, with the same bits,
+# so it holds one example's columns; at batch 4, dec5's for the whole batch
+# would be 21 MB, 5x its output. Laying the GEMM out input-first
+# ([B*N, Co*K], with channels-last adds and one transpose, or adds through a
+# transposed view) was slower on the full decoder's dec4 and dec5.
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
@@ -172,25 +202,53 @@ def conv_transpose1d(
     out = Tensor(out_data)
     span = min(L_full, padding + L_out) - padding
 
-    def backward_fn(g):
-        gfull = np.zeros((B, Cout, L_full), dtype=g.dtype)
-        if span > 0:
-            gfull[:, :, padding : padding + span] = g[:, :, :span]
+    def windows(gfull: np.ndarray) -> np.ndarray:
+        """[Cout, K, b, L] view of the zero-padded gradient gfull
+        [b, Cout, L_full]: what tap k of input position l sent out."""
         gwin = sliding_window_view(gfull, K, axis=2)[:, :, ::stride, :][:, :, :L, :]
-        cols = np.ascontiguousarray(gwin.transpose(1, 3, 0, 2)).reshape(Cout * K, B * L)
-        del gfull, gwin
-        gx = None
-        if x.requires_grad:
-            gx = (weight.data.reshape(Cin, Cout * K) @ cols).reshape(Cin, B, L).transpose(1, 0, 2)
-        gw = None
-        if weight.requires_grad:
-            # cols @ x^T written through a transposed view: numpy runs that
-            # GEMM as it is and the gradient comes out C-contiguous, so
-            # neither backward nor rmsprop_step has to copy it. The GEMM
-            # x^T-first (x2 @ cols.T) is C-contiguous too, but it rounds
-            # differently from this one on some toy float64 shapes.
-            gw = np.empty((Cin, Cout * K), dtype=g.dtype)
-            np.matmul(cols, x.data.transpose(0, 2, 1).reshape(B * L, Cin), out=gw.T)
+        return gwin.transpose(1, 3, 0, 2)
+
+    def backward_fn(g):
+        w2 = weight.data.reshape(Cin, Cout * K)
+        if B > 1 and activation_bound(weight.size, Cout * L_out):
+            # One example's columns at a time, copied out of one padded row
+            # whose padding stays 0: gx comes in example order, and gw is the
+            # sum of the per-example GEMMs, added in example order.
+            gfull = np.zeros((1, Cout, L_full), dtype=g.dtype)
+            gwin = windows(gfull)
+            gx = np.empty((B, Cin, L), g.dtype) if x.requires_grad else None
+            gw = np.empty((Cin, Cout * K), g.dtype) if weight.requires_grad else None
+            term = np.empty_like(gw) if gw is not None else None
+            for b in range(B):
+                if span > 0:
+                    gfull[0, :, padding : padding + span] = g[b, :, :span]
+                cols = np.ascontiguousarray(gwin).reshape(Cout * K, L)
+                if gx is not None:
+                    np.matmul(w2, cols, out=gx[b])
+                if gw is not None:
+                    np.matmul(cols, x.data[b].T, out=(gw if b == 0 else term).T)
+                    if b:
+                        gw += term
+                del cols  # before the next example's columns are built
+        else:
+            gfull = np.zeros((B, Cout, L_full), dtype=g.dtype)
+            if span > 0:
+                gfull[:, :, padding : padding + span] = g[:, :, :span]
+            cols = np.ascontiguousarray(windows(gfull)).reshape(Cout * K, B * L)
+            del gfull
+            gx = None
+            if x.requires_grad:
+                gx = (w2 @ cols).reshape(Cin, B, L).transpose(1, 0, 2)
+            gw = None
+            if weight.requires_grad:
+                # cols @ x^T written through a transposed view: numpy runs
+                # that GEMM as it is and the gradient comes out C-contiguous,
+                # so neither backward nor rmsprop_step has to copy it. The
+                # GEMM x^T-first (x2 @ cols.T) is C-contiguous too, but it
+                # rounds differently from this one on some toy float64 shapes.
+                gw = np.empty((Cin, Cout * K), dtype=g.dtype)
+                np.matmul(cols, x.data.transpose(0, 2, 1).reshape(B * L, Cin), out=gw.T)
+        if gw is not None:
             gw = gw.reshape(Cin, Cout, K)
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb) if bias is not None else (gx, gw)

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff.ops import activation_bound
 from .autodiff.tensor import FLOAT_DTYPES
 from .dsp import Signal
 from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError, check_count
@@ -371,8 +372,8 @@ class Network:
         running them in eval mode on an empty batch, so the operators' own
         shape checks judge the schedule. It also sets the depth-first split
         of _run from those shapes: _tail_start is the first layer from which
-        no layer holds more parameter bytes than one example's output of
-        that layer."""
+        every layer is activation-bound (ops.activation_bound) on its
+        parameters and one example's output."""
         x = Tensor(np.zeros((0, channels, length), dtype=self.dtype))
         self._tail_start = len(self.layers)
         with ad.no_grad():
@@ -381,8 +382,8 @@ class Network:
                     x = layer.forward(x, train=False)
                 except (InvalidConfigError, ShapeMismatchError) as exc:
                     raise InvalidConfigError(f"layer {name}: {exc}") from exc
-                weight_bytes = sum(t.data.nbytes for _, t in layer.params(name))
-                if weight_bytes > np.prod(x.shape[1:]) * self.dtype.itemsize:
+                weight_size = sum(t.data.size for _, t in layer.params(name))
+                if not activation_bound(weight_size, np.prod(x.shape[1:])):
                     self._tail_start = i + 1
         self._example_shape = x.shape[1:]
         return self._example_shape

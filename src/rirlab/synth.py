@@ -24,7 +24,14 @@ import numpy as np
 
 from . import metrics
 from .dsp import Signal, fft_convolve
-from .errors import InvalidConfigError, InvalidInputError, check_arg, check_count, check_real
+from .errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    check_arg,
+    check_count,
+    check_real,
+    finite_real,
+)
 from .fileio import atomic_write
 from .wavio import read_wav, write_wav
 
@@ -292,8 +299,11 @@ def split_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, in
     """Largest-remainder apportionment of n examples across three splits."""
     if len(fractions) != len(SPLITS):
         raise InvalidInputError(f"split fractions must be {len(SPLITS)} values, got {fractions}")
-    if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidInputError(f"split fractions must be in [0, 1] and sum to 1, got {fractions}")
+    if (not all(finite_real(f) and 0 <= f <= 1 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise InvalidInputError(
+            f"split fractions must be real numbers in [0, 1] that sum to 1, got {fractions}"
+        )
     exact = [n * f for f in fractions]
     base = [int(np.floor(x)) for x in exact]
     leftover = n - sum(base)
@@ -360,6 +370,11 @@ def build_dataset(
     empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]
     if empty:
         raise InvalidInputError(f"clean signals at positions {empty} hold no samples")
+    off_rate = [i for i, s in enumerate(clean_signals or ()) if s.sample_rate != sample_rate]
+    if off_rate:
+        raise InvalidInputError(
+            f"clean signals at positions {off_rate} are not at sample_rate {sample_rate} Hz"
+        )
     if rir_len >= example_len:
         raise InvalidInputError(f"rir_len {rir_len} must be shorter than example_len {example_len}")
     counts = split_counts(n_examples, splits)

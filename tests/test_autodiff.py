@@ -682,7 +682,7 @@ class TestBackwardMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv_transpose1d_weight_gradient_contiguous_and_equal_to_einsum(self, dtype):
-        rng = np.random.default_rng(22)
+        rng, chunked = np.random.default_rng(22), []
         for layer, shape in _full_decoder_tconv_cases():
             x = Tensor(rng.standard_normal(shape).astype(dtype))
             w = Tensor(rng.standard_normal(layer.weight.shape).astype(dtype), requires_grad=True)
@@ -701,8 +701,17 @@ class TestBackwardMemory:
             gfull[:, :, padding : padding + span] = g[:, :, :span]
             gwin = np.lib.stride_tricks.sliding_window_view(gfull, K, axis=2)
             gwin = gwin[:, :, ::stride, :][:, :, : x.shape[2], :]
-            want = np.einsum("bil,bolk->iok", x.data, gwin, optimize=True)
+            if ops.activation_bound(w.data.size, out.data[0].size):
+                # One einsum per example, summed in example order.
+                chunked.append(w.shape)
+                want = np.einsum("il,olk->iok", x.data[0], gwin[0], optimize=True)
+                for b in range(1, x.shape[0]):
+                    want += np.einsum("il,olk->iok", x.data[b], gwin[b], optimize=True)
+            else:
+                want = np.einsum("bil,bolk->iok", x.data, gwin, optimize=True)
             np.testing.assert_array_equal(gw, want)
+        # dec4, dec5 and out_tconv; dec1-dec3 keep their batched GEMM.
+        assert chunked == [(128, 64, 8), (64, 64, 5), (64, 1, 5)]
 
     def test_conv1d_input_gradient_is_its_own_contiguous_buffer(self):
         rng = np.random.default_rng(23)
@@ -726,10 +735,27 @@ class TestBackwardMemory:
             )
         assert out.shape == shape
         Cout, K = w.shape[1:]
-        cols = Cout * K * shape[0] * shape[2] * 4  # the [Cout*K, B*L] GEMM result
-        # Columns plus the larger of the output and the input's [Cin, B*L]
-        # copy (both 4 MB): the two never live at once.
-        assert peak < cols + out.data.nbytes + x.data.nbytes / 2
+        cols = Cout * K * shape[2] * 4  # one example's [Cout*K, L] GEMM result
+        # The output plus one example's columns (5.2 MB), which read the
+        # input in place: B examples' columns (21 MB) and the input's
+        # [Cin, B*L] copy never live.
+        assert peak < cols + out.data.nbytes + x.data.nbytes / 8
+
+    def test_activation_bound_conv_transpose1d_backward_holds_one_examples_columns(self):
+        rng = np.random.default_rng(25)
+        (layer, shape) = _full_decoder_tconv_cases()[-2]  # dec5: [4, 64, 4096] -> same
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal(layer.weight.shape).astype(np.float32), requires_grad=True)
+        out = ad.conv_transpose1d(x, w, stride=layer.stride, padding=layer.padding)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        (gx, gw), peak = _traced_peak(lambda: ad.active_tape().pop()[2](g))
+        Cout, K = w.shape[1:]
+        cols = Cout * K * shape[2] * 4  # one example's [Cout*K, L] columns
+        # The input gradient (4.2 MB) plus one example's columns (5.2 MB) and
+        # its zero-padded gradient (1 MB); the batched backward held all
+        # four examples' columns (21 MB) beside the padded batch.
+        assert peak < cols + gx.nbytes + g.nbytes / 2
+        assert gx.flags["C_CONTIGUOUS"]
 
     def test_failing_closure_leaves_only_unreached_records(self):
         other_leaf = Tensor(np.ones(2), requires_grad=True)

@@ -18,7 +18,7 @@ def test_step_memory_probe_prints_every_documented_key():
     # Each bullet of the docstring names its keys before its colon.
     bullets = re.findall(r"^- (``.*?):", probe.read_text(), flags=re.MULTILINE)
     documented = [key for bullet in bullets for key in re.findall(r"``(\w+)``", bullet)]
-    assert len(documented) == 6
+    assert len(documented) == 7
     pairs = dict(token.split("=", 1) for token in out.split())
     assert set(documented) <= pairs.keys(), out
     assert {"batch": "2", "steps": "1"}.items() <= pairs.items()

@@ -145,6 +145,13 @@ class TestSplitCounts:
         with pytest.raises(InvalidInputError):
             split_counts(6, (0.5, 0.6, -0.1))
 
+    @pytest.mark.parametrize(
+        "fractions", [("0.5", "0.25", "0.25"), (None, 0, 1), (True, 0, 0), (float("nan"), 0, 1)]
+    )
+    def test_fraction_that_is_not_a_real_number_rejected(self, fractions):
+        with pytest.raises(InvalidInputError, match="split fractions"):
+            split_counts(4, fractions)
+
 
 def _tree_digest(root: Path) -> dict:
     return {
@@ -252,6 +259,12 @@ class TestBuildDataset:
         )
         rir = read_wav(manifest.path(entry.rir))
         assert np.mean((recovered.samples - rir.samples) ** 2) < 1e-6
+
+    def test_clean_signal_at_another_rate_rejected_before_the_directory(self, tmp_path):
+        clean = [Signal(np.ones(16000), 8000), Signal(np.ones(16000), 16000)]
+        with pytest.raises(InvalidInputError, match=r"positions \[1\] are not at sample_rate"):
+            build_dataset(tmp_path / "ds", 3, TOY_RANGES, 8000, 8000, 256, clean_signals=clean)
+        assert not (tmp_path / "ds").exists()
 
     def test_too_few_examples_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
