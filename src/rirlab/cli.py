@@ -179,6 +179,11 @@ def _estimate_for_entry(
     For the model it is (input fitted to the model's length, ground truth):
     cmd_evaluate runs the model's forwards itself, in batches."""
     truth = _read_nonempty(manifest.path(entry.rir))
+    if len(truth) != manifest.rir_len:
+        raise InvalidInputError(
+            f"length mismatch: {entry.rir} has {len(truth)} samples, the manifest's "
+            f"rir_len is {manifest.rir_len}"
+        )
     if method == "identity":
         return truth, truth
     reverberant = _read_nonempty(manifest.path(entry.reverberant))

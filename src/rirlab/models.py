@@ -20,8 +20,7 @@ network holds every parameter and buffer in and computes in; a profile's
 discriminator takes the estimator's. The profiles module holds the
 schedules of both built-in profiles. A checkpoint holds one estimator,
 the product of training: its config echo and its parameters and buffers,
-which round-trip bit-exactly. A checkpoint written while the decoder had
-biases loads with each one folded into its batchnorm's running mean.
+which round-trip bit-exactly, in the one form save_checkpoint writes.
 """
 
 from __future__ import annotations
@@ -174,12 +173,6 @@ class FlattenLinearLayer(Layer):
 # ---------------------------------------------------------------------------
 
 
-def _drop_legacy_keys(doc: dict) -> dict:
-    """Copy of a config echo without the unread "scale" key that older
-    checkpoints carry."""
-    return {key: value for key, value in doc.items() if key != "scale"}
-
-
 def _check_dtype(dtype: str) -> None:
     if dtype not in DTYPES:
         raise InvalidConfigError(f"dtype must be one of {DTYPES}, got {dtype!r}")
@@ -233,19 +226,7 @@ class EstimatorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatorConfig":
-        doc = _drop_legacy_keys(doc)
-        doc.setdefault("dtype", "float64")  # echoes from before the field were float64
-        if "first_channels" in doc:  # older headers keep the first conv apart from the encoder
-            first = {
-                "out_channels": doc.pop("first_channels"),
-                "kernel": doc.pop("first_kernel"),
-                "stride": doc.pop("first_stride"),
-                "padding": doc.pop("first_padding"),
-            }
-            doc["encoder"] = [first, *doc["encoder"]]
-        doc["encoder"] = tuple(doc["encoder"])
-        doc["decoder"] = tuple(doc["decoder"])
-        return cls(**doc)
+        return cls(**{**doc, "encoder": tuple(doc["encoder"]), "decoder": tuple(doc["decoder"])})
 
 
 @dataclass(frozen=True)
@@ -548,13 +529,11 @@ def save_checkpoint(net: Estimator, path: str | Path) -> Path:
 def load_checkpoint(path: str | Path) -> Estimator:
     """Rebuild the estimator from its embedded config, without drawing an
     initialization, and read each blob straight into its parameter or
-    buffer, bit-exactly. A header that does not describe an estimator, or
-    whose records are not the estimator's, raises InvalidConfigError before
-    any blob is read. A config echo without a dtype (older checkpoints) is
-    float64. Older checkpoints also hold a dec{i}_tconv.bias record for each
-    decoder block: in eval mode dec{i}_bn subtracts its running_mean from
-    the tconv output, so the bias is folded in as running_mean - bias,
-    which gives the same output up to rounding."""
+    buffer, bit-exactly. It reads only the form save_checkpoint writes: a
+    header that does not describe an estimator, whose config echo's keys
+    are not EstimatorConfig's fields, or whose records are not exactly the
+    estimator's raises InvalidConfigError before any blob is read, and so
+    does a file that ends before its last record or goes on after it."""
     path = Path(path)
     with open(path, "rb") as fh:
         try:
@@ -576,36 +555,29 @@ def load_checkpoint(path: str | Path) -> Estimator:
         except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidConfigError(f"{path} has an invalid estimator header: {exc!r}") from exc
         state = dict(_state_records(net))
-        folds = {  # legacy tconv bias record -> the statistics that absorb it
-            f"{name}.bias": bn.state
-            for (name, _), (_, bn) in zip(net.layers, net.layers[1:])
-            if isinstance(bn, BatchNormPReLULayer)
-        }
-        legacy = {name: np.empty_like(stats.running_mean) for name, stats in folds.items()}
-        known = {**state, **legacy}
         seen = set()
         for name, shape in records:
             if not isinstance(name, str) or not isinstance(shape, list):
                 raise InvalidConfigError(f"{path} has an invalid record {name!r}: shape {shape!r}")
             for size in shape:
                 check_count(f"record {name} shape", size, 0)
-            if name not in known or name in seen:
+            if name not in state or name in seen:
                 raise InvalidConfigError(f"checkpoint record {name!r} is unknown or repeated")
             seen.add(name)
-            if tuple(shape) != known[name].shape:
+            if tuple(shape) != state[name].shape:
                 raise InvalidConfigError(
                     f"checkpoint record {name} has shape {tuple(shape)}, "
-                    f"expected {known[name].shape}"
+                    f"expected {state[name].shape}"
                 )
         missing = state.keys() - seen
         if missing:
             raise InvalidConfigError(f"checkpoint missing record {min(missing)}")
         for name, _ in records:
-            arr = known[name]  # filled in place, in the network's dtype
+            arr = state[name]  # filled in place, in the network's dtype
             if fh.readinto(arr) != arr.nbytes:
                 raise InvalidConfigError(f"{path} is truncated at record {name}")
             if sys.byteorder == "big":  # blobs are little-endian
                 arr.byteswap(inplace=True)
-    for name in seen & legacy.keys():
-        folds[name].running_mean -= legacy[name]
+        if fh.read(1):
+            raise InvalidConfigError(f"{path} has bytes after its last record")
     return net

@@ -33,7 +33,7 @@ from .errors import (
     finite_real,
 )
 from .fileio import atomic_write
-from .wavio import read_wav, write_wav
+from .wavio import write_wav
 
 SPLITS = ("train", "val", "test")
 DECAY_RATE = 6.908  # ln(10^3): amplitude envelope exponent for a 60 dB fall per t60
@@ -237,12 +237,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     does an entry whose file names are not strings, whose split is not one
     of SPLITS, whose params break RirParams' rules or whose direct_delay is
     not below the header's rir_len, or a header whose sample_rate,
-    example_len, rir_len (>= 1) or seed (>= 0) is not such an integer.
-
-    A manifest without ``rir_len`` (the format before it and the clean
-    paths were stored) still loads: each clean path is then the reverberant
-    one with ``_clean.wav`` for ``_reverb.wav``, and rir_len is the length
-    of the first entry's RIR file, read once all else is checked.
+    example_len, rir_len (>= 1) or seed (>= 0) is not such an integer, or a
+    missing key: it reads only the form DatasetManifest.save writes.
     """
     path = Path(path)
     try:
@@ -251,15 +247,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise InvalidConfigError(f"{path} is not a JSON manifest") from exc
     param_keys = [f.name for f in fields(RirParams)]
     try:
-        header = {key: doc[key] for key in ("sample_rate", "example_len", "seed")}
-        legacy = "rir_len" not in doc
-        if not legacy:
-            header["rir_len"] = doc["rir_len"]
+        header = {key: doc[key] for key in ("sample_rate", "example_len", "rir_len", "seed")}
         rows = [
             (
                 item["reverberant"],
                 item["rir"],
-                None if legacy else item["clean"],
+                item["clean"],
                 item["split"],
                 {key: item["params"][key] for key in param_keys},
             )
@@ -268,12 +261,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     except (KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path} is not a valid manifest: {exc!r}") from exc
     for key, low in (("sample_rate", 1), ("example_len", 1), ("rir_len", 1), ("seed", 0)):
-        if key in header:  # a legacy manifest has no rir_len
-            check_count(f"{path}: {key}", header[key], low)
+        check_count(f"{path}: {key}", header[key], low)
     entries = []
     for i, (reverberant, rir, clean, split, params) in enumerate(rows):
-        if legacy and isinstance(reverberant, str):
-            clean = reverberant.replace("_reverb.wav", "_clean.wav")
         entry = f"{path}: entries[{i}]"
         for key, value in (("reverberant", reverberant), ("rir", rir), ("clean", clean)):
             if not isinstance(value, str):
@@ -284,14 +274,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             params = RirParams(**params)
         except InvalidConfigError as exc:  # its message starts with the field's name
             raise InvalidConfigError(f"{entry}.params.{exc}") from None
+        if params.direct_delay >= header["rir_len"]:  # the direct impulse must lie inside
+            raise InvalidConfigError(f"{entry}.params.direct_delay must be below "
+                                     f"rir_len {header['rir_len']}, got {params.direct_delay}")
         entries.append(ManifestEntry(reverberant, rir, clean, split, params))
-    if legacy:
-        header["rir_len"] = len(read_wav(path.parent / entries[0].rir)) if entries else 0
-    rir_len = header["rir_len"]
-    for i, entry in enumerate(entries):  # the direct impulse must lie inside the response
-        if entry.params.direct_delay >= rir_len:
-            raise InvalidConfigError(f"{path}: entries[{i}].params.direct_delay must be below "
-                                     f"rir_len {rir_len}, got {entry.params.direct_delay}")
     return DatasetManifest(**header, entries=tuple(entries), root=path.parent)
 
 

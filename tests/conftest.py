@@ -82,11 +82,22 @@ def _set_shape(shape):
     return edit
 
 
+def _split_first_conv(header):
+    """encoder[0] as the first_* keys beside the encoder."""
+    config = header["config"]
+    first = config["encoder"].pop(0)
+    config.update(first_channels=first["out_channels"], first_kernel=first["kernel"],
+                  first_stride=first["stride"], first_padding=first["padding"])
+
+
 # Header edits that load_checkpoint must reject with InvalidConfigError.
 MALFORMED_HEADERS = {
     "missing_kind": lambda h: h.pop("kind"),
     "discriminator_kind": lambda h: h.update(kind="discriminator"),
     "unknown_config_key": lambda h: h["config"].update(dropout=0.5),
+    "scale_key": lambda h: h["config"].update(scale="toy"),
+    "missing_dtype": lambda h: h["config"].pop("dtype"),
+    "first_conv_keys": _split_first_conv,
     "config_not_object": lambda h: h.update(config=[]),
     "record_without_shape": lambda h: h["records"][0].pop("shape"),
     "unknown_dtype": lambda h: h["config"].update(dtype="float16"),

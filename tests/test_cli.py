@@ -234,9 +234,15 @@ class TestTrain:
             lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "params": None}]}),
             lambda m: _with_first_param(m, "t60", float("nan")),
             lambda m: _with_first_param(m, "drr_target", float("inf")),
+            lambda m: json.dumps({k: v for k, v in m.items() if k != "rir_len"}),
+            # The form written before rir_len and the clean paths were stored.
+            lambda m: json.dumps({
+                **{k: v for k, v in m.items() if k != "rir_len"},
+                "entries": [{k: v for k, v in e.items() if k != "clean"} for e in m["entries"]],
+            }),
         ],
         ids=["not_json", "missing_sample_rate", "missing_entries", "entry_without_params",
-             "nan_t60", "infinite_drr_target"],
+             "nan_t60", "infinite_drr_target", "missing_rir_len", "entry_without_clean"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, cli_dataset, capsys, edit):
         manifest = json.loads((cli_dataset / "manifest.json").read_text())
@@ -468,6 +474,17 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_concatenated_checkpoints_exit_2(self, tmp_path, cli_dataset, cli_run, capsys):
+        ckpt = tmp_path / "both.ckpt"
+        best, last = ((cli_run / name).read_bytes() for name in ("best.ckpt", "last.ckpt"))
+        ckpt.write_bytes(best + last)
+        wav = next(cli_dataset.glob("*_reverb.wav"))
+        out = tmp_path / "o.wav"
+        code = main(["estimate", "--ckpt", str(ckpt), "--in", str(wav), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ckpt} has bytes after its last record\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", MALFORMED_WAVS)
     def test_malformed_wav_exits_2(self, tmp_path, cli_dataset, cli_run, capsys, kind):
         bad = tmp_path / "in.wav"
@@ -604,8 +621,8 @@ class TestEvaluate:
         (manifest if field in manifest else manifest["entries"][-1])[field] = value
         (data / "manifest.json").write_text(json.dumps(manifest))
         reads = []
-        for module in (cli, synth):
-            monkeypatch.setattr(module, "read_wav", lambda path: reads.append(path))
+        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path))
+        assert "read_wav" not in vars(synth)  # synth binds no WAV reader
         code = main(
             ["evaluate", "--manifest", str(data / "manifest.json"), "--split", "test",
              "--method", "identity", "--out", str(tmp_path / "ident.csv")]
@@ -635,6 +652,24 @@ class TestEvaluate:
                      "--out", str(out)])
         assert code == 2
         assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("method", ["model", "baseline", "identity"])
+    def test_truth_not_rir_len_long_exits_2_without_report(
+        self, tmp_path, cli_dataset, cli_run, capsys, method
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        name = next(e for e in manifest["entries"] if e["split"] == "test")["rir"]
+        wavfile.write(data / name, 8000, np.full(300, 0.1, dtype=np.float32))
+        if method == "model":
+            method = f"model:{cli_run / 'best.ckpt'}"
+        out = tmp_path / "reports" / "r.csv"
+        code = main(["evaluate", "--manifest", str(data / "manifest.json"), "--method", method,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{name} has 300 samples, the manifest's rir_len is 256" in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_baseline_near_exact_on_synthetic_data(self, tmp_path, cli_dataset):

@@ -489,86 +489,19 @@ class TestCheckpoints:
         with pytest.raises(InvalidConfigError):
             load_checkpoint(path)
 
-    def test_legacy_first_conv_keys_still_load(self, tmp_path):
-        net = build_estimator(get_profile("toy").estimator, seed=4)
-        path = save_checkpoint(net, tmp_path / "e.ckpt")
+    @pytest.mark.parametrize("extra", [b"\0", bytes(700)], ids=["one_byte", "700_bytes"])
+    def test_bytes_after_the_last_record_rejected(self, tmp_path, extra):
+        path = save_checkpoint(build_estimator(get_profile("toy").estimator, seed=1),
+                               tmp_path / "e.ckpt")
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(InvalidConfigError, match="bytes after its last record"):
+            load_checkpoint(path)
 
-        def split_first_conv(header):
-            config = header["config"]
-            first = config["encoder"].pop(0)
-            config.update(
-                first_channels=first["out_channels"],
-                first_kernel=first["kernel"],
-                first_stride=first["stride"],
-                first_padding=first["padding"],
-            )
-
-        edit_header(path, split_first_conv)
-        loaded = load_checkpoint(path)
-        assert loaded.config == net.config
-        assert _state_digest(loaded) == _state_digest(net)
-
-    def test_legacy_scale_key_still_loads(self, tmp_path):
-        net = build_estimator(get_profile("toy").estimator, seed=4)
-        path = save_checkpoint(net, tmp_path / "e.ckpt")
-        edit_header(path, lambda h: h["config"].update(scale="toy"))
-        loaded = load_checkpoint(path)
-        assert loaded.config == net.config
-        assert _state_digest(loaded) == _state_digest(net)
-
-    # The fold moves each subtraction of the bias, so the output agrees to
-    # rounding: measured 2.2e-16 (float64) and 8.9e-8 (float32).
-    @pytest.mark.parametrize("dtype, atol", [("float64", 1e-14), ("float32", 1e-6)])
-    def test_legacy_decoder_biases_fold_into_the_running_means(
-        self, tmp_path, monkeypatch, dtype, atol
-    ):
-        # Checkpoints written while the decoder tconvs held a bias carry a
-        # dec{i}_tconv.bias record after each weight.
-        cfg = dataclasses.replace(get_profile("toy").estimator, dtype=dtype)
-        net = build_estimator(cfg, seed=5)
-        rng = np.random.default_rng(5)
-        with ad.no_grad():
-            for _ in range(3):
-                net.forward(Tensor(rng.standard_normal((4, 1, 8000))), train=True)
-        layers = dict(net.layers)
-        biases = {
-            f"dec{i}_tconv.bias": rng.standard_normal(blk["out_channels"]).astype(dtype)
-            for i, blk in enumerate(net.config.decoder, start=1)
-        }
-        records = []
-        for name, arr in models._state_records(net):
-            records.append((name, arr))
-            bias = name.replace(".weight", ".bias")
-            if bias in biases:
-                records.append((bias, biases[bias]))
-        monkeypatch.setattr(models, "_state_records", lambda _: records)
-        path = save_checkpoint(net, tmp_path / "legacy.ckpt")
-        monkeypatch.undo()
-        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert [r["name"] for r in header["records"]][6:8] == [
-            "dec1_tconv.weight", "dec1_tconv.bias"
-        ]
-
-        x = rng.uniform(-1, 1, (3, 1, 8000))
-        want = Tensor(x.astype(dtype))
-        with ad.no_grad():  # the forward the biased decoder ran
-            for name, layer in net.layers:
-                want = layer.forward(want, train=False)
-                if f"{name}.bias" in biases:
-                    want = Tensor(want.data + biases[f"{name}.bias"][:, None])
-        loaded = load_checkpoint(path)
-        for i in range(1, len(net.config.decoder) + 1):
-            bn = dict(loaded.layers)[f"dec{i}_bn"].state
-            np.testing.assert_array_equal(
-                bn.running_mean,
-                layers[f"dec{i}_bn"].state.running_mean - biases[f"dec{i}_tconv.bias"],
-            )
-        got = estimate_batch(loaded, [Signal(row[0], 8000) for row in x])
-        assert np.max(np.abs(np.stack([sig.samples for sig in got]) - want.data[:, 0])) < atol
-        assert np.max(np.abs(want.data)) > 0.1  # the outputs are not all near zero
-
-    @pytest.mark.parametrize("name", ["dec1_bn.bias", "enc0_act.bias", "dec9_tconv.bias"])
-    def test_other_unknown_records_still_rejected(self, tmp_path, name):
+    # The decoder tconvs hold no bias, so dec1_tconv.bias is not a record.
+    @pytest.mark.parametrize(
+        "name", ["dec1_bn.bias", "enc0_act.bias", "dec1_tconv.bias", "dec9_tconv.bias"]
+    )
+    def test_unknown_records_rejected(self, tmp_path, name):
         path = save_checkpoint(build_estimator(get_profile("toy").estimator, seed=1),
                                tmp_path / "e.ckpt")
         edit_header(path, lambda h: h["records"].append({"name": name, "shape": [32]}))
@@ -715,11 +648,3 @@ class TestDtype:
             assert n1 == n2 and a2.dtype == np.float32
             np.testing.assert_array_equal(a1, a2)
         assert json.loads(path32.read_bytes().split(b"\n", 1)[0])["config"]["dtype"] == "float32"
-
-    def test_legacy_header_without_dtype_loads_as_float64(self, tmp_path):
-        net = build_estimator(get_profile("toy").estimator, seed=6)
-        path = save_checkpoint(net, tmp_path / "e.ckpt")
-        edit_header(path, lambda h: h["config"].pop("dtype"))
-        loaded = load_checkpoint(path)
-        assert loaded.config == net.config and loaded.dtype == np.float64
-        assert _state_digest(loaded) == _state_digest(net)
