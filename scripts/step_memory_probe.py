@@ -20,14 +20,17 @@ Prints one line of ``key=value`` pairs:
   them from the kernel;
 - ``step_peak_mb`` and ``eval_peak_mb``: the traced (``tracemalloc``)
   peaks, in MiB, of one more train step and of one
-  ``models.estimate_batch`` on the BATCH inputs, the no-grad eval forward
-  that ``evaluate`` and ``validation_edr`` run. They count what numpy
-  allocates while each call runs, so not the networks and optimizer state,
-  and are measured after ``peak_rss_mb`` is read, so they do not move it.
+  ``training.validation_edr`` on the BATCH inputs, whose no-grad eval
+  forwards run ``training.EVAL_BATCH`` examples at a time, as ``evaluate``'s
+  do. They count what numpy allocates while each call runs, so not the
+  networks and optimizer state, and are measured after ``peak_rss_mb`` is
+  read, so they do not move it.
 
 The first step is left out of the medians when STEPS > 1: it is the one that
 grows the heap. Run one probe at a time; its peak is about 222 MB at batch
-4, 475 MB at batch 32 and 1.25 GB at batch 128.
+4, 473 MB at batch 32 and 1.24 GB at batch 128. ``eval_peak_mb`` reads
+13.0 MiB at batch 4 and 13.4 MiB at 32 and 128: the chunk, not the batch,
+sets it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np  # noqa: E402
 
 from rirlab import autodiff as ad  # noqa: E402
 from rirlab import models, training  # noqa: E402
-from rirlab.dsp import Signal  # noqa: E402
 from rirlab.profiles import get_profile  # noqa: E402
 
 
@@ -101,14 +103,15 @@ def main() -> None:
     p50 = statistics.median(step_ms[measured])
     peak_mb = _rss_mb()
 
-    inputs = [Signal(row, profile.estimator.sample_rate) for row in batch[0]]
     step_peak = _traced_peak(
         lambda: training.train_step(
             estimator, discriminator, batch, cfg, est_opt, disc_opt, basis, partition,
             context="traced step",
         )
     )
-    eval_peak = _traced_peak(lambda: models.estimate_batch(estimator, inputs))
+    eval_peak = _traced_peak(
+        lambda: training.validation_edr(estimator, *batch, basis, partition)
+    )
     print(
         f"batch={args.batch} steps={args.steps} import_rss_mb={import_mb:.1f} "
         f"peak_rss_mb={peak_mb:.1f} "

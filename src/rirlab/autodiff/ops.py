@@ -38,9 +38,9 @@ def activation_bound(weight_size: int, example_size: int) -> bool:
     """Whether a layer whose parameters hold weight_size elements is
     activation-bound: they hold no more elements than one example's output
     (example_size), so a batched GEMM saves little weight traffic and its
-    batch-sized temporaries set the memory peak. Such layers run one example
-    at a time: Network._run's depth-first eval forward, and the overlap-add
-    and conv_transpose1d backward below."""
+    batch-sized temporaries set the memory peak. Such layers run their GEMMs
+    one example at a time: the overlap-add and conv_transpose1d backward
+    below, in train and eval mode alike."""
     return weight_size <= example_size
 
 

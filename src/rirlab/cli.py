@@ -15,11 +15,9 @@ and band setup: evaluate and plot-data each build Profile.analysis() once, for
 the profile whose sample rate matches the manifest, the setup train selected on.
 Evaluate's worker pool, one thread per CPU the process may run on, reads
 the WAVs and runs the baseline and identity methods. The model's forwards
-run on the calling thread, EVAL_BATCH examples at a time, so they share
-BLAS's own threads instead of competing for them. Each forward runs its
-weight-bound layers on the chunk and its activation-bound decoder tail one
-example at a time (models.Network._run), bit-identical to running every
-layer on the chunk.
+run on the calling thread, training.EVAL_BATCH examples at a time, the
+chunk validation selects the checkpoint with, so they share BLAS's own
+threads instead of competing for them.
 """
 
 from __future__ import annotations
@@ -46,17 +44,10 @@ from .fileio import atomic_write
 from .models import estimate, estimate_batch, load_checkpoint
 from .profiles import PROFILES, get_profile, profile_for_sample_rate
 from .synth import SPLITS, DatasetManifest, build_dataset, load_manifest
-from .training import TrainConfig, train
+from .training import EVAL_BATCH, TrainConfig, train
 from .wavio import read_wav, write_wav
 
 USAGE_ERRORS = (InvalidInputError, InvalidConfigError, UnsupportedFormatError, ShapeMismatchError)
-# Model examples per evaluate forward, kept small for memory: a full-profile
-# eval forward of 128 examples (two passes) took 20.6/16.9 ms per example at
-# chunks of 4 with a traced peak of 11.1 MiB, 17.6/14.9 ms at 16 with
-# 37.2 MiB, and 17.4/13.8 ms at 128 with 283.8 MiB. Only the batched layers'
-# activations grow with a chunk. training.validation_edr chunks by the
-# config's batch_size instead (128 on the full profile).
-EVAL_BATCH = 4
 SET_KEYS = ("lambda_edr", "lambda_mse", "batch_size", "epochs", "lr_init", "lr_every", "seed")
 
 

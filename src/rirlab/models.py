@@ -35,7 +35,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .autodiff.ops import activation_bound
 from .autodiff.tensor import FLOAT_DTYPES
 from .dsp import Signal
 from .errors import InvalidConfigError, InvalidInputError, ShapeMismatchError, check_count
@@ -270,9 +269,6 @@ class Network:
         self.seed = int(seed)
         self.dtype = np.dtype(config.dtype)
         self.layers: list[tuple[str, Layer]] = []
-        # Both set by _trace, which each network's constructor runs.
-        self._tail_start = 0  # the first layer that _run runs per example
-        self._example_shape: tuple[int, ...] = ()  # one example's output shape
 
     def _weight(self, rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int):
         """An initial weight in the network's dtype, drawn uniformly from
@@ -312,29 +308,10 @@ class Network:
             t.zero_grad()
 
     def _run(self, x: Tensor, train: bool) -> Tensor:
-        """The layers in order. A no-grad eval forward of two or more
-        examples runs depth-first: the layers before _tail_start on the
-        whole batch, where batching amortizes reading their weights, then
-        the rest, which are activation-bound, one example at a time into
-        one output array, so their intermediates are one example's size.
-        Eval mode uses the running statistics, so an example's output does
-        not depend on the rest of its batch; each GEMM column is computed
-        as in the batched GEMM, so the output is bit-identical to running
-        every layer on the whole batch. Train mode (batch statistics) and a
-        forward with grad mode on (the tape) run every layer on the batch."""
-        batched = train or ad.is_grad_enabled() or x.shape[0] < 2
-        split = len(self.layers) if batched else self._tail_start
-        for _, layer in self.layers[:split]:
+        """The layers in order, each on the whole batch."""
+        for _, layer in self.layers:
             x = layer.forward(x, train)
-        if split == len(self.layers):
-            return x
-        out = np.empty((x.shape[0], *self._example_shape), self.dtype)
-        for b in range(x.shape[0]):
-            y = Tensor(x.data[b : b + 1])
-            for _, layer in self.layers[split:]:
-                y = layer.forward(y, train)
-            out[b] = y.data[0]
-        return Tensor(out)
+        return x
 
     def _conv_stack(self, rng, prefix: str, in_ch: int, blocks) -> int:
         """Append one conv + LeakyReLU pair per block; returns the output channels."""
@@ -351,23 +328,15 @@ class Network:
     def _trace(self, channels: int, length: int) -> tuple[int, ...]:
         """One example's output shape after the layers built so far, found by
         running them in eval mode on an empty batch, so the operators' own
-        shape checks judge the schedule. It also sets the depth-first split
-        of _run from those shapes: _tail_start is the first layer from which
-        every layer is activation-bound (ops.activation_bound) on its
-        parameters and one example's output."""
+        shape checks judge the schedule."""
         x = Tensor(np.zeros((0, channels, length), dtype=self.dtype))
-        self._tail_start = len(self.layers)
         with ad.no_grad():
-            for i, (name, layer) in enumerate(self.layers):
+            for name, layer in self.layers:
                 try:
                     x = layer.forward(x, train=False)
                 except (InvalidConfigError, ShapeMismatchError) as exc:
                     raise InvalidConfigError(f"layer {name}: {exc}") from exc
-                weight_size = sum(t.data.size for _, t in layer.params(name))
-                if not activation_bound(weight_size, np.prod(x.shape[1:])):
-                    self._tail_start = i + 1
-        self._example_shape = x.shape[1:]
-        return self._example_shape
+        return x.shape[1:]
 
 
 class Estimator(Network):
@@ -423,7 +392,6 @@ class Discriminator(Network):
         channels, length = self._trace(2, config.rir_len)
         features = channels * length
         self.layers.append(("head", FlattenLinearLayer(self._weight(rng, (features, 1), features))))
-        self._trace(2, config.rir_len)  # the depth-first split covers the head too
 
     def forward(self, rir: Tensor, condition: Tensor, train: bool) -> Tensor:
         if rir.shape != condition.shape:
@@ -464,11 +432,11 @@ def make_condition(reverberant: np.ndarray, cfg: DiscriminatorConfig) -> np.ndar
 
 def estimate_batch(net: Estimator, reverberant: Sequence[Signal]) -> list[Signal]:
     """Eval-mode inference on waveforms of exactly input_len samples, in one
-    no-grad forward: the weight-bound layers run on the whole batch and the
-    activation-bound tail one example at a time (Network._run), so the peak
-    grows with the batch by about one input's im2col columns per example.
-    Eval mode normalizes with the running statistics, so each estimate
-    depends on its own input only."""
+    no-grad forward with every layer on the whole batch. The activation-bound
+    layers' GEMMs run one example at a time inside their ops
+    (ops.activation_bound), so the peak grows with the batch by about one
+    example's im2col columns and activations. Eval mode normalizes with the
+    running statistics, so each estimate depends on its own input only."""
     if not reverberant:
         return []
     for sig in reverberant:

@@ -230,6 +230,15 @@ class DatasetManifest:
         return path
 
 
+def _check_known_keys(where: str, doc, known: list[str]) -> None:
+    """Raise InvalidConfigError naming where and each key of the JSON object
+    doc that is not in known. A doc that is no object is left to the reads
+    that follow."""
+    unknown = sorted(doc.keys() - set(known)) if isinstance(doc, dict) else []
+    if unknown:
+        raise InvalidConfigError(f"{where} has unknown keys {unknown}")
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a manifest without reading any WAV.
 
@@ -238,16 +247,23 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     of SPLITS, whose params break RirParams' rules or whose direct_delay is
     not below the header's rir_len, or a header whose sample_rate,
     example_len, rir_len (>= 1) or seed (>= 0) is not such an integer, or a
-    missing key: it reads only the form DatasetManifest.save writes.
+    missing or unknown key: it reads only the form DatasetManifest.save
+    writes.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # not UTF-8 or not JSON
         raise InvalidConfigError(f"{path} is not a JSON manifest") from exc
+    header_keys = ("sample_rate", "example_len", "rir_len", "seed")
+    entry_keys = [f.name for f in fields(ManifestEntry)]
     param_keys = [f.name for f in fields(RirParams)]
     try:
-        header = {key: doc[key] for key in ("sample_rate", "example_len", "rir_len", "seed")}
+        _check_known_keys(str(path), doc, [*header_keys, "entries"])
+        for i, item in enumerate(doc["entries"]):
+            _check_known_keys(f"{path}: entries[{i}]", item, entry_keys)
+            _check_known_keys(f"{path}: entries[{i}].params", item["params"], param_keys)
+        header = {key: doc[key] for key in header_keys}
         rows = [
             (
                 item["reverberant"],

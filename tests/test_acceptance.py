@@ -363,7 +363,6 @@ class TestCriterion6ToyTrainingConvergence:
             val_rev,
             val_rir,
             *profile.analysis(),
-            profile.train.batch_size,
         )
         assert best <= 0.5 * initial
         assert ctx["elapsed"] < 600.0

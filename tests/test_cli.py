@@ -21,7 +21,7 @@ from rirlab.cli import main
 from rirlab.errors import UnsupportedFormatError
 from rirlab.profiles import get_profile
 from rirlab.synth import load_manifest
-from rirlab.training import TrainConfig
+from rirlab.training import EVAL_BATCH, TrainConfig
 from rirlab.wavio import read_wav
 
 
@@ -240,9 +240,13 @@ class TestTrain:
                 **{k: v for k, v in m.items() if k != "rir_len"},
                 "entries": [{k: v for k, v in e.items() if k != "clean"} for e in m["entries"]],
             }),
+            lambda m: json.dumps({**m, "rir_length": 999}),
+            lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "reverb": "x.wav"}]}),
+            lambda m: _with_first_param(m, "t61", 3.0),
         ],
         ids=["not_json", "missing_sample_rate", "missing_entries", "entry_without_params",
-             "nan_t60", "infinite_drr_target", "missing_rir_len", "entry_without_clean"],
+             "nan_t60", "infinite_drr_target", "missing_rir_len", "entry_without_clean",
+             "unknown_header_key", "unknown_entry_key", "unknown_params_key"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, cli_dataset, capsys, edit):
         manifest = json.loads((cli_dataset / "manifest.json").read_text())
@@ -525,8 +529,9 @@ class TestEstimate:
 class TestEvaluate:
     def test_val_report_matches_the_selected_epoch(self, tmp_path):
         # evaluate scores a run with the STFT and band setup train selected
-        # it on. The toy estimates may round differently in evaluate's chunks
-        # of EVAL_BATCH than in validation's chunks of batch_size.
+        # it on, and runs the same chunks of EVAL_BATCH as validation. It
+        # scores each pair alone and validation a chunk's pairs in one
+        # band_power call, so the two means may round differently.
         data, run = tmp_path / "ds", tmp_path / "run"
         assert main(["synth", "--out", str(data), "--n", "60", "--profile", "toy",
                      "--seed", "3"]) == 0
@@ -730,7 +735,7 @@ class TestEvaluate:
         from rirlab.models import build_estimator, estimate, load_checkpoint, save_checkpoint
         from rirlab.synth import load_manifest
 
-        assert n_test % cli.EVAL_BATCH in (1, 2)
+        assert n_test % EVAL_BATCH in (1, 2)
         data = tmp_path / "ds"
         assert main(["synth", "--out", str(data), "--n", str(n_test), "--profile", profile,
                      "--seed", "3", "--splits", "0,0,1"]) == 0

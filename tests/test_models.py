@@ -217,8 +217,8 @@ class TestDiscriminator:
         "cfg", [get_profile("toy").discriminator, get_profile("full").discriminator]
     )
     def test_no_grad_eval_forward_runs_the_head_on_the_whole_batch(self, cfg, monkeypatch):
-        # The head's weight outweighs its one-logit output, so the
-        # depth-first split of Network._run must lie past it.
+        # Every layer, the head included, runs on the whole batch in every
+        # mode.
         net = build_discriminator(cfg, seed=5)
         seen = _batches_seen(monkeypatch, net.layers[-1][1])
         rng = np.random.default_rng(5)
@@ -273,36 +273,11 @@ def _batches_seen(monkeypatch, layer) -> list[int]:
     return seen
 
 
-@pytest.fixture(scope="module", params=["toy", "full"])
-def eval_net(request):
-    """An estimator whose running statistics have moved off 0 and 1."""
-    cfg = get_profile(request.param).estimator
-    net = build_estimator(cfg, seed=11)
-    x = np.random.default_rng(11).uniform(-0.9, 0.9, (2, 1, cfg.input_len))
-    with ad.no_grad():
-        net.forward(Tensor(x), train=True)
-    return net
-
-
-class TestDepthFirstForward:
-    @pytest.mark.parametrize("batch", [2, 4, 5])
-    def test_equals_a_whole_batch_layer_loop_bit_for_bit(self, eval_net, batch, monkeypatch):
-        net = eval_net
-        x = np.random.default_rng(batch).uniform(-0.9, 0.9, (batch, 1, net.config.input_len))
-        first = _batches_seen(monkeypatch, net.layers[0][1])
-        last = _batches_seen(monkeypatch, net.layers[-1][1])
-        with ad.no_grad():
-            got = net.forward(Tensor(x), train=False).data
-            assert first == [batch] and last == [1] * batch  # depth-first, not batched
-            want = Tensor(x.astype(net.dtype))
-            for _, layer in net.layers:
-                want = layer.forward(want, train=False)
-        assert got.dtype == want.data.dtype and got.shape == want.shape
-        assert got.tobytes() == want.data.tobytes()
-
+class TestBatchedForward:
     def test_full_estimate_batch_of_4_peaks_below_16_mib(self):
-        # 28.5 MiB when every layer ran on the whole batch: dec5's GEMM
-        # result alone is 21 MB at batch 4.
+        # 13.5 MiB: dec4, dec5 and the collapse run their GEMMs one example
+        # at a time (ops.activation_bound). dec5's batched GEMM result alone
+        # would be 21 MB at batch 4.
         cfg = get_profile("full").estimator
         net = build_estimator(cfg, seed=2)
         rng = np.random.default_rng(2)
@@ -315,7 +290,9 @@ class TestDepthFirstForward:
             tracemalloc.stop()
         assert len(estimates) == 4 and peak < 16 * 2**20
 
-    @pytest.mark.parametrize("train, grad", [(True, False), (True, True), (False, True)])
+    @pytest.mark.parametrize(
+        "train, grad", [(True, False), (True, True), (False, True), (False, False)]
+    )
     def test_train_mode_and_grad_mode_run_every_layer_on_the_batch(self, train, grad, monkeypatch):
         net = build_estimator(get_profile("toy").estimator, seed=4)
         last = _batches_seen(monkeypatch, net.layers[-1][1])

@@ -335,6 +335,25 @@ class TestManifestFormat:
         assert manifest.to_json() == TWO_ENTRY_JSON
         assert load_manifest(manifest.save(tmp_path / "manifest.json")) == manifest
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda m: {**m, "rir_length": 999},
+             r"manifest\.json has unknown keys \['rir_length'\]"),
+            (lambda m: {**m, "entries": [{**m["entries"][0], "reverb": "x.wav"}]},
+             r"entries\[0\] has unknown keys \['reverb'\]"),
+            (lambda m: {**m, "entries": [{**m["entries"][0],
+                                          "params": {**m["entries"][0]["params"], "t61": 3}}]},
+             r"entries\[0\]\.params has unknown keys \['t61'\]"),
+        ],
+        ids=["header", "entry", "params"],
+    )
+    def test_unknown_key_rejected_by_name_and_place(self, tmp_path, edit, where):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(TWO_ENTRY_JSON))))
+        with pytest.raises(InvalidConfigError, match=where):
+            load_manifest(path)
+
 
 class TestSpeechLike:
     def test_deterministic_and_normalized(self):
