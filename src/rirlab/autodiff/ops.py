@@ -38,10 +38,18 @@ def activation_bound(weight_size: int, example_size: int) -> bool:
     """Whether a layer whose parameters hold weight_size elements is
     activation-bound: they hold no more elements than one example's output
     (example_size), so a batched GEMM saves little weight traffic and its
-    batch-sized temporaries set the memory peak. Such layers run their GEMMs
-    one example at a time: the overlap-add and conv_transpose1d backward
-    below, in train and eval mode alike."""
+    batch-sized temporaries set the memory peak. The transposed-convolution
+    kernels below run such a layer's GEMMs one example at a time (_groups),
+    in train and eval mode alike."""
     return weight_size <= example_size
+
+
+def _groups(B: int, weight_size: int, example_size: int) -> list[slice]:
+    """The equal batch slices, in order, that a transposed-convolution kernel
+    runs one GEMM each on: single examples if activation-bound, else all B."""
+    if B > 1 and activation_bound(weight_size, example_size):
+        return [slice(b, b + 1) for b in range(B)]
+    return [slice(0, B)]
 
 
 def _overlap_add(
@@ -51,26 +59,24 @@ def _overlap_add(
     conv_transpose1d's forward: y [B,Ci,N] through weight [Ci,Co,K], input
     position n's tap k added in at n*stride + k. Returns the window
     [offset, offset+length) of that sum as a fresh [B,Co,length] array;
-    positions no tap reaches are 0. When activation-bound, the GEMM runs one
-    example's column block at a time, which gives the same bits and holds
-    one example's columns instead of B."""
+    positions no tap reaches are 0. The GEMM runs once per group of
+    examples (_groups), each adding its columns into its own examples'
+    output, so it holds one group's columns; the output is allocated after
+    the first group's GEMM."""
     (B, Ci, N), (_, Co, K) = y.shape, weight.shape
     w_t = weight.reshape(Ci, Co * K).T
     taps = _taps(K, N, stride, offset, length)
-    if B > 1 and activation_bound(weight.size, Co * length):
-        out = np.zeros((B, Co, length), dtype=y.dtype)
-        for b in range(B):
-            cols, out_b = (w_t @ y[b]).reshape(Co, K, N), out[b]
-            for k, src, dst in taps:
-                out_b[:, dst] += cols[:, k, src]
-            del cols  # before the next example's columns are computed
-        return out
-    # The input's [Ci, B*N] copy is a temporary of this one expression, so it
-    # is freed before the output is allocated.
-    cols = (w_t @ y.transpose(1, 0, 2).reshape(Ci, B * N)).reshape(Co, K, B, N)
-    out = np.zeros((B, Co, length), dtype=y.dtype)
-    for k, src, dst in taps:
-        out[:, :, dst] += cols[:, k, :, src].transpose(1, 0, 2)
+    out = None
+    for grp in _groups(B, weight.size, Co * length):
+        n = grp.stop - grp.start
+        # The group's [Ci, n*N] input is a temporary of this one expression (a
+        # view for one example), so it is freed before the output is allocated.
+        cols = (w_t @ y[grp].transpose(1, 0, 2).reshape(Ci, n * N)).reshape(Co, K, n, N)
+        if out is None:
+            out = np.zeros((B, Co, length), dtype=y.dtype)
+        for k, src, dst in taps:
+            out[grp, :, dst] += cols[:, k, :, src].transpose(1, 0, 2)
+        del cols  # before the next group's columns are computed
     return out
 
 
@@ -107,14 +113,14 @@ def _taps(K: int, N: int, stride: int, offset: int, length: int) -> list[tuple[i
 # from x_pad, so the record does not hold enc0's [B*64, 8193] columns.
 # The scatter direction (conv_transpose1d's forward, conv1d's input gradient)
 # is _overlap_add, the col2im adjoint of that im2col (Dumoulin & Visin, 2016):
-# one GEMM W^T [Co*K, Ci] @ y [Ci, B*N] gives every tap of every input
-# position, and each tap's [B, Co, N] slice is added at stride straight into
-# the zeroed output window, so neither caller crops or copies. Each element
-# is 0 + tap_0 + tap_1 + ... in tap order; TestForwardReferences pins those
-# bits to a reference kernel on every layer shape. An activation-bound call
-# runs that GEMM one example's column block at a time, with the same bits,
-# so it holds one example's columns; at batch 4, dec5's for the whole batch
-# would be 21 MB, 5x its output. Laying the GEMM out input-first
+# per group of n examples, one GEMM W^T [Co*K, Ci] @ y [Ci, n*N] gives every
+# tap of every input position, and each tap's [n, Co, N] slice is added at
+# stride straight into the zeroed output window, so neither caller crops or
+# copies. Each element is 0 + tap_0 + tap_1 + ... in tap order;
+# TestForwardReferences pins those bits to a reference kernel on every layer
+# shape. A group of one example gives the batch GEMM's bits and holds one
+# example's columns; at batch 4, dec5's for the whole batch would be 21 MB,
+# 5x its output. Laying the GEMM out input-first
 # ([B*N, Co*K], with channels-last adds and one transpose, or adds through a
 # transposed view) was slower on the full decoder's dec4 and dec5.
 def conv1d(
@@ -210,44 +216,36 @@ def conv_transpose1d(
 
     def backward_fn(g):
         w2 = weight.data.reshape(Cin, Cout * K)
-        if B > 1 and activation_bound(weight.size, Cout * L_out):
-            # One example's columns at a time, copied out of one padded row
-            # whose padding stays 0: gx comes in example order, and gw is the
-            # sum of the per-example GEMMs, added in example order.
-            gfull = np.zeros((1, Cout, L_full), dtype=g.dtype)
-            gwin = windows(gfull)
-            gx = np.empty((B, Cin, L), g.dtype) if x.requires_grad else None
-            gw = np.empty((Cin, Cout * K), g.dtype) if weight.requires_grad else None
-            term = np.empty_like(gw) if gw is not None else None
-            for b in range(B):
-                if span > 0:
-                    gfull[0, :, padding : padding + span] = g[b, :, :span]
-                cols = np.ascontiguousarray(gwin).reshape(Cout * K, L)
-                if gx is not None:
-                    np.matmul(w2, cols, out=gx[b])
-                if gw is not None:
-                    np.matmul(cols, x.data[b].T, out=(gw if b == 0 else term).T)
-                    if b:
-                        gw += term
-                del cols  # before the next example's columns are built
-        else:
-            gfull = np.zeros((B, Cout, L_full), dtype=g.dtype)
+        groups = _groups(B, weight.size, Cout * L_out)
+        n = B // len(groups)
+        for i, grp in enumerate(groups):
+            gfull = np.zeros((n, Cout, L_full), dtype=g.dtype)
             if span > 0:
-                gfull[:, :, padding : padding + span] = g[:, :, :span]
-            cols = np.ascontiguousarray(windows(gfull)).reshape(Cout * K, B * L)
-            del gfull
-            gx = None
-            if x.requires_grad:
-                gx = (w2 @ cols).reshape(Cin, B, L).transpose(1, 0, 2)
-            gw = None
-            if weight.requires_grad:
+                gfull[:, :, padding : padding + span] = g[grp, :, :span]
+            cols = np.ascontiguousarray(windows(gfull)).reshape(Cout * K, n * L)
+            del gfull  # before the GEMMs, and before the gradients are allocated
+            if i == 0:
+                # Group i's GEMM writes gx[i] in place, so gx is [B, Cin, L] for
+                # single examples and a view of [Cin, B, L] for the batch.
+                gx = np.empty((len(groups), Cin, n, L), g.dtype) if x.requires_grad else None
+                gw = np.empty((Cin, Cout * K), g.dtype) if weight.requires_grad else None
+                term = np.empty_like(gw) if gw is not None and n < B else None
+            if gx is not None:
+                np.matmul(w2, cols, out=gx[i].reshape(Cin, n * L))
+            if gw is not None:
                 # cols @ x^T written through a transposed view: numpy runs
                 # that GEMM as it is and the gradient comes out C-contiguous,
                 # so neither backward nor rmsprop_step has to copy it. The
                 # GEMM x^T-first (x2 @ cols.T) is C-contiguous too, but it
                 # rounds differently from this one on some toy float64 shapes.
-                gw = np.empty((Cin, Cout * K), dtype=g.dtype)
-                np.matmul(cols, x.data.transpose(0, 2, 1).reshape(B * L, Cin), out=gw.T)
+                # gw sums the groups' GEMMs in group order.
+                x2 = x.data[grp].transpose(0, 2, 1).reshape(n * L, Cin)
+                np.matmul(cols, x2, out=(term if i else gw).T)
+                if i:
+                    gw += term
+            del cols  # before the next group's columns are built
+        if gx is not None:
+            gx = gx.transpose(0, 2, 1, 3).reshape(B, Cin, L)
         if gw is not None:
             gw = gw.reshape(Cin, Cout, K)
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None

@@ -163,12 +163,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_model(ckpt: str, manifest: DatasetManifest, manifest_path: str):
+    """The checkpoint's estimator, rejected before any WAV is read unless it
+    was trained for the manifest's rir_len and sample rate."""
+    net = load_checkpoint(ckpt)
+    if (net.config.rir_len, net.config.sample_rate) != (manifest.rir_len, manifest.sample_rate):
+        raise InvalidInputError(
+            f"{ckpt} has rir_len {net.config.rir_len} at {net.config.sample_rate} Hz, but "
+            f"{manifest_path} has rir_len {manifest.rir_len} at {manifest.sample_rate} Hz"
+        )
+    return net
+
+
 def _estimate_for_entry(
     method: str, net, manifest: DatasetManifest, entry
 ) -> tuple[Signal, Signal]:
     """(estimate, ground truth) for one manifest entry; each file is read once.
     For the model it is (input fitted to the model's length, ground truth):
-    cmd_evaluate runs the model's forwards itself, in batches."""
+    cmd_evaluate, in batches, and cmd_plot_data run the forwards themselves."""
     truth = _read_nonempty(manifest.path(entry.rir))
     if len(truth) != manifest.rir_len:
         raise InvalidInputError(
@@ -190,13 +202,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not entries:
         raise InvalidInputError(f"split {args.split!r} is empty")
     if args.method.startswith("model:"):
-        ckpt = args.method.split(":", 1)[1]
-        method, net = "model", load_checkpoint(ckpt)
-        if (net.config.rir_len, net.config.sample_rate) != (manifest.rir_len, manifest.sample_rate):
-            raise InvalidInputError(
-                f"{ckpt} has rir_len {net.config.rir_len} at {net.config.sample_rate} Hz, but "
-                f"{args.manifest} has rir_len {manifest.rir_len} at {manifest.sample_rate} Hz"
-            )
+        method, net = "model", _load_model(args.method.split(":", 1)[1], manifest, args.manifest)
     elif args.method in ("baseline", "identity"):
         method, net = args.method, None
     else:
@@ -237,16 +243,9 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             f"example index {args.example} out of range [0, {len(manifest.entries) - 1}]"
         )
-    entry = manifest.entries[args.example]
-    net = load_checkpoint(args.ckpt)
-    truth = _read_nonempty(manifest.path(entry.rir))
-    if len(truth) != net.config.rir_len:
-        raise InvalidInputError(
-            f"length mismatch: {entry.rir} has {len(truth)} samples, the checkpoint's "
-            f"rir_len is {net.config.rir_len}"
-        )
-    reverberant = _read_nonempty(manifest.path(entry.reverberant))
-    est = estimate(net, _fit_length(reverberant, net.config.input_len))
+    net = _load_model(args.ckpt, manifest, args.manifest)
+    model_input, truth = _estimate_for_entry("model", net, manifest, manifest.entries[args.example])
+    est = estimate(net, model_input)
     basis, partition = profile_for_sample_rate(manifest.sample_rate).analysis()
 
     out_dir = Path(args.out)

@@ -741,6 +741,28 @@ class TestBackwardMemory:
         # [Cin, B*L] copy never live.
         assert peak < cols + out.data.nbytes + x.data.nbytes / 8
 
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["dec1", "dec2", "dec3"])
+    def test_no_grad_weight_bound_conv_transpose1d_allocates_the_output_after_its_gemm(
+        self, index
+    ):
+        rng = np.random.default_rng(26)
+        (layer, shape) = _full_decoder_tconv_cases()[index]  # batch 4, one batched GEMM
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        w = Tensor(rng.standard_normal(layer.weight.shape).astype(np.float32))
+        with ad.no_grad():
+            out, peak = _traced_peak(
+                lambda: ad.conv_transpose1d(
+                    x, w, stride=layer.stride, padding=layer.padding,
+                    output_padding=layer.output_padding,
+                )
+            )
+        assert not ops.activation_bound(w.data.size, out.data[0].size)
+        Cout, K = w.shape[1:]
+        cols = Cout * K * shape[0] * shape[2] * 4  # the batch's [Cout*K, B*L] GEMM result
+        # The columns and the output: the input's [Cin, B*L] copy is freed
+        # before the output is allocated.
+        assert peak < cols + out.data.nbytes + x.data.nbytes / 2
+
     def test_activation_bound_conv_transpose1d_backward_holds_one_examples_columns(self):
         rng = np.random.default_rng(25)
         (layer, shape) = _full_decoder_tconv_cases()[-2]  # dec5: [4, 64, 4096] -> same
@@ -972,6 +994,25 @@ def _overlap_add_reference(y, w, stride, offset, length):
     return out
 
 
+def _conv_transpose1d_input_gradient_reference(g, w, stride, padding, length):
+    """conv_transpose1d's input gradient as one GEMM w [Cin, Cout*K] @ cols
+    per group of examples, one each in an activation-bound layer, else the
+    batch: cols are the windows of the zero-padded output gradient."""
+    (B, Cout, L_out), (Cin, _, K) = g.shape, w.shape
+    L_full = (length - 1) * stride + K
+    gfull = np.zeros((B, Cout, L_full), dtype=g.dtype)
+    span = min(L_full, padding + L_out) - padding
+    gfull[:, :, padding : padding + span] = g[:, :, :span]
+    gwin = sliding_window_view(gfull, K, axis=2)[:, :, ::stride, :][:, :, :length, :]
+    n = 1 if ops.activation_bound(w.size, Cout * L_out) else B
+    gx = np.empty((B, Cin, length), dtype=g.dtype)
+    for b in range(0, B, n):
+        cols = np.ascontiguousarray(gwin[b : b + n].transpose(1, 3, 0, 2))
+        gemm = w.reshape(Cin, -1) @ cols.reshape(Cout * K, n * length)
+        gx[b : b + n] = gemm.reshape(Cin, n, length).transpose(1, 0, 2)
+    return gx
+
+
 def _traced_peak(fn):
     """(result, peak bytes that numpy allocated while fn ran)."""
     tracemalloc.start()
@@ -1030,6 +1071,24 @@ class TestForwardReferences:
             g = rng.standard_normal(out.shape).astype(dtype)
             (gx, _) = ad.active_tape().pop()[2](g)
             want = _overlap_add_reference(g, w, layer.stride, layer.padding, length)
+            np.testing.assert_array_equal(gx, want, err_msg=f"{w.shape} at {batch}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 4, 5])
+    def test_conv_transpose1d_input_gradient_equals_group_gemms(self, batch, dtype):
+        rng = np.random.default_rng(42 + batch)
+        for layer, _, (cin, length) in _conv_layer_cases(models.ConvTranspose1dLayer):
+            x = Tensor(rng.standard_normal((batch, cin, length)).astype(dtype), requires_grad=True)
+            w = rng.standard_normal(layer.weight.shape).astype(dtype)
+            out = ad.conv_transpose1d(
+                x, Tensor(w), stride=layer.stride, padding=layer.padding,
+                output_padding=layer.output_padding,
+            )
+            g = rng.standard_normal(out.shape).astype(dtype)
+            (gx, _) = ad.active_tape().pop()[2](g)
+            want = _conv_transpose1d_input_gradient_reference(
+                g, w, layer.stride, layer.padding, length
+            )
             np.testing.assert_array_equal(gx, want, err_msg=f"{w.shape} at {batch}")
 
     @pytest.mark.parametrize(

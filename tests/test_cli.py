@@ -868,19 +868,25 @@ class TestPlotData:
         assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change", [{"rir_len": 64}, {"sample_rate": 16000}],
+                             ids=["rir_len", "sample_rate"])
     def test_checkpoint_of_other_rir_len_exits_2_without_output(
-        self, tmp_path, cli_dataset, capsys
+        self, tmp_path, cli_dataset, capsys, monkeypatch, change
     ):
         toy = get_profile("toy").estimator
-        short = dataclasses.replace(toy, rir_len=64, decoder=toy.decoder[1:])
-        ckpt = tmp_path / "short.ckpt"
-        models.save_checkpoint(models.Estimator(short, seed=0), ckpt)
-        out = tmp_path / "plots"
-        code = main(["plot-data", "--ckpt", str(ckpt),
-                     "--manifest", str(cli_dataset / "manifest.json"), "--example", "0",
-                     "--out", str(out)])
+        decoder = toy.decoder[1:] if "rir_len" in change else toy.decoder  # 64 samples out
+        ckpt = tmp_path / "other.ckpt"
+        other = dataclasses.replace(toy, decoder=decoder, **change)
+        models.save_checkpoint(models.Estimator(other, seed=0), ckpt)
+        reads = []
+        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        manifest, out = cli_dataset / "manifest.json", tmp_path / "plots"
+        code = main(["plot-data", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--example", "0", "--out", str(out)])
         assert code == 2
-        assert "has 256 samples, the checkpoint's rir_len is 64" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and str(manifest) in err
+        assert reads == []
         assert not out.exists()
 
     def test_out_of_range_example_exits_2(self, tmp_path, cli_dataset, cli_run):
