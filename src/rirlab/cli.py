@@ -7,8 +7,9 @@
     rirlab plot-data --ckpt C --manifest M --example I --out DIR
 
 A checkpoint (C, CKPT) holds one trained estimator. WAVs are written as
-float32 and read as float32 or PCM16; estimate, evaluate and plot-data
-reject a WAV that holds no samples. Exit codes: 0 success, 2
+float32 and read as float32 or PCM16. Only estimate fits its input to the
+model's length, and rejects one of no samples; the other commands read a
+manifest's WAVs by DatasetManifest.read. Exit codes: 0 success, 2
 argument/validation problems, 3 I/O failures, 4 numerical divergence.
 train's --set takes the training hyperparameters in SET_KEYS, not the STFT
 and band setup: evaluate and plot-data each build Profile.analysis() once, for
@@ -59,8 +60,8 @@ def _worker_count() -> int:
 
 
 def _read_nonempty(path: str | Path) -> Signal:
-    """read_wav, rejecting a file that holds no samples: an estimate or a
-    score of nothing would be silence passed off as a result."""
+    """read_wav, rejecting a file that holds no samples: an estimate of
+    nothing would be silence passed off as a result."""
     signal = read_wav(path)
     if len(signal) == 0:
         raise InvalidInputError(f"{path}: the WAV file holds no samples")
@@ -164,36 +165,25 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _load_model(ckpt: str, manifest: DatasetManifest, manifest_path: str):
-    """The checkpoint's estimator, rejected before any WAV is read unless it
-    was trained for the manifest's rir_len and sample rate."""
+    """The checkpoint's estimator, rejected before any WAV is read unless the
+    manifest's header fits it (DatasetManifest.check_fit)."""
     net = load_checkpoint(ckpt)
-    if (net.config.rir_len, net.config.sample_rate) != (manifest.rir_len, manifest.sample_rate):
-        raise InvalidInputError(
-            f"{ckpt} has rir_len {net.config.rir_len} at {net.config.sample_rate} Hz, but "
-            f"{manifest_path} has rir_len {manifest.rir_len} at {manifest.sample_rate} Hz"
-        )
+    manifest.check_fit(net.config, manifest_path, ckpt)
     return net
 
 
-def _estimate_for_entry(
-    method: str, net, manifest: DatasetManifest, entry
-) -> tuple[Signal, Signal]:
+def _estimate_for_entry(method: str, manifest: DatasetManifest, entry) -> tuple[Signal, Signal]:
     """(estimate, ground truth) for one manifest entry; each file is read once.
-    For the model it is (input fitted to the model's length, ground truth):
-    cmd_evaluate, in batches, and cmd_plot_data run the forwards themselves."""
-    truth = _read_nonempty(manifest.path(entry.rir))
-    if len(truth) != manifest.rir_len:
-        raise InvalidInputError(
-            f"length mismatch: {entry.rir} has {len(truth)} samples, the manifest's "
-            f"rir_len is {manifest.rir_len}"
-        )
+    For the model it is (input, ground truth): cmd_evaluate, in batches, and
+    cmd_plot_data run the forwards themselves."""
+    truth = manifest.read(entry, "rir")
     if method == "identity":
         return truth, truth
-    reverberant = _read_nonempty(manifest.path(entry.reverberant))
+    reverberant = manifest.read(entry, "reverberant")
     if method == "baseline":
-        clean = _read_nonempty(manifest.path(entry.clean))
+        clean = manifest.read(entry, "clean")
         return spectral_deconvolve(reverberant, clean, manifest.rir_len), truth
-    return _fit_length(reverberant, net.config.input_len), truth
+    return reverberant, truth
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -212,7 +202,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     profile = profile_for_sample_rate(manifest.sample_rate)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        pairs = list(pool.map(lambda e: _estimate_for_entry(method, net, manifest, e), entries))
+        pairs = list(pool.map(lambda e: _estimate_for_entry(method, manifest, e), entries))
     if net is not None:
         estimates = []
         for start in range(0, len(pairs), EVAL_BATCH):
@@ -244,7 +234,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             f"example index {args.example} out of range [0, {len(manifest.entries) - 1}]"
         )
     net = _load_model(args.ckpt, manifest, args.manifest)
-    model_input, truth = _estimate_for_entry("model", net, manifest, manifest.entries[args.example])
+    model_input, truth = _estimate_for_entry("model", manifest, manifest.entries[args.example])
     est = estimate(net, model_input)
     basis, partition = profile_for_sample_rate(manifest.sample_rate).analysis()
 

@@ -12,6 +12,7 @@ The dataclasses are the manifest's only description: manifest.json is
 DatasetManifest without its root, its keys in the field order of
 DatasetManifest, ManifestEntry and RirParams. The response length is stored
 once, in the header, and passed to synth_rir beside the sample rate.
+DatasetManifest.read is the one reader of a manifest's WAVs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .errors import (
     finite_real,
 )
 from .fileio import atomic_write
-from .wavio import write_wav
+from .models import EstimatorConfig
+from .wavio import read_wav, write_wav
 
 SPLITS = ("train", "val", "test")
 DECAY_RATE = 6.908  # ln(10^3): amplitude envelope exponent for a 60 dB fall per t60
@@ -217,6 +219,32 @@ class DatasetManifest:
 
     def path(self, relative: str) -> Path:
         return self.root / relative
+
+    def read(self, entry: ManifestEntry, field: str) -> Signal:
+        """The Signal of entry's file field: "reverberant", "rir" or "clean".
+        A file not at sample_rate, or not rir_len ("rir") or example_len
+        samples long, raises InvalidInputError naming it, an empty one too."""
+        path = self.path(getattr(entry, field))
+        signal = read_wav(path)
+        key = "rir_len" if field == "rir" else "example_len"
+        if signal.sample_rate != self.sample_rate:
+            raise InvalidInputError(f"{path} is sampled at {signal.sample_rate} Hz, the "
+                                    f"manifest's sample_rate is {self.sample_rate} Hz")
+        if len(signal) != getattr(self, key):
+            raise InvalidInputError(f"{path} has {len(signal)} samples, the manifest's "
+                                    f"{key} is {getattr(self, key)}")
+        return signal
+
+    def check_fit(self, est_cfg: EstimatorConfig, manifest: str, estimator: str) -> None:
+        """Raise InvalidInputError naming manifest and estimator unless the
+        header's (sample_rate, example_len, rir_len) are est_cfg's
+        (sample_rate, input_len, rir_len)."""
+        ours = (self.sample_rate, self.example_len, self.rir_len)
+        theirs = (est_cfg.sample_rate, est_cfg.input_len, est_cfg.rir_len)
+        if ours != theirs:
+            raise InvalidInputError("{} has sample_rate {} Hz, example_len {} and rir_len {}, but "
+                                    "{} has sample_rate {} Hz, input_len {} and rir_len {}"
+                                    .format(manifest, *ours, estimator, *theirs))
 
     def to_json(self) -> str:
         doc = asdict(self)

@@ -26,14 +26,12 @@ from .fileio import atomic_write
 from .models import (
     Discriminator,
     Estimator,
-    EstimatorConfig,
     build_discriminator,
     build_estimator,
     make_condition,
     save_checkpoint,
 )
 from .synth import DatasetManifest
-from .wavio import read_wav
 
 if TYPE_CHECKING:  # profiles imports this module for TrainConfig
     from .profiles import Profile
@@ -265,34 +263,21 @@ def validation_edr(
     return float(np.mean(np.concatenate(losses)))
 
 
-def _stack_wavs(paths: list[Path], length: int, name: str) -> np.ndarray:
-    """[len(paths), length] float32 samples of WAVs that must each hold the
-    estimator's length, named name. float32 holds every sample exactly: rirlab
-    writes float32 WAVs, and a PCM16 sample over 32768 has 16 significant
-    bits. A row is widened, exactly, where it meets a float64 computation."""
-    out = np.empty((len(paths), length), dtype=np.float32)
-    for row, path in zip(out, paths):
-        samples = read_wav(path).samples
-        if len(samples) != length:
-            raise InvalidInputError(
-                f"{path} has {len(samples)} samples, the estimator's {name} is {length}"
-            )
-        row[:] = samples
-    return out
-
-
-def _load_split(
-    manifest: DatasetManifest, split: str, est_cfg: EstimatorConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _load_split(manifest: DatasetManifest, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """A split's [n, example_len] reverberant and [n, rir_len] response rows,
+    in float32, each file read by manifest.read. float32 holds every sample
+    exactly: rirlab writes float32 WAVs, and a PCM16 sample over 32768 has 16
+    significant bits. A row is widened, exactly, where it meets a float64
+    computation."""
     entries = manifest.split_entries(split)
     if not entries:
         raise InvalidInputError(f"manifest has no entries in split {split!r}")
-    rev = [manifest.path(e.reverberant) for e in entries]
-    rir = [manifest.path(e.rir) for e in entries]
-    return (
-        _stack_wavs(rev, est_cfg.input_len, "input_len"),
-        _stack_wavs(rir, est_cfg.rir_len, "rir_len"),
-    )
+    rev = np.empty((len(entries), manifest.example_len), dtype=np.float32)
+    rir = np.empty((len(entries), manifest.rir_len), dtype=np.float32)
+    for i, entry in enumerate(entries):
+        rev[i] = manifest.read(entry, "reverberant").samples
+        rir[i] = manifest.read(entry, "rir").samples
+    return rev, rir
 
 
 def train(
@@ -312,19 +297,15 @@ def train(
     (fileio.atomic_write), so a kill mid-write leaves its previous version.
     Epoch shuffling, initialization and the learning-rate schedule are all
     pure functions of the config and seed. On divergence the log is flushed
-    before the error propagates. The manifest must share the estimator's
-    sample rate, and its train split must hold the 2 examples that a step
-    needs.
+    before the error propagates. The manifest's header must fit the
+    estimator (DatasetManifest.check_fit), which is checked before any WAV
+    is read, and its train split must hold the 2 examples that a step needs.
     """
     cfg, est_cfg = profile.train, profile.estimator
-    if manifest.sample_rate != est_cfg.sample_rate:
-        raise InvalidInputError(
-            f"the manifest is sampled at {manifest.sample_rate} Hz, the estimator at "
-            f"{est_cfg.sample_rate} Hz"
-        )
+    manifest.check_fit(est_cfg, "the manifest", f"the {profile.name} estimator")
     basis, partition = profile.analysis()
-    train_rev, train_rir = _load_split(manifest, "train", est_cfg)
-    val_rev, val_rir = _load_split(manifest, "val", est_cfg)
+    train_rev, train_rir = _load_split(manifest, "train")
+    val_rev, val_rir = _load_split(manifest, "val")
     n_train = train_rev.shape[0]
     if n_train < 2:
         raise InvalidInputError(

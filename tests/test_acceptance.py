@@ -357,7 +357,7 @@ class TestCriterion6ToyTrainingConvergence:
         assert best <= 0.5 * epoch0
         # also true against the pre-training validation value: the estimator
         # train starts from, scored on the same split
-        val_rev, val_rir = training._load_split(ctx["dataset"], "val", profile.estimator)
+        val_rev, val_rir = training._load_split(ctx["dataset"], "val")
         initial = training.validation_edr(
             build_estimator(profile.estimator, seed=profile.train.seed),
             val_rev,

@@ -298,6 +298,44 @@ class TestTrain:
         assert Path(second["rir"]).name in err and "100" in err and "256" in err
         assert not out.exists()
 
+    def test_wav_of_another_sample_rate_exits_2_without_run_directory(
+        self, tmp_path, cli_dataset, capsys
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        name = [e for e in manifest["entries"] if e["split"] == "train"][1]["reverberant"]
+        wavfile.write(data / name, 16000, read_wav(data / name).samples.astype(np.float32))
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy", "--set", "epochs=1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / name} is sampled at 16000 Hz, the manifest's sample_rate is "
+            "8000 Hz\n"
+        )
+        assert not out.exists()
+
+    def test_manifest_of_another_example_len_exits_2_before_any_read(
+        self, tmp_path, cli_dataset, capsys, monkeypatch
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "example_len": 7000}))
+        reads = []
+        monkeypatch.setattr(synth, "read_wav", reads.append)
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                     "--profile", "toy", "--set", "epochs=1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the manifest has sample_rate 8000 Hz, example_len 7000 and rir_len 256, "
+            "but the toy estimator has sample_rate 8000 Hz, input_len 8000 and rir_len 256\n"
+        )
+        assert reads == []
+        assert not out.exists()
+
     def test_other_profile_dataset_exits_2_without_run_directory(self, tmp_path, capsys):
         data = tmp_path / "full"
         assert main(["synth", "--out", str(data), "--n", "3", "--profile", "full", "--seed", "1",
@@ -567,10 +605,8 @@ class TestEvaluate:
         assert float(mse) == 0.0
 
     def test_identity_reads_each_truth_once(self, tmp_path, cli_dataset, monkeypatch):
-        from rirlab import cli
-
         reads = []
-        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        monkeypatch.setattr(synth, "read_wav", lambda path: reads.append(path) or read_wav(path))
         code = main(
             ["evaluate", "--manifest", str(cli_dataset / "manifest.json"), "--split", "train",
              "--method", "identity", "--out", str(tmp_path / "ident.csv")]
@@ -626,8 +662,7 @@ class TestEvaluate:
         (manifest if field in manifest else manifest["entries"][-1])[field] = value
         (data / "manifest.json").write_text(json.dumps(manifest))
         reads = []
-        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path))
-        assert "read_wav" not in vars(synth)  # synth binds no WAV reader
+        monkeypatch.setattr(synth, "read_wav", reads.append)
         code = main(
             ["evaluate", "--manifest", str(data / "manifest.json"), "--split", "test",
              "--method", "identity", "--out", str(tmp_path / "ident.csv")]
@@ -656,25 +691,41 @@ class TestEvaluate:
         code = main(["evaluate", "--manifest", str(data / "manifest.json"), "--method", method,
                      "--out", str(out)])
         assert code == 2
-        assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
+        limit = "rir_len is 256" if key == "rir" else "example_len is 8000"
+        assert capsys.readouterr().err == (
+            f"error: {data / name} has 0 samples, the manifest's {limit}\n"
+        )
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("method", ["model", "baseline", "identity"])
+    # A reverberant or clean file cut to 7000 of 8000 samples is neither
+    # zero-padded nor scored.
+    @pytest.mark.parametrize(
+        "method, key, length",
+        [("model", "rir", 300), ("baseline", "rir", 300), ("identity", "rir", 300),
+         ("model", "reverberant", 7000), ("baseline", "reverberant", 7000),
+         ("baseline", "clean", 7000)],
+        ids=["model", "baseline", "identity", "model-reverberant", "baseline-reverberant",
+             "baseline-clean"],
+    )
     def test_truth_not_rir_len_long_exits_2_without_report(
-        self, tmp_path, cli_dataset, cli_run, capsys, method
+        self, tmp_path, cli_dataset, cli_run, capsys, method, key, length
     ):
         data = tmp_path / "ds"
         shutil.copytree(cli_dataset, data)
         manifest = json.loads((data / "manifest.json").read_text())
-        name = next(e for e in manifest["entries"] if e["split"] == "test")["rir"]
-        wavfile.write(data / name, 8000, np.full(300, 0.1, dtype=np.float32))
+        name = next(e for e in manifest["entries"] if e["split"] == "test")[key]
+        samples = read_wav(data / name).samples.astype(np.float32)
+        wavfile.write(data / name, 8000, np.resize(samples, length))  # cut, or repeated
         if method == "model":
             method = f"model:{cli_run / 'best.ckpt'}"
         out = tmp_path / "reports" / "r.csv"
         code = main(["evaluate", "--manifest", str(data / "manifest.json"), "--method", method,
                      "--out", str(out)])
         assert code == 2
-        assert f"{name} has 300 samples, the manifest's rir_len is 256" in capsys.readouterr().err
+        limit = "rir_len is 256" if key == "rir" else "example_len is 8000"
+        assert capsys.readouterr().err == (
+            f"error: {data / name} has {length} samples, the manifest's {limit}\n"
+        )
         assert not out.parent.exists()
 
     def test_baseline_near_exact_on_synthetic_data(self, tmp_path, cli_dataset):
@@ -777,7 +828,7 @@ class TestEvaluate:
         forward = models.Estimator.forward
         monkeypatch.setattr(models.Estimator, "forward",
                             lambda net, *a, **k: forwards.append(1) or forward(net, *a, **k))
-        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        monkeypatch.setattr(synth, "read_wav", lambda path: reads.append(path) or read_wav(path))
         manifest, out = cli_dataset / "manifest.json", tmp_path / "model.csv"
         code = main(["evaluate", "--manifest", str(manifest), "--method", f"model:{ckpt}",
                      "--out", str(out)])
@@ -785,6 +836,26 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(ckpt) in err and str(manifest) in err
         assert forwards == [] and reads == []
+        assert not out.exists()
+
+    def test_manifest_of_another_example_len_exits_2_before_any_read(
+        self, tmp_path, cli_dataset, cli_run, capsys, monkeypatch
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(cli_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "example_len": 7000}))
+        reads = []
+        monkeypatch.setattr(synth, "read_wav", reads.append)
+        ckpt, out = cli_run / "best.ckpt", tmp_path / "model.csv"
+        code = main(["evaluate", "--manifest", str(data / "manifest.json"),
+                     "--method", f"model:{ckpt}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'manifest.json'} has sample_rate 8000 Hz, example_len 7000 and "
+            f"rir_len 256, but {ckpt} has sample_rate 8000 Hz, input_len 8000 and rir_len 256\n"
+        )
+        assert reads == []
         assert not out.exists()
 
     def test_eps_is_not_an_option(self, tmp_path, cli_dataset):
@@ -854,18 +925,25 @@ class TestPlotData:
             expected_gap = 10 * np.log10(truth_total) - 10 * np.log10(est_total)
             assert gap == pytest.approx(expected_gap, abs=1e-9)
 
-    @pytest.mark.parametrize("key", ["reverberant", "rir"])
-    def test_empty_wav_exits_2_without_output(self, tmp_path, cli_dataset, cli_run, capsys, key):
+    # Also a reverberant input cut to 7000 of 8000 samples, not zero-padded.
+    @pytest.mark.parametrize("key, length", [("reverberant", 0), ("rir", 0), ("reverberant", 7000)],
+                             ids=["reverberant", "rir", "cut-reverberant"])
+    def test_empty_wav_exits_2_without_output(
+        self, tmp_path, cli_dataset, cli_run, capsys, key, length
+    ):
         data = tmp_path / "ds"
         shutil.copytree(cli_dataset, data)
         name = json.loads((data / "manifest.json").read_text())["entries"][0][key]
-        wavfile.write(data / name, 8000, np.zeros(0, dtype=np.float32))
+        wavfile.write(data / name, 8000, read_wav(data / name).samples[:length].astype(np.float32))
         out = tmp_path / "plots"
         code = main(["plot-data", "--ckpt", str(cli_run / "best.ckpt"),
                      "--manifest", str(data / "manifest.json"), "--example", "0",
                      "--out", str(out)])
         assert code == 2
-        assert f"{name}: the WAV file holds no samples" in capsys.readouterr().err
+        limit = "rir_len is 256" if key == "rir" else "example_len is 8000"
+        assert capsys.readouterr().err == (
+            f"error: {data / name} has {length} samples, the manifest's {limit}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("change", [{"rir_len": 64}, {"sample_rate": 16000}],
@@ -879,7 +957,7 @@ class TestPlotData:
         other = dataclasses.replace(toy, decoder=decoder, **change)
         models.save_checkpoint(models.Estimator(other, seed=0), ckpt)
         reads = []
-        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        monkeypatch.setattr(synth, "read_wav", lambda path: reads.append(path) or read_wav(path))
         manifest, out = cli_dataset / "manifest.json", tmp_path / "plots"
         code = main(["plot-data", "--ckpt", str(ckpt), "--manifest", str(manifest),
                      "--example", "0", "--out", str(out)])

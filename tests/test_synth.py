@@ -221,12 +221,14 @@ class TestBuildDataset:
         assert loaded.example_len == manifest.example_len
         assert [e.params for e in loaded.entries] == [e.params for e in manifest.entries]
 
-    def test_manifest_loads_without_reading_wavs(self, tmp_path):
+    def test_manifest_loads_without_reading_wavs(self, tmp_path, monkeypatch):
         manifest = build_dataset(tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=5)
         for wav in (tmp_path / "ds").glob("*.wav"):
             wav.unlink()
-        assert "read_wav" not in vars(synth)  # synth binds no WAV reader
+        reads = []
+        monkeypatch.setattr(synth, "read_wav", reads.append)
         loaded = load_manifest(tmp_path / "ds" / "manifest.json")
+        assert reads == []
         assert loaded == manifest
         assert loaded.rir_len == 256 and loaded.entries[0].clean == "ex_00000_clean.wav"
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rirlab import autodiff as ad
-from rirlab import metrics, training
+from rirlab import metrics, synth, training
 from rirlab.autodiff import Tensor
 from rirlab.dsp import Signal
 from rirlab.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
@@ -469,7 +469,7 @@ class TestTrain:
         with pytest.raises(InvalidConfigError, match="stft_window"):
             profile.analysis()
         reads = []
-        monkeypatch.setattr(training, "read_wav", reads.append)
+        monkeypatch.setattr(synth, "read_wav", reads.append)
         with pytest.raises(InvalidConfigError, match="stft_window"):
             train(tiny_dataset, profile, tmp_path / "run")
         assert reads == []
@@ -484,7 +484,7 @@ class TestTrain:
 
 
     def test_splits_load_in_float32_with_the_wav_values(self, toy_profile, tiny_dataset):
-        rev, rir = training._load_split(tiny_dataset, "train", toy_profile.estimator)
+        rev, rir = training._load_split(tiny_dataset, "train")
         assert rev.dtype == rir.dtype == np.float32
         entries = tiny_dataset.split_entries("train")
         for i, entry in enumerate(entries):
