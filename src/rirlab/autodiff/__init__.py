@@ -5,6 +5,7 @@ from .ops import (
     BatchNormState,
     batchnorm1d,
     batchnorm_prelu,
+    batchnorm_prelu_conv_transpose1d,
     bce_logit_loss,
     concat_channels,
     conv1d,
@@ -29,6 +30,7 @@ __all__ = [
     "backward",
     "batchnorm1d",
     "batchnorm_prelu",
+    "batchnorm_prelu_conv_transpose1d",
     "bce_logit_loss",
     "concat_channels",
     "conv1d",

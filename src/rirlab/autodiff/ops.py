@@ -4,15 +4,21 @@ tape. Each op computes and allocates in the dtype of its tensor inputs
 (float32 or float64), and an op whose tensor operands differ in dtype
 raises.
 
-A record keeps as little as its backward needs: masks, im2col columns and
+A record keeps as little as its backward needs, and one array of an
+activation's size at most: masks, im2col columns, conv1d's padded input and
 normalized activations are recomputed from the op's input in backward
-rather than kept from the forward. batchnorm_prelu is prelu(batchnorm1d())
-as one op whose record holds one activation where the pair holds two; the
-estimator's decoder runs it, and batchnorm1d and prelu stay as the
-reference it is tested against, bit for bit. All three run on per-example
-channel tiles that stay in cache (TILE), and BatchNorm's backward is
-written from per-channel sums of the output gradient, so the fused op
-streams the activation about half as often as whole-array numpy would."""
+rather than kept from the forward. batchnorm_prelu_conv_transpose1d is
+conv_transpose1d(prelu(batchnorm1d())) as one op, whose record holds the
+batchnorm input where the three ops' records hold it, the batchnorm output
+and the PReLU output; its backward recomputes the PReLU output, which only
+the weight gradient reads. The estimator's decoder runs it wherever a
+batchnorm and PReLU feed a transposed convolution. batchnorm_prelu, the
+pair without the convolution, and batchnorm1d and prelu stay as the
+references it is tested against, bit for bit. All of them run BatchNorm
+and PReLU on per-example channel tiles that stay in cache (TILE), and
+BatchNorm's backward is written from per-channel sums of the output
+gradient, so the fused ops stream the activation about half as often as
+whole-array numpy would."""
 
 from __future__ import annotations
 
@@ -53,27 +59,29 @@ def _groups(B: int, weight_size: int, example_size: int) -> list[slice]:
 
 
 def _overlap_add(
-    y: np.ndarray, weight: np.ndarray, stride: int, offset: int, length: int
+    y_of, shape: tuple[int, int, int], weight: np.ndarray, stride: int, offset: int, length: int
 ) -> np.ndarray:
     """Transposed-convolution kernel, shared by conv1d's input gradient and
-    conv_transpose1d's forward: y [B,Ci,N] through weight [Ci,Co,K], input
-    position n's tap k added in at n*stride + k. Returns the window
-    [offset, offset+length) of that sum as a fresh [B,Co,length] array;
-    positions no tap reaches are 0. The GEMM runs once per group of
-    examples (_groups), each adding its columns into its own examples'
-    output, so it holds one group's columns; the output is allocated after
-    the first group's GEMM."""
-    (B, Ci, N), (_, Co, K) = y.shape, weight.shape
+    the transposed convolutions' forwards: y, of shape [B,Ci,N], through
+    weight [Ci,Co,K], input position n's tap k added in at n*stride + k.
+    Returns the window [offset, offset+length) of that sum as a fresh
+    [B,Co,length] array; positions no tap reaches are 0. The GEMM runs once
+    per group of examples (_groups), each adding its columns into its own
+    examples' output, so it holds one group's columns; y_of(grp) gives that
+    group's [n,Ci,N] slice of y, and the output is allocated after the
+    first group's GEMM."""
+    (B, Ci, N), (_, Co, K) = shape, weight.shape
     w_t = weight.reshape(Ci, Co * K).T
     taps = _taps(K, N, stride, offset, length)
     out = None
     for grp in _groups(B, weight.size, Co * length):
         n = grp.stop - grp.start
-        # The group's [Ci, n*N] input is a temporary of this one expression (a
-        # view for one example), so it is freed before the output is allocated.
-        cols = (w_t @ y[grp].transpose(1, 0, 2).reshape(Ci, n * N)).reshape(Co, K, n, N)
+        # The group's y and its [Ci, n*N] copy are temporaries of this one
+        # expression (a view for one example), so they are freed before the
+        # output is allocated.
+        cols = (w_t @ y_of(grp).transpose(1, 0, 2).reshape(Ci, n * N)).reshape(Co, K, n, N)
         if out is None:
-            out = np.zeros((B, Co, length), dtype=y.dtype)
+            out = np.zeros((B, Co, length), dtype=cols.dtype)
         for k, src, dst in taps:
             out[grp, :, dst] += cols[:, k, :, src].transpose(1, 0, 2)
         del cols  # before the next group's columns are computed
@@ -109,14 +117,15 @@ def _taps(K: int, N: int, stride: int, offset: int, length: int) -> list[tuple[i
 # BLAS packs cheaply, and the [Cout, B*Lout] result already is the output at
 # batch 1. It is bit-equal to cols @ W.T on every conv shape of both
 # profiles at batches 1 to 16, with one and two BLAS threads; columns laid
-# out C-contiguous [Cin*K, B*Lout] are not. The backward rebuilds the columns
-# from x_pad, so the record does not hold enc0's [B*64, 8193] columns.
-# The scatter direction (conv_transpose1d's forward, conv1d's input gradient)
-# is _overlap_add, the col2im adjoint of that im2col (Dumoulin & Visin, 2016):
-# per group of n examples, one GEMM W^T [Co*K, Ci] @ y [Ci, n*N] gives every
-# tap of every input position, and each tap's [n, Co, N] slice is added at
-# stride straight into the zeroed output window, so neither caller crops or
-# copies. Each element is 0 + tap_0 + tap_1 + ... in tap order;
+# out C-contiguous [Cin*K, B*Lout] are not. The backward pads x again and
+# rebuilds the columns from it, so the record holds neither enc0's
+# [B*64, 8193] columns nor a padded copy of its input.
+# The scatter direction (the transposed convolutions' forwards, conv1d's
+# input gradient) is _overlap_add, the col2im adjoint of that im2col
+# (Dumoulin & Visin, 2016): per group of n examples, one GEMM
+# W^T [Co*K, Ci] @ y [Ci, n*N] gives every tap of every input position, and
+# each tap's [n, Co, N] slice is added at stride straight into the zeroed
+# output window, so no caller crops or copies. Each element is 0 + tap_0 + tap_1 + ... in tap order;
 # TestForwardReferences pins those bits to a reference kernel on every layer
 # shape. A group of one example gives the batch GEMM's bits and holds one
 # example's columns; at batch 4, dec5's for the whole batch would be 21 MB,
@@ -142,11 +151,12 @@ def conv1d(
         raise ShapeMismatchError(f"kernel {K} longer than padded input {Lp}")
     if bias is not None and bias.shape != (Cout,):
         raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     Lout = (Lp - K) // stride + 1
 
     def im2col() -> np.ndarray:
-        """[B*Lout, Cin*K]: one row of Cin*K taps per output position."""
+        """[B*Lout, Cin*K]: one row of Cin*K taps per output position, read
+        from a padded copy of x that is freed on return."""
+        x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
         windows = sliding_window_view(x_pad, K, axis=2)[:, :, ::stride, :]  # [B,Cin,Lout,K]
         return np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
 
@@ -165,11 +175,90 @@ def conv1d(
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gx = _overlap_add(g, weight.data, stride, padding, L)
+            gx = _overlap_add(lambda grp: g[grp], g.shape, weight.data, stride, padding, L)
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     record(out, (x, weight, bias) if bias is not None else (x, weight), backward_fn)
     return out
+
+
+def _check_conv_transpose1d(
+    op: str, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int,
+    output_padding: int,
+) -> int:
+    """The output length of conv_transpose1d on x, after checking its
+    operands and arguments."""
+    B, Cin, L = _as_3d(x, f"{op} input")
+    if weight.data.ndim != 3 or weight.shape[0] != Cin:
+        raise ShapeMismatchError(f"{op} weight {weight.shape} incompatible with input {x.shape}")
+    _, Cout, K = weight.shape
+    check_same_dtype(op, x, weight, bias)
+    if stride < 1:
+        raise InvalidConfigError(f"stride must be >= 1, got {stride}")
+    if output_padding >= stride:
+        raise InvalidConfigError(
+            f"output_padding {output_padding} must be smaller than stride {stride}"
+        )
+    L_out = (L - 1) * stride - 2 * padding + K + output_padding
+    if L_out < 1:
+        raise ShapeMismatchError(f"output length {L_out} is not positive")
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
+    return L_out
+
+
+def _conv_transpose1d_backward(
+    g: np.ndarray, weight: np.ndarray, stride: int, padding: int, L: int, x_of,
+    want_gx: bool, want_gw: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(gx, gw) of the output gradient g [B,Cout,L_out] of a transposed
+    convolution through weight [Cin,Cout,K] of an input of length L, each
+    None unless wanted. One loop over the groups of examples (_groups):
+    each builds its columns, the windows of its zero-padded gradient, which
+    it frees before its GEMMs, then writes its slice of gx and adds its
+    term of gw, in group order. x_of(grp) gives the input's examples grp,
+    [n,Cin,L]; it is called once per group, after the group's gx GEMM, and
+    only for gw."""
+    (B, Cout, L_out), (Cin, _, K) = g.shape, weight.shape
+    L_full = (L - 1) * stride + K
+    span = min(L_full, padding + L_out) - padding
+    w2 = weight.reshape(Cin, Cout * K)
+    groups = _groups(B, weight.size, Cout * L_out)
+    n = B // len(groups)
+    for i, grp in enumerate(groups):
+        gfull = np.zeros((n, Cout, L_full), dtype=g.dtype)
+        if span > 0:
+            gfull[:, :, padding : padding + span] = g[grp, :, :span]
+        # [Cout, K, n, L]: what tap k of input position l sent out.
+        gwin = sliding_window_view(gfull, K, axis=2)[:, :, ::stride, :][:, :, :L, :]
+        cols = np.ascontiguousarray(gwin.transpose(1, 3, 0, 2)).reshape(Cout * K, n * L)
+        del gfull, gwin  # before the GEMMs, and before the gradients are allocated
+        if i == 0:
+            # Group i's GEMM writes gx[i] in place, so gx is [B, Cin, L] for
+            # single examples and a view of [Cin, B, L] for the batch.
+            gx = np.empty((len(groups), Cin, n, L), g.dtype) if want_gx else None
+            gw = np.empty((Cin, Cout * K), g.dtype) if want_gw else None
+            term = np.empty_like(gw) if gw is not None and n < B else None
+        if gx is not None:
+            np.matmul(w2, cols, out=gx[i].reshape(Cin, n * L))
+        if gw is not None:
+            # cols @ x^T written through a transposed view: numpy runs
+            # that GEMM as it is and the gradient comes out C-contiguous,
+            # so neither backward nor rmsprop_step has to copy it. The
+            # GEMM x^T-first (x2 @ cols.T) is C-contiguous too, but it
+            # rounds differently from this one on some toy float64 shapes.
+            # gw sums the groups' GEMMs in group order.
+            x2 = x_of(grp).transpose(0, 2, 1).reshape(n * L, Cin)
+            np.matmul(cols, x2, out=(term if i else gw).T)
+            if i:
+                gw += term
+            del x2  # and the input x_of built, before the next group's
+        del cols  # before the next group's columns are built
+    if gx is not None:
+        gx = gx.transpose(0, 2, 1, 3).reshape(B, Cin, L)
+    if gw is not None:
+        gw = gw.reshape(Cin, Cout, K)
+    return gx, gw
 
 
 def conv_transpose1d(
@@ -182,72 +271,21 @@ def conv_transpose1d(
 ) -> Tensor:
     """Adjoint of conv1d: [B,Cin,L] with weight [Cin,Cout,K] ->
     [B,Cout,(L-1)*stride - 2*padding + K + output_padding]."""
-    B, Cin, L = _as_3d(x, "conv_transpose1d input")
-    if weight.data.ndim != 3 or weight.shape[0] != Cin:
-        raise ShapeMismatchError(
-            f"conv_transpose1d weight {weight.shape} incompatible with input {x.shape}"
-        )
-    _, Cout, K = weight.shape
-    check_same_dtype("conv_transpose1d", x, weight, bias)
-    if stride < 1:
-        raise InvalidConfigError(f"stride must be >= 1, got {stride}")
-    if output_padding >= stride:
-        raise InvalidConfigError(
-            f"output_padding {output_padding} must be smaller than stride {stride}"
-        )
-    L_full = (L - 1) * stride + K
-    L_out = (L - 1) * stride - 2 * padding + K + output_padding
-    if L_out < 1:
-        raise ShapeMismatchError(f"output length {L_out} is not positive")
-
-    if bias is not None and bias.shape != (Cout,):
-        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
-    out_data = _overlap_add(x.data, weight.data, stride, padding, L_out)
+    L_out = _check_conv_transpose1d(
+        "conv_transpose1d", x, weight, bias, stride, padding, output_padding
+    )
+    out_data = _overlap_add(
+        lambda grp: x.data[grp], x.shape, weight.data, stride, padding, L_out
+    )
     if bias is not None:
         out_data += bias.data[None, :, None]
     out = Tensor(out_data)
-    span = min(L_full, padding + L_out) - padding
-
-    def windows(gfull: np.ndarray) -> np.ndarray:
-        """[Cout, K, b, L] view of the zero-padded gradient gfull
-        [b, Cout, L_full]: what tap k of input position l sent out."""
-        gwin = sliding_window_view(gfull, K, axis=2)[:, :, ::stride, :][:, :, :L, :]
-        return gwin.transpose(1, 3, 0, 2)
 
     def backward_fn(g):
-        w2 = weight.data.reshape(Cin, Cout * K)
-        groups = _groups(B, weight.size, Cout * L_out)
-        n = B // len(groups)
-        for i, grp in enumerate(groups):
-            gfull = np.zeros((n, Cout, L_full), dtype=g.dtype)
-            if span > 0:
-                gfull[:, :, padding : padding + span] = g[grp, :, :span]
-            cols = np.ascontiguousarray(windows(gfull)).reshape(Cout * K, n * L)
-            del gfull  # before the GEMMs, and before the gradients are allocated
-            if i == 0:
-                # Group i's GEMM writes gx[i] in place, so gx is [B, Cin, L] for
-                # single examples and a view of [Cin, B, L] for the batch.
-                gx = np.empty((len(groups), Cin, n, L), g.dtype) if x.requires_grad else None
-                gw = np.empty((Cin, Cout * K), g.dtype) if weight.requires_grad else None
-                term = np.empty_like(gw) if gw is not None and n < B else None
-            if gx is not None:
-                np.matmul(w2, cols, out=gx[i].reshape(Cin, n * L))
-            if gw is not None:
-                # cols @ x^T written through a transposed view: numpy runs
-                # that GEMM as it is and the gradient comes out C-contiguous,
-                # so neither backward nor rmsprop_step has to copy it. The
-                # GEMM x^T-first (x2 @ cols.T) is C-contiguous too, but it
-                # rounds differently from this one on some toy float64 shapes.
-                # gw sums the groups' GEMMs in group order.
-                x2 = x.data[grp].transpose(0, 2, 1).reshape(n * L, Cin)
-                np.matmul(cols, x2, out=(term if i else gw).T)
-                if i:
-                    gw += term
-            del cols  # before the next group's columns are built
-        if gx is not None:
-            gx = gx.transpose(0, 2, 1, 3).reshape(B, Cin, L)
-        if gw is not None:
-            gw = gw.reshape(Cin, Cout, K)
+        gx, gw = _conv_transpose1d_backward(
+            g, weight.data, stride, padding, x.shape[2], lambda grp: x.data[grp],
+            x.requires_grad, weight.requires_grad,
+        )
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
@@ -581,6 +619,61 @@ def batchnorm_prelu(
         )
 
     record(out, (x, gamma, beta, slope), backward_fn)
+    return out
+
+
+def batchnorm_prelu_conv_transpose1d(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    slope: Tensor,
+    state: BatchNormState,
+    train: bool,
+    weight: Tensor,
+    bias: Tensor | None = None,
+    stride: int = 1,
+    padding: int = 0,
+    output_padding: int = 0,
+) -> Tensor:
+    """conv_transpose1d(batchnorm_prelu(x, gamma, beta, slope, state, train),
+    weight, bias, stride, padding, output_padding) as one op.
+
+    The output, the running statistics and every gradient are those of the
+    two ops, bit for bit: the same kernels run in the same order. The two
+    ops' records hold x and the PReLU output h; this one holds x and the
+    batch statistics alone. Its backward computes h's gradient, recomputes
+    h from x one GEMM group at a time for the weight gradient
+    (_conv_transpose1d_backward's x_of), then runs BatchNorm+PReLU's
+    backward. Every check runs before the running statistics change.
+    """
+    op = "batchnorm_prelu_conv_transpose1d"
+    s = _check_prelu(op, x, slope)
+    L_out = _check_conv_transpose1d(op, x, weight, bias, stride, padding, output_padding)
+    mean, inv = _batchnorm_stats(op, x, gamma, beta, state, train)
+
+    def h_of(grp) -> np.ndarray:
+        return _bn_prelu_forward(x.data[grp], mean, inv, gamma.data, beta.data, s)
+
+    out_data = _overlap_add(h_of, x.shape, weight.data, stride, padding, L_out)
+    if bias is not None:
+        out_data += bias.data[None, :, None]
+    out = Tensor(out_data)
+
+    def backward_fn(g):
+        gh, gw = _conv_transpose1d_backward(
+            g, weight.data, stride, padding, x.shape[2], h_of,
+            any(t.requires_grad for t in (x, gamma, beta, slope)), weight.requires_grad,
+        )
+        gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
+        grads = (None,) * 4
+        if gh is not None:
+            grads = _bn_prelu_backward(
+                gh, x.data, mean, inv, gamma.data, beta.data, train, s, want_gx=x.requires_grad
+            )
+        return (*grads, gw, gb) if bias is not None else (*grads, gw)
+
+    inputs = (x, gamma, beta, slope, weight)
+    record(out, inputs + (bias,) if bias is not None else inputs, backward_fn)
     return out
 
 

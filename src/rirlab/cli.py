@@ -100,15 +100,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         wavs = sorted(Path(args.clean_dir).glob("*.wav"))
         if not wavs:
             raise InvalidInputError(f"clean directory {args.clean_dir} contains no WAV files")
-        clean_signals = []
-        for wav in wavs:
-            sig = read_wav(wav)
-            if sig.sample_rate != sample_rate:
-                raise InvalidInputError(
-                    f"{wav} is {sig.sample_rate} Hz, profile {profile.name} expects "
-                    f"{sample_rate} Hz (resampling is unsupported)"
-                )
-            clean_signals.append(sig)
+        clean_signals = {str(wav): read_wav(wav) for wav in wavs}
     try:
         splits = tuple(float(x) for x in args.splits.split(","))
     except ValueError:

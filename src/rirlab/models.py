@@ -3,13 +3,14 @@
 The estimator is an encoder-decoder: a conv + LeakyReLU encoder, whose
 first long convolution extracts response features from reverberant speech
 and whose strided convolutions compress them, then transposed-convolution
-blocks (with batchnorm and PReLU, run as one op) that expand back to an
-impulse response, ending in a single-channel collapse and tanh. The
-decoder's transposed convolutions have no bias, because train-mode
-batchnorm subtracts each channel's batch mean and would cancel it; the
-collapse, which feeds tanh, keeps its bias. The discriminator scores a
-candidate response conditioned on the opening samples of the reverberant
-speech, concatenated channel-wise, with a conv + LeakyReLU stack built by
+blocks with batchnorm and PReLU that expand back to an impulse response,
+ending in a single-channel collapse and tanh. Each batchnorm and PReLU runs
+as one op with the transposed convolution it feeds. The decoder's
+transposed convolutions have no bias, because train-mode batchnorm
+subtracts each channel's batch mean and would cancel it; the collapse,
+which feeds tanh, keeps its bias. The discriminator scores a candidate
+response conditioned on the opening samples of the reverberant speech,
+concatenated channel-wise, with a conv + LeakyReLU stack built by
 the same code as the encoder.
 
 Layer schedules live in the config objects, not in code, so alternative
@@ -110,35 +111,44 @@ class ConvTranspose1dLayer(Layer):
         )
 
 
-class BatchNormPReLULayer(Layer):
-    """Batchnorm, then PReLU with one learnable slope per channel, run as
-    the one op ad.batchnorm_prelu in train and eval mode. It stands for a
-    batchnorm layer and the PReLU layer after it: the network names it as
-    the batchnorm layer, and its slope keeps the PReLU layer's record name,
-    act_name.slope, so checkpoints hold the records of the two layers. Its
-    parameters and running statistics are held in dtype."""
+class BatchNormPReLUTconvLayer(Layer):
+    """Batchnorm, then PReLU with one learnable slope per channel, then a
+    transposed convolution, run as the one op
+    ad.batchnorm_prelu_conv_transpose1d in train and eval mode, so that no
+    record holds the PReLU output. It stands for decoder block `block`'s
+    batchnorm and PReLU layers and for the transposed-convolution layer
+    tconv that they feed: the network names it as tconv, whose output it
+    returns, and the other two keep their layers' record names,
+    block_bn.gamma, block_bn.running_mean and block_act.slope, so
+    checkpoints hold the records of the three layers. Its parameters and
+    running statistics are held in dtype."""
 
-    def __init__(self, channels: int, act_name: str, dtype: np.dtype):
+    def __init__(self, channels: int, block: str, tconv: ConvTranspose1dLayer, dtype: np.dtype):
         self.gamma = Tensor(np.ones(channels, dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype), requires_grad=True)
         self.slope = Tensor(np.full(channels, 0.25, dtype), requires_grad=True)
         self.state = ad.BatchNormState.for_channels(channels, dtype)
-        self.act_name = act_name
+        self.block, self.tconv = block, tconv
 
     def forward(self, x, train):
-        return ad.batchnorm_prelu(x, self.gamma, self.beta, self.slope, self.state, train)
+        t = self.tconv
+        return ad.batchnorm_prelu_conv_transpose1d(
+            x, self.gamma, self.beta, self.slope, self.state, train,
+            t.weight, t.bias, stride=t.stride, padding=t.padding, output_padding=t.output_padding,
+        )
 
     def params(self, name):
         return [
-            (f"{name}.gamma", self.gamma),
-            (f"{name}.beta", self.beta),
-            (f"{self.act_name}.slope", self.slope),
+            (f"{self.block}_bn.gamma", self.gamma),
+            (f"{self.block}_bn.beta", self.beta),
+            (f"{self.block}_act.slope", self.slope),
+            *self.tconv.params(name),
         ]
 
     def buffers(self, name):
         return [
-            (f"{name}.running_mean", self.state, "running_mean"),
-            (f"{name}.running_var", self.state, "running_var"),
+            (f"{self.block}_bn.running_mean", self.state, "running_mean"),
+            (f"{self.block}_bn.running_var", self.state, "running_var"),
         ]
 
 
@@ -350,15 +360,17 @@ class Estimator(Network):
         rng = np.random.default_rng(seed) if draw else None
         c = config
         in_ch = self._conv_stack(rng, "enc", 1, c.encoder)
-        for i, blk in enumerate(c.decoder, start=1):
-            bn = BatchNormPReLULayer(blk["out_channels"], f"dec{i}_act", self.dtype)
-            tconv = self._tconv(rng, in_ch, blk, bias=False)
-            self.layers += [(f"dec{i}_tconv", tconv), (f"dec{i}_bn", bn)]
+        # Block i's tconv, dec{i}_tconv or the collapse out_tconv, runs with
+        # the batchnorm and PReLU of block i-1 that feed it.
+        blocks = (*c.decoder, {**c.collapse, "out_channels": 1})
+        for i, blk in enumerate(blocks, start=1):
+            last = i == len(blocks)
+            layer = tconv = self._tconv(rng, in_ch, blk, bias=last)
+            if i > 1:
+                layer = BatchNormPReLUTconvLayer(in_ch, f"dec{i - 1}", tconv, self.dtype)
+            self.layers.append(("out_tconv" if last else f"dec{i}_tconv", layer))
             in_ch = blk["out_channels"]
-        self.layers += [
-            ("out_tconv", self._tconv(rng, in_ch, {**c.collapse, "out_channels": 1}, bias=True)),
-            ("out_act", TanhLayer()),
-        ]
+        self.layers.append(("out_act", TanhLayer()))
 
         channels, length = self._trace(1, c.input_len)
         if (channels, length) != (1, c.rir_len):

@@ -18,6 +18,7 @@ DatasetManifest.read is the one reader of a manifest's WAVs.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -382,7 +383,7 @@ def build_dataset(
     rir_len: int,
     splits: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-    clean_signals: list[Signal] | None = None,
+    clean_signals: Mapping[str, Signal] | None = None,
 ) -> DatasetManifest:
     """Generate a dataset of (reverberant, rir, clean) WAV triples, with
     responses of rir_len samples.
@@ -390,6 +391,10 @@ def build_dataset(
     Writes ex_<i>_reverb.wav, ex_<i>_rir.wav and ex_<i>_clean.wav per example
     plus manifest.json. The clean file carries the exact (scaled) excitation,
     so spectral deconvolution of any pair recovers the stored response.
+    clean_signals maps a name, such as a file's path, to each user
+    excitation; the examples take segments of them, or synthetic
+    speech-like signals without them. An empty signal, or one not at
+    sample_rate, is rejected by name before out_dir is made.
     """
     args = {"n_examples": (n_examples, 3), "seed": (seed, 0), "sample_rate": (sample_rate, 1),
             "example_len": (example_len, 1), "rir_len": (rir_len, 1)}
@@ -397,14 +402,21 @@ def build_dataset(
         check_arg(name, value, low)
     # json writes no numpy integer
     n_examples, seed, sample_rate, example_len, rir_len = (int(v) for v, _ in args.values())
-    empty = [i for i, s in enumerate(clean_signals or ()) if len(s) == 0]
+    if not isinstance(clean_signals, (Mapping, type(None))):
+        raise InvalidInputError(
+            f"clean_signals must map a name to each Signal, got {type(clean_signals).__name__}"
+        )
+    clean_signals = dict(clean_signals or {})
+    empty = [str(name) for name, sig in clean_signals.items() if len(sig) == 0]
     if empty:
-        raise InvalidInputError(f"clean signals at positions {empty} hold no samples")
-    off_rate = [i for i, s in enumerate(clean_signals or ()) if s.sample_rate != sample_rate]
+        raise InvalidInputError(f"clean signals hold no samples: {', '.join(empty)}")
+    off_rate = [str(name) for name, sig in clean_signals.items() if sig.sample_rate != sample_rate]
     if off_rate:
         raise InvalidInputError(
-            f"clean signals at positions {off_rate} are not at sample_rate {sample_rate} Hz"
+            f"clean signals are not at sample_rate {sample_rate} Hz (resampling is "
+            f"unsupported): {', '.join(off_rate)}"
         )
+    sources = list(clean_signals.values())
     if rir_len >= example_len:
         raise InvalidInputError(f"rir_len {rir_len} must be shorter than example_len {example_len}")
     counts = split_counts(n_examples, splits)
@@ -419,7 +431,7 @@ def build_dataset(
         entry_seed = int(rng.integers(0, 2**63))
         params = ranges.sample(rng, entry_seed)
         rir = synth_rir(params, rir_len, sample_rate)
-        clean = _clean_segment(rng, clean_signals, active_len, example_len, sample_rate)
+        clean = _clean_segment(rng, sources, active_len, example_len, sample_rate)
         reverberant, clean_scaled = render_example(clean, rir, example_len)
 
         base = f"ex_{i:05d}"

@@ -611,6 +611,16 @@ class TestBackward:
         assert len(ad.active_tape()) == n_left
 
 
+def _part(layer, layer_type):
+    """layer if it is a layer_type, else the tconv it runs if that is one,
+    else None. A BatchNorm+PReLU+tconv layer's input has the shape of its
+    tconv's input."""
+    for part in (layer, getattr(layer, "tconv", None)):
+        if isinstance(part, layer_type):
+            return part
+    return None
+
+
 def _full_decoder_tconv_cases():
     """(layer, input shape) of each full-profile decoder tconv at batch 4,
     found by running the layers on an empty batch."""
@@ -618,8 +628,9 @@ def _full_decoder_tconv_cases():
     h, cases = Tensor(np.zeros((0, 1, net.config.input_len), dtype=net.dtype)), []
     with ad.no_grad():
         for _, layer in net.layers:
-            if isinstance(layer, models.ConvTranspose1dLayer):
-                cases.append((layer, (4,) + h.shape[1:]))
+            tconv = _part(layer, models.ConvTranspose1dLayer)
+            if tconv is not None:
+                cases.append((tconv, (4,) + h.shape[1:]))
             h = layer.forward(h, False)
     return cases
 
@@ -723,6 +734,57 @@ class TestBackwardMemory:
         assert gx.flags["C_CONTIGUOUS"]
         # Not a crop view of the [B, Cin, L + 2*padding] overlap-add.
         assert gx.base is None or gx.base.nbytes == gx.nbytes
+
+    def test_fused_record_holds_no_prelu_output(self):
+        # dec4's BatchNorm+PReLU into dec5's tconv at batch 4: x and the
+        # PReLU output h are [4, 64, 4096] float32, 4 MiB each. What numpy
+        # still holds after the forward beyond the output is what the
+        # records keep: the pair keeps h as the tconv record's input, the
+        # fused op statistics of C values (x was allocated before).
+        (tconv, shape) = _full_decoder_tconv_cases()[-2]
+        rng = np.random.default_rng(27)
+        C = shape[1]
+        arrays = [rng.standard_normal(shape), rng.uniform(0.5, 1.5, C),
+                  rng.standard_normal(C), np.full(C, 0.25),
+                  rng.standard_normal(tconv.weight.shape)]
+        held = {}
+        for fused in (True, False):
+            ts = [Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
+            state = _bn_state(np.float32, np.zeros(C), np.ones(C))
+            args = {"stride": tconv.stride, "padding": tconv.padding}
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                if fused:
+                    out = ad.batchnorm_prelu_conv_transpose1d(*ts[:4], state, True, ts[4], **args)
+                else:
+                    h = ad.batchnorm_prelu(*ts[:4], state, True)
+                    out = ad.conv_transpose1d(h, ts[4], **args)
+                    del h
+                held[fused] = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            del out
+            ad.active_tape().clear()
+        assert held[True] < 0.05 * ts[0].data.nbytes
+        assert held[False] > 0.95 * ts[0].data.nbytes
+
+    def test_conv1d_record_holds_no_padded_input(self):
+        # A [4, 64, 4096] float32 input, 4 MiB, through a conv with padding
+        # 2: a padded copy would hold 4 MiB more. The backward pads x again.
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.standard_normal((4, 64, 4096)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 64, 5)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.conv1d(x, w, padding=2)
+            held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 0.05 * x.data.nbytes
+        ad.backward(_sink(out, rng.standard_normal(out.shape).astype(np.float32)))
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_no_grad_conv_transpose1d_frees_its_input_copy_before_the_output(self):
         rng = np.random.default_rng(24)
@@ -961,8 +1023,9 @@ def _conv_layer_cases(layer_type=models.Conv1dLayer):
             for _, layer in net.layers:
                 if isinstance(layer, models.FlattenLinearLayer):
                     break
-                if isinstance(layer, layer_type):
-                    cases.append((layer, net.dtype, h.shape[1:]))
+                part = _part(layer, layer_type)
+                if part is not None:
+                    cases.append((part, net.dtype, h.shape[1:]))
                 h = layer.forward(h, False)
     return cases
 
@@ -1156,7 +1219,7 @@ class TestForwardReferences:
 def _decoder_bn_shapes():
     """[C, L] input of every BatchNorm+PReLU layer of both profiles'
     estimators."""
-    return [shape for _, _, shape in _conv_layer_cases(models.BatchNormPReLULayer)]
+    return [shape for _, _, shape in _conv_layer_cases(models.BatchNormPReLUTconvLayer)]
 
 
 def _sink(out, g):
@@ -1306,6 +1369,97 @@ class TestBatchNormPReLU:
         for slope in (Tensor(np.ones(3)), Tensor(np.ones(4, dtype=np.float32))):
             with pytest.raises((InvalidInputError, ShapeMismatchError)):
                 ad.batchnorm_prelu(x, gamma, beta, slope, state, train=True)
+            np.testing.assert_array_equal(state.running_mean, np.zeros(3, dtype=np.float32))
+        assert len(ad.active_tape()) == 0
+
+
+def _bn_prelu_tconv_run(fused, arrays, tconv, state, train, g):
+    """(output, the gradients of x, gamma, beta, slope, weight and, if
+    tconv has one, bias) of the fused op or of the reference pair
+    conv_transpose1d(batchnorm_prelu())."""
+    x, gamma, beta, slope, weight, *bias = ts = [
+        Tensor(a.copy(), requires_grad=True) for a in arrays
+    ]
+    bias = bias[0] if bias else None
+    args = {"stride": tconv.stride, "padding": tconv.padding,
+            "output_padding": tconv.output_padding}
+    if fused:
+        out = ad.batchnorm_prelu_conv_transpose1d(
+            x, gamma, beta, slope, state, train, weight, bias, **args
+        )
+    else:
+        h = ad.batchnorm_prelu(x, gamma, beta, slope, state, train)
+        out = ad.conv_transpose1d(h, weight, bias, **args)
+    ad.backward(_sink(out, g))
+    return [out.data] + [t.grad for t in ts]
+
+
+class TestBatchNormPReLUTconv:
+    """batchnorm_prelu_conv_transpose1d is conv_transpose1d(batchnorm_prelu())
+    bit for bit, and checks its operands before the statistics change."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_equals_conv_transpose1d_of_batchnorm_prelu_bit_for_bit(self, dtype, train):
+        rng = np.random.default_rng(44)
+        cases = _conv_layer_cases(models.BatchNormPReLUTconvLayer)
+        assert len(cases) == 9  # dec2 to out_tconv of the full and toy profiles
+        for layer, _, (C, L) in cases:
+            tconv = layer.tconv
+            # Batch 3: the activation-bound layers run three GEMM groups.
+            x = (3.0 * rng.standard_normal((3, C, L)) + 0.5).astype(dtype)
+            x[0, 0, :2] = [0.0, -0.0]
+            arrays = [
+                x,
+                rng.uniform(0.5, 1.5, C).astype(dtype),
+                rng.standard_normal(C).astype(dtype),
+                rng.uniform(-0.3, 0.5, C).astype(dtype),
+                rng.standard_normal(tconv.weight.shape).astype(dtype),
+            ]
+            if tconv.bias is not None:
+                arrays.append(rng.standard_normal(tconv.bias.shape).astype(dtype))
+            Cout, K = tconv.weight.shape[1:]
+            L_out = (L - 1) * tconv.stride - 2 * tconv.padding + K + tconv.output_padding
+            g = rng.standard_normal((3, Cout, L_out)).astype(dtype)
+            mean, var = rng.standard_normal(C), rng.uniform(0.5, 2.0, C)
+            states = [_bn_state(dtype, mean, var) for _ in range(2)]
+            got = _bn_prelu_tconv_run(True, arrays, tconv, states[0], train, g)
+            want = _bn_prelu_tconv_run(False, arrays, tconv, states[1], train, g)
+            names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad", "weight.grad",
+                     "bias.grad")
+            assert len(got) == len(arrays) + 1
+            for name, a, b in zip(names, got, want):
+                assert a.dtype == dtype, name
+                np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{name} {(C, L)}")
+            for attr in ("running_mean", "running_var"):
+                a, b = getattr(states[0], attr), getattr(states[1], attr)
+                np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=attr)
+            assert len(ad.active_tape()) == 0
+
+    def test_gradients_reach_only_the_inputs_that_carry_them(self):
+        rng = np.random.default_rng(45)
+        arrays = [rng.standard_normal(s) for s in ((2, 3, 6), (3,), (3,), (3,), (3, 2, 4))]
+        for wanted in ([4], [0], [1, 3], [2, 4]):
+            ts = [Tensor(a, requires_grad=i in wanted) for i, a in enumerate(arrays)]
+            state = _bn_state(np.float64, np.zeros(3), np.ones(3))
+            out = ad.batchnorm_prelu_conv_transpose1d(*ts[:4], state, True, ts[4], stride=2)
+            ad.backward(_sink(out, rng.standard_normal(out.shape)))
+            assert [t.grad is not None for t in ts] == [i in wanted for i in range(5)]
+
+    def test_checks_run_before_the_running_statistics_change(self):
+        x, gamma, beta, slope = (Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
+                                 for s in ((2, 3, 4), (3,), (3,), (3,)))
+        state = _bn_state(np.float32, np.zeros(3), np.ones(3))
+        bad = [
+            (Tensor(np.ones((4, 2, 3), dtype=np.float32)), {}),  # Cin 4, not 3
+            (Tensor(np.ones((3, 2, 3))), {}),  # float64
+            (Tensor(np.ones((3, 2, 3), dtype=np.float32)), {"stride": 2, "output_padding": 2}),
+        ]
+        for weight, args in bad:
+            with pytest.raises((InvalidConfigError, InvalidInputError, ShapeMismatchError)):
+                ad.batchnorm_prelu_conv_transpose1d(
+                    x, gamma, beta, slope, state, True, weight, **args
+                )
             np.testing.assert_array_equal(state.running_mean, np.zeros(3, dtype=np.float32))
         assert len(ad.active_tape()) == 0
 
@@ -1619,6 +1773,13 @@ DTYPE_CASES = {
         lambda x, g, b: ad.batchnorm1d(
             x, g, b, _bn_state(x.data.dtype, np.linspace(-0.2, 0.2, 4), np.linspace(0.5, 2.0, 4)),
             train=False,
+        ),
+    ),
+    "batchnorm_prelu_conv_transpose1d": (
+        [(3, 4, 7), (4,), (4,), (4,), (4, 2, 5), (2,)],
+        lambda x, g, b, s, w, c: ad.batchnorm_prelu_conv_transpose1d(
+            x, g, b, s, _bn_state(x.data.dtype, np.zeros(4), np.ones(4)), True, w, c,
+            stride=2, padding=1, output_padding=1,
         ),
     ),
     "prelu": ([(2, 3, 8), (3,)], ad.prelu),

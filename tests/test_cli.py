@@ -170,10 +170,12 @@ class TestSynth:
         code = main(["synth", "--out", str(out), "--n", "4", "--profile", "toy",
                      "--clean-dir", str(clean_dir)])
         assert code == 2
-        assert "positions [1] hold no samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "hold no samples" in err and str(clean_dir / "b.wav") in err
+        assert str(clean_dir / "a.wav") not in err
         assert not out.exists()
 
-    def test_wrong_rate_clean_dir_exits_2(self, tmp_path):
+    def test_wrong_rate_clean_dir_exits_2(self, tmp_path, capsys):
         clean_dir = tmp_path / "clean16k"
         clean_dir.mkdir()
         wavfile.write(clean_dir / "x.wav", 16000, np.zeros(1000, dtype=np.float32))
@@ -182,6 +184,9 @@ class TestSynth:
              "--clean-dir", str(clean_dir)]
         )
         assert code == 2
+        assert f"sample_rate 8000 Hz (resampling is unsupported): {clean_dir / 'x.wav'}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestTrain:

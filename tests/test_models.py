@@ -275,7 +275,7 @@ def _batches_seen(monkeypatch, layer) -> list[int]:
 
 class TestBatchedForward:
     def test_full_estimate_batch_of_4_peaks_below_16_mib(self):
-        # 13.5 MiB: dec4, dec5 and the collapse run their GEMMs one example
+        # 14.5 MiB: dec4, dec5 and the collapse run their GEMMs one example
         # at a time (ops.activation_bound). dec5's batched GEMM result alone
         # would be 21 MB at batch 4.
         cfg = get_profile("full").estimator

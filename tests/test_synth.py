@@ -234,7 +234,7 @@ class TestBuildDataset:
 
     def test_user_clean_sources(self, tmp_path):
         rng = np.random.default_rng(6)
-        clean = [Signal(rng.uniform(-0.5, 0.5, 20000), 8000)]
+        clean = {"voice": Signal(rng.uniform(-0.5, 0.5, 20000), 8000)}
         manifest = build_dataset(
             tmp_path / "ds", 4, TOY_RANGES, 8000, 8000, 256, seed=6, clean_signals=clean
         )
@@ -248,9 +248,21 @@ class TestBuildDataset:
         assert np.mean((recovered.samples - rir.samples) ** 2) < 1e-6
 
     def test_clean_signal_at_another_rate_rejected_before_the_directory(self, tmp_path):
-        clean = [Signal(np.ones(16000), 8000), Signal(np.ones(16000), 16000)]
-        with pytest.raises(InvalidInputError, match=r"positions \[1\] are not at sample_rate"):
+        clean = {"a": Signal(np.ones(16000), 8000), "b": Signal(np.ones(16000), 16000)}
+        with pytest.raises(InvalidInputError, match=r"not at sample_rate 8000 Hz .*: b$"):
             build_dataset(tmp_path / "ds", 3, TOY_RANGES, 8000, 8000, 256, clean_signals=clean)
+        assert not (tmp_path / "ds").exists()
+
+    def test_empty_clean_signal_named_before_the_directory(self, tmp_path):
+        clean = {"a": Signal(np.ones(16000), 8000), "quiet": Signal(np.zeros(0), 8000)}
+        with pytest.raises(InvalidInputError, match=r"hold no samples: quiet$"):
+            build_dataset(tmp_path / "ds", 3, TOY_RANGES, 8000, 8000, 256, clean_signals=clean)
+        assert not (tmp_path / "ds").exists()
+
+    def test_clean_signals_without_names_rejected_before_the_directory(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="must map a name to each Signal, got list"):
+            build_dataset(tmp_path / "ds", 3, TOY_RANGES, 8000, 8000, 256,
+                          clean_signals=[Signal(np.ones(16000), 8000)])
         assert not (tmp_path / "ds").exists()
 
     def test_too_few_examples_rejected(self, tmp_path):
