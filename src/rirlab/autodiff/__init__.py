@@ -4,7 +4,6 @@ from ..dsp import DftBasis, make_dft_basis
 from .ops import (
     BatchNormState,
     batchnorm1d,
-    batchnorm_prelu,
     batchnorm_prelu_conv_transpose1d,
     bce_logit_loss,
     concat_channels,
@@ -29,7 +28,6 @@ __all__ = [
     "active_tape",
     "backward",
     "batchnorm1d",
-    "batchnorm_prelu",
     "batchnorm_prelu_conv_transpose1d",
     "bce_logit_loss",
     "concat_channels",

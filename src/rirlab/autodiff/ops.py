@@ -12,13 +12,12 @@ conv_transpose1d(prelu(batchnorm1d())) as one op, whose record holds the
 batchnorm input where the three ops' records hold it, the batchnorm output
 and the PReLU output; its backward recomputes the PReLU output, which only
 the weight gradient reads. The estimator's decoder runs it wherever a
-batchnorm and PReLU feed a transposed convolution. batchnorm_prelu, the
-pair without the convolution, and batchnorm1d and prelu stay as the
-references it is tested against, bit for bit. All of them run BatchNorm
-and PReLU on per-example channel tiles that stay in cache (TILE), and
+batchnorm and PReLU feed a transposed convolution. It runs BatchNorm and
+PReLU on per-example channel tiles that stay in cache (TILE), and
 BatchNorm's backward is written from per-channel sums of the output
-gradient, so the fused ops stream the activation about half as often as
-whole-array numpy would."""
+gradient, so it streams the activation about half as often as whole-array
+numpy would. batchnorm1d and prelu, which no network runs, are whole-array
+numpy: the references the fused op is tested against, bit for bit."""
 
 from __future__ import annotations
 
@@ -132,25 +131,34 @@ def _taps(K: int, N: int, stride: int, offset: int, length: int) -> list[tuple[i
 # 5x its output. Laying the GEMM out input-first
 # ([B*N, Co*K], with channels-last adds and one transpose, or adds through a
 # transposed view) was slower on the full decoder's dec4 and dec5.
+def _check_conv(
+    op: str, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, cin_axis: int
+) -> tuple[int, int, int, int, int]:
+    """(B, Cin, L, Cout, K) of a convolution of x through weight, whose
+    input channels lie on axis cin_axis (1 for conv1d's [Cout,Cin,K], 0 for
+    conv_transpose1d's [Cin,Cout,K]), after checking x, weight, bias and
+    stride."""
+    B, Cin, L = _as_3d(x, f"{op} input")
+    if weight.data.ndim != 3 or weight.shape[cin_axis] != Cin:
+        raise ShapeMismatchError(f"{op} weight {weight.shape} incompatible with input {x.shape}")
+    Cout, K = weight.shape[1 - cin_axis], weight.shape[2]
+    check_same_dtype(op, x, weight, bias)
+    if stride < 1:
+        raise InvalidConfigError(f"stride must be >= 1, got {stride}")
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
+    return B, Cin, L, Cout, K
+
+
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
     """Cross-correlation of [B,Cin,L] with [Cout,Cin,K] -> [B,Cout,Lout],
     Lout = floor((L + 2*padding - K)/stride) + 1."""
-    B, Cin, L = _as_3d(x, "conv1d input")
-    if weight.data.ndim != 3 or weight.shape[1] != Cin:
-        raise ShapeMismatchError(
-            f"conv1d weight {weight.shape} incompatible with input {x.shape}"
-        )
-    Cout, _, K = weight.shape
-    check_same_dtype("conv1d", x, weight, bias)
-    if stride < 1:
-        raise InvalidConfigError(f"stride must be >= 1, got {stride}")
+    B, Cin, L, Cout, K = _check_conv("conv1d", x, weight, bias, stride, 1)
     Lp = L + 2 * padding
     if K > Lp:
         raise ShapeMismatchError(f"kernel {K} longer than padded input {Lp}")
-    if bias is not None and bias.shape != (Cout,):
-        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
     Lout = (Lp - K) // stride + 1
 
     def im2col() -> np.ndarray:
@@ -188,13 +196,7 @@ def _check_conv_transpose1d(
 ) -> int:
     """The output length of conv_transpose1d on x, after checking its
     operands and arguments."""
-    B, Cin, L = _as_3d(x, f"{op} input")
-    if weight.data.ndim != 3 or weight.shape[0] != Cin:
-        raise ShapeMismatchError(f"{op} weight {weight.shape} incompatible with input {x.shape}")
-    _, Cout, K = weight.shape
-    check_same_dtype(op, x, weight, bias)
-    if stride < 1:
-        raise InvalidConfigError(f"stride must be >= 1, got {stride}")
+    _, _, L, _, K = _check_conv(op, x, weight, bias, stride, 0)
     if output_padding >= stride:
         raise InvalidConfigError(
             f"output_padding {output_padding} must be smaller than stride {stride}"
@@ -202,8 +204,6 @@ def _check_conv_transpose1d(
     L_out = (L - 1) * stride - 2 * padding + K + output_padding
     if L_out < 1:
         raise ShapeMismatchError(f"output length {L_out} is not positive")
-    if bias is not None and bias.shape != (Cout,):
-        raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
     return L_out
 
 
@@ -296,7 +296,8 @@ def conv_transpose1d(
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 BN_EPS = 1e-5  # added to the variance before its square root
 
-# BatchNorm and PReLU run on per-example channel tiles, x[b, c0:c1] of about
+# The fused op's BatchNorm and PReLU, and the batch statistics of every
+# BatchNorm, run on per-example channel tiles, x[b, c0:c1] of about
 # TILE elements (one channel at least), so each pass over a tile reads what
 # the pass before it left in cache instead of streaming the whole
 # activation again. Tiles take channels in order and, within them, examples
@@ -436,33 +437,30 @@ def _prelu_grad_tile(g, y, s, gy, mask, scratch) -> np.ndarray:
     return scratch.sum(axis=1)
 
 
-def _bn_prelu_forward(x, mean, inv, gamma, beta, s=None) -> np.ndarray:
-    """batchnorm's output of x [B,C,L], and PReLU's of it when s, the
-    [C, 1] slopes, is given, in a fresh array. The batchnorm output of a
-    tile stays in cache for the PReLU."""
+def _bn_prelu_forward(x, mean, inv, gamma, beta, s) -> np.ndarray:
+    """PReLU's output, with s the [C, 1] slopes, of batchnorm's output of
+    x [B,C,L], in a fresh array. The batchnorm output of a tile stays in
+    cache for the PReLU."""
     B = x.shape[0]
     out = np.empty(x.shape, x.dtype)
     mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
     with _channel_tiles(x, x.dtype) as tiles:
         for cs, (y,) in tiles:
             for b in range(B):
-                if s is None:
-                    _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], out[b, cs])
-                else:
-                    _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], y)
-                    _prelu_tile(y, s[cs], out[b, cs], y)
+                _batchnorm_tile(x[b, cs], mean[cs], inv[cs], gamma[cs], beta[cs], y)
+                _prelu_tile(y, s[cs], out[b, cs], y)
     return out
 
 
-def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s=None, want_gx=True):
+def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s, want_gx: bool):
     """(gx, ggamma, gbeta, gslope) of the output gradient g of
-    _bn_prelu_forward(x, mean, inv, gamma, beta, s); gslope is None when s
-    is. gx is None unless want_gx, and no other array of x's size is made.
+    _bn_prelu_forward(x, mean, inv, gamma, beta, s). gx is None unless
+    want_gx, and no other array of x's size is made.
 
-    Pass 1 rebuilds d = x - mean (and the batchnorm output y and its sign
-    mask, given s), writes batchnorm's output gradient gy into the gx
-    buffer and adds the per-channel sums of gy, gy*d and g*min(y, 0). Once
-    a channel tile has all its examples' sums, pass 2 turns its gy into
+    Pass 1 rebuilds d = x - mean, the batchnorm output y and its sign mask,
+    writes batchnorm's output gradient gy into the gx buffer and adds the
+    per-channel sums of gy, gy*d and g*min(y, 0). Once a channel tile has
+    all its examples' sums, pass 2 turns its gy into
     gx = a*gy - a*sum(gy)/n - d*(a*inv^2*sum(gy*d)/n) in place, a =
     inv*gamma, n = B*L, from the sums as Ioffe & Szegedy (2015, sec. 3)
     write the gradient; in eval mode gx = a*gy. gamma's gradient is
@@ -471,7 +469,7 @@ def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s=None, want_g
     n = B * L
     gx = np.empty(x.shape, x.dtype)
     sum_gy, sum_gyd = np.zeros((C, 1), x.dtype), np.zeros((C, 1), x.dtype)
-    gslope = None if s is None else np.zeros(C, x.dtype)
+    gslope = np.zeros(C, x.dtype)
     mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
     a = inv * gamma
     with _channel_tiles(x, x.dtype, x.dtype, bool) as tiles:
@@ -479,13 +477,10 @@ def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s=None, want_g
             for b in range(B):
                 gy = gx[b, cs]
                 np.subtract(x[b, cs], mean[cs], out=d)
-                if s is None:
-                    np.copyto(gy, g[b, cs])
-                else:
-                    np.multiply(d, inv[cs], out=t)
-                    t *= gamma[cs]
-                    t += beta[cs]
-                    gslope[cs] += _prelu_grad_tile(g[b, cs], t, s[cs], gy, mask, t)
+                np.multiply(d, inv[cs], out=t)
+                t *= gamma[cs]
+                t += beta[cs]
+                gslope[cs] += _prelu_grad_tile(g[b, cs], t, s[cs], gy, mask, t)
                 sum_gy[cs, 0] += gy.sum(axis=1)
                 np.multiply(gy, d, out=t)
                 sum_gyd[cs, 0] += t.sum(axis=1)
@@ -509,28 +504,43 @@ def batchnorm1d(
 ) -> Tensor:
     """Per-channel normalization of [B,C,L]; batch statistics in train mode
     (batch of >= 2 required), which also update the running statistics, and
-    running statistics in eval mode."""
+    running statistics in eval mode. Whole-array numpy that runs the fused
+    op's IEEE operations in the same order."""
     mean, inv = _batchnorm_stats("batchnorm1d", x, gamma, beta, state, train)
-    out = Tensor(_bn_prelu_forward(x.data, mean, inv, gamma.data, beta.data))
+    mean, inv, gamma_c = mean[:, None], inv[:, None], gamma.data[:, None]
+    out = np.empty(x.shape, x.data.dtype)
+    _batchnorm_tile(x.data, mean, inv, gamma_c, beta.data[:, None], out)
+    out = Tensor(out)
 
     def backward_fn(g):
-        gx, ggamma, gbeta, _ = _bn_prelu_backward(
-            g, x.data, mean, inv, gamma.data, beta.data, train, want_gx=x.requires_grad
-        )
-        return gx, ggamma, gbeta
+        # Ioffe & Szegedy's gradient from per-channel sums, as
+        # _bn_prelu_backward writes it.
+        n = x.shape[0] * x.shape[2]
+        d = x.data - mean
+        a = inv * gamma_c
+        sum_gy = g.sum(axis=(0, 2), keepdims=True)[0]
+        sum_gyd = (g * d).sum(axis=(0, 2), keepdims=True)[0]
+        gx = None
+        if x.requires_grad:
+            gx = g * a
+            if train:
+                gx -= a * sum_gy / n
+                gx -= d * (a * inv * inv * sum_gyd / n)
+        return gx, (inv * sum_gyd)[:, 0], sum_gy[:, 0]
 
     record(out, (x, gamma, beta), backward_fn)
     return out
 
 
-# The leaky_relu and PReLU backwards scale by a factor f that is exactly 1
-# where the mask is set and exactly the slope s elsewhere: f = s*(1 - m) + m
-# with m the mask in the data's dtype, so g*f carries the bits of
+# The PReLU backwards (leaky_relu's, prelu's and the fused op's tile
+# kernel, _prelu_grad_tile) scale by a factor f that is exactly 1 where the
+# mask is set and exactly the slope s elsewhere: f = s*(1 - m) + m with m
+# the mask in the data's dtype, so g*f carries the bits of
 # np.where(x > 0, g, s*g) for every finite slope (at s = -0.0 only a zero's
 # sign can differ). np.where with a mask that follows the data's sign runs
 # about 5x slower than a plain ufunc over the same array, because its
 # per-element branch is taken at random; these kernels stay branch-free.
-# Both forwards need no factor: _prelu_tile's max(y, -0) + s*min(0, y) gives
+# The forwards need no factor: _prelu_tile's max(y, -0) + s*min(0, y) gives
 # np.where(x > 0, x, s*x)'s bits, up to a zero's sign off x86, in four ufunc
 # passes where the mask and factor take five.
 def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope, out=None) -> np.ndarray:
@@ -545,11 +555,16 @@ def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope, out=None) -> np.ndarray
 LEAKY_SLOPE = 0.2  # of leaky_relu, the encoder's and discriminator's activation
 
 
+def _prelu_forward(x: np.ndarray, s) -> np.ndarray:
+    """_prelu_tile over the whole of x, slopes s, into a fresh array."""
+    out = np.empty_like(x)
+    _prelu_tile(x, s, out, np.empty_like(x))
+    return out
+
+
 def leaky_relu(x: Tensor) -> Tensor:
     s = x.data.dtype.type(LEAKY_SLOPE)
-    data = np.empty_like(x.data)
-    _prelu_tile(x.data, s, data, np.empty_like(x.data))
-    out = Tensor(data)
+    out = Tensor(_prelu_forward(x.data, s))
     # The mask is recomputed from x rather than kept from the forward.
     record(out, (x,), lambda g: (_leaky_scale(g, x.data > 0, s),))
     return out
@@ -567,58 +582,13 @@ def _check_prelu(op: str, x: Tensor, slope: Tensor) -> np.ndarray:
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """Leaky activation with one learnable slope per channel of [B,C,L]."""
     s = _check_prelu("prelu", x, slope)
-    B, C, _ = x.shape
-    dtype = x.data.dtype
-    out = np.empty(x.shape, dtype)
-    with _channel_tiles(x.data, dtype) as tiles:
-        for cs, (t,) in tiles:
-            for b in range(B):
-                _prelu_tile(x.data[b, cs], s[cs], out[b, cs], t)
+    out = Tensor(_prelu_forward(x.data, s))
 
     def backward_fn(g):
         # The mask is recomputed from x rather than kept from the forward.
-        gx, gslope = np.empty(x.shape, dtype), np.zeros(C, dtype)
-        with _channel_tiles(x.data, dtype, bool) as tiles:
-            for cs, (t, mask) in tiles:
-                for b in range(B):
-                    gslope[cs] += _prelu_grad_tile(
-                        g[b, cs], x.data[b, cs], s[cs], gx[b, cs], mask, t
-                    )
-        return gx, gslope
+        return _leaky_scale(g, x.data > 0, s), (np.minimum(x.data, 0) * g).sum(axis=(0, 2))
 
-    out = Tensor(out)
     record(out, (x, slope), backward_fn)
-    return out
-
-
-def batchnorm_prelu(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    slope: Tensor,
-    state: BatchNormState,
-    train: bool,
-) -> Tensor:
-    """prelu(batchnorm1d(x, gamma, beta, state, train), slope) as one op.
-
-    The output, the running statistics and the gradients of x, gamma, beta
-    and slope are those of the two ops, bit for bit: the same tile kernels
-    run the same IEEE operations in the same order. The difference is what
-    is held and how often the activation is streamed. The two ops' records
-    hold the batchnorm input and the batchnorm output; this one holds only
-    x, and its backward recomputes the batchnorm output from x and the
-    statistics of the forward, tile by tile, in the pass that needs it.
-    """
-    s = _check_prelu("batchnorm_prelu", x, slope)
-    mean, inv = _batchnorm_stats("batchnorm_prelu", x, gamma, beta, state, train)
-    out = Tensor(_bn_prelu_forward(x.data, mean, inv, gamma.data, beta.data, s))
-
-    def backward_fn(g):
-        return _bn_prelu_backward(
-            g, x.data, mean, inv, gamma.data, beta.data, train, s, want_gx=x.requires_grad
-        )
-
-    record(out, (x, gamma, beta, slope), backward_fn)
     return out
 
 
@@ -635,13 +605,13 @@ def batchnorm_prelu_conv_transpose1d(
     padding: int = 0,
     output_padding: int = 0,
 ) -> Tensor:
-    """conv_transpose1d(batchnorm_prelu(x, gamma, beta, slope, state, train),
-    weight, bias, stride, padding, output_padding) as one op.
+    """conv_transpose1d(prelu(batchnorm1d(x, gamma, beta, state, train),
+    slope), weight, bias, stride, padding, output_padding) as one op.
 
     The output, the running statistics and every gradient are those of the
-    two ops, bit for bit: the same kernels run in the same order. The two
-    ops' records hold x and the PReLU output h; this one holds x and the
-    batch statistics alone. Its backward computes h's gradient, recomputes
+    three ops, bit for bit: the same IEEE operations run in the same order.
+    Their records hold x, the batchnorm output and the PReLU output h; this
+    one holds x and the batch statistics alone. Its backward computes h's gradient, recomputes
     h from x one GEMM group at a time for the weight gradient
     (_conv_transpose1d_backward's x_of), then runs BatchNorm+PReLU's
     backward. Every check runs before the running statistics change.
@@ -668,7 +638,7 @@ def batchnorm_prelu_conv_transpose1d(
         grads = (None,) * 4
         if gh is not None:
             grads = _bn_prelu_backward(
-                gh, x.data, mean, inv, gamma.data, beta.data, train, s, want_gx=x.requires_grad
+                gh, x.data, mean, inv, gamma.data, beta.data, train, s, x.requires_grad
             )
         return (*grads, gw, gb) if bias is not None else (*grads, gw)
 

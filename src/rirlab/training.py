@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -105,13 +105,12 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv(self) -> str:
+        """log.csv: EpochRecord's fields, in order, as the header, then one
+        row of their reprs per epoch."""
         out = io.StringIO()
-        out.write("epoch,l_edr,l_mse,l_cgan,l_d,val_edr,lr\n")
+        out.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
         for r in self.records:
-            out.write(
-                f"{r.epoch},{r.l_edr!r},{r.l_mse!r},{r.l_cgan!r},{r.l_d!r},"
-                f"{r.val_edr!r},{r.lr!r}\n"
-            )
+            out.write(",".join(repr(v) for v in astuple(r)) + "\n")
         return out.getvalue()
 
     def save(self, path: str | Path) -> None:

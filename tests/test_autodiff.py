@@ -739,8 +739,9 @@ class TestBackwardMemory:
         # dec4's BatchNorm+PReLU into dec5's tconv at batch 4: x and the
         # PReLU output h are [4, 64, 4096] float32, 4 MiB each. What numpy
         # still holds after the forward beyond the output is what the
-        # records keep: the pair keeps h as the tconv record's input, the
-        # fused op statistics of C values (x was allocated before).
+        # records keep: the three reference ops keep the batchnorm output
+        # and h as their records' inputs, the fused op statistics of C
+        # values (x was allocated before).
         (tconv, shape) = _full_decoder_tconv_cases()[-2]
         rng = np.random.default_rng(27)
         C = shape[1]
@@ -758,7 +759,7 @@ class TestBackwardMemory:
                 if fused:
                     out = ad.batchnorm_prelu_conv_transpose1d(*ts[:4], state, True, ts[4], **args)
                 else:
-                    h = ad.batchnorm_prelu(*ts[:4], state, True)
+                    h = ad.prelu(ad.batchnorm1d(*ts[:3], state, True), ts[3])
                     out = ad.conv_transpose1d(h, ts[4], **args)
                     del h
                 held[fused] = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
@@ -1230,110 +1231,19 @@ def _sink(out, g):
     return loss
 
 
-def _bn_prelu_inputs(rng, dtype, shape):
-    """x, gamma, beta and an upstream gradient for [2, C, L]. x holds +-0
-    and a NaN (channel 0's train-mode statistics are then NaN); gamma = 0
-    and beta = -0.0 in channel 2 make the batchnorm output there exactly +-0,
-    where the PReLU mask flips."""
-    C, L = shape
-    x = (3.0 * rng.standard_normal((2, C, L)) + 0.5).astype(dtype)
-    x[0, 0, :3] = [0.0, -0.0, np.nan]
-    x[1, 1 % C, :2] = [-0.0, 0.0]
-    gamma = rng.uniform(0.5, 1.5, C).astype(dtype)
-    beta = rng.standard_normal(C).astype(dtype)
-    gamma[2 % C], beta[2 % C] = 0.0, -0.0
-    g = rng.standard_normal((2, C, L)).astype(dtype)
-    g[0, -1, :2] = [0.0, -0.0]
-    return x, gamma, beta, g
-
-
-def _bn_prelu_run(fused, x, gamma, beta, slope, state, train, g):
-    """(output, the four gradients) of the fused op or of the reference
-    pair prelu(batchnorm1d())."""
-    ts = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta, slope)]
-    if fused:
-        out = ad.batchnorm_prelu(ts[0], ts[1], ts[2], ts[3], state, train)
-    else:
-        out = ad.prelu(ad.batchnorm1d(ts[0], ts[1], ts[2], state, train), ts[3])
-    ad.backward(_sink(out, g))
-    return [out.data] + [t.grad for t in ts]
+def _tiled_bn_prelu_run(x, gamma, beta, slope, state, train, g):
+    """(output, the gradients of x, gamma, beta and slope) of the tiled
+    BatchNorm+PReLU kernels that batchnorm_prelu_conv_transpose1d runs,
+    on the statistics the op computes; g is the output's gradient."""
+    mean, inv = ops._batchnorm_stats("test", Tensor(x), Tensor(gamma), Tensor(beta), state, train)
+    s = slope[:, None]
+    out = ops._bn_prelu_forward(x, mean, inv, gamma, beta, s)
+    return [out, *ops._bn_prelu_backward(g, x, mean, inv, gamma, beta, train, s, True)]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestBatchNormPReLU:
-    """batchnorm_prelu is prelu(batchnorm1d()) bit for bit, and its record
-    holds one activation where the pair holds two."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("train", [True, False])
-    def test_equals_prelu_of_batchnorm1d_bit_for_bit(self, dtype, train):
-        rng = np.random.default_rng(40)
-        shapes = _decoder_bn_shapes()
-        assert len(shapes) == 9  # five full-profile and four toy decoder blocks
-        for shape in shapes:
-            x, gamma, beta, g = _bn_prelu_inputs(rng, dtype, shape)
-            mean = rng.standard_normal(shape[0])
-            var = rng.uniform(0.5, 2.0, shape[0])
-            for value in (0.25, -0.3, 0.0, 1.7):
-                slope = np.full(shape[0], value, dtype=dtype)
-                states = [_bn_state(dtype, mean, var) for _ in range(2)]
-                got = _bn_prelu_run(True, x, gamma, beta, slope, states[0], train, g)
-                want = _bn_prelu_run(False, x, gamma, beta, slope, states[1], train, g)
-                names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad")
-                for name, a, b in zip(names, got, want):
-                    assert a.dtype == dtype, name
-                    np.testing.assert_array_equal(
-                        _bits(a), _bits(b), err_msg=f"{name} {shape} slope {value}"
-                    )
-                for attr in ("running_mean", "running_var"):
-                    a, b = getattr(states[0], attr), getattr(states[1], attr)
-                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=attr)
-                assert len(ad.active_tape()) == 0
-
-    @pytest.mark.parametrize("train", [True, False])
-    def test_no_grad_forward_equals_the_pair(self, train):
-        rng = np.random.default_rng(41)
-        x, gamma, beta, _ = _bn_prelu_inputs(rng, np.float32, (64, 512))
-        slope = np.full(64, 0.25, dtype=np.float32)
-        states = [_bn_state(np.float32, np.zeros(64), np.ones(64)) for _ in range(2)]
-        with ad.no_grad():
-            got = ad.batchnorm_prelu(
-                Tensor(x), Tensor(gamma), Tensor(beta), Tensor(slope), states[0], train
-            )
-            want = ad.prelu(
-                ad.batchnorm1d(Tensor(x), Tensor(gamma), Tensor(beta), states[1], train),
-                Tensor(slope),
-            )
-        np.testing.assert_array_equal(_bits(got.data), _bits(want.data))
-        assert len(ad.active_tape()) == 0
-
-    def test_record_holds_one_activation_not_two(self):
-        # dec5's [4, 64, 4096] float32 input, 4 MB. After the forward, what
-        # numpy still holds beyond the output is what the records keep: the
-        # pair keeps the batchnorm output as the PReLU record's input, the
-        # fused op only statistics of C values (x was allocated before).
-        rng = np.random.default_rng(42)
-        x, gamma, beta, _ = _bn_prelu_inputs(rng, np.float32, (64, 4096))
-        x = np.concatenate([x, x])
-        slope = np.full(64, 0.25, dtype=np.float32)
-        held = {}
-        for fused in (True, False):
-            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, slope)]
-            state = _bn_state(np.float32, np.zeros(64), np.ones(64))
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                if fused:
-                    out = ad.batchnorm_prelu(ts[0], ts[1], ts[2], ts[3], state, True)
-                else:
-                    out = ad.prelu(ad.batchnorm1d(ts[0], ts[1], ts[2], state, True), ts[3])
-                held[fused] = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
-            finally:
-                tracemalloc.stop()
-            del out
-            ad.active_tape().clear()
-        assert held[True] < 0.05 * x.nbytes
-        assert held[False] > 0.95 * x.nbytes
+    """The tiled BatchNorm+PReLU kernels that the decoder's fused op runs."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_mode_cancels_a_per_channel_shift(self, dtype):
@@ -1352,8 +1262,8 @@ class TestBatchNormPReLU:
             runs = []
             for shift in (np.zeros(C, dtype=dtype), c):
                 state = _bn_state(dtype, np.zeros(C), np.ones(C))
-                out, gx, *_ = _bn_prelu_run(
-                    True, x + shift[:, None], gamma, beta, slope, state, True, g
+                out, gx, *_ = _tiled_bn_prelu_run(
+                    x + shift[:, None], gamma, beta, slope, state, True, g
                 )
                 # Measured at most 0.62 eps in both dtypes.
                 grad_sum = np.abs(gx.sum(axis=(0, 2)))
@@ -1362,79 +1272,104 @@ class TestBatchNormPReLU:
             # Measured at most 2 eps in both dtypes.
             assert np.max(np.abs(runs[1] - runs[0])) <= 16 * eps * np.max(np.abs(runs[0]))
 
-    def test_checks_run_before_the_running_statistics_change(self):
-        x, gamma, beta = (Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
-                          for s in ((2, 3, 4), (3,), (3,)))
-        state = _bn_state(np.float32, np.zeros(3), np.ones(3))
-        for slope in (Tensor(np.ones(3)), Tensor(np.ones(4, dtype=np.float32))):
-            with pytest.raises((InvalidInputError, ShapeMismatchError)):
-                ad.batchnorm_prelu(x, gamma, beta, slope, state, train=True)
-            np.testing.assert_array_equal(state.running_mean, np.zeros(3, dtype=np.float32))
-        assert len(ad.active_tape()) == 0
+
+def _bn_prelu_inputs(rng, dtype, shape, batch, nan):
+    """x, gamma and beta for [batch, C, L]. x holds +-0, and a NaN if nan
+    (channel 0's train-mode statistics are then NaN); gamma = 0 and
+    beta = -0.0 in channel 2 make the batchnorm output there exactly +-0,
+    where the PReLU mask flips."""
+    C, L = shape
+    x = (3.0 * rng.standard_normal((batch, C, L)) + 0.5).astype(dtype)
+    x[0, 0, :3] = [0.0, -0.0, np.nan if nan else 0.0]
+    x[1, 1 % C, :2] = [-0.0, 0.0]
+    gamma = rng.uniform(0.5, 1.5, C).astype(dtype)
+    beta = rng.standard_normal(C).astype(dtype)
+    gamma[2 % C], beta[2 % C] = 0.0, -0.0
+    return x, gamma, beta
 
 
 def _bn_prelu_tconv_run(fused, arrays, tconv, state, train, g):
     """(output, the gradients of x, gamma, beta, slope, weight and, if
-    tconv has one, bias) of the fused op or of the reference pair
-    conv_transpose1d(batchnorm_prelu())."""
+    tconv has one, bias) of the fused op or of the reference ops
+    conv_transpose1d(prelu(batchnorm1d())); the output alone under no_grad
+    when g is None."""
     x, gamma, beta, slope, weight, *bias = ts = [
         Tensor(a.copy(), requires_grad=True) for a in arrays
     ]
     bias = bias[0] if bias else None
     args = {"stride": tconv.stride, "padding": tconv.padding,
             "output_padding": tconv.output_padding}
-    if fused:
-        out = ad.batchnorm_prelu_conv_transpose1d(
-            x, gamma, beta, slope, state, train, weight, bias, **args
-        )
-    else:
-        h = ad.batchnorm_prelu(x, gamma, beta, slope, state, train)
-        out = ad.conv_transpose1d(h, weight, bias, **args)
+
+    def run():
+        if fused:
+            return ad.batchnorm_prelu_conv_transpose1d(
+                x, gamma, beta, slope, state, train, weight, bias, **args
+            )
+        h = ad.prelu(ad.batchnorm1d(x, gamma, beta, state, train), slope)
+        return ad.conv_transpose1d(h, weight, bias, **args)
+
+    if g is None:
+        with ad.no_grad():
+            return [run().data]
+    out = run()
     ad.backward(_sink(out, g))
     return [out.data] + [t.grad for t in ts]
 
 
+# The slopes of the bit-identity test: channel c of run i takes
+# SLOPES[(c - i) % 4], so each channel meets every slope.
+SLOPES = (0.25, -0.3, 0.0, 1.7)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestBatchNormPReLUTconv:
-    """batchnorm_prelu_conv_transpose1d is conv_transpose1d(batchnorm_prelu())
-    bit for bit, and checks its operands before the statistics change."""
+    """batchnorm_prelu_conv_transpose1d is
+    conv_transpose1d(prelu(batchnorm1d())) bit for bit, and checks its
+    operands before the statistics change."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False])
-    def test_equals_conv_transpose1d_of_batchnorm_prelu_bit_for_bit(self, dtype, train):
+    def test_equals_conv_transpose1d_of_prelu_of_batchnorm1d_bit_for_bit(self, dtype, train):
         rng = np.random.default_rng(44)
         cases = _conv_layer_cases(models.BatchNormPReLUTconvLayer)
         assert len(cases) == 9  # dec2 to out_tconv of the full and toy profiles
+        names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad", "weight.grad",
+                 "bias.grad")
         for layer, _, (C, L) in cases:
             tconv = layer.tconv
-            # Batch 3: the activation-bound layers run three GEMM groups.
-            x = (3.0 * rng.standard_normal((3, C, L)) + 0.5).astype(dtype)
-            x[0, 0, :2] = [0.0, -0.0]
-            arrays = [
-                x,
-                rng.uniform(0.5, 1.5, C).astype(dtype),
-                rng.standard_normal(C).astype(dtype),
-                rng.uniform(-0.3, 0.5, C).astype(dtype),
-                rng.standard_normal(tconv.weight.shape).astype(dtype),
-            ]
-            if tconv.bias is not None:
-                arrays.append(rng.standard_normal(tconv.bias.shape).astype(dtype))
             Cout, K = tconv.weight.shape[1:]
             L_out = (L - 1) * tconv.stride - 2 * tconv.padding + K + tconv.output_padding
-            g = rng.standard_normal((3, Cout, L_out)).astype(dtype)
             mean, var = rng.standard_normal(C), rng.uniform(0.5, 2.0, C)
-            states = [_bn_state(dtype, mean, var) for _ in range(2)]
-            got = _bn_prelu_tconv_run(True, arrays, tconv, states[0], train, g)
-            want = _bn_prelu_tconv_run(False, arrays, tconv, states[1], train, g)
-            names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad", "weight.grad",
-                     "bias.grad")
-            assert len(got) == len(arrays) + 1
-            for name, a, b in zip(names, got, want):
-                assert a.dtype == dtype, name
-                np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{name} {(C, L)}")
-            for attr in ("running_mean", "running_var"):
-                a, b = getattr(states[0], attr), getattr(states[1], attr)
-                np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=attr)
-            assert len(ad.active_tape()) == 0
+            for i in range(len(SLOPES)):
+                # Batch 3: the activation-bound layers run three GEMM groups.
+                # The last run's x holds a NaN, which in train mode makes
+                # every output NaN.
+                arrays = [*_bn_prelu_inputs(rng, dtype, (C, L), 3, nan=i == len(SLOPES) - 1),
+                          np.resize(np.roll(np.array(SLOPES, dtype), i), C),
+                          rng.standard_normal(tconv.weight.shape).astype(dtype)]
+                if tconv.bias is not None:
+                    arrays.append(rng.standard_normal(tconv.bias.shape).astype(dtype))
+                g = rng.standard_normal((3, Cout, L_out)).astype(dtype)
+                g[0, -1, :2] = [0.0, -0.0]
+                runs = {}
+                for grad in (True, False):
+                    states = [_bn_state(dtype, mean, var) for _ in range(2)]
+                    got, want = (_bn_prelu_tconv_run(fused, arrays, tconv, state, train,
+                                                     g if grad else None)
+                                 for fused, state in zip((True, False), states))
+                    assert len(got) == (len(arrays) + 1 if grad else 1)
+                    for name, a, b in zip(names, got, want):
+                        assert a.dtype == dtype, name
+                        np.testing.assert_array_equal(
+                            _bits(a), _bits(b), err_msg=f"{name} {(C, L)} run {i}"
+                        )
+                    for attr in ("running_mean", "running_var"):
+                        a, b = getattr(states[0], attr), getattr(states[1], attr)
+                        np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=attr)
+                    runs[grad] = got[0]
+                    assert len(ad.active_tape()) == 0
+                # The no-grad forward gives the bits of the recorded one.
+                np.testing.assert_array_equal(_bits(runs[True]), _bits(runs[False]))
 
     def test_gradients_reach_only_the_inputs_that_carry_them(self):
         rng = np.random.default_rng(45)
@@ -1449,17 +1384,18 @@ class TestBatchNormPReLUTconv:
     def test_checks_run_before_the_running_statistics_change(self):
         x, gamma, beta, slope = (Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
                                  for s in ((2, 3, 4), (3,), (3,), (3,)))
+        weight = Tensor(np.ones((3, 2, 3), dtype=np.float32))
         state = _bn_state(np.float32, np.zeros(3), np.ones(3))
         bad = [
-            (Tensor(np.ones((4, 2, 3), dtype=np.float32)), {}),  # Cin 4, not 3
-            (Tensor(np.ones((3, 2, 3))), {}),  # float64
-            (Tensor(np.ones((3, 2, 3), dtype=np.float32)), {"stride": 2, "output_padding": 2}),
+            (Tensor(np.ones(3)), weight, {}),  # float64 slope
+            (Tensor(np.ones(4, dtype=np.float32)), weight, {}),  # 4 slopes, not 3
+            (slope, Tensor(np.ones((4, 2, 3), dtype=np.float32)), {}),  # Cin 4, not 3
+            (slope, Tensor(np.ones((3, 2, 3))), {}),  # float64 weight
+            (slope, weight, {"stride": 2, "output_padding": 2}),
         ]
-        for weight, args in bad:
+        for s, w, args in bad:
             with pytest.raises((InvalidConfigError, InvalidInputError, ShapeMismatchError)):
-                ad.batchnorm_prelu_conv_transpose1d(
-                    x, gamma, beta, slope, state, True, weight, **args
-                )
+                ad.batchnorm_prelu_conv_transpose1d(x, gamma, beta, s, state, True, w, **args)
             np.testing.assert_array_equal(state.running_mean, np.zeros(3, dtype=np.float32))
         assert len(ad.active_tape()) == 0
 
@@ -1518,8 +1454,9 @@ def _bn_prelu_case(rng, shape, batch=4):
 
 
 class TestBatchNormPReLUOracle:
-    """The op against the formulas it replaced: the forward keeps their
-    bits, and the float32 results stay near their float64 values.
+    """The fused op's tiled kernels against the formulas they replaced: the
+    forward keeps their bits, and the float32 results stay near their
+    float64 values.
 
     Over the accuracy test's cases the oracle run in float32, which is what
     the op computed before its tiled kernels, lies at most 3.5e-7 from
@@ -1539,11 +1476,8 @@ class TestBatchNormPReLUOracle:
                 x, gamma, beta, slope, rm, rv, g = case
                 want = _bn_prelu_oracle(x, gamma, beta, slope, rm, rv, train, g)
                 state = ad.BatchNormState(rm.copy(), rv.copy())
-                with ad.no_grad():
-                    out = ad.batchnorm_prelu(
-                        Tensor(x), Tensor(gamma), Tensor(beta), Tensor(slope), state, train
-                    )
-                np.testing.assert_array_equal(_bits(out.data), _bits(want["out"]))
+                out = _tiled_bn_prelu_run(x, gamma, beta, slope, state, train, g)[0]
+                np.testing.assert_array_equal(_bits(out), _bits(want["out"]))
                 if train:
                     for got, old, new in ((state.running_mean, rm, want["mean"]),
                                           (state.running_var, rv, want["var"])):
@@ -1567,7 +1501,7 @@ class TestBatchNormPReLUOracle:
             want = _bn_prelu_oracle(*wide, train, g.astype(np.float64))
             state = ad.BatchNormState(rm.copy(), rv.copy())
             names = ("out", "x.grad", "gamma.grad", "beta.grad", "slope.grad")
-            got = dict(zip(names, _bn_prelu_run(True, x, gamma, beta, slope, state, train, g)))
+            got = dict(zip(names, _tiled_bn_prelu_run(x, gamma, beta, slope, state, train, g)))
             if train:
                 got["running_mean"], got["running_var"] = state.running_mean, state.running_var
                 want["running_mean"] = (1 - BN_MOMENTUM) * wide[4] + BN_MOMENTUM * want["mean"]
@@ -1584,10 +1518,8 @@ class TestBatchNormPReLUTiles:
 
     def _results(self, x, gamma, beta, slope, rm, rv, g, train):
         state = ad.BatchNormState(rm.copy(), rv.copy())
-        fused = _bn_prelu_run(True, x, gamma, beta, slope, state, train, g)
-        pair_state = ad.BatchNormState(rm.copy(), rv.copy())
-        pair = _bn_prelu_run(False, x, gamma, beta, slope, pair_state, train, g)
-        return fused + pair + [state.running_mean, state.running_var]
+        results = _tiled_bn_prelu_run(x, gamma, beta, slope, state, train, g)
+        return results + [state.running_mean, state.running_var]
 
     @pytest.mark.parametrize("train", [True, False])
     def test_one_channel_and_whole_array_tiles_give_the_same_bits(self, train, monkeypatch):
@@ -1614,9 +1546,11 @@ class TestBatchNormPReLUTiles:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(ops, "_batchnorm_tile", boom)
+        weight = Tensor(np.ones((64, 1, 3), dtype=np.float32))
         with pytest.raises(RuntimeError, match="boom"):
-            ad.batchnorm_prelu(Tensor(x), Tensor(gamma), Tensor(beta), Tensor(slope),
-                               ad.BatchNormState(rm, rv), False)
+            ad.batchnorm_prelu_conv_transpose1d(Tensor(x), Tensor(gamma), Tensor(beta),
+                                                Tensor(slope), ad.BatchNormState(rm, rv), False,
+                                                weight)
         assert np.getbufsize() == before
 
     @pytest.mark.parametrize("train", [True, False])
@@ -1628,14 +1562,13 @@ class TestBatchNormPReLUTiles:
             x, gamma, beta, slope, rm, rv, g = _bn_prelu_case(rng, shape)
             view = np.ascontiguousarray(g.transpose(1, 0, 2)).transpose(1, 0, 2)
             assert not view.flags["C_CONTIGUOUS"]
-            for fused in (True, False):
-                runs = [
-                    _bn_prelu_run(fused, x, gamma, beta, slope,
-                                  ad.BatchNormState(rm.copy(), rv.copy()), train, upstream)
-                    for upstream in (g, view)
-                ]
-                for a, b in zip(*runs):
-                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{shape}")
+            runs = [
+                _tiled_bn_prelu_run(x, gamma, beta, slope,
+                                    ad.BatchNormState(rm.copy(), rv.copy()), train, upstream)
+                for upstream in (g, view)
+            ]
+            for a, b in zip(*runs):
+                np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"{shape}")
 
 
 class TestThreadLocalGradMode:

@@ -13,7 +13,7 @@ import pytest
 from rirlab import autodiff as ad
 from rirlab import models, training
 from rirlab.autodiff import Tensor
-from rirlab.dsp import octave_bands
+from rirlab.dsp import StftConfig, octave_bands
 from rirlab.profiles import get_profile
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -57,6 +57,60 @@ class TestTraceInstall:
             if getattr(owner, attr) is not value
         ]
         assert changed == []
+
+
+FUSED_OP = "batchnorm_prelu_conv_transpose1d"
+
+
+def _op_calls() -> dict:
+    """Op name -> a call of that op on small float64 inputs that all carry a
+    gradient, for each op with per-layer metrics and the fused decoder op."""
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    basis = ad.make_dft_basis(StftConfig(16, 8))
+    partition = octave_bands(256, 16, [16, 32, 64])
+    state = ad.BatchNormState.for_channels(3)
+    return {
+        "conv1d": lambda: ad.conv1d(t(2, 3, 20), t(4, 3, 5), t(4), stride=2, padding=1),
+        "conv_transpose1d": lambda: ad.conv_transpose1d(
+            t(2, 3, 9), t(3, 4, 6), t(4), stride=3, padding=1, output_padding=1
+        ),
+        "batchnorm1d": lambda: ad.batchnorm1d(t(2, 3, 8), t(3), t(3), state, True),
+        "prelu": lambda: ad.prelu(t(2, 3, 8), t(3)),
+        "leaky_relu": lambda: ad.leaky_relu(t(2, 3, 8)),
+        "tanh": lambda: ad.tanh(t(2, 3, 8)),
+        "framed_band_energy": lambda: ad.framed_band_energy(t(2, 1, 64), basis, partition),
+        "mse_loss": lambda: ad.mse_loss(t(3, 5), t(3, 5)),
+        "bce_logit_loss": lambda: ad.bce_logit_loss(t(4, 1), np.array([[0.0], [1.0]] * 2)),
+        "linear": lambda: ad.linear(t(3, 5), t(5, 2), t(2)),
+        FUSED_OP: lambda: ad.batchnorm_prelu_conv_transpose1d(
+            t(2, 3, 8), t(3), t(3), t(3), state, True, t(3, 2, 4), stride=2
+        ),
+    }
+
+
+class TestOpSpans:
+    """A traced run names each op's forward span autodiff.ops.<op> and its
+    backward span autodiff.ops.<op>.bwd, after the backward closure's
+    qualified name: the per-layer metrics are read under those names."""
+
+    @pytest.mark.parametrize("op", spans.OPS + (FUSED_OP,))
+    def test_forward_and_backward_spans_carry_the_op_s_name(self, op):
+        call = _op_calls()[op]
+        tracer = spans.Tracer()
+        patches = spans.install(tracer)
+        try:
+            out = call()
+            ad.backward(out if out.data.ndim == 0 else out.sum())
+        finally:
+            patches.undo()
+        names = {span[3] for span in tracer.spans}
+        assert f"autodiff.ops.{op}.bwd" in names
+        # spans wraps every op in OPS, but not the fused op's forward.
+        assert (f"autodiff.ops.{op}" in names) == (op != FUSED_OP)
 
 
 class TestResetGradState:
