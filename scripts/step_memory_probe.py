@@ -27,9 +27,9 @@ Prints one line of ``key=value`` pairs:
   read, so they do not move it.
 
 The first step is left out of the medians when STEPS > 1: it is the one that
-grows the heap. Run one probe at a time; its peak is about 219 MB at batch
-4, 395 MB at batch 32 and 935 MB at batch 128, and ``step_peak_mb`` reads
-25.5, 181 and 722 MiB. ``eval_peak_mb`` reads 14.0 MiB at batch 4 and
+grows the heap. Run one probe at a time; its peak is about 217 MB at batch
+4, 364 MB at batch 32 and 803 MB at batch 128, and ``step_peak_mb`` reads
+25.5, 154 and 596 MiB. ``eval_peak_mb`` reads 14.0 MiB at batch 4 and
 14.3-14.4 MiB at 32 and 128: the chunk, not the batch, sets it.
 """
 

@@ -11,12 +11,13 @@ rather than kept from the forward. batchnorm_prelu_conv_transpose1d is
 conv_transpose1d(prelu(batchnorm1d())) as one op, whose record holds the
 batchnorm input where the three ops' records hold it, the batchnorm output
 and the PReLU output; its backward recomputes the PReLU output, which only
-the weight gradient reads. The estimator's decoder runs it wherever a
-batchnorm and PReLU feed a transposed convolution. It runs BatchNorm and
-PReLU on per-example channel tiles that stay in cache (TILE), and
-BatchNorm's backward is written from per-channel sums of the output
-gradient, so it streams the activation about half as often as whole-array
-numpy would. batchnorm1d and prelu, which no network runs, are whole-array
+the weight gradient reads, and writes the batchnorm input's gradient over
+the PReLU output's, so it holds one activation-sized gradient, not two.
+The estimator's decoder runs it wherever a batchnorm and PReLU feed a
+transposed convolution. It runs BatchNorm and PReLU on per-example channel
+tiles that stay in cache (TILE), and BatchNorm's backward is written from
+per-channel sums of the output gradient, so it streams the activation
+about half as often as whole-array numpy would. batchnorm1d and prelu, which no network runs, are whole-array
 numpy: the references the fused op is tested against, bit for bit."""
 
 from __future__ import annotations
@@ -426,15 +427,17 @@ def _prelu_tile(y, s, out, scratch) -> None:
     out += scratch
 
 
-def _prelu_grad_tile(g, y, s, gy, mask, scratch) -> np.ndarray:
-    """PReLU's backward on one tile: writes gy = g*f into gy, f as
-    _leaky_scale builds it, and returns the row sums of g*min(y, 0), the
-    slope gradient's terms. scratch may be y."""
+def _prelu_grad_tile(g, y, s, mask, scratch) -> np.ndarray:
+    """PReLU's backward on one tile, in place: scales g by f, which
+    _leaky_factor builds in scratch once y is read, and returns the row sums
+    of g*min(y, 0), taken before, the slope gradient's terms. scratch may
+    be y."""
     np.greater(y, 0, out=mask)
-    _leaky_scale(g, mask, s, out=gy)
     np.minimum(y, 0, out=scratch)
     scratch *= g
-    return scratch.sum(axis=1)
+    terms = scratch.sum(axis=1)
+    g *= _leaky_factor(mask, s, scratch)
+    return terms
 
 
 def _bn_prelu_forward(x, mean, inv, gamma, beta, s) -> np.ndarray:
@@ -454,20 +457,21 @@ def _bn_prelu_forward(x, mean, inv, gamma, beta, s) -> np.ndarray:
 
 def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s, want_gx: bool):
     """(gx, ggamma, gbeta, gslope) of the output gradient g of
-    _bn_prelu_forward(x, mean, inv, gamma, beta, s). gx is None unless
-    want_gx, and no other array of x's size is made.
+    _bn_prelu_forward(x, mean, inv, gamma, beta, s). g is consumed: gx is
+    written over it and returned (None unless want_gx), so the caller must
+    own g and not read it again. No array of x's size is made.
 
     Pass 1 rebuilds d = x - mean, the batchnorm output y and its sign mask,
-    writes batchnorm's output gradient gy into the gx buffer and adds the
-    per-channel sums of gy, gy*d and g*min(y, 0). Once a channel tile has
-    all its examples' sums, pass 2 turns its gy into
+    adds the per-channel sums of g*min(y, 0), writes batchnorm's output
+    gradient gy over g and adds the per-channel sums of gy and gy*d. Once a
+    channel tile has all its examples' sums, pass 2 turns its gy into
     gx = a*gy - a*sum(gy)/n - d*(a*inv^2*sum(gy*d)/n) in place, a =
     inv*gamma, n = B*L, from the sums as Ioffe & Szegedy (2015, sec. 3)
     write the gradient; in eval mode gx = a*gy. gamma's gradient is
-    inv*sum(gy*d) and beta's sum(gy)."""
+    inv*sum(gy*d) and beta's sum(gy). In-place activated BatchNorm (Rota
+    Bulo et al., 2018) makes the same trade."""
     B, C, L = x.shape
     n = B * L
-    gx = np.empty(x.shape, x.dtype)
     sum_gy, sum_gyd = np.zeros((C, 1), x.dtype), np.zeros((C, 1), x.dtype)
     gslope = np.zeros(C, x.dtype)
     mean, inv, gamma, beta = (v[:, None] for v in (mean, inv, gamma, beta))
@@ -475,12 +479,12 @@ def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s, want_gx: bo
     with _channel_tiles(x, x.dtype, x.dtype, bool) as tiles:
         for cs, (d, t, mask) in tiles:
             for b in range(B):
-                gy = gx[b, cs]
+                gy = g[b, cs]
                 np.subtract(x[b, cs], mean[cs], out=d)
                 np.multiply(d, inv[cs], out=t)
                 t *= gamma[cs]
                 t += beta[cs]
-                gslope[cs] += _prelu_grad_tile(g[b, cs], t, s[cs], gy, mask, t)
+                gslope[cs] += _prelu_grad_tile(gy, t, s[cs], mask, t)
                 sum_gy[cs, 0] += gy.sum(axis=1)
                 np.multiply(gy, d, out=t)
                 sum_gyd[cs, 0] += t.sum(axis=1)
@@ -489,14 +493,14 @@ def _bn_prelu_backward(g, x, mean, inv, gamma, beta, train: bool, s, want_gx: bo
             c1 = a[cs] * sum_gy[cs] / n
             c2 = a[cs] * inv[cs] * inv[cs] * sum_gyd[cs] / n
             for b in range(B):
-                gy = gx[b, cs]
+                gy = g[b, cs]
                 gy *= a[cs]
                 if train:
                     gy -= c1
                     np.subtract(x[b, cs], mean[cs], out=d)
                     d *= c2
                     gy -= d
-    return (gx if want_gx else None), (inv * sum_gyd)[:, 0], sum_gy[:, 0], gslope
+    return (g if want_gx else None), (inv * sum_gyd)[:, 0], sum_gy[:, 0], gslope
 
 
 def batchnorm1d(
@@ -532,22 +536,29 @@ def batchnorm1d(
     return out
 
 
-# The PReLU backwards (leaky_relu's, prelu's and the fused op's tile
-# kernel, _prelu_grad_tile) scale by a factor f that is exactly 1 where the
-# mask is set and exactly the slope s elsewhere: f = s*(1 - m) + m with m
-# the mask in the data's dtype, so g*f carries the bits of
-# np.where(x > 0, g, s*g) for every finite slope (at s = -0.0 only a zero's
-# sign can differ). np.where with a mask that follows the data's sign runs
-# about 5x slower than a plain ufunc over the same array, because its
-# per-element branch is taken at random; these kernels stay branch-free.
-# The forwards need no factor: _prelu_tile's max(y, -0) + s*min(0, y) gives
-# np.where(x > 0, x, s*x)'s bits, up to a zero's sign off x86, in four ufunc
-# passes where the mask and factor take five.
-def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope, out=None) -> np.ndarray:
-    """a * f, f = 1 where mask else slope, into out or a fresh array."""
-    f = np.subtract(1, mask, dtype=a.dtype, out=out)
-    f *= slope
-    f += mask
+# The PReLU backwards (leaky_relu's and prelu's through _leaky_scale, and
+# the fused op's tile kernel, _prelu_grad_tile, which scales its gradient
+# in place) scale by a factor f that is exactly 1 where the mask is set and
+# exactly the slope s elsewhere: f = s*(1 - m) + m with m the mask in the
+# data's dtype, so g*f carries the bits of np.where(x > 0, g, s*g) for every
+# finite slope (at s = -0.0 only a zero's sign can differ). np.where with a
+# mask that follows the data's sign runs about 5x slower than a plain ufunc
+# over the same array, because its per-element branch is taken at random;
+# these kernels stay branch-free. The forwards need no factor:
+# _prelu_tile's max(y, -0) + s*min(0, y) gives np.where(x > 0, x, s*x)'s
+# bits, up to a zero's sign off x86, in four ufunc passes where the mask and
+# factor take five.
+def _leaky_factor(mask: np.ndarray, slope, out: np.ndarray) -> np.ndarray:
+    """f = 1 where mask else slope, written into out, in out's dtype."""
+    np.subtract(1, mask, dtype=out.dtype, out=out)
+    out *= slope
+    out += mask
+    return out
+
+
+def _leaky_scale(a: np.ndarray, mask: np.ndarray, slope) -> np.ndarray:
+    """a * f, f = 1 where mask else slope, in a fresh array."""
+    f = _leaky_factor(mask, slope, np.empty_like(mask, a.dtype))
     f *= a
     return f
 
@@ -614,7 +625,8 @@ def batchnorm_prelu_conv_transpose1d(
     one holds x and the batch statistics alone. Its backward computes h's gradient, recomputes
     h from x one GEMM group at a time for the weight gradient
     (_conv_transpose1d_backward's x_of), then runs BatchNorm+PReLU's
-    backward. Every check runs before the running statistics change.
+    backward, which writes x's gradient over h's: one array of x's size.
+    Every check runs before the running statistics change.
     """
     op = "batchnorm_prelu_conv_transpose1d"
     s = _check_prelu(op, x, slope)
@@ -636,7 +648,7 @@ def batchnorm_prelu_conv_transpose1d(
         )
         gb = g.sum(axis=(0, 2)) if bias is not None and bias.requires_grad else None
         grads = (None,) * 4
-        if gh is not None:
+        if gh is not None:  # this closure's own array, which x's gradient is written over
             grads = _bn_prelu_backward(
                 gh, x.data, mean, inv, gamma.data, beta.data, train, s, x.requires_grad
             )

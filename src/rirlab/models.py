@@ -429,16 +429,17 @@ def build_discriminator(cfg: DiscriminatorConfig, seed: int) -> Discriminator:
 
 def make_condition(reverberant: np.ndarray, cfg: DiscriminatorConfig) -> np.ndarray:
     """Conditioning input: the opening cfg.condition_len samples of each
-    reverberant waveform, zero-padded to cfg.rir_len -> [B,1,rir_len]. The
-    config holds condition_len <= rir_len."""
+    reverberant waveform, zero-padded to cfg.rir_len -> [B,1,rir_len] in
+    the discriminator's dtype, so its forwards take it uncast. The config
+    holds condition_len <= rir_len."""
     rev = np.atleast_2d(np.asarray(reverberant, dtype=np.float64))
     if rev.shape[1] < cfg.condition_len:
         raise InvalidInputError(
             f"reverberant input of {rev.shape[1]} samples is shorter than the "
             f"{cfg.condition_len}-sample condition"
         )
-    cond = np.zeros((rev.shape[0], 1, cfg.rir_len))
-    cond[:, 0, : cfg.condition_len] = rev[:, : cfg.condition_len]
+    cond = np.zeros((rev.shape[0], 1, cfg.rir_len), cfg.dtype)
+    cond[:, 0, : cfg.condition_len] = rev[:, : cfg.condition_len]  # rounds as astype does
     return cond
 
 

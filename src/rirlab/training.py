@@ -190,7 +190,7 @@ def train_step(
     updated.
     """
     rev, rir = batch
-    cond = make_condition(rev, discriminator.config)
+    cond = Tensor(make_condition(rev, discriminator.config))  # shared by three forwards
     rev_t = Tensor(rev[:, None, :])
     rir_t = Tensor(rir[:, None, :].astype(estimator.dtype, copy=False))  # meets fake in the losses
     tape = ad.active_tape()
@@ -201,8 +201,8 @@ def train_step(
         fake = estimator.forward(rev_t, train=True)
 
         # Discriminator half-step: descend the negation of its objective.
-        real_logits = discriminator.forward(rir_t, Tensor(cond), train=True)
-        fake_logits = discriminator.forward(fake.detach(), Tensor(cond), train=True)
+        real_logits = discriminator.forward(rir_t, cond, train=True)
+        fake_logits = discriminator.forward(fake.detach(), cond, train=True)
         ones = np.ones(real_logits.shape)
         zeros = np.zeros(fake_logits.shape)
         l_d = ad.bce_logit_loss(real_logits, ones) + ad.bce_logit_loss(fake_logits, zeros)
@@ -212,7 +212,7 @@ def train_step(
         # Estimator half-step, with the non-saturating generator loss.
         for p in discriminator.parameters():
             p.requires_grad = False
-        adv_logits = discriminator.forward(fake, Tensor(cond), train=True)
+        adv_logits = discriminator.forward(fake, cond, train=True)
         l_cgan = ad.bce_logit_loss(adv_logits, ones)
         l_edr = ad.mse_loss(
             ad.framed_band_energy(fake, basis, partition),

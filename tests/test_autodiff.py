@@ -770,6 +770,40 @@ class TestBackwardMemory:
         assert held[True] < 0.05 * ts[0].data.nbytes
         assert held[False] > 0.95 * ts[0].data.nbytes
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_bn_prelu_backward_writes_the_input_gradient_over_its_upstream_one(self, train):
+        # dec5's [4, 64, 4096] float32 input, 4 MiB: the kernel's tiles hold
+        # 16 channels' scratch, 0.56 MiB; a fresh gx would be 4 MiB more.
+        rng = np.random.default_rng(29)
+        x, gamma, beta, slope, rm, rv, g = _bn_prelu_case(rng, (64, 4096))
+        state = ad.BatchNormState(rm, rv)
+        mean, inv = ops._batchnorm_stats("test", Tensor(x), Tensor(gamma), Tensor(beta), state,
+                                         train)
+        (gx, *_), peak = _traced_peak(lambda: ops._bn_prelu_backward(
+            g, x, mean, inv, gamma, beta, train, slope[:, None], True
+        ))
+        assert np.may_share_memory(gx, g)
+        assert peak < x.nbytes / 4
+
+    def test_fused_backward_holds_one_activation_sized_gradient(self):
+        # A [16, 64, 1024] float32 input, 4 MiB, into a K=5 stride-1 tconv:
+        # its backward holds h's gradient, which x's gradient is written
+        # over, and one example's [Cout*K, L] window columns (1.25 MiB). A
+        # fresh x gradient beside h's would be 4 MiB more.
+        rng = np.random.default_rng(30)
+        B, C, L, K = 16, 64, 1024, 5
+        x, gamma, beta, slope, rm, rv, _ = _bn_prelu_case(rng, (C, L), batch=B)
+        weight = rng.standard_normal((C, C, K)).astype(np.float32)
+        ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, slope, weight)]
+        out = ad.batchnorm_prelu_conv_transpose1d(
+            *ts[:4], ad.BatchNormState(rm, rv), True, ts[4], padding=2
+        )
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        (gx, *_), peak = _traced_peak(lambda: ad.active_tape().pop()[2](g))
+        assert gx.shape == x.shape
+        cols = C * K * L * 4
+        assert peak < x.nbytes + cols + x.nbytes / 4
+
     def test_conv1d_record_holds_no_padded_input(self):
         # A [4, 64, 4096] float32 input, 4 MiB, through a conv with padding
         # 2: a padded copy would hold 4 MiB more. The backward pads x again.
@@ -1234,10 +1268,12 @@ def _sink(out, g):
 def _tiled_bn_prelu_run(x, gamma, beta, slope, state, train, g):
     """(output, the gradients of x, gamma, beta and slope) of the tiled
     BatchNorm+PReLU kernels that batchnorm_prelu_conv_transpose1d runs,
-    on the statistics the op computes; g is the output's gradient."""
+    on the statistics the op computes; g is the output's gradient, which
+    the backward is handed a copy of, in g's layout, to write over."""
     mean, inv = ops._batchnorm_stats("test", Tensor(x), Tensor(gamma), Tensor(beta), state, train)
     s = slope[:, None]
     out = ops._bn_prelu_forward(x, mean, inv, gamma, beta, s)
+    g = g.copy(order="K")
     return [out, *ops._bn_prelu_backward(g, x, mean, inv, gamma, beta, train, s, True)]
 
 

@@ -191,6 +191,17 @@ class TestDiscriminator:
         assert padded.shape == (1, 1, 1024)
         assert np.all(padded[0, 0, 512:] == 0)
 
+    def test_condition_is_built_in_the_discriminators_dtype(self):
+        # The full profile's float32 discriminator takes it uncast; its
+        # values are the float64 condition's, rounded.
+        cfg = get_profile("full").discriminator
+        rev = np.random.default_rng(6).uniform(-0.9, 0.9, (2, cfg.condition_len))
+        cond = make_condition(rev, cfg)
+        assert cond.dtype == np.float32
+        wide = make_condition(rev, dataclasses.replace(cfg, dtype="float64"))
+        np.testing.assert_array_equal(cond, wide.astype(np.float32))
+        assert wide.dtype == np.float64 and np.array_equal(wide[:, 0, : cfg.condition_len], rev)
+
     def test_condition_longer_than_the_response_rejected(self):
         # The condition is zero-padded to rir_len, never cropped: a longer
         # condition_len would be written but never take effect.
