@@ -17,8 +17,9 @@ The estimator's decoder runs it wherever a batchnorm and PReLU feed a
 transposed convolution. It runs BatchNorm and PReLU on per-example channel
 tiles that stay in cache (TILE), and BatchNorm's backward is written from
 per-channel sums of the output gradient, so it streams the activation
-about half as often as whole-array numpy would. batchnorm1d and prelu, which no network runs, are whole-array
-numpy: the references the fused op is tested against, bit for bit."""
+about half as often as whole-array numpy would. batchnorm1d and prelu,
+which no network runs, are whole-array numpy: the references the fused op
+is tested against, bit for bit."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp import BandPartition, DftBasis, band_power, decay_relief, framed_dft
-from ..errors import InvalidConfigError, InvalidInputError, ShapeMismatchError
+from ..errors import InvalidConfigError, InvalidInputError, ShapeMismatchError, check_count
 from .tensor import Tensor, check_same_dtype, record
 
 
@@ -133,19 +134,20 @@ def _taps(K: int, N: int, stride: int, offset: int, length: int) -> list[tuple[i
 # ([B*N, Co*K], with channels-last adds and one transpose, or adds through a
 # transposed view) was slower on the full decoder's dec4 and dec5.
 def _check_conv(
-    op: str, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, cin_axis: int
+    op: str, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int,
+    cin_axis: int,
 ) -> tuple[int, int, int, int, int]:
     """(B, Cin, L, Cout, K) of a convolution of x through weight, whose
     input channels lie on axis cin_axis (1 for conv1d's [Cout,Cin,K], 0 for
-    conv_transpose1d's [Cin,Cout,K]), after checking x, weight, bias and
-    stride."""
+    conv_transpose1d's [Cin,Cout,K]), after checking x, weight and bias,
+    and that stride and padding are Python ints >= 1 and >= 0 (check_count)."""
     B, Cin, L = _as_3d(x, f"{op} input")
     if weight.data.ndim != 3 or weight.shape[cin_axis] != Cin:
         raise ShapeMismatchError(f"{op} weight {weight.shape} incompatible with input {x.shape}")
     Cout, K = weight.shape[1 - cin_axis], weight.shape[2]
     check_same_dtype(op, x, weight, bias)
-    if stride < 1:
-        raise InvalidConfigError(f"stride must be >= 1, got {stride}")
+    check_count("stride", stride, 1)
+    check_count("padding", padding, 0)
     if bias is not None and bias.shape != (Cout,):
         raise ShapeMismatchError(f"bias {bias.shape} must be ({Cout},)")
     return B, Cin, L, Cout, K
@@ -156,7 +158,7 @@ def conv1d(
 ) -> Tensor:
     """Cross-correlation of [B,Cin,L] with [Cout,Cin,K] -> [B,Cout,Lout],
     Lout = floor((L + 2*padding - K)/stride) + 1."""
-    B, Cin, L, Cout, K = _check_conv("conv1d", x, weight, bias, stride, 1)
+    B, Cin, L, Cout, K = _check_conv("conv1d", x, weight, bias, stride, padding, 1)
     Lp = L + 2 * padding
     if K > Lp:
         raise ShapeMismatchError(f"kernel {K} longer than padded input {Lp}")
@@ -196,8 +198,9 @@ def _check_conv_transpose1d(
     output_padding: int,
 ) -> int:
     """The output length of conv_transpose1d on x, after checking its
-    operands and arguments."""
-    _, _, L, _, K = _check_conv(op, x, weight, bias, stride, 0)
+    operands and arguments; output_padding is a Python int in [0, stride)."""
+    _, _, L, _, K = _check_conv(op, x, weight, bias, stride, padding, 0)
+    check_count("output_padding", output_padding, 0)
     if output_padding >= stride:
         raise InvalidConfigError(
             f"output_padding {output_padding} must be smaller than stride {stride}"

@@ -41,7 +41,7 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedFormatError,
 )
-from .fileio import atomic_write
+from .fileio import write_csv
 from .models import estimate, estimate_batch, load_checkpoint
 from .profiles import PROFILES, get_profile, profile_for_sample_rate
 from .synth import SPLITS, DatasetManifest, build_dataset, load_manifest
@@ -88,7 +88,9 @@ def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
         try:
             updates[key] = kind(value)
         except ValueError as exc:
-            raise InvalidInputError(f"override {raw!r}: cannot read {value!r} as {kind.__name__}") from exc
+            raise InvalidInputError(
+                f"override {raw!r}: cannot read {value!r} as {kind.__name__}"
+            ) from exc
     return dataclasses.replace(cfg, **updates)
 
 
@@ -106,7 +108,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError:
         splits = ()
     if len(splits) != 3:
-        raise InvalidInputError(f"--splits needs three comma-separated fractions, got {args.splits}")
+        raise InvalidInputError(
+            f"--splits needs three comma-separated fractions, got {args.splits}"
+        )
     manifest = build_dataset(
         out_dir=args.out,
         n_examples=args.n,
@@ -206,14 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out) as fh:
-        fh.write(metrics.report_to_csv(report))
-
-    per_example = out.with_name(out.stem + "_examples.csv")
-    with atomic_write(per_example) as fh:
-        fh.write("example,reverberant,edr_loss,ere_err_db,drr_err_db,mse\n")
-        for i, (entry, (loss, ere_err, drr_err, mse)) in enumerate(zip(entries, report.examples)):
-            fh.write(f"{i},{entry.reverberant},{loss!r},{ere_err!r},{drr_err!r},{mse!r}\n")
+    per_example = metrics.write_report(report, out, [entry.reverberant for entry in entries])
     print(f"report: {out}")
     print(f"per-example: {per_example}")
     return 0
@@ -236,22 +233,12 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     est_edr = metrics.edr(est, basis, partition)
     truth_db, est_db = truth_edr.in_db(), est_edr.in_db()
     for b, center in enumerate(partition.centers):
-        path = out_dir / f"edr_{int(center)}.csv"
-        with atomic_write(path) as fh:
-            fh.write("time_s,edr_db_truth,edr_db_estimated\n")
-            for t in range(truth_db.shape[1]):
-                fh.write(
-                    f"{float(truth_edr.frame_times[t])!r},{float(truth_db[b, t])!r},"
-                    f"{float(est_db[b, t])!r}\n"
-                )
-
-    with atomic_write(out_dir / "waveform.csv") as fh:
-        fh.write("time_s,truth,estimated\n")
-        for i in range(len(truth)):
-            fh.write(
-                f"{i / truth.sample_rate!r},{float(truth.samples[i])!r},"
-                f"{float(est.samples[i])!r}\n"
-            )
+        header = ("time_s", "edr_db_truth", "edr_db_estimated")
+        write_csv(out_dir / f"edr_{int(center)}.csv", header,
+                  zip(truth_edr.frame_times, truth_db[b], est_db[b]))
+    times = [i / truth.sample_rate for i in range(len(truth))]
+    write_csv(out_dir / "waveform.csv", ("time_s", "truth", "estimated"),
+              zip(times, truth.samples, est.samples))
     print(f"plot data: {out_dir}")
     return 0
 

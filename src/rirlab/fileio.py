@@ -15,6 +15,8 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w"):
@@ -32,3 +34,19 @@ def atomic_write(path: str | Path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header, rows, comment: str = "") -> None:
+    """Write a CSV file through atomic_write: a "# comment" line unless
+    comment is empty, the header, then one line per row, each ending in LF.
+    A float cell, a numpy one included, is written as repr(float(v)), which
+    float() reads back exactly; any other cell as str(v)."""
+
+    def cell(v) -> str:
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    with atomic_write(path) as fh:
+        fh.write(f"# {comment}\n" if comment else "")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")

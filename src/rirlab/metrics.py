@@ -9,13 +9,14 @@ CSV emitted by the CLI. Every banded value comes from one float64 call of
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .dsp import BandPartition, DftBasis, Signal, band_power, decay_relief
 from .errors import EstimationFailedError, InvalidConfigError, InvalidInputError
+from .fileio import write_csv
 
 ENERGY_FLOOR = 1e-12  # applied before every log10; bounds dB outputs at -120
 EARLY_WINDOW_S = 0.080
@@ -202,21 +203,20 @@ def metric_report(
     )
 
 
-def report_to_csv(report: MetricReport) -> str:
-    """Render a report as CSV: one (center_hz, log_edr_loss, ere_mae_db) row
-    per band, then a summary row carrying (drr_mae_db, mse).
-
-    Bands that were merged away by the partition are noted on a leading
-    comment line.
-    """
-    out = io.StringIO()
-    if report.merged:
-        notes = ";".join(f"{int(src)}Hz->{int(dst)}Hz" for src, dst in report.merged)
-        out.write(f"# merged_bands: {notes}\n")
-    out.write("center_hz,log_edr_loss,ere_mae_db\n")
-    for center, log_loss, ere_mae in zip(
-        report.centers, report.per_band_log_edr_loss, report.per_band_ere_mae
-    ):
-        out.write(f"{center:g},{float(log_loss)!r},{float(ere_mae)!r}\n")
-    out.write(f"summary,{float(report.drr_mae)!r},{float(report.mse)!r}\n")
-    return out.getvalue()
+def write_report(report: MetricReport, path: Path, reverberant) -> Path:
+    """Write evaluate's CSV files and return the second's path: at path, one
+    (center_hz, log_edr_loss, ere_mae_db) row per band and a summary row of
+    (drr_mae_db, mse), after a comment line naming any bands the partition
+    merged; beside it, *_examples.csv, each pair's index, reverberant name
+    and row of report.examples."""
+    merged = ";".join(f"{int(src)}Hz->{int(dst)}Hz" for src, dst in report.merged)
+    bands = zip([f"{c:g}" for c in report.centers], report.per_band_log_edr_loss,
+                report.per_band_ere_mae)
+    write_csv(path, ("center_hz", "log_edr_loss", "ere_mae_db"),
+              [*bands, ("summary", report.drr_mae, report.mse)],
+              comment=merged and f"merged_bands: {merged}")
+    per_example = path.with_name(path.stem + "_examples.csv")
+    write_csv(per_example,
+              ("example", "reverberant", "edr_loss", "ere_err_db", "drr_err_db", "mse"),
+              [(i, name, *row) for i, (name, row) in enumerate(zip(reverberant, report.examples))])
+    return per_example

@@ -9,7 +9,6 @@ eval mode; the best-scoring epoch's checkpoint is kept.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import metrics
 from .autodiff import Tensor
 from .dsp import StftConfig, band_power
 from .errors import InvalidInputError, TrainingDivergedError, check_count, check_real
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .models import (
     Discriminator,
     Estimator,
@@ -104,18 +103,10 @@ class EpochRecord:
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
-    def to_csv(self) -> str:
-        """log.csv: EpochRecord's fields, in order, as the header, then one
-        row of their reprs per epoch."""
-        out = io.StringIO()
-        out.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
-        for r in self.records:
-            out.write(",".join(repr(v) for v in astuple(r)) + "\n")
-        return out.getvalue()
-
     def save(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            fh.write(self.to_csv())
+        """log.csv: EpochRecord's fields, in order, as the header, then one
+        row per epoch."""
+        write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, self.records))
 
 
 @dataclass(frozen=True)

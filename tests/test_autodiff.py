@@ -163,6 +163,32 @@ class TestConvTranspose1d:
             ad.conv_transpose1d(x, w, stride=2, output_padding=2)
 
 
+# Each bad stride, padding or output_padding: below its minimum, or not a
+# Python int. Each is rejected before any work; padding=-1 would otherwise
+# lengthen conv_transpose1d's output.
+BAD_CONV_ARGS = [
+    {"stride": 0},
+    {"stride": 1.5},
+    {"stride": True},
+    {"padding": -1},
+    {"padding": 1.0},
+]
+BAD_TCONV_ARGS = BAD_CONV_ARGS + [{"output_padding": -1}, {"stride": 2, "output_padding": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [*(("conv1d", args) for args in BAD_CONV_ARGS),
+     *(("conv_transpose1d", args) for args in BAD_TCONV_ARGS)],
+    ids=str,
+)
+def test_bad_conv_arguments_raise_config_error(op, args):
+    x = Tensor(np.zeros((2, 3, 9)))
+    w = Tensor(np.zeros((3, 3, 3)))
+    with pytest.raises(InvalidConfigError):
+        getattr(ad, op)(x, w, **args)
+
+
 class TestBatchNorm:
     def test_normalized_input_passes_through(self):
         rng = np.random.default_rng(5)
@@ -1428,6 +1454,7 @@ class TestBatchNormPReLUTconv:
             (slope, Tensor(np.ones((4, 2, 3), dtype=np.float32)), {}),  # Cin 4, not 3
             (slope, Tensor(np.ones((3, 2, 3))), {}),  # float64 weight
             (slope, weight, {"stride": 2, "output_padding": 2}),
+            *((slope, weight, args) for args in BAD_TCONV_ARGS),
         ]
         for s, w, args in bad:
             with pytest.raises((InvalidConfigError, InvalidInputError, ShapeMismatchError)):

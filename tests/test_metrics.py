@@ -14,8 +14,8 @@ from rirlab.metrics import (
     ere,
     metric_report,
     mse,
-    report_to_csv,
     schroeder_t60,
+    write_report,
 )
 
 SR = 16000
@@ -251,23 +251,25 @@ class TestMetricReport:
                 mse(est, truth),
             )
 
-    def test_csv_shape_and_column_order(self):
+    def test_csv_shape_and_column_order(self, tmp_path):
         rng = np.random.default_rng(12)
         x = Signal(rng.uniform(-1, 1, 256), SR)
         report = metric_report([(x, x)], BASIS, PART)
-        lines = report_to_csv(report).strip().split("\n")
+        write_report(report, tmp_path / "r.csv", ["x.wav"])
+        lines = (tmp_path / "r.csv").read_text().strip().split("\n")
         assert lines[0] == "center_hz,log_edr_loss,ere_mae_db"
         assert len(lines) == 1 + len(PART.centers) + 1
         assert lines[1].startswith("500,")
         assert lines[-1].startswith("summary,")
 
-    def test_csv_merged_band_annotation(self):
+    def test_csv_merged_band_annotation(self, tmp_path):
         merged_part = octave_bands(8000, 64, [16, 32, 63, 125, 250, 500, 1000, 2000])
         assert merged_part.merged  # 32 and 63 Hz own no 125 Hz-spaced bin
         rng = np.random.default_rng(13)
         x = Signal(rng.uniform(-1, 1, 256), 8000)
         report = metric_report([(x, x)], BASIS, merged_part)
-        first = report_to_csv(report).split("\n")[0]
+        write_report(report, tmp_path / "r.csv", ["x.wav"])
+        first = (tmp_path / "r.csv").read_text().split("\n")[0]
         assert first.startswith("# merged_bands:")
         assert "32Hz->" in first and "63Hz->" in first
 

@@ -445,6 +445,12 @@ class TestTrain:
         assert len(lines) == 2
         assert lines[1].startswith("0,")
 
+    def test_numpy_float_lr_is_written_as_a_number(self, tmp_path, toy_profile, tiny_dataset):
+        cfg = dataclasses.replace(toy_profile.train, epochs=1, lr_init=np.float64(1e-3))
+        train(tiny_dataset, dataclasses.replace(toy_profile, train=cfg), tmp_path / "r")
+        lines = (tmp_path / "r" / "log.csv").read_text().strip().split("\n")
+        assert lines[1].split(",")[6] == "0.001"
+
     def test_empty_split_rejected(self, tmp_path, toy_profile):
         manifest = build_dataset(
             out_dir=tmp_path / "noval",
