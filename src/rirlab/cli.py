@@ -71,7 +71,7 @@ def _read_nonempty(path: str | Path) -> Signal:
 def _fit_length(signal: Signal, n: int) -> Signal:
     if len(signal) >= n:
         return Signal(signal.samples[:n], signal.sample_rate)
-    padded = np.zeros(n)
+    padded = np.zeros(n, signal.samples.dtype)
     padded[: len(signal)] = signal.samples
     return Signal(padded, signal.sample_rate)
 

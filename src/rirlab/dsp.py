@@ -25,20 +25,35 @@ def next_pow2(n: int) -> int:
     return p
 
 
+def widen(samples: np.ndarray) -> np.ndarray:
+    """samples in float64: the array itself if it is float64, else its exact
+    float64 copy. Every kernel that computes in float64 on Signal samples,
+    which may be float32, widens them through this on entry; numpy runs
+    the FFT of float32 input in single precision, so a kernel that did not
+    would change its result with the dtype the samples are stored in."""
+    return np.asarray(samples, dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class Signal:
     """A mono waveform with its sample rate.
 
-    Samples are stored as float64; NaN/Inf samples are rejected. The sample
-    rate must pass errors.check_arg as an integer >= 1 (a numpy integer does,
-    a bool or a float does not) and is stored as an int.
+    A float32 or float64 array of samples is kept as given, so a signal
+    read from a float32 or PCM16 WAV holds 4 bytes a sample; anything else
+    (a list, integers, float16, another byte order) is converted to
+    float64. NaN/Inf samples are rejected. Kernels that compute in float64
+    widen the samples on entry (widen). The sample rate must pass
+    errors.check_arg as an integer >= 1 (a numpy integer does, a bool or a
+    float does not) and is stored as an int.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype not in (np.float32, np.float64):
+            samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidInputError(f"signal must be 1-D, got shape {samples.shape}")
         if samples.size and not np.all(np.isfinite(samples)):
@@ -115,7 +130,7 @@ def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
         Frame count is floor((len - window_size) / hop) + 1; no padding is
         applied at either end.
     """
-    frames = frame_signal(signal.samples, cfg)
+    frames = frame_signal(widen(signal.samples), cfg)
     win = hann_window(cfg.window_size)
     return np.fft.rfft(frames * win, axis=-1)
 
@@ -274,7 +289,7 @@ def fft_convolve(clean: Signal, rir: Signal) -> Signal:
         raise InvalidInputError("cannot convolve empty signals")
     n_out = len(clean) + len(rir) - 1
     n_fft = next_pow2(n_out)
-    spec = np.fft.rfft(clean.samples, n_fft) * np.fft.rfft(rir.samples, n_fft)
+    spec = np.fft.rfft(widen(clean.samples), n_fft) * np.fft.rfft(widen(rir.samples), n_fft)
     out = np.fft.irfft(spec, n_fft)[:n_out]
     return Signal(out, clean.sample_rate)
 
@@ -306,8 +321,8 @@ def spectral_deconvolve(reverberant: Signal, clean: Signal, out_len: int) -> Sig
     n_fft = next_pow2(max(len(reverberant), len(clean)))
     if out_len > n_fft:
         raise InvalidInputError(f"out_len must be in [1, {n_fft}], got {out_len}")
-    clean_spec = np.fft.rfft(clean.samples, n_fft)
+    clean_spec = np.fft.rfft(widen(clean.samples), n_fft)
     denom = np.abs(clean_spec) ** 2 + DECONVOLVE_EPS
-    quotient = np.fft.rfft(reverberant.samples, n_fft) * np.conj(clean_spec) / denom
+    quotient = np.fft.rfft(widen(reverberant.samples), n_fft) * np.conj(clean_spec) / denom
     out = np.fft.irfft(quotient, n_fft)[:out_len]
     return Signal(out, reverberant.sample_rate)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import BandPartition, DftBasis, Signal, band_power, decay_relief
+from .dsp import BandPartition, DftBasis, Signal, band_power, decay_relief, widen
 from .errors import EstimationFailedError, InvalidConfigError, InvalidInputError
 from .fileio import write_csv
 
@@ -38,7 +38,7 @@ def _band_power(signals: tuple[Signal, ...], basis: DftBasis, partition: BandPar
         raise InvalidConfigError(
             f"partition built for {partition.sample_rate} Hz, signal is {signals[0].sample_rate} Hz"
         )
-    return band_power(np.stack([signal.samples for signal in signals]), basis, partition)
+    return band_power(np.stack([widen(signal.samples) for signal in signals]), basis, partition)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def ere(rir: Signal) -> float:
     if len(rir) < 1:
         raise InvalidInputError("empty signal")
     n_early = int(np.floor(EARLY_WINDOW_S * rir.sample_rate)) + 1
-    energy = float(np.sum(rir.samples[:n_early] ** 2))
+    energy = float(np.sum(widen(rir.samples[:n_early]) ** 2))
     return 10.0 * np.log10(max(energy, ENERGY_FLOOR))
 
 
@@ -102,21 +102,22 @@ def drr(rir: Signal) -> float:
     Direct sound is the +-2.5 ms window around the absolute peak sample
     (clamped to the signal); everything else counts as reverberant.
     """
-    if len(rir) < 1 or not np.any(rir.samples):
+    samples = widen(rir.samples)
+    if len(rir) < 1 or not np.any(samples):
         raise InvalidInputError("cannot locate a peak in an all-zero signal")
-    peak = int(np.argmax(np.abs(rir.samples)))
+    peak = int(np.argmax(np.abs(samples)))
     half = int(round(DIRECT_WINDOW_S * rir.sample_rate))
     lo = max(0, peak - half)
     hi = min(len(rir), peak + half + 1)
-    direct = float(np.sum(rir.samples[lo:hi] ** 2))
-    rest = float(np.sum(rir.samples**2)) - direct
+    direct = float(np.sum(samples[lo:hi] ** 2))
+    rest = float(np.sum(samples**2)) - direct
     return 10.0 * np.log10(direct / max(rest, ENERGY_FLOOR))
 
 
 def mse(estimated: Signal, truth: Signal) -> float:
     """Mean squared sample difference of the raw amplitudes."""
     _check_pair(estimated, truth)
-    return float(np.mean((truth.samples - estimated.samples) ** 2))
+    return float(np.mean((widen(truth.samples) - widen(estimated.samples)) ** 2))
 
 
 def schroeder_t60(rir: Signal) -> float:
@@ -125,7 +126,7 @@ def schroeder_t60(rir: Signal) -> float:
     Fits a least-squares line to the -5 dB..-25 dB segment of the decay and
     extrapolates the time to fall 60 dB. Scale-invariant by construction.
     """
-    energy = rir.samples**2
+    energy = widen(rir.samples) ** 2
     total = float(np.sum(energy))
     if total <= 0:
         raise InvalidInputError("signal has no energy")

@@ -432,7 +432,7 @@ def make_condition(reverberant: np.ndarray, cfg: DiscriminatorConfig) -> np.ndar
     reverberant waveform, zero-padded to cfg.rir_len -> [B,1,rir_len] in
     the discriminator's dtype, so its forwards take it uncast. The config
     holds condition_len <= rir_len."""
-    rev = np.atleast_2d(np.asarray(reverberant, dtype=np.float64))
+    rev = np.atleast_2d(np.asarray(reverberant))
     if rev.shape[1] < cfg.condition_len:
         raise InvalidInputError(
             f"reverberant input of {rev.shape[1]} samples is shorter than the "
@@ -449,7 +449,10 @@ def estimate_batch(net: Estimator, reverberant: Sequence[Signal]) -> list[Signal
     layers' GEMMs run one example at a time inside their ops
     (ops.activation_bound), so the peak grows with the batch by about one
     example's im2col columns and activations. Eval mode normalizes with the
-    running statistics, so each estimate depends on its own input only."""
+    running statistics, so each estimate depends on its own input only.
+    The inputs enter in the network's dtype (float32 Signals, as read_wav
+    returns, enter a float32 network uncast), and each estimate is a
+    Signal over its row of the output, in the network's dtype."""
     if not reverberant:
         return []
     for sig in reverberant:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .dsp import Signal, fft_convolve
+from .dsp import Signal, fft_convolve, widen
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -174,7 +174,8 @@ def render_example(clean: Signal, rir: Signal, example_len: int) -> tuple[Signal
     if peak == 0.0:
         raise InvalidInputError("convolution is identically zero; cannot peak-normalize")
     scale = REVERB_PEAK / peak
-    return Signal(conv * scale, clean.sample_rate), Signal(clean.samples * scale, clean.sample_rate)
+    scaled_clean = Signal(widen(clean.samples) * scale, clean.sample_rate)
+    return Signal(conv * scale, clean.sample_rate), scaled_clean
 
 
 def speech_like(rng: np.random.Generator, n_samples: int, sample_rate: int) -> Signal:
@@ -361,7 +362,7 @@ def _clean_segment(
             reps = int(np.ceil(active_len / samples.size))
             samples = np.tile(samples, reps)
         offset = int(rng.integers(0, samples.size - active_len + 1))
-        active = samples[offset : offset + active_len]
+        active = widen(samples[offset : offset + active_len])
         peak = np.max(np.abs(active))
         if peak == 0.0:
             active = speech_like(rng, active_len, sample_rate).samples

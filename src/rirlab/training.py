@@ -255,10 +255,8 @@ def validation_edr(
 
 def _load_split(manifest: DatasetManifest, split: str) -> tuple[np.ndarray, np.ndarray]:
     """A split's [n, example_len] reverberant and [n, rir_len] response rows,
-    in float32, each file read by manifest.read. float32 holds every sample
-    exactly: rirlab writes float32 WAVs, and a PCM16 sample over 32768 has 16
-    significant bits. A row is widened, exactly, where it meets a float64
-    computation."""
+    in float32, the dtype read_wav returns, each file read by manifest.read.
+    A row is widened, exactly, where it meets a float64 computation."""
     entries = manifest.split_entries(split)
     if not entries:
         raise InvalidInputError(f"manifest has no entries in split {split!r}")

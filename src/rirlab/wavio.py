@@ -91,12 +91,13 @@ def _parse(raw: bytes) -> tuple[int, np.ndarray]:
 
 
 def read_wav(path: str | Path) -> Signal:
-    """Read a mono WAV file into a float64 Signal.
+    """Read a mono WAV file into a float32 Signal.
 
     PCM16 samples are scaled to [-1, 1) by 1/32768; float32 samples are
-    taken as-is. A file that cannot be opened raises OSError; one this
-    module does not read (see the module docstring) raises
-    UnsupportedFormatError.
+    taken as-is. Both are exact in float32, since an int16 over 32768 has
+    at most 16 significant bits. A file that cannot be opened raises
+    OSError; one this module does not read (see the module docstring)
+    raises UnsupportedFormatError.
     """
     with open(path, "rb") as fid:
         raw = fid.read()
@@ -104,7 +105,7 @@ def read_wav(path: str | Path) -> Signal:
         rate, data = _parse(raw)
     except (ValueError, struct.error) as exc:
         raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from None
-    samples = data.astype(np.float64)
+    samples = data.astype(np.float32)
     if data.dtype.kind == "i":
         samples /= 32768.0
     return Signal(samples, rate)
@@ -118,7 +119,7 @@ def write_wav(path: str | Path, signal: Signal) -> None:
     The 58-byte header is a RIFF header, an 18-byte fmt chunk, a fact chunk
     holding the sample count and the data chunk's header.
     """
-    data = signal.samples.astype("<f4")
+    data = signal.samples.astype("<f4", copy=False)
     rate = signal.sample_rate
     header = (
         b"RIFF" + struct.pack("<I", 50 + data.nbytes) + b"WAVE"

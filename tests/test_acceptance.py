@@ -331,10 +331,11 @@ class TestCriterion6ToyTrainingConvergence:
         entry = dataset.split_entries("train")[0]
         rev = read_wav(dataset.path(entry.reverberant)).samples
         rir = read_wav(dataset.path(entry.rir)).samples
-        rev_t = Tensor(np.stack([rev, rev])[:, None, :])
-        rir_t = Tensor(np.stack([rir, rir])[:, None, :])
-
         net = build_estimator(profile.estimator, seed=0)
+        rev_t = Tensor(np.stack([rev, rev])[:, None, :])
+        # in the network's dtype, as train_step casts its rir_t
+        rir_t = Tensor(np.stack([rir, rir])[:, None, :].astype(net.dtype))
+
         opt = ad.RmspropState.for_params(net.parameters(), lr=3e-4)
         first = last = None
         for _ in range(200):

@@ -18,6 +18,7 @@ from scipy.io import wavfile
 
 from rirlab import cli, models, synth
 from rirlab.cli import main
+from rirlab.dsp import Signal
 from rirlab.errors import UnsupportedFormatError
 from rirlab.profiles import get_profile
 from rirlab.synth import load_manifest
@@ -127,6 +128,31 @@ class TestSynth:
              "--seed", "2", "--clean-dir", str(clean_dir)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("kind", ["float32", "pcm16"])
+    def test_clean_dir_builds_the_dataset_of_float64_signals(self, tmp_path, kind):
+        # read_wav returns float32 samples; the dataset is the one
+        # build_dataset makes from float64 Signals of the same values.
+        clean_dir = tmp_path / "clean"
+        clean_dir.mkdir()
+        rng = np.random.default_rng(11)
+        sources = {}
+        for name, n in (("a.wav", 30000), ("b.wav", 9000)):
+            x = rng.uniform(-0.8, 0.8, n) * np.sin(np.arange(n) / 40.0)
+            if kind == "pcm16":
+                pcm = np.round(x * 32767).astype(np.int16)
+                wavfile.write(clean_dir / name, 8000, pcm)
+                x = pcm / 32768.0
+            else:
+                wavfile.write(clean_dir / name, 8000, x.astype(np.float32))
+                x = x.astype(np.float32).astype(np.float64)
+            sources[str(clean_dir / name)] = Signal(x, 8000)
+        assert main(["synth", "--out", str(tmp_path / "cli"), "--n", "10", "--profile", "toy",
+                     "--seed", "4", "--clean-dir", str(clean_dir)]) == 0
+        toy = get_profile("toy")
+        synth.build_dataset(tmp_path / "api", 10, toy.ranges, 8000, toy.estimator.input_len,
+                            toy.estimator.rir_len, seed=4, clean_signals=sources)
+        assert _digest_tree(tmp_path / "cli") == _digest_tree(tmp_path / "api")
 
     def test_non_numeric_splits_exit_2(self, tmp_path, capsys):
         code = main(
@@ -489,6 +515,22 @@ class TestEstimate:
             assert code == 0
         assert len(read_wav(out1)) == 256
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("n", [5000, 9000])
+    def test_input_is_zero_padded_or_cropped_in_its_dtype(self, tmp_path, cli_run, n):
+        x = np.random.default_rng(n).uniform(-0.5, 0.5, n).astype(np.float32)
+        wavfile.write(tmp_path / "in.wav", 8000, x)
+        out = tmp_path / "o.wav"
+        ckpt = str(cli_run / "best.ckpt")
+        assert main(["estimate", "--ckpt", ckpt, "--in", str(tmp_path / "in.wav"),
+                     "--out", str(out)]) == 0
+        fitted = cli._fit_length(Signal(x, 8000), 8000)
+        assert fitted.samples.dtype == np.float32
+        wide = np.zeros(8000)
+        wide[: min(n, 8000)] = x[:8000]
+        assert fitted.samples.tobytes() == wide.astype(np.float32).tobytes()
+        want = models.estimate(models.load_checkpoint(ckpt), Signal(wide, 8000))
+        assert read_wav(out).samples.tobytes() == want.samples.astype(np.float32).tobytes()
 
     def test_stereo_input_exits_2(self, tmp_path, cli_run):
         stereo = tmp_path / "stereo.wav"

@@ -274,8 +274,29 @@ class TestSpectralDeconvolve:
 
 class TestTypes:
     def test_signal_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            Signal(np.array([0.0, np.nan]), 8000)
+        for dtype in (np.float64, np.float32):  # each kept as given
+            with pytest.raises(InvalidInputError):
+                Signal(np.array([0.0, np.nan], dtype), 8000)
+
+    @pytest.mark.parametrize(
+        "samples, kept",
+        [
+            (np.arange(4, dtype=np.float64), True),
+            (np.arange(4, dtype=np.float32), True),
+            (np.arange(4, dtype=np.float16), False),
+            (np.arange(4, dtype=">f4"), False),
+            (np.arange(4), False),
+            ([0, 1.5, 2, 3], False),
+        ],
+        ids=["float64", "float32", "float16", "big_endian_float32", "int", "list"],
+    )
+    def test_signal_keeps_float32_and_float64_and_widens_the_rest(self, samples, kept):
+        signal = Signal(samples, 8000)
+        if kept:
+            assert signal.samples is samples
+        else:
+            assert signal.samples.dtype == np.float64
+            np.testing.assert_array_equal(signal.samples, np.asarray(samples, np.float64))
 
     def test_signal_rejects_bad_rate(self):
         with pytest.raises(InvalidInputError):

@@ -1,10 +1,21 @@
 """Acoustic metric tests with hand-rolled oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rirlab import metrics
-from rirlab.dsp import Signal, StftConfig, band_power, make_dft_basis, octave_bands, stft
+from rirlab.dsp import (
+    Signal,
+    StftConfig,
+    band_power,
+    fft_convolve,
+    make_dft_basis,
+    octave_bands,
+    spectral_deconvolve,
+    stft,
+)
 from rirlab.errors import EstimationFailedError, InvalidInputError
 from rirlab.metrics import (
     ENERGY_FLOOR,
@@ -312,3 +323,57 @@ class TestBandedEarlyEnergy:
         for b, (start, stop) in enumerate(PART.bin_ranges):
             expected = np.sum(np.abs(spec[early, start:stop]) ** 2)
             assert values[b] == pytest.approx(10 * np.log10(expected), abs=1e-9)
+
+
+def _decaying_rir(seed: int, n: int = 4096) -> np.ndarray:
+    """Noise under a 150 ms exponential decay with a direct-sound peak,
+    rounded to float32: the values a float32 WAV holds."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * np.exp(-6.9 * np.arange(n) / (0.15 * SR))
+    x[40] = 4.0
+    return x.astype(np.float32)
+
+
+# Each float64 kernel that reads Signal.samples, on a pair of signals.
+FLOAT64_KERNELS = {
+    "fft_convolve": fft_convolve,
+    "spectral_deconvolve": lambda a, b: spectral_deconvolve(a, b, 1024),
+    "stft": lambda a, b: stft(a, CFG),
+    "_band_power": lambda a, b: metrics._band_power((a, b), BASIS, PART),
+    "ere": lambda a, b: ere(a),
+    "drr": lambda a, b: drr(a),
+    "mse": mse,
+    "schroeder_t60": lambda a, b: schroeder_t60(a),
+    "edr": lambda a, b: edr(a, BASIS, PART),
+    "edr_loss": lambda a, b: edr_loss(a, b, BASIS, PART),
+    "metric_report": lambda a, b: metric_report([(a, b), (b, a)], BASIS, PART),
+}
+
+
+def _bits(value):
+    """value as nested tuples of bytes, dtypes and Python scalars, so that
+    == compares results bit for bit."""
+    if isinstance(value, Signal):
+        return "Signal", _bits(value.samples), value.sample_rate
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+@pytest.mark.parametrize("kernel", FLOAT64_KERNELS.values(), ids=FLOAT64_KERNELS.keys())
+def test_float32_signals_give_the_float64_signals_bits(kernel):
+    # A Signal keeps float32 samples as read_wav returns them; each kernel
+    # widens them on entry, so its result is that of the float64 Signal of
+    # the same values. numpy's FFT of float32 input runs in single precision,
+    # so a kernel that read the samples unwidened would give other bits.
+    a, b = _decaying_rir(20), _decaying_rir(21)
+    narrow = kernel(Signal(a, SR), Signal(b, SR))
+    wide = _bits(kernel(Signal(a.astype(np.float64), SR), Signal(b.astype(np.float64), SR)))
+    assert _bits(narrow) == wide
+    assert _bits(kernel(Signal(a, SR), Signal(b.astype(np.float64), SR))) == wide

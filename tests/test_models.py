@@ -201,6 +201,11 @@ class TestDiscriminator:
         wide = make_condition(rev, dataclasses.replace(cfg, dtype="float64"))
         np.testing.assert_array_equal(cond, wide.astype(np.float32))
         assert wide.dtype == np.float64 and np.array_equal(wide[:, 0, : cfg.condition_len], rev)
+        # float32 input, as read_wav returns it, is taken uncast
+        narrow = rev.astype(np.float32)
+        assert make_condition(narrow, cfg).tobytes() == cond.tobytes()
+        wide_narrow = make_condition(narrow, dataclasses.replace(cfg, dtype="float64"))
+        assert np.array_equal(wide_narrow[:, 0, : cfg.condition_len], narrow)
 
     def test_condition_longer_than_the_response_rejected(self):
         # The condition is zero-padded to rir_len, never cropped: a longer
@@ -262,6 +267,19 @@ class TestEstimate:
         net = build_estimator(get_profile("toy").estimator, seed=8)
         with pytest.raises(InvalidInputError):
             estimate(net, Signal(np.zeros(8000), 16000))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_estimates_are_in_the_networks_dtype(self, dtype):
+        # float32 inputs, as read_wav returns them, give the estimates of the
+        # float64 inputs of the same values, bit for bit.
+        cfg = dataclasses.replace(get_profile("toy").estimator, dtype=dtype)
+        net = build_estimator(cfg, seed=9)
+        x = np.random.default_rng(9).uniform(-0.9, 0.9, (2, 8000)).astype(np.float32)
+        narrow = estimate_batch(net, [Signal(row, 8000) for row in x])
+        wide = estimate_batch(net, [Signal(row.astype(np.float64), 8000) for row in x])
+        for got, want in zip(narrow, wide):
+            assert got.samples.dtype == want.samples.dtype == np.dtype(dtype)
+            assert got.samples.tobytes() == want.samples.tobytes()
 
     def test_batch_checks_every_input(self):
         net = build_estimator(get_profile("toy").estimator, seed=8)

@@ -101,15 +101,21 @@ class TestMakeExample:
 
     def test_one_second_example_at_16k(self):
         rng = np.random.default_rng(1)
-        clean = Signal(rng.standard_normal(16000), 16000)
+        clean = Signal(rng.standard_normal(16000).astype(np.float32), 16000)
         rir = synth_rir(
             RirParams(t60=0.2, drr_target=5.0, n_early_reflections=4, direct_delay=4, seed=9),
             4096,
             16000,
         )
-        reverberant, _ = render_example(clean, rir, 16000)
+        example = render_example(clean, rir, 16000)
+        reverberant = example[0]
         assert len(reverberant) == 16000
         assert np.max(np.abs(reverberant.samples)) == pytest.approx(0.95, abs=1e-12)
+        # float32 clean samples are widened: the float64 clean's example, bit for bit
+        wide = render_example(Signal(clean.samples.astype(np.float64), 16000), rir, 16000)
+        for got, want in zip(example, wide):
+            assert got.samples.dtype == np.float64
+            assert got.samples.tobytes() == want.samples.tobytes()
 
     def test_silent_clean_rejected(self):
         clean = Signal(np.zeros(500), 8000)

@@ -82,6 +82,8 @@ def test_read_matches_scipy(tmp_path, form, kind, layout, n):
     got = read_wav(path)
     assert rate == got.sample_rate == 11025
     assert len(got) == n
+    # float32 holds each sample exactly, PCM16 over 32768 included
+    assert got.samples.dtype == np.float32
     np.testing.assert_array_equal(got.samples, expected)
 
 
